@@ -20,9 +20,6 @@ Rational = Fraction
 #: never a silent truncation.
 BERNOULLI_CAP = 32
 
-#: Default truncation degree for power series built by convenience helpers.
-SERIES_CAP = 16
-
 
 class DegreeCapError(ValueError):
     """A degree/index exceeded its configured cap."""
@@ -187,13 +184,6 @@ def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
 
 def series_inv(a: TruncatedSeries) -> TruncatedSeries:
     return a.inverse()
-
-
-def geometric(coeff, cap: int) -> TruncatedSeries:
-    """1/(1 - coeff*H) up to the cap."""
-    return TruncatedSeries.from_list(
-        [Fraction(coeff) ** k for k in range(cap + 1)], cap
-    )
 
 
 def line_bundle_series(degrees: Sequence[int], cap: int) -> TruncatedSeries:

@@ -208,9 +208,6 @@ class HodgeExpression:
     def is_zero(self):
         return not self.coeffs
 
-    def degree_parts(self) -> set[int]:
-        return {sum(m) for m, _ in self.coeffs}
-
     def coefficient(self, mon) -> Fraction:
         return dict(self.coeffs).get(tuple(sorted(mon)), Fraction(0))
 

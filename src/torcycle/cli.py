@@ -3,8 +3,10 @@
 Subcommands: chern, taut, excess, ctp, period, torelli, constants,
 selftest.  ``--machine`` switches to line-oriented ``key<TAB>value``
 records; the human mode pretty-prints classes.  Exit status: 0 on success,
-1 on a computation mismatch or failed certificate, 2 on usage errors.
-Configuration is flags-only for reproducibility.
+1 on a computation mismatch or failed certificate, 2 on usage errors, 3
+when the request needs a shape outside the implemented calculus
+(``UnsupportedOperation``; a one-line message naming the shape goes to
+stderr).  Configuration is flags-only for reproducibility.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .tautring import (
     Gen,
     ModuliSpec,
     TautClass,
+    UnsupportedOperation,
     aut_order,
     canonicalize,
     gen_to_string,
@@ -487,6 +490,10 @@ def main(argv=None) -> int:
             parser.error("shift makes a component dimension non-positive")
     try:
         return args.fn(args, cfg)
+    except UnsupportedOperation as exc:
+        msg = " ".join(str(exc).split())
+        print(f"torcycle {args.command}: unsupported operation: {msg}", file=sys.stderr)
+        return 3
     except (ValueError, KeyError) as exc:
         parser.error(str(exc))
         return 2

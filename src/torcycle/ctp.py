@@ -195,16 +195,6 @@ class Component:
         return canonical_component(t1, t2, tuple(nu), tuple(sigma))
 
 
-def _graph_autos(gen: Gen) -> list[list[int]]:
-    nv = gen.n_vertices()
-    key = _gen_sort_key(gen)
-    return [
-        list(p)
-        for p in itertools.permutations(range(nv))
-        if _gen_sort_key(_apply_perm(gen, list(p))) == key
-    ]
-
-
 def canonical_component(t1: Gen, t2: Gen, nu, sigma) -> Component:
     """Canonical representative under simultaneous relabeling of both
     trees (nu and sigma ride along as vertex colors)."""

@@ -121,9 +121,6 @@ class HyperellipticCurve:
         through the closed upper half plane."""
         return -self.y_ref(z)
 
-    def in_cut(self, x: float) -> bool:
-        return any(a < x < b for (a, b) in self.cuts)
-
     def axis_flip(self, x: float) -> bool:
         """Does Yref jump when a path crosses the real axis at x?  True iff
         an odd number of branch points lies to the right."""
@@ -572,9 +569,6 @@ class Rho4Certificate:
     @property
     def passed(self) -> bool:
         return abs(self.value) > self.margin * self.quadrature_error
-
-    def table_dict(self):
-        return dict(self.table)
 
 
 def rho4(config: PeriodConfig = PeriodConfig()) -> Rho4Certificate:

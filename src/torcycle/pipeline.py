@@ -110,27 +110,12 @@ def _push_pair(pc: ProductClass, pushers: dict[int, object]) -> ProductClass:
     outright when any pushed factor carries a degree-0 generator (the
     fundamental class pushes to zero), which also keeps unsupported shapes
     in doomed terms from ever being pushed."""
-    spaces = list(pc.spaces)
-    new_spaces = list(spaces)
+    live = ProductClass(pc.spaces, {
+        gens: c for gens, c in pc.terms.items() if all(gens[i].degree() for i in pushers)
+    })
     for i, fn in pushers.items():
-        new_spaces[i] = fn(zero(spaces[i])).space
-    acc: dict = {}
-    for gens, coeff in pc.terms.items():
-        if any(gens[i].degree() == 0 for i in pushers):
-            continue
-        pieces = [[(g, Fraction(1))] for g in gens]
-        for i, fn in pushers.items():
-            cls = fn(TautClass(spaces[i], {gens[i]: Fraction(1)}))
-            pieces[i] = list(cls.terms.items())
-        import itertools as _it
-
-        for combo in _it.product(*pieces):
-            key = tuple(g for g, _ in combo)
-            c = coeff
-            for _, w in combo:
-                c *= w
-            acc[key] = acc.get(key, Fraction(0)) + c
-    return ProductClass(new_spaces, acc)
+        live = live.map_factor(i, fn)
+    return live
 
 
 # --------------------------------------------------------------------------

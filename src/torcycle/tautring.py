@@ -25,6 +25,20 @@ term maps coincide; no completeness of tautological relations is claimed.
 Terms whose decoration degree exceeds a vertex moduli dimension are pruned
 (they vanish in the Chow ring of the vertex factor).
 
+Admission
+---------
+A term is admitted once, when it enters through a public constructor:
+``TautClass(space, terms)``, ``ProductClass(spaces, terms)`` and the
+builders on top of them (``kappa``, ``lam``, ``psi``, ``delta_*``, ...)
+check stability, genus and markings against the ambient, canonicalize the
+generator and prune it.  The arithmetic of admitted classes (``+``, ``-``,
+scalar ``*``, ``interior()``, ``ProductClass.from_factors`` and
+``map_factor``) carries their canonical terms through the private
+``_carry`` constructors, which only drop zero coefficients; adding classes
+on different ambients still raises.  The sparse decorated-graph ring of
+admcycles (Delecroix--Schmitt--van Zelm, arXiv:2002.01709) follows the same
+design.
+
 Unsupported pushforward/product shapes raise ``UnsupportedOperation`` instead
 of approximating.
 """
@@ -375,13 +389,22 @@ class TautClass:
             acc[cgen] = acc.get(cgen, Fraction(0)) + coeff
         self.terms = {g: c for g, c in acc.items() if c != 0}
 
+    @classmethod
+    def _carry(cls, space: ModuliSpec, terms: Mapping[Gen, Fraction]) -> "TautClass":
+        """Class from terms already admitted on ``space``; only zero
+        coefficients are dropped."""
+        self = cls.__new__(cls)
+        self.space = space
+        self.terms = {g: c for g, c in terms.items() if c}
+        return self
+
     def __add__(self, other: "TautClass") -> "TautClass":
         if self.space != other.space:
             raise ValueError("ambient mismatch")
         out = dict(self.terms)
         for g, c in other.terms.items():
             out[g] = out.get(g, Fraction(0)) + c
-        return TautClass(self.space, out)
+        return TautClass._carry(self.space, out)
 
     def __sub__(self, other: "TautClass") -> "TautClass":
         return self + (-1) * other
@@ -391,7 +414,7 @@ class TautClass:
 
     def __rmul__(self, scalar) -> "TautClass":
         s = Fraction(scalar)
-        return TautClass(self.space, {g: s * c for g, c in self.terms.items()})
+        return TautClass._carry(self.space, {g: s * c for g, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, TautClass):
@@ -414,22 +437,11 @@ class TautClass:
     def degrees(self) -> set[int]:
         return {g.degree() for g in self.terms}
 
-    def graded_piece(self, d: int) -> "TautClass":
-        return TautClass(
-            self.space, {g: c for g, c in self.terms.items() if g.degree() == d}
-        )
-
     def interior(self) -> "TautClass":
         """Drop all boundary terms (excision to the open moduli space)."""
-        return TautClass(
+        return TautClass._carry(
             self.space, {g: c for g, c in self.terms.items() if not g.edges}
         )
-
-    def scalar_part(self) -> Fraction:
-        for g, c in self.terms.items():
-            if g.degree() == 0:
-                return c
-        return Fraction(0)
 
     def coefficient(self, gen: Gen) -> Fraction:
         cg, _ = canonicalize(gen)
@@ -450,7 +462,7 @@ class TautClass:
 
 
 def zero(space: ModuliSpec) -> TautClass:
-    return TautClass(space, {})
+    return TautClass._carry(space, {})
 
 
 def _trivial_gen(
@@ -785,7 +797,7 @@ def multiply(d: TautClass, c: TautClass) -> TautClass:
 
 def _mul_term(space: ModuliSpec, dg: Gen, cg: Gen) -> TautClass:
     if dg.degree() == 0:
-        return TautClass(space, {cg: Fraction(1)})
+        return TautClass._carry(space, {cg: Fraction(1)})
     if dg.is_trivial_graph():
         return _mul_free_divisor(space, dg, cg)
     if len(dg.edges) != 1 or dg.degree() != 1:
@@ -932,7 +944,7 @@ def kappa1_expand(c: TautClass) -> TautClass:
                 target = v
                 break
         if target is None:
-            out = out + TautClass(space, {gen: coeff})
+            out = out + TautClass._carry(space, {gen: coeff})
             continue
         stripped = _strip_one_kappa1(gen, target)
         if gen.is_trivial_graph():
@@ -1270,6 +1282,15 @@ class ProductClass:
         self.terms = {k: v for k, v in acc.items() if v != 0}
 
     @classmethod
+    def _carry(cls, spaces: Sequence[ModuliSpec], terms) -> "ProductClass":
+        """Class from factor tuples already admitted on ``spaces``; only zero
+        coefficients are dropped."""
+        self = cls.__new__(cls)
+        self.spaces = tuple(spaces)
+        self.terms = {k: v for k, v in terms.items() if v}
+        return self
+
+    @classmethod
     def from_factors(cls, factors: Sequence[TautClass]) -> "ProductClass":
         spaces = [f.space for f in factors]
         terms: dict = {}
@@ -1279,7 +1300,7 @@ class ProductClass:
             for _, c in combo:
                 coeff *= c
             terms[gens] = terms.get(gens, Fraction(0)) + coeff
-        return cls(spaces, terms)
+        return cls._carry(spaces, terms)
 
     def __add__(self, other: "ProductClass") -> "ProductClass":
         if self.spaces != other.spaces:
@@ -1287,14 +1308,14 @@ class ProductClass:
         out = dict(self.terms)
         for k, v in other.terms.items():
             out[k] = out.get(k, Fraction(0)) + v
-        return ProductClass(self.spaces, out)
+        return ProductClass._carry(self.spaces, out)
 
     def __sub__(self, other):
         return self + (-1) * other
 
     def __rmul__(self, scalar) -> "ProductClass":
         s = Fraction(scalar)
-        return ProductClass(self.spaces, {k: s * v for k, v in self.terms.items()})
+        return ProductClass._carry(self.spaces, {k: s * v for k, v in self.terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, ProductClass):
@@ -1306,8 +1327,8 @@ class ProductClass:
             for kb, vb in other.terms.items():
                 factors = []
                 for sp, ga, gb in zip(self.spaces, ka, kb):
-                    ta = TautClass(sp, {ga: Fraction(1)})
-                    tb = TautClass(sp, {gb: Fraction(1)})
+                    ta = TautClass._carry(sp, {ga: Fraction(1)})
+                    tb = TautClass._carry(sp, {gb: Fraction(1)})
                     if ga.degree() <= 1 or gb.degree() <= 1:
                         factors.append(multiply(ta, tb))
                     else:
@@ -1333,12 +1354,12 @@ class ProductClass:
         new_space = fn(zero(self.spaces[i])).space
         acc: dict = {}
         for gens, coeff in self.terms.items():
-            cls = fn(TautClass(self.spaces[i], {gens[i]: Fraction(1)}))
+            cls = fn(TautClass._carry(self.spaces[i], {gens[i]: Fraction(1)}))
             for g2, c2 in cls.terms.items():
                 key = gens[:i] + (g2,) + gens[i + 1 :]
                 acc[key] = acc.get(key, Fraction(0)) + coeff * c2
         spaces = self.spaces[:i] + (new_space,) + self.spaces[i + 1 :]
-        return ProductClass(spaces, acc)
+        return ProductClass._carry(spaces, acc)
 
     def __str__(self):
         if not self.terms:
@@ -1599,10 +1620,6 @@ def gen_to_string(gen: Gen) -> str:
     if decor:
         parts.append("decor " + " ".join(decor))
     return "; ".join(parts)
-
-
-def class_to_string(c: TautClass) -> str:
-    return str(c)
 
 
 def parse_gen(text: str) -> Gen:

@@ -76,6 +76,16 @@ class TestChern:
         assert code == 0
         assert "-13*lambda1" in out
 
+    def test_unsupported_shape_exit_3(self, capsys):
+        code, out = run_cli("chern", "--space", "mbar", "--g", "4", "--deg", "2",
+                            "--what", "c")
+        err = capsys.readouterr().err
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "unsupported operation" in err and "compact type" in err
+        assert "usage:" not in err
+
     def test_ag(self):
         code, out = run_cli("chern", "--space", "ag", "--g", "5", "--deg", "2")
         assert code == 0

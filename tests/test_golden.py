@@ -1,0 +1,70 @@
+"""Golden ``--machine`` outputs of the symbolic commands, compared byte for
+byte.  The files pin exact results before the code under them changes.
+
+Regenerate (only when a change of output is intended, and say so in the
+changelog) with ``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+import contextlib
+import io
+import pathlib
+
+import pytest
+
+from torcycle.cli import main
+
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+
+_CHERN = {
+    f"chern_mct_g{g}_n{n}_deg{d}_{w}": ["chern", "--space", "mct", "--g", str(g),
+                                       "--n", str(n), "--deg", str(d), "--what", w]
+    for g, n in ((1, 1), (2, 0), (2, 1), (3, 0), (3, 1), (4, 0), (4, 1))
+    for d in (1, 2)
+    for w in ("ch", "c")
+}
+
+GOLDEN = {
+    "torelli_g4_ledger": ["torelli", "g4", "--ledger"],
+    "torelli_g5": ["torelli", "g5"],
+    "torelli_abar4": ["torelli", "abar4"],
+    "excess_m_1_1": ["excess", "m", "--da", "1", "--db", "1"],
+    "excess_m_2_1": ["excess", "m", "--da", "2", "--db", "1"],
+    "excess_m_3_3": ["excess", "m", "--da", "3", "--db", "3"],
+    **_CHERN,
+    "taut_kappa1_g1_n1": ["taut", "kappa1", "--g", "1", "--n", "1"],
+    "taut_kappa1_g2_n1": ["taut", "kappa1", "--g", "2", "--n", "1"],
+    "taut_kappa1_g3_n2": ["taut", "kappa1", "--g", "3", "--n", "2"],
+    "taut_kappa1_g4": ["taut", "kappa1", "--g", "4"],
+    "taut_canon_sep": ["taut", "canon", "V 2 2; E 0-1"],
+    "taut_canon_chain": ["taut", "canon", "V 1 1 1; E 0-1 0-2"],
+    "taut_canon_decorated": [
+        "taut", "canon",
+        "V 1 0 2; E 0-1 1-2; L b@1 a@1; decor v2:kappa1^1 e1b:psi^1 lb:psi^2",
+    ],
+}
+
+
+def machine_output(argv) -> tuple[int, str]:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(["--machine", *argv])
+    return code, buf.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden(name):
+    code, out = machine_output(GOLDEN[name])
+    assert code == 0
+    assert out == (GOLDEN_DIR / f"{name}.tsv").read_text()
+
+
+def test_no_stray_golden_files():
+    assert {p.stem for p in GOLDEN_DIR.glob("*.tsv")} == set(GOLDEN)
+
+
+if __name__ == "__main__":
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for name, argv in GOLDEN.items():
+        code, out = machine_output(argv)
+        assert code == 0, (name, code)
+        (GOLDEN_DIR / f"{name}.tsv").write_text(out)

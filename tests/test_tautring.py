@@ -114,6 +114,77 @@ class TestStability:
             TautClass(M4, {g: F(1)})
 
 
+ADMISSION_SPACES = [(g, n) for g in range(1, 5) for n in range(3) if 2 * g - 2 + n > 0]
+SMALL_FRACTIONS = [F(0), F(1), F(-1), F(2), F(-1, 2), F(1, 3), F(-5, 6)]
+
+
+def _span_basis(space):
+    """Interior monomials, the one-edge boundary generators and
+    lambda-decorated boundary terms of one ambient."""
+    basis = [one(space), kappa(space, 1), kappa(space, 2)]
+    basis += [lam(space, i) for i in range(1, space.genus + 1)]
+    basis += [psi(space, m) for m in space.markings]
+    for cg, _ in one_edge_graphs(space):
+        boundary = TautClass(space, {cg: F(1)})
+        basis += [boundary, multiply(lam(space), boundary)]
+    return basis
+
+
+def _combine(space, basis, coeffs):
+    out = zero(space)
+    for c, cls in zip(coeffs, basis):
+        out = out + c * cls
+    return out
+
+
+class TestAdmission:
+    """Public constructors validate; arithmetic of admitted classes keeps
+    every term admitted and refuses to mix ambients."""
+
+    def test_genus_mismatch(self):
+        with pytest.raises(ValueError, match="genus"):
+            TautClass(M4, {make_gen((3,)): F(1)})
+
+    def test_marking_mismatch(self):
+        with pytest.raises(ValueError, match="markings"):
+            TautClass(M4, {make_gen((4,), (), [("p", 0)]): F(1)})
+        with pytest.raises(ValueError, match="markings"):
+            TautClass(M41, {make_gen((4,)): F(1)})
+
+    @pytest.mark.parametrize("op", ["add", "sub"])
+    def test_taut_ambient_mismatch(self, op):
+        a, b = lam(M4), lam(M41)
+        with pytest.raises(ValueError, match="ambient mismatch"):
+            a + b if op == "add" else a - b
+
+    @pytest.mark.parametrize("op", ["add", "sub"])
+    def test_product_factor_mismatch(self, op):
+        a = tr.product_one([M4, M11])
+        b = tr.product_one([M41, M11])
+        with pytest.raises(ValueError, match="factor mismatch"):
+            a + b if op == "add" else a - b
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_arithmetic_stays_admitted(self, data):
+        g, n = data.draw(st.sampled_from(ADMISSION_SPACES))
+        space = ModuliSpec(g, tuple(f"m{i}" for i in range(n)))
+        basis = _span_basis(space)
+        coeffs = st.lists(st.sampled_from(SMALL_FRACTIONS), min_size=len(basis),
+                          max_size=len(basis))
+        a = _combine(space, basis, data.draw(coeffs))
+        b = _combine(space, basis, data.draw(coeffs))
+        s = data.draw(st.sampled_from(SMALL_FRACTIONS))
+        for result in (a + b, a - b, s * a, a.interior()):
+            assert result == TautClass(space, result.terms)
+        total = a + b
+        for gen in set(a.terms) | set(b.terms):
+            assert total.coefficient(gen) == a.coefficient(gen) + b.coefficient(gen)
+        pc = ProductClass.from_factors([a, b])
+        for result in (pc, pc + pc, pc - s * pc):
+            assert result == ProductClass(result.spaces, result.terms)
+
+
 class TestOneEdgeGraphs:
     def test_genus4_closed(self):
         gens = one_edge_graphs(M4)
