@@ -11,6 +11,15 @@ sigma assigns +, - or +- to vertices of genus >= 2 (+- exactly for genus
 available).  Two neighboring genus-1 vertices of T1 may not map to
 neighbors of T2 (such strata lie in the closure of a genus-2 merger).
 
+Stable trees are enumerated shape first.  The unlabeled trees on n vertices
+grow from those on n - 1 by one leaf at every vertex, one kept per least
+rooted Aho-Hopcroft-Ullman code (orderly generation of free trees after
+Wright-Richmond-Odlyzko-McKay 1986).  Each composition of g into n vertex
+genera labels each shape, and the stable labelings go through
+``tautring.canonicalize``.  A stable leg-free tree on n > 1 vertices has
+sum_v (2 g(v) - 2 + d(v)) = 2g - 2 with every term positive, so n <= 2g - 2
+(n <= g when every genus is positive).
+
 Component counts are anchored against known lists at genus 2, 4 and 5
 (divisor level); counts this module produces for other inputs are new
 data, not cross-checked against an external source.
@@ -20,12 +29,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 from .tautring import (
     Gen,
-    _apply_perm,
     _gen_sort_key,
+    _isomorphisms,
     canonicalize,
     make_gen,
     parse_gen,
@@ -33,8 +42,8 @@ from .tautring import (
 
 PLUS, MINUS, BOTH = "+", "-", "+-"
 
-#: Hard cap on unbounded tree enumeration (vertices); beyond this the caller
-#: must pass max_edges.
+#: Hard cap on the genus of unbounded tree enumeration; beyond this the
+#: caller must pass max_edges.
 UNBOUNDED_GENUS_LIMIT = 8
 
 
@@ -42,55 +51,33 @@ UNBOUNDED_GENUS_LIMIT = 8
 # stable trees
 
 
-def _labeled_trees(n: int) -> list[tuple[tuple[int, int], ...]]:
-    """All labeled trees on n vertices via reverse Pruefer decoding."""
-    if n == 1:
-        return [()]
-    if n == 2:
-        return [((0, 1),)]
-    out = []
-    for seq in itertools.product(range(n), repeat=n - 2):
-        degree = [1] * n
-        for s in seq:
-            degree[s] += 1
-        edges = []
-        ptr = list(seq)
-        leaves = sorted(i for i in range(n) if degree[i] == 1)
-        import heapq
-
-        heapq.heapify(leaves)
-        deg = degree[:]
-        for s in seq:
-            leaf = heapq.heappop(leaves)
-            edges.append((leaf, s))
-            deg[s] -= 1
-            if deg[s] == 1:
-                heapq.heappush(leaves, s)
-        u = heapq.heappop(leaves)
-        v = heapq.heappop(leaves)
-        edges.append((u, v))
-        out.append(tuple(edges))
-    return out
-
-
-@lru_cache(maxsize=64)
-def _labeled_trees_cached(n: int):
-    return _labeled_trees(n)
-
-
-def _tree_stable(genera, edges, allow_single_genus1: bool) -> bool:
-    n = len(genera)
-    deg = [0] * n
+def _tree_code(edges, n: int) -> str:
+    """Least rooted Aho-Hopcroft-Ullman code of a tree on n vertices, over
+    all roots: two trees get the same code exactly when isomorphic."""
+    adj: list[list[int]] = [[] for _ in range(n)]
     for (a, b) in edges:
-        deg[a] += 1
-        deg[b] += 1
-    for v in range(n):
-        if genera[v] == 0 and deg[v] < 3:
-            return False
-        if genera[v] == 1 and deg[v] < 1:
-            if not (allow_single_genus1 and n == 1):
-                return False
-    return True
+        adj[a].append(b)
+        adj[b].append(a)
+
+    def code(v: int, parent: int) -> str:
+        return "(" + "".join(sorted(code(u, v) for u in adj[v] if u != parent)) + ")"
+
+    return min(code(r, -1) for r in range(n))
+
+
+def _compositions(total: int, parts: int, lo: int):
+    """Ordered tuples of ``parts`` integers >= lo summing to total, by stars
+    and bars: parts - 1 bars among total - lo * parts stars."""
+    slots = total - lo * parts + parts - 1
+    for bars in itertools.combinations(range(slots), parts - 1):
+        ends = (-1, *bars, slots)
+        yield tuple(lo + b - a - 1 for a, b in zip(ends, ends[1:]))
+
+
+def _tree_stable(genera, degrees) -> bool:
+    """Every genus-0 vertex needs three edges.  A positive-genus vertex of a
+    tree is stable; the lone genus-1 vertex is admitted on purpose."""
+    return all(gv > 0 or d >= 3 for gv, d in zip(genera, degrees))
 
 
 def enumerate_stable_trees(
@@ -103,28 +90,28 @@ def enumerate_stable_trees(
     """
     if g < 1:
         raise ValueError("genus must be >= 1")
-    if max_edges is None:
-        if g > UNBOUNDED_GENUS_LIMIT:
-            raise ValueError(
-                f"unbounded enumeration capped at genus {UNBOUNDED_GENUS_LIMIT}; "
-                "pass max_edges"
-            )
-        max_n = g if positive_only else 3 * g  # crude stability bound
-    else:
-        max_n = max_edges + 1
+    if max_edges is None and g > UNBOUNDED_GENUS_LIMIT:
+        raise ValueError(
+            f"unbounded enumeration capped at genus {UNBOUNDED_GENUS_LIMIT}; "
+            "pass max_edges"
+        )
+    max_n = g if positive_only else max(1, 2 * g - 2)
+    if max_edges is not None:
+        max_n = min(max_n, max_edges + 1)
+    lo = 1 if positive_only else 0
     found: dict = {}
+    trees: list[tuple[tuple[int, int], ...]] = [()]
     for n in range(1, max_n + 1):
-        min_genus = 1 if positive_only else 0
-        for genera in itertools.product(range(min_genus, g + 1), repeat=n):
-            if sum(genera) != g:
-                continue
-            for edges in _labeled_trees_cached(n):
-                if not _tree_stable(genera, edges, allow_single_genus1=True):
-                    continue
-                gen = make_gen(genera, edges)
-                cg, _ = canonicalize(gen)
-                found[cg] = True
-    return sorted(found.keys(), key=_gen_sort_key)
+        if n > 1:  # a new leaf n - 1 at every vertex, one tree per code
+            grown = (t + ((v, n - 1),) for t in trees for v in range(n - 1))
+            trees = list({_tree_code(t, n): t for t in grown}.values())
+        compositions = list(_compositions(g, n, lo))
+        for edges in trees:
+            degrees = [sum(v in e for e in edges) for v in range(n)]
+            for genera in compositions:
+                if _tree_stable(genera, degrees):
+                    found[canonicalize(make_gen(genera, edges))[0]] = True
+    return sorted(found, key=_gen_sort_key)
 
 
 # --------------------------------------------------------------------------
@@ -200,8 +187,14 @@ def canonical_component(t1: Gen, t2: Gen, nu, sigma) -> Component:
     trees (nu and sigma ride along as vertex colors)."""
     c1, _ = canonicalize(t1)
     c2, _ = canonicalize(t2)
-    iso1 = _isos(t1, c1)
-    iso2 = _isos(t2, c2)
+    return _least_component(
+        c1, c2, _isomorphisms(t1, c1), _isomorphisms(t2, c2), nu, sigma
+    )
+
+
+def _least_component(c1: Gen, c2: Gen, iso1, iso2, nu, sigma) -> Component:
+    """The component on the canonical trees c1, c2 whose (nu, sigma) is
+    least over the isomorphisms iso1, iso2 onto them."""
     best = None
     for p1 in iso1:
         for p2 in iso2:
@@ -215,16 +208,6 @@ def canonical_component(t1: Gen, t2: Gen, nu, sigma) -> Component:
                 best = key
                 chosen = (tuple(nu2), tuple(sig2))
     return Component(c1, c2, chosen[0], chosen[1])
-
-
-def _isos(gen_from: Gen, gen_to: Gen) -> list[list[int]]:
-    nv = gen_from.n_vertices()
-    target = _gen_sort_key(gen_to)
-    return [
-        list(p)
-        for p in itertools.permutations(range(nv))
-        if _gen_sort_key(_apply_perm(gen_from, list(p))) == target
-    ]
 
 
 def _elliptic_pairs_ok(t1: Gen, t2: Gen, nu) -> bool:
@@ -246,6 +229,8 @@ def enumerate_components(g: int, max_edges: int | None = None) -> list[Component
     if max_edges is None and g >= 4:
         max_edges = 1
     trees = enumerate_stable_trees(g, positive_only=True, max_edges=max_edges)
+    # the trees are canonical, so their automorphisms are the isomorphisms
+    autos = {t: _isomorphisms(t, t) for t in trees}
     out: dict = {}
     for t1 in trees:
         for t2 in trees:
@@ -255,7 +240,7 @@ def enumerate_components(g: int, max_edges: int | None = None) -> list[Component
                 if not _elliptic_pairs_ok(t1, t2, nu):
                     continue
                 for sigma in _sign_choices(t1):
-                    comp = canonical_component(t1, t2, nu, sigma)
+                    comp = _least_component(t1, t2, autos[t1], autos[t2], nu, sigma)
                     out[comp] = True
     return sorted(
         out.keys(),
@@ -337,6 +322,15 @@ class HalfEdgePairing:
         return [(("L", i), ("R", j), "b") for (i, j) in self.blue] + [
             (("L", i), ("R", j), "r") for (i, j) in self.red
         ]
+
+    # computed once per pairing; the frozen fields never change them
+    @cached_property
+    def _verdict(self) -> PairingVerdict:
+        return check_pairing(self)
+
+    @cached_property
+    def _completion(self) -> frozenset:
+        return completion(self)
 
 
 @dataclass(frozen=True)
@@ -424,11 +418,11 @@ def completion(p: HalfEdgePairing) -> frozenset:
 
 
 def pairing_equivalent(p: HalfEdgePairing, q: HalfEdgePairing) -> bool:
-    if not check_pairing(p) or not check_pairing(q):
+    if not p._verdict or not q._verdict:
         raise ValueError("equivalence is defined for admissible pairings")
     if (p.left, p.right, p.genus) != (q.left, q.right, q.genus):
         return False
-    return completion(p) == completion(q)
+    return p._completion == q._completion
 
 
 # --------------------------------------------------------------------------

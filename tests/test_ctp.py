@@ -1,3 +1,5 @@
+import heapq
+import itertools
 import random
 
 import pytest
@@ -17,6 +19,7 @@ from torcycle.ctp import (
     one_edge_intersections,
     pairing_equivalent,
 )
+from torcycle.tautring import _gen_sort_key, canonicalize, make_gen
 
 
 class TestTrees:
@@ -38,6 +41,70 @@ class TestTrees:
     def test_guard(self):
         with pytest.raises(ValueError):
             enumerate_stable_trees(9)
+
+    @pytest.mark.parametrize("g, count", [(5, 14), (6, 35), (7, 85)])
+    def test_known_positive_counts(self, g, count):
+        assert len(enumerate_stable_trees(g)) == count
+
+    def test_genus8_unbounded(self):
+        # 231 also comes out of the brute-force Pruefer enumeration
+        assert len(enumerate_stable_trees(8)) == 231
+
+    def test_genus3_with_genus0_vertices(self):
+        trees = enumerate_stable_trees(3, positive_only=False)
+        shapes = sorted(tuple(sorted(t.genera)) for t in trees)
+        assert shapes == [(0, 1, 1, 1), (1, 1, 1), (1, 2), (3,)]
+
+    # unbounded with genus-0 vertices is left out: the oracle's 3g-vertex
+    # sweep does not finish
+    @pytest.mark.parametrize("g", range(1, 6))
+    @pytest.mark.parametrize("positive_only, max_edges", [
+        (True, None), *((po, e) for po in (True, False) for e in range(5))])
+    def test_vs_pruefer_oracle(self, g, positive_only, max_edges):
+        assert enumerate_stable_trees(g, positive_only, max_edges) == \
+            reference_stable_trees(g, positive_only, max_edges)
+
+
+def pruefer_trees(n: int) -> list[tuple[tuple[int, int], ...]]:
+    """All labeled trees on n vertices via reverse Pruefer decoding."""
+    if n == 1:
+        return [()]
+    out = []
+    for seq in itertools.product(range(n), repeat=n - 2):
+        degree = [1] * n
+        for s in seq:
+            degree[s] += 1
+        leaves = [i for i in range(n) if degree[i] == 1]
+        heapq.heapify(leaves)
+        edges = []
+        for s in seq:
+            edges.append((heapq.heappop(leaves), s))
+            degree[s] -= 1
+            if degree[s] == 1:
+                heapq.heappush(leaves, s)
+        edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
+        out.append(tuple(edges))
+    return out
+
+
+def reference_stable_trees(g, positive_only, max_edges):
+    """Brute force: every genus tuple summing to g on every labeled tree,
+    up to 3g vertices (or max_edges + 1), canonicalized and deduplicated."""
+    max_n = (g if positive_only else 3 * g) if max_edges is None else max_edges + 1
+    lo = 1 if positive_only else 0
+    found = {}
+    for n in range(1, max_n + 1):
+        labeled = pruefer_trees(n)
+        for genera in itertools.product(range(lo, g + 1), repeat=n):
+            if sum(genera) != g:
+                continue
+            for edges in labeled:
+                degree = [sum(v in e for e in edges) for v in range(n)]
+                if any((gv == 0 and d < 3) or (gv == 1 and d < 1 and n > 1)
+                       for gv, d in zip(genera, degree)):
+                    continue
+                found[canonicalize(make_gen(genera, edges))[0]] = True
+    return sorted(found, key=_gen_sort_key)
 
 
 class TestComponents:
@@ -136,6 +203,18 @@ class TestPairings:
         p = HalfEdgePairing(3, 2, 2, blue=((0, 0), (1, 1)), red=((1, 0),))
         q = HalfEdgePairing(3, 2, 2, blue=((0, 1),), red=((0, 0), (1, 1)))
         assert not pairing_equivalent(p, q)
+
+    def test_inadmissible_raises(self):
+        bad = HalfEdgePairing(
+            5, 3, 3,
+            blue=((0, 0), (1, 1), (2, 2)),
+            red=((0, 1), (1, 2), (2, 0)),
+        )
+        good = HalfEdgePairing(5, 3, 3, blue=((0, 0),))
+        for p, q in ((bad, good), (good, bad), (bad, bad)):
+            with pytest.raises(ValueError):
+                pairing_equivalent(p, q)
+        assert pairing_equivalent(good, good)
 
     def test_reflexive(self):
         p = HalfEdgePairing(3, 2, 2, blue=((0, 0), (1, 1)), red=((1, 0),))

@@ -23,6 +23,12 @@ _CHERN = {
     for w in ("ch", "c")
 }
 
+_CTP = {
+    f"ctp_components_g{g}_e{e}": ["ctp", "components", "--g", str(g), "--max-edges", str(e)]
+    for g in range(2, 8)
+    for e in (1, 2, 3)
+}
+
 GOLDEN = {
     "torelli_g4_ledger": ["torelli", "g4", "--ledger"],
     "torelli_g5": ["torelli", "g5"],
@@ -31,6 +37,10 @@ GOLDEN = {
     "excess_m_2_1": ["excess", "m", "--da", "2", "--db", "1"],
     "excess_m_3_3": ["excess", "m", "--da", "3", "--db", "3"],
     **_CHERN,
+    **_CTP,
+    "ctp_components_g2": ["ctp", "components", "--g", "2"],
+    "ctp_components_g3": ["ctp", "components", "--g", "3"],
+    "ctp_intersections": ["ctp", "intersections"],
     "taut_kappa1_g1_n1": ["taut", "kappa1", "--g", "1", "--n", "1"],
     "taut_kappa1_g2_n1": ["taut", "kappa1", "--g", "2", "--n", "1"],
     "taut_kappa1_g3_n2": ["taut", "kappa1", "--g", "3", "--n", "2"],
