@@ -250,13 +250,18 @@ def enumerate_components(g: int, max_edges: int | None = None) -> list[Component
 
 
 def _genus_preserving_bijections(t1: Gen, t2: Gen):
+    """Vertex bijections nu: T1 -> T2 with g(nu(v)) = g(v), one product of
+    permutations within each genus class; the genus multisets must agree."""
     by_genus: dict[int, list[int]] = {}
     for w, gw in enumerate(t2.genera):
         by_genus.setdefault(gw, []).append(w)
-    slots = [by_genus[gv] for gv in t1.genera]
-    for choice in itertools.product(*slots):
-        if len(set(choice)) == len(choice):
-            yield tuple(choice)
+    sources = [[v for v, gv in enumerate(t1.genera) if gv == gw] for gw in by_genus]
+    nu = [0] * len(t1.genera)
+    for images in itertools.product(*map(itertools.permutations, by_genus.values())):
+        for vs, ws in zip(sources, images):
+            for v, w in zip(vs, ws):
+                nu[v] = w
+        yield tuple(nu)
 
 
 def _sign_choices(t1: Gen):

@@ -27,7 +27,12 @@ Quadrature.  Two independent deterministic rules: the midpoint-trapezoid
 rule on closed contours (spectrally accurate for analytic integrands) and
 composite Gauss-Legendre on branch-point segments after the substitution
 x = m - h cos(theta), which removes the inverse square-root endpoint
-singularities.  Segment decompositions of the cycle integrals:
+singularities.  Each refinement level evaluates all its nodes in one numpy
+pass: the curve and contour maps take a float or an array (a scalar gives
+a Python number back), and integrands fn(z, Y) are called with arrays and
+must work elementwise.  Every value returned is a Python complex or float,
+so ``--machine`` output prints plain reprs.  Segment decompositions of the
+cycle integrals:
 
     A1(cw):  integral = +2 int_{r0}^{r1} g/Y_up dx   (odd integrands)
     B1(ccw): integral = -2 [int over the f>0 gaps between the crossings]
@@ -38,7 +43,7 @@ deterministic for fixed configuration.
 
 from __future__ import annotations
 
-import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -55,6 +60,11 @@ class PathClearanceError(ValueError):
 
 #: minimum allowed distance between any path point and a branch point
 BRANCH_CLEARANCE = 1e-3
+
+
+def _scalar(a):
+    """A 0-d result as a Python number; arrays pass through."""
+    return a if np.ndim(a) else a.item()
 
 
 # --------------------------------------------------------------------------
@@ -80,43 +90,17 @@ class HyperellipticCurve:
         r = self.roots
         return ((r[0], r[1]), (r[2], r[3]), (r[4], r[5]))
 
-    def f(self, z: complex) -> complex:
-        out = 1.0 + 0.0j
+    def y_ref(self, z):
+        """Product of principal square roots; continuous off the real axis.
+        The points are cast to complex first: np.sqrt of a negative float
+        is nan, where the principal root of x - r < 0 is i sqrt(r - x)."""
+        z = np.asarray(z, dtype=complex)
+        out = np.ones_like(z)
         for r in self.roots:
-            out *= z - r
-        return out
+            out = out * np.sqrt(z - r)
+        return _scalar(out)
 
-    def f_prime(self, z: complex) -> complex:
-        out = 0.0 + 0.0j
-        for i in range(6):
-            term = 1.0 + 0.0j
-            for j, r in enumerate(self.roots):
-                if j != i:
-                    term *= z - r
-            out += term
-        return out
-
-    def f_second(self, z: complex) -> complex:
-        out = 0.0 + 0.0j
-        for i in range(6):
-            for j in range(6):
-                if j == i:
-                    continue
-                term = 1.0 + 0.0j
-                for k, r in enumerate(self.roots):
-                    if k != i and k != j:
-                        term *= z - r
-                out += term
-        return out
-
-    def y_ref(self, z: complex) -> complex:
-        """Product of principal square roots; continuous off the real axis."""
-        out = 1.0 + 0.0j
-        for r in self.roots:
-            out *= cmath.sqrt(z - r)
-        return out
-
-    def y_upper(self, z: complex) -> complex:
+    def y_upper(self, z):
         """The upper branch: +sqrt(f(0)) at the base point, continued
         through the closed upper half plane."""
         return -self.y_ref(z)
@@ -132,8 +116,9 @@ class HyperellipticCurve:
         """Taylor coefficients (Y(0), Y'(0), Y''(0)/2) of the upper branch
         at the base point z = 0."""
         y0 = self.y_upper(0.0)
-        f1 = self.f_prime(0.0)
-        f2 = self.f_second(0.0)
+        # f = c0 + c1 z + c2 z^2 + ..., so f'(0) = c1 and f''(0) = 2 c2
+        c = np.polynomial.polynomial.polyfromroots(self.roots)
+        f1, f2 = float(c[1]), 2 * float(c[2])
         y1 = f1 / (2 * y0)
         y2 = (f2 - 2 * y1 * y1) / (2 * y0)
         return y0, y1, y2 / 2
@@ -165,27 +150,22 @@ class EllipseContour:
     def halfwidth(self) -> float:
         return (self.right - self.left) / 2
 
-    def point(self, t: float) -> complex:
-        ang = 2 * math.pi * t
-        return complex(
-            self.center + self.halfwidth * math.cos(ang),
-            self.height * math.sin(ang),
-        )
+    def point(self, t):
+        ang = 2 * np.pi * np.asarray(t, dtype=float)
+        x = self.center + self.halfwidth * np.cos(ang)
+        return _scalar(x + 1j * (self.height * np.sin(ang)))
 
-    def derivative(self, t: float) -> complex:
-        ang = 2 * math.pi * t
-        return 2 * math.pi * complex(
-            -self.halfwidth * math.sin(ang), self.height * math.cos(ang)
-        )
+    def derivative(self, t):
+        ang = 2 * np.pi * np.asarray(t, dtype=float)
+        dx = -self.halfwidth * np.sin(ang)
+        return _scalar(2 * np.pi * (dx + 1j * (self.height * np.cos(ang))))
 
-    def sheet_sign(self, curve: HyperellipticCurve, t: float) -> int:
+    def sheet_sign(self, curve: HyperellipticCurve, t):
         """Sign s(t) with Y(t) = s(t) * Y_up(z(t)): constant on each half
         arc, flipping at crossings where Yref jumps."""
-        t = t % 1.0
-        if t < 0.5:
-            return self.upper_sign
-        flip = -1 if curve.axis_flip(self.left) else 1
-        return self.upper_sign * flip
+        lower = np.asarray(t) % 1.0 >= 0.5
+        flip = -1 if lower.any() and curve.axis_flip(self.left) else 1
+        return _scalar(np.where(lower, self.upper_sign * flip, self.upper_sign))
 
     def check(self, curve: HyperellipticCurve) -> None:
         # closure: the two crossings must flip consistently
@@ -193,12 +173,11 @@ class EllipseContour:
         fr = curve.axis_flip(self.right)
         if fl != fr:
             raise ValueError(f"contour {self.label}: inconsistent sheet closure")
-        for t in np.linspace(0, 1, 720, endpoint=False):
-            z = self.point(float(t))
-            if min(abs(z - r) for r in curve.roots) < BRANCH_CLEARANCE:
-                raise PathClearanceError(
-                    f"contour {self.label} within clearance of a branch point"
-                )
+        z = self.point(np.linspace(0, 1, 720, endpoint=False))
+        if np.abs(z[:, None] - np.asarray(curve.roots)).min() < BRANCH_CLEARANCE:
+            raise PathClearanceError(
+                f"contour {self.label} within clearance of a branch point"
+            )
 
 
 def standard_contours(curve: HyperellipticCurve) -> dict[str, EllipseContour]:
@@ -226,30 +205,31 @@ def standard_contours(curve: HyperellipticCurve) -> dict[str, EllipseContour]:
 # quadrature engines
 
 
+def _midpoint_samples(curve, contour, n):
+    """The n midpoint nodes t = (k + 1/2)/n, their points z(t) and the
+    branch-consistent Y there, as arrays."""
+    t = (np.arange(n) + 0.5) / n
+    z = contour.point(t)
+    return t, z, contour.sheet_sign(curve, t) * curve.y_upper(z)
+
+
 def y_on_path(
     curve: HyperellipticCurve, contour: EllipseContour, samples: int = 256
 ) -> list[tuple[complex, complex]]:
     """Branch-consistent samples (z, Y) along the contour."""
-    out = []
-    for k in range(samples):
-        t = (k + 0.5) / samples
-        z = contour.point(t)
-        out.append((z, contour.sheet_sign(curve, t) * curve.y_upper(z)))
-    return out
+    _, z, y = _midpoint_samples(curve, contour, samples)
+    return list(zip(z.tolist(), y.tolist()))
 
 
 def contour_integrate(fn, curve, contour, tol=1e-10, n0=64, nmax=65536):
     """Midpoint-trapezoid integral of fn(z, Y) dz over the closed contour,
-    doubling nodes until two refinements agree within tol (relative)."""
+    doubling nodes until two refinements agree within tol (relative).
+    fn is called once per level with the arrays of nodes z and branch
+    values Y, and must work elementwise."""
 
     def level(n):
-        total = 0j
-        for k in range(n):
-            t = (k + 0.5) / n
-            z = contour.point(t)
-            y = contour.sheet_sign(curve, t) * curve.y_upper(z)
-            total += fn(z, y) * contour.derivative(t)
-        return total / n
+        t, z, y = _midpoint_samples(curve, contour, n)
+        return complex(np.sum(fn(z, y) * contour.derivative(t))) / n
 
     prev = level(n0)
     n = 2 * n0
@@ -264,19 +244,26 @@ def contour_integrate(fn, curve, contour, tol=1e-10, n0=64, nmax=65536):
     raise QuadratureError(f"contour {contour.label}: no convergence at {nmax} nodes")
 
 
+@functools.cache
+def _legendre(n):
+    """Gauss-Legendre nodes and weights of order n, read-only (shared)."""
+    rule = np.polynomial.legendre.leggauss(n)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
 def gauss_segment(fn, curve, a, b, n):
     """Gauss-Legendre integral of fn(x, Y_up(x)) dx over the root-to-root
-    segment [a, b] after x = m - h cos(theta)."""
-    nodes, weights = np.polynomial.legendre.leggauss(n)
+    segment [a, b] after x = m - h cos(theta).  fn is called once with the
+    arrays of nodes x and values Y_up(x), and must work elementwise."""
+    nodes, weights = _legendre(n)
     m = (a + b) / 2
     h = (b - a) / 2
-    total = 0j
-    for u, w in zip(nodes, weights):
-        theta = (u + 1) * math.pi / 2
-        x = m - h * math.cos(theta)
-        dx = h * math.sin(theta) * math.pi / 2
-        total += fn(x, curve.y_upper(x)) * dx * w
-    return total
+    theta = (nodes + 1) * np.pi / 2
+    x = m - h * np.cos(theta)
+    dx = h * np.sin(theta) * np.pi / 2
+    return complex(np.sum(fn(x, curve.y_upper(x)) * dx * weights))
 
 
 def segment_integrate(fn, curve, a, b, tol=1e-10, n0=48, nmax=3072):
@@ -434,18 +421,12 @@ def y_taylor_by_circle(curve, eps, n=512):
     is constant on it)."""
     if any(abs(r) <= 2 * eps for r in curve.roots):
         raise PathClearanceError("eps-circle too close to a branch point")
-    coeffs = []
-    for order in range(3):
-        total = 0j
-        for k in range(n):
-            t = (k + 0.5) / n
-            z = eps * cmath.exp(2j * math.pi * t)
-            total += curve.y_upper(z) / z ** (order + 1) * (
-                2j * math.pi * z
-            )
-        val = total / n / (2j * math.pi)
-        coeffs.append(val)
-    return tuple(coeffs)
+    z = eps * np.exp(2j * np.pi * ((np.arange(n) + 0.5) / n))
+    y = curve.y_upper(z)
+    return tuple(
+        complex(np.sum(y / z ** (order + 1) * (2j * np.pi * z))) / n / (2j * math.pi)
+        for order in range(3)
+    )
 
 
 def cauchy_kernel_coeffs(

@@ -11,6 +11,7 @@ from torcycle.ctp import (
     Component,
     HalfEdgePairing,
     MalformedPairingError,
+    _genus_preserving_bijections,
     check_pairing,
     completion,
     component_dimension,
@@ -107,7 +108,28 @@ def reference_stable_trees(g, positive_only, max_edges):
     return sorted(found, key=_gen_sort_key)
 
 
+def reference_bijections(t1, t2):
+    """Product filter: every genus-respecting choice of images, kept when
+    the images are distinct."""
+    by_genus = {}
+    for w, gw in enumerate(t2.genera):
+        by_genus.setdefault(gw, []).append(w)
+    slots = [by_genus[gv] for gv in t1.genera]
+    return {c for c in itertools.product(*slots) if len(set(c)) == len(c)}
+
+
 class TestComponents:
+    @pytest.mark.parametrize("g", range(1, 6))
+    def test_bijections_vs_product_filter(self, g):
+        trees = enumerate_stable_trees(g)
+        for t1 in trees:
+            for t2 in trees:
+                if sorted(t1.genera) != sorted(t2.genera):
+                    continue
+                got = list(_genus_preserving_bijections(t1, t2))
+                assert len(got) == len(set(got))
+                assert set(got) == reference_bijections(t1, t2)
+
     def test_genus4_divisor_level(self):
         comps = enumerate_components(4, max_edges=1)
         assert len(comps) == 5

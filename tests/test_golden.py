@@ -1,5 +1,8 @@
-"""Golden ``--machine`` outputs of the symbolic commands, compared byte for
-byte.  The files pin exact results before the code under them changes.
+"""Golden ``--machine`` outputs, pinned before the code under them changes.
+The symbolic commands are compared byte for byte.  The ``period`` commands
+are floating point: their non-numeric fields must match exactly and each
+numeric field must parse with ``float()`` and agree within
+``PERIOD_RTOL * max(1, |x|)``.
 
 Regenerate (only when a change of output is intended, and say so in the
 changelog) with ``PYTHONPATH=src python tests/test_golden.py``.
@@ -54,6 +57,19 @@ GOLDEN = {
 }
 
 
+#: Floating-point goldens: the period matrix of both base curves and of an
+#: uneven curve with short gaps, and the certificate with its table.
+PERIOD_GOLDEN = {
+    "period_tau_base1": ["period", "tau", "--roots", "1", "2", "3", "4", "5", "6"],
+    "period_tau_base2": ["period", "tau", "--roots", "1", "2", "3", "4", "5", "7"],
+    "period_tau_uneven": ["period", "tau", "--roots",
+                          "0.5", "0.7", "1.9", "2.05", "3", "4.4"],
+    "period_rho4_report": ["period", "rho4", "--report"],
+}
+
+PERIOD_RTOL = 1e-9
+
+
 def machine_output(argv) -> tuple[int, str]:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
@@ -68,13 +84,39 @@ def test_golden(name):
     assert out == (GOLDEN_DIR / f"{name}.tsv").read_text()
 
 
+def _is_number(field: str) -> bool:
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("name", sorted(PERIOD_GOLDEN))
+def test_period_golden(name):
+    code, out = machine_output(PERIOD_GOLDEN[name])
+    assert code == 0
+    want = (GOLDEN_DIR / f"{name}.tsv").read_text().splitlines()
+    got = out.splitlines()
+    assert len(got) == len(want)
+    for got_line, want_line in zip(got, want):
+        got_fields, want_fields = got_line.split("\t"), want_line.split("\t")
+        assert len(got_fields) == len(want_fields), got_line
+        for g, w in zip(got_fields, want_fields):
+            if _is_number(w):
+                x = float(w)
+                assert abs(float(g) - x) <= PERIOD_RTOL * max(1.0, abs(x)), got_line
+            else:
+                assert g == w, got_line
+
+
 def test_no_stray_golden_files():
-    assert {p.stem for p in GOLDEN_DIR.glob("*.tsv")} == set(GOLDEN)
+    assert {p.stem for p in GOLDEN_DIR.glob("*.tsv")} == set(GOLDEN) | set(PERIOD_GOLDEN)
 
 
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
-    for name, argv in GOLDEN.items():
+    for name, argv in {**GOLDEN, **PERIOD_GOLDEN}.items():
         code, out = machine_output(argv)
         assert code == 0, (name, code)
         (GOLDEN_DIR / f"{name}.tsv").write_text(out)

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -60,6 +61,106 @@ class TestSheetTracking:
     def test_clearance(self):
         with pytest.raises(PathClearanceError):
             EllipseContour(1.0 + 1e-9, 2.5, 0.3).check(BASE_CURVE_1)
+
+    @pytest.mark.parametrize("left", [0.5, 2.5, 4.5])
+    def test_clearance_flat_arc(self, left):
+        # both crossings are clear, but the arcs pass 1e-4 above and below
+        # the two branch points between them
+        with pytest.raises(PathClearanceError):
+            EllipseContour(left, left + 2, 1e-4).check(BASE_CURVE_1)
+
+
+def ref_y_upper(curve, z):
+    """Node-by-node reference: the product of cmath principal roots."""
+    out = 1.0 + 0.0j
+    for r in curve.roots:
+        out *= cmath.sqrt(z - r)
+    return -out
+
+
+def ref_point(c, t):
+    ang = 2 * math.pi * t
+    return complex(c.center + c.halfwidth * math.cos(ang), c.height * math.sin(ang))
+
+
+def ref_derivative(c, t):
+    ang = 2 * math.pi * t
+    return 2 * math.pi * complex(-c.halfwidth * math.sin(ang), c.height * math.cos(ang))
+
+
+def ref_sheet_sign(c, curve, t):
+    if t % 1.0 < 0.5:
+        return c.upper_sign
+    return c.upper_sign * (-1 if curve.axis_flip(c.left) else 1)
+
+
+def close(a, b, rtol=1e-13):
+    return abs(a - b) <= rtol * max(1.0, abs(b))
+
+
+class TestArrayEvaluation:
+    """The array path agrees with scalar calls and with a node-by-node
+    cmath reference, and a scalar argument gives a Python number."""
+
+    # inside the cuts (f < 0), outside them, off the axis, and on the axis
+    # approached from below (-0.0 imaginary part)
+    REAL = [1.5, 3.5, 5.5, 0.0, 2.5, 4.5, 7.0, -1.0, 1.0 + 1e-6]
+    COMPLEX = [1.5 + 0.3j, 2.5 - 0.2j, 5.9 + 1e-9j, complex(1.5, -0.0),
+               complex(3.5, -0.0), complex(2.5, -0.0), complex(-1.0, -0.0)]
+    TS = [0.0, 0.1, 0.25, 0.49, 0.5, 0.75, 0.999, 1.2, -0.3]
+
+    @pytest.mark.parametrize("curve", [BASE_CURVE_1, BASE_CURVE_2])
+    @pytest.mark.parametrize("points", [REAL, COMPLEX])
+    def test_y_upper(self, curve, points):
+        ys = curve.y_upper(np.array(points))
+        assert ys.shape == (len(points),)
+        for z, y in zip(points, ys):
+            scalar = curve.y_upper(z)
+            assert type(scalar) is complex
+            assert close(y, scalar)
+            assert close(scalar, ref_y_upper(curve, z)), z
+
+    def test_contour_maps(self):
+        contours = standard_contours(BASE_CURVE_1)
+        ts = np.array(self.TS)
+        for c in (*contours.values(), EllipseContour(-0.3, 0.3, 0.3, -1)):
+            zs, dzs = c.point(ts), c.derivative(ts)
+            signs = c.sheet_sign(BASE_CURVE_1, ts)
+            for k, t in enumerate(self.TS):
+                z, dz, s = c.point(t), c.derivative(t), c.sheet_sign(BASE_CURVE_1, t)
+                assert type(z) is complex and type(dz) is complex
+                assert type(s) is int
+                assert close(zs[k], z) and close(z, ref_point(c, t))
+                assert close(dzs[k], dz) and close(dz, ref_derivative(c, t))
+                assert signs[k] == s == ref_sheet_sign(c, BASE_CURVE_1, t)
+
+    def test_y_on_path_python_pairs(self):
+        ys = y_on_path(BASE_CURVE_1, standard_contours(BASE_CURVE_1)["B1"], 16)
+        assert all(type(z) is complex and type(y) is complex for z, y in ys)
+
+
+class TestPythonTypes:
+    """Every value the module returns is a Python complex or float (an
+    np.float64 would print as np.float64(...) in --machine output)."""
+
+    def test_period_matrix(self):
+        tau, err = period_matrix(BASE_CURVE_1)
+        assert all(type(x) is complex for row in tau for x in row)
+        assert type(err) is float
+
+    def test_rho4(self):
+        cert = rho4()
+        assert type(cert.value) is complex
+        assert type(cert.quadrature_error) is float
+        assert all(type(v) is complex for _, v in cert.table)
+
+    def test_segment_and_kernel(self):
+        kc = cauchy_kernel_coeffs(BASE_CURVE_1)
+        assert all(type(x) is complex for x in (*kc.h, *kc.k, *kc.alpha))
+        assert type(kc.residual) is float
+        for rule in ("contour", "segments"):
+            val, err = compute_G(BASE_CURVE_1, 1, rule=rule, kc=kc)
+            assert type(val) is complex and type(err) is float
 
 
 class TestQuadrature:
