@@ -1,5 +1,7 @@
 """Golden ``--machine`` outputs, pinned before the code under them changes.
-The symbolic commands are compared byte for byte.  The ``period`` commands
+The symbolic commands are compared byte for byte.  So is the stdout of the
+report scripts, run from the repository root, except for the wall-time line
+of ``torelli_report.py``.  The ``period`` commands
 are floating point: their non-numeric fields must match exactly and each
 numeric field must parse with ``float()`` and agree within
 ``PERIOD_RTOL * max(1, |x|)``.
@@ -11,12 +13,16 @@ changelog) with ``PYTHONPATH=src python tests/test_golden.py``.
 import contextlib
 import io
 import pathlib
+import re
+import subprocess
+import sys
 
 import pytest
 
 from torcycle.cli import main
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+REPO_ROOT = pathlib.Path(__file__).parent.parent
 
 _CHERN = {
     f"chern_mct_g{g}_n{n}_deg{d}_{w}": ["chern", "--space", "mct", "--g", str(g),
@@ -24,6 +30,13 @@ _CHERN = {
     for g, n in ((1, 1), (2, 0), (2, 1), (3, 0), (3, 1), (4, 0), (4, 1))
     for d in (1, 2)
     for w in ("ch", "c")
+}
+
+#: Abelian-side characters; (12, 11) pins the order of two-digit lambda
+#: indices (lambda11 sorts after lambda5*lambda6).
+_CHERN_AG = {
+    f"chern_ag_g{g}_deg{d}": ["chern", "--space", "ag", "--g", str(g), "--deg", str(d)]
+    for g, d in ((1, 1), (1, 2), (3, 2), (4, 3), (5, 1), (5, 2), (5, 3), (6, 6), (12, 11))
 }
 
 _CTP = {
@@ -40,6 +53,7 @@ GOLDEN = {
     "excess_m_2_1": ["excess", "m", "--da", "2", "--db", "1"],
     "excess_m_3_3": ["excess", "m", "--da", "3", "--db", "3"],
     **_CHERN,
+    **_CHERN_AG,
     **_CTP,
     "ctp_components_g2": ["ctp", "components", "--g", "2"],
     "ctp_components_g3": ["ctp", "components", "--g", "3"],
@@ -69,6 +83,15 @@ PERIOD_GOLDEN = {
 
 PERIOD_RTOL = 1e-9
 
+#: Report scripts: the human renderings of tautological and polynomial
+#: classes that no ``--machine`` command prints.
+SCRIPT_GOLDEN = {
+    "script_chern_table": "scripts/chern_table.py",
+    "script_torelli_report": "scripts/torelli_report.py",
+}
+
+_WALL_TIME = re.compile(r"^total \d+\.\d+s$", re.MULTILINE)
+
 
 def machine_output(argv) -> tuple[int, str]:
     buf = io.StringIO()
@@ -82,6 +105,17 @@ def test_golden(name):
     code, out = machine_output(GOLDEN[name])
     assert code == 0
     assert out == (GOLDEN_DIR / f"{name}.tsv").read_text()
+
+
+def script_output(path: str) -> str:
+    proc = subprocess.run([sys.executable, path], cwd=REPO_ROOT, capture_output=True,
+                          text=True, check=True)
+    return _WALL_TIME.sub("total <seconds>", proc.stdout)
+
+
+@pytest.mark.parametrize("name", sorted(SCRIPT_GOLDEN))
+def test_script_golden(name):
+    assert script_output(SCRIPT_GOLDEN[name]) == (GOLDEN_DIR / f"{name}.txt").read_text()
 
 
 def _is_number(field: str) -> bool:
@@ -111,7 +145,9 @@ def test_period_golden(name):
 
 
 def test_no_stray_golden_files():
-    assert {p.stem for p in GOLDEN_DIR.glob("*.tsv")} == set(GOLDEN) | set(PERIOD_GOLDEN)
+    expected = {f"{name}.tsv" for name in (*GOLDEN, *PERIOD_GOLDEN)}
+    expected |= {f"{name}.txt" for name in SCRIPT_GOLDEN}
+    assert {p.name for p in GOLDEN_DIR.iterdir()} == expected
 
 
 if __name__ == "__main__":
@@ -120,3 +156,5 @@ if __name__ == "__main__":
         code, out = machine_output(argv)
         assert code == 0, (name, code)
         (GOLDEN_DIR / f"{name}.tsv").write_text(out)
+    for name, path in SCRIPT_GOLDEN.items():
+        (GOLDEN_DIR / f"{name}.txt").write_text(script_output(path))
