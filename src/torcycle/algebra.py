@@ -1,5 +1,6 @@
-"""Exact rational arithmetic, truncated power series, Bernoulli polynomials,
-and Newton-identity conversions between Chern characters and Chern classes.
+"""Exact rational arithmetic, sparse linear combinations, truncated power
+series, Bernoulli polynomials, and Newton-identity conversions between Chern
+characters and Chern classes.
 
 Rationals are plain :class:`fractions.Fraction` values: always reduced,
 positive denominator, exact arithmetic.  They serialize as ``p/q`` (or ``p``
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 Rational = Fraction
 
@@ -64,6 +65,98 @@ def bernoulli_polynomial(m: int, x: Rational) -> Fraction:
         (comb(m, k) * bernoulli_number(k) * x ** (m - k) for k in range(m + 1)),
         Fraction(0),
     )
+
+
+# --------------------------------------------------------------------------
+# sparse linear combinations
+
+
+def _accumulate(
+    parts: Iterable[tuple[Fraction | int, Mapping[Hashable, Fraction]]],
+) -> dict:
+    """Sum of ``scale * terms`` over the ``(scale, terms)`` parts, collected
+    in one dict; keys whose coefficients cancel are dropped.  Coefficients
+    are Fractions and scales Fractions or ints, so every sum is exact.  This
+    is the one place where sparse coefficients are added and scaled."""
+    acc: dict = {}
+    for scale, terms in parts:
+        for key, c in terms.items():
+            c = c * scale
+            if key in acc:
+                acc[key] += c
+            else:
+                acc[key] = c
+    return {key: c for key, c in acc.items() if c}
+
+
+class _LinearCombination:
+    """Sparse Fraction-linear combination ``terms = {key: coefficient}`` on
+    one ambient: the kernel shared by ``tautring.TautClass``,
+    ``tautring.ProductClass`` and ``chern.InteriorClass``.
+
+    It supplies sum, difference, negation, scalar multiple, equality and
+    hash, all through :func:`_accumulate`.  A subclass stores ``terms``
+    (admitted keys, no zero coefficient), reports its ambient through
+    ``_ambient`` (``None`` by default), rebuilds an instance from such terms
+    with ``_carry(ambient, terms)`` and multiplies two instances in
+    ``_times``.  Sums of many classes belong in one ``_accumulate`` call
+    followed by one ``_carry``, not in a chain of ``+``.
+    """
+
+    __slots__ = ()
+    _MISMATCH = "ambient mismatch"
+
+    def _ambient(self):
+        return None
+
+    @classmethod
+    def _carry(cls, ambient, terms: dict):
+        self = cls.__new__(cls)
+        self.terms = terms
+        return self
+
+    def _common(self, other):
+        ambient = self._ambient()
+        if other._ambient() != ambient:
+            raise ValueError(self._MISMATCH)
+        return ambient
+
+    def __add__(self, other):
+        parts = ((1, self.terms), (1, other.terms))
+        return self._carry(self._common(other), _accumulate(parts))
+
+    def __sub__(self, other):
+        parts = ((1, self.terms), (-1, other.terms))
+        return self._carry(self._common(other), _accumulate(parts))
+
+    def __neg__(self):
+        return (-1) * self
+
+    def __rmul__(self, scalar):
+        parts = ((Fraction(scalar), self.terms),)
+        return self._carry(self._ambient(), _accumulate(parts))
+
+    def __mul__(self, other):
+        if isinstance(other, type(self)):
+            return self._times(other)
+        return self.__rmul__(other)
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, type(self))
+            and self._ambient() == other._ambient()
+            and self.terms == other.terms
+        )
+
+    def __hash__(self):
+        return hash((self._ambient(), frozenset(self.terms.items())))
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+
+# --------------------------------------------------------------------------
+# truncated power series
 
 
 @dataclass(frozen=True)

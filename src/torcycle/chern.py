@@ -19,15 +19,26 @@ Hodge bundle, with Chern roots -a_i - a_j for i <= j; characters are
 expanded through power sums into lambda classes.  The reduced form applies
 the vanishing of even power sums of the Hodge bundle, with the square-free
 lambda monomials as the normal-form basis.
+
+Both sides meet in ``InteriorClass``, the polynomial ring in lambda and
+kappa classes: the abelian characters are lambda polynomials, and the
+genus-5 pipeline restricts curve-side classes to it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from math import comb, factorial
 
-from .algebra import bernoulli_polynomial, chern_from_ch
+from .algebra import (
+    _accumulate,
+    _LinearCombination,
+    bernoulli_polynomial,
+    ch_from_chern,
+    chern_from_ch,
+)
 from .tautring import (
     Gen,
     ModuliSpec,
@@ -54,26 +65,28 @@ def _decorate_edge(gen: Gen, exps: tuple[int, int]) -> Gen:
     return Gen(gen.genera, (e2,), gen.legs, gen.kappa, gen.lam)
 
 
+def _edge_sum(space: ModuliSpec, m: int, weight) -> TautClass:
+    """sum over one-edge graphs Gamma of 1/|Aut Gamma| xi_* sum_{i+j=m-1}
+    weight(i) psi^i psibar^j."""
+    # a self edge decorates (i, j) and (j, i) alike: raw terms accumulate
+    return TautClass(space, _accumulate(
+        (Fraction(weight(i), aut), {_decorate_edge(gen, (i, m - 1 - i)): Fraction(1)})
+        for gen, aut in one_edge_graphs(space)
+        for i in range(m)
+    ))
+
+
 def ch_log_cotangent(space: ModuliSpec, m: int) -> TautClass:
     """Degree-m Chern character of the log cotangent bundle."""
     if m < 1:
         raise ValueError("degree must be >= 1")
     ck = bernoulli_polynomial(m + 1, 2) / factorial(m + 1)
     cp = bernoulli_polynomial(m + 1, 1) / factorial(m + 1)
-    out = ck * kappa(space, m)
-    for lab in space.markings:
-        out = out - cp * psi(space, lab, m)
+    parts = [(ck, kappa(space, m).terms)]
+    parts += [(-cp, psi(space, lab, m).terms) for lab in space.markings]
     if cp != 0:
-        for gen, aut in one_edge_graphs(space):
-            acc = zero(space)
-            for i in range(m):
-                j = m - 1 - i
-                sign = Fraction((-1) ** j)
-                acc = acc + sign * TautClass(
-                    space, {_decorate_edge(gen, (i, j)): Fraction(1)}
-                )
-            out = out + (cp / aut) * acc
-    return out
+        parts.append((cp, _edge_sum(space, m, lambda i: (-1) ** (m - 1 - i)).terms))
+    return TautClass._carry(space, _accumulate(parts))
 
 
 def ch_structure_sheaves(space: ModuliSpec, m: int) -> TautClass:
@@ -81,17 +94,7 @@ def ch_structure_sheaves(space: ModuliSpec, m: int) -> TautClass:
     inverse Todd correction to the log sequence."""
     if m < 1:
         return zero(space)
-    out = zero(space)
-    for gen, aut in one_edge_graphs(space):
-        acc = zero(space)
-        for i in range(m):
-            j = m - 1 - i
-            coeff = Fraction(comb(m - 1, i), factorial(m))
-            acc = acc + coeff * TautClass(
-                space, {_decorate_edge(gen, (i, j)): Fraction(1)}
-            )
-        out = out + Fraction(1, aut) * acc
-    return out
+    return Fraction(1, factorial(m)) * _edge_sum(space, m, lambda i: comb(m - 1, i))
 
 
 def ch_cotangent(space: ModuliSpec, m: int) -> TautClass:
@@ -128,166 +131,101 @@ def c1_tangent(space: ModuliSpec) -> TautClass:
 # abelian side
 
 
-@dataclass(frozen=True)
-class HodgeExpression:
-    """Polynomial in lambda classes of the rank-g Hodge bundle.
+class InteriorClass(_LinearCombination):
+    """Polynomial in lambda and kappa classes.
 
-    Monomials are sorted tuples of indices: (1, 1, 3) is lambda_1^2
-    lambda_3.  ``reduced`` records whether the even-power-sum relations have
-    been applied (normal form: square-free monomials).
+    A monomial is the sorted tuple of its generators ``("kappa", i)`` and
+    ``("lambda", i)``, repeated by exponent: lambda_1^2 lambda_3 is
+    ``(("lambda", 1), ("lambda", 1), ("lambda", 3))``.  Indices compare as
+    integers, so lambda11 sorts after lambda5*lambda6.  The same ring holds
+    the lambda polynomials of the rank-g Hodge bundle on the abelian side
+    and the interior lambda/kappa classes of moduli of curves; the rank
+    enters only where lambda_i is built (zero for i > g) and in
+    :meth:`reduce`.
     """
 
-    g: int
-    coeffs: tuple[tuple[tuple[int, ...], Fraction], ...]
-    reduced: bool = False
+    __slots__ = ("terms",)
 
     @classmethod
-    def from_dict(cls, g: int, d: dict, reduced: bool = False) -> "HodgeExpression":
-        clean = {}
-        for mon, c in d.items():
-            mon = tuple(sorted(mon))
-            c = Fraction(c)
-            if c == 0:
-                continue
-            if any(i > g for i in mon):
-                continue  # lambda beyond the rank vanishes
-            clean[mon] = clean.get(mon, Fraction(0)) + c
-        items = tuple(sorted((m, c) for m, c in clean.items() if c != 0))
-        return cls(g, items, reduced)
-
-    def to_dict(self) -> dict:
-        return dict(self.coeffs)
+    def one(cls) -> "InteriorClass":
+        return cls._carry(None, {(): Fraction(1)})
 
     @classmethod
-    def zero(cls, g: int) -> "HodgeExpression":
-        return cls.from_dict(g, {})
+    def lam(cls, g: int, i: int) -> "InteriorClass":
+        """lambda_i of a rank-g Hodge bundle."""
+        return cls._carry(None, {(("lambda", i),): Fraction(1)} if i <= g else {})
 
     @classmethod
-    def unit(cls, g: int) -> "HodgeExpression":
-        return cls.from_dict(g, {(): Fraction(1)})
+    def kappa(cls, i: int) -> "InteriorClass":
+        return cls._carry(None, {(("kappa", i),): Fraction(1)})
 
-    @classmethod
-    def lam(cls, g: int, i: int) -> "HodgeExpression":
-        return cls.from_dict(g, {(i,): Fraction(1)})
-
-    def __add__(self, other: "HodgeExpression") -> "HodgeExpression":
-        d = self.to_dict()
-        for m, c in other.coeffs:
-            d[m] = d.get(m, Fraction(0)) + c
-        return HodgeExpression.from_dict(self.g, d)
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __rmul__(self, scalar) -> "HodgeExpression":
-        s = Fraction(scalar)
-        return HodgeExpression.from_dict(
-            self.g, {m: s * c for m, c in self.coeffs}, self.reduced
-        )
-
-    def __mul__(self, other):
-        if not isinstance(other, HodgeExpression):
-            return self.__rmul__(other)
-        d: dict = {}
-        for m1, c1 in self.coeffs:
-            for m2, c2 in other.coeffs:
-                m = tuple(sorted(m1 + m2))
-                d[m] = d.get(m, Fraction(0)) + c1 * c2
-        return HodgeExpression.from_dict(self.g, d)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, HodgeExpression)
-            and self.g == other.g
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.g, self.coeffs))
-
-    def is_zero(self):
-        return not self.coeffs
+    def _times(self, other: "InteriorClass") -> "InteriorClass":
+        # for a fixed m1 the merged monomials are distinct
+        return InteriorClass._carry(None, _accumulate(
+            (c1, {tuple(sorted(m1 + m2)): c2 for m2, c2 in other.terms.items()})
+            for m1, c1 in self.terms.items()
+        ))
 
     def coefficient(self, mon) -> Fraction:
-        return dict(self.coeffs).get(tuple(sorted(mon)), Fraction(0))
+        return self.terms.get(tuple(sorted(mon)), Fraction(0))
 
-    def reduce(self) -> "HodgeExpression":
-        """Normal form modulo the even power-sum relations: every square
-        lambda_i^2 rewrites to 2(lambda_{i-1} lambda_{i+1} - lambda_{i-2}
-        lambda_{i+2} + ...); the square-free monomials are a basis."""
-        work = self.to_dict()
-        out: dict = {}
+    def reduce(self, g: int) -> "InteriorClass":
+        """Normal form modulo the even power-sum relations of the rank-g
+        Hodge bundle: every square lambda_i^2 rewrites to
+        2(lambda_{i-1} lambda_{i+1} - lambda_{i-2} lambda_{i+2} + ...),
+        lambdas beyond the rank vanishing; the square-free monomials are a
+        basis.  Each round rewrites one square per monomial."""
+        done = []
+        work = self.terms
         while work:
-            mon, c = work.popitem()
-            if c == 0:
-                continue
-            sq = _first_square(mon)
-            if sq is None:
-                out[mon] = out.get(mon, Fraction(0)) + c
-                continue
-            rest = list(mon)
-            rest.remove(sq)
-            rest.remove(sq)
-            for j in range(1, sq + 1):
-                hi = sq + j
-                if hi > self.g:
-                    break
-                lo = sq - j
-                repl = tuple(sorted(rest + ([lo, hi] if lo >= 1 else [hi])))
-                coeff = c * Fraction(2 * (-1) ** (j - 1))
-                work[repl] = work.get(repl, Fraction(0)) + coeff
-        return HodgeExpression.from_dict(self.g, out, reduced=True)
+            rewrites = []
+            for mon, c in work.items():
+                sq = _first_lambda_square(mon)
+                if sq is None:
+                    done.append((1, {mon: c}))
+                else:
+                    rewrites.append((c, _rewrite_square(mon, sq, g)))
+            work = _accumulate(rewrites)
+        return InteriorClass._carry(None, _accumulate(done))
 
     def __str__(self):
-        if not self.coeffs:
+        if not self.terms:
             return "0"
         parts = []
-        for mon, c in self.coeffs:
-            if not mon:
-                parts.append(str(c))
-                continue
+        for mon in sorted(self.terms):
+            c = self.terms[mon]
             names = []
-            i = 0
-            while i < len(mon):
-                j = i
-                while j < len(mon) and mon[j] == mon[i]:
-                    j += 1
-                e = j - i
-                names.append(f"lambda{mon[i]}" + (f"^{e}" if e > 1 else ""))
-                i = j
+            for (name, i), run in groupby(mon):
+                e = len(list(run))
+                names.append(f"{name}{i}" + (f"^{e}" if e > 1 else ""))
             body = "*".join(names)
-            parts.append(f"{c}*{body}" if c != 1 else body)
+            parts.append(str(c) if not mon else body if c == 1 else f"{c}*{body}")
         return " + ".join(parts).replace("+ -", "- ")
 
     __repr__ = __str__
 
 
-def _first_square(mon) -> int | None:
-    for i in range(len(mon) - 1):
-        if mon[i] == mon[i + 1]:
-            return mon[i]
+def _first_lambda_square(mon) -> int | None:
+    for a, b in zip(mon, mon[1:]):
+        if a == b and a[0] == "lambda":
+            return a[1]
     return None
 
 
-def _power_sums(g: int, m: int) -> list[HodgeExpression]:
-    """Power sums p_1..p_m of the Hodge Chern roots as lambda polynomials
-    (Newton's identities with e_i = lambda_i, zero beyond the rank)."""
-    e = [HodgeExpression.unit(g)] + [
-        HodgeExpression.lam(g, i) if i <= g else HodgeExpression.zero(g)
-        for i in range(1, m + 1)
-    ]
-    p: list = [None]
-    for k in range(1, m + 1):
-        acc = Fraction((-1) ** (k - 1) * k) * e[k]
-        sign = 1
-        for i in range(1, k):
-            acc = acc + Fraction(sign) * (e[i] * p[k - i])
-            sign = -sign
-        p.append(acc)
-    return p[1:]
+def _rewrite_square(mon, s: int, g: int) -> dict:
+    """lambda_s^2 times the rest of ``mon`` as sum_j 2 (-1)^(j-1)
+    lambda_{s-j} lambda_{s+j} (lambda_0 = 1) times the rest."""
+    rest = list(mon)
+    rest.remove(("lambda", s))
+    rest.remove(("lambda", s))
+    out = {}
+    for j in range(1, min(s, g - s) + 1):
+        pair = [("lambda", s + j)] + ([("lambda", s - j)] if j < s else [])
+        out[tuple(sorted(rest + pair))] = Fraction(2 * (-1) ** (j - 1))
+    return out
 
 
-def ch_tangent_Ag(g: int, m: int, reduced: bool = False) -> HodgeExpression:
+def ch_tangent_Ag(g: int, m: int, reduced: bool = False) -> InteriorClass:
     """Degree-m Chern character of the tangent bundle of the moduli of
     ppav's of dimension g: Chern roots -a_i - a_j over i <= j.
 
@@ -297,24 +235,25 @@ def ch_tangent_Ag(g: int, m: int, reduced: bool = False) -> HodgeExpression:
     if m < 0:
         raise ValueError("degree must be >= 0")
     if m == 0:
-        return Fraction(g * (g + 1), 2) * HodgeExpression.unit(g)
+        return Fraction(g * (g + 1), 2) * InteriorClass.one()
     if m > 2 * g:
         raise ValueError(f"degree {m} beyond the 2g cap")
-    p = _power_sums(g, m)
+    # power sums p_k = k! ch_k of the Hodge bundle, whose Chern classes are
+    # the lambdas
+    ch = ch_from_chern([InteriorClass.lam(g, i) for i in range(1, m + 1)], m)
 
-    def P(k: int) -> HodgeExpression:
+    def P(k: int) -> InteriorClass:
         if k == 0:
-            return Fraction(g) * HodgeExpression.unit(g)
-        return p[k - 1]
+            return g * InteriorClass.one()
+        return factorial(k) * ch[k - 1]
 
-    # sum over i <= j of (a_i + a_j)^m, halved double count plus diagonal
-    total = HodgeExpression.zero(g)
-    for k in range(m + 1):
-        total = total + Fraction(comb(m, k)) * (P(k) * P(m - k))
-    total = total + Fraction(2**m) * P(m)
-    total = Fraction(1, 2) * total
-    out = Fraction((-1) ** m, factorial(m)) * total
-    return out.reduce() if reduced else out
+    # sum over i <= j of (a_i + a_j)^m: half the double sum over all (i, j)
+    # plus half the diagonal 2^m p_m, times (-1)^m / m!
+    scale = Fraction((-1) ** m, 2 * factorial(m))
+    parts = [(scale * comb(m, k), (P(k) * P(m - k)).terms) for k in range(m + 1)]
+    parts.append((scale * 2**m, P(m).terms))
+    out = InteriorClass._carry(None, _accumulate(parts))
+    return out.reduce(g) if reduced else out
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,8 @@ from functools import lru_cache
 from math import comb, factorial
 
 from . import chern, ctp, excess
-from .algebra import bernoulli_number, chern_from_ch
+from .algebra import _accumulate, bernoulli_number, chern_from_ch
+from .chern import InteriorClass
 from .tautring import (
     Gen,
     ModuliSpec,
@@ -70,11 +71,10 @@ class ContributionLedger:
     entries: tuple[LedgerEntry, ...]
 
     def total(self) -> TautClass:
-        out = None
-        for e in self.entries:
-            piece = e.multiplicity * e.value
-            out = piece if out is None else out + piece
-        return out
+        return TautClass._carry(
+            self.entries[0].value.space,
+            _accumulate((e.multiplicity, e.value.terms) for e in self.entries),
+        )
 
     def lines(self) -> list[str]:
         out = []
@@ -315,122 +315,24 @@ def t_pullback_g4() -> tuple[TautClass, ContributionLedger]:
 # the interior ring for genus 5
 
 
-@dataclass(frozen=True)
-class InteriorClass:
-    """Polynomial in interior lambda/kappa classes, kappa_1 eliminated as
-    12 lambda_1 at ingestion.  Monomials are sorted tuples of generator
-    names like ("l1", "l1", "k2")."""
-
-    coeffs: tuple[tuple[tuple[str, ...], Fraction], ...]
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "InteriorClass":
-        clean: dict = {}
-        for mon, c in d.items():
-            mon = tuple(sorted(mon))
-            c = Fraction(c)
-            if c:
-                clean[mon] = clean.get(mon, Fraction(0)) + c
-        return cls(tuple(sorted((m, c) for m, c in clean.items() if c != 0)))
-
-    @classmethod
-    def gen(cls, name: str, coeff=1) -> "InteriorClass":
-        return cls.from_dict({(name,): Fraction(coeff)})
-
-    @classmethod
-    def zero(cls) -> "InteriorClass":
-        return cls.from_dict({})
-
-    def to_dict(self):
-        return dict(self.coeffs)
-
-    def __add__(self, other):
-        d = self.to_dict()
-        for m, c in other.coeffs:
-            d[m] = d.get(m, Fraction(0)) + c
-        return InteriorClass.from_dict(d)
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __rmul__(self, scalar):
-        s = Fraction(scalar)
-        return InteriorClass.from_dict({m: s * c for m, c in self.coeffs})
-
-    def __mul__(self, other):
-        if not isinstance(other, InteriorClass):
-            return self.__rmul__(other)
-        d: dict = {}
-        for m1, c1 in self.coeffs:
-            for m2, c2 in other.coeffs:
-                m = tuple(sorted(m1 + m2))
-                d[m] = d.get(m, Fraction(0)) + c1 * c2
-        return InteriorClass.from_dict(d)
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def coefficient(self, mon):
-        return dict(self.coeffs).get(tuple(sorted(mon)), Fraction(0))
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        names = {"l": "lambda", "k": "kappa"}
-        parts = []
-        for mon, c in self.coeffs:
-            if not mon:
-                parts.append(str(c))
-                continue
-            syms = []
-            i = 0
-            while i < len(mon):
-                j = i
-                while j < len(mon) and mon[j] == mon[i]:
-                    j += 1
-                e = j - i
-                base = names[mon[i][0]] + mon[i][1:]
-                syms.append(base + (f"^{e}" if e > 1 else ""))
-                i = j
-            body = "*".join(syms)
-            parts.append(body if c == 1 else f"{c}*{body}")
-        return " + ".join(parts).replace("+ -", "- ")
-
-    __repr__ = __str__
-
-
-def _degree(mon) -> int:
-    return sum(int(name[1:]) for name in mon)
-
-
 def taut_to_interior(c: TautClass) -> InteriorClass:
     """Interior restriction of a boundary-free class in kappa and lambda
     monomials, with kappa_1 rewritten as 12 lambda_1."""
-    out = InteriorClass.zero()
+    genus = c.space.genus
+    parts = []
     for g, coeff in c.interior().terms.items():
         if any(e for (_, _, e) in g.legs):
             raise ValueError("interior conversion expects unpointed classes")
-        factor = InteriorClass.from_dict({(): coeff})
+        factor = InteriorClass.one()
         for (i, e) in g.kappa[0]:
-            base = (
-                Fraction(12) * InteriorClass.gen("l1")
-                if i == 1
-                else InteriorClass.gen(f"k{i}")
-            )
+            base = 12 * InteriorClass.lam(genus, 1) if i == 1 else InteriorClass.kappa(i)
             for _ in range(e):
                 factor = factor * base
         for (i, e) in g.lam[0]:
             for _ in range(e):
-                factor = factor * InteriorClass.gen(f"l{i}")
-        out = out + factor
-    return out
-
-
-def hodge_to_interior(h: chern.HodgeExpression) -> InteriorClass:
-    out = InteriorClass.zero()
-    for mon, c in h.coeffs:
-        out = out + InteriorClass.from_dict({tuple(f"l{i}" for i in mon): c})
-    return out
+                factor = factor * InteriorClass.lam(genus, i)
+        parts.append((coeff, factor.terms))
+    return InteriorClass._carry(None, _accumulate(parts))
 
 
 # -- the socle evaluation used to collapse degree 3 onto kappa_3 ------------
@@ -536,39 +438,32 @@ def reduce_interior_degree3_genus5(c: InteriorClass) -> InteriorClass:
     odd kappas), then kappa monomials through the socle ratios."""
     # lambda -> kappa on the interior:
     #   l1 = k1/12, l2 = l1^2/2, l3 = l1^3/6 - k3/360
-    l1 = InteriorClass.gen("l1")
-    k3 = InteriorClass.gen("k3")
+    l1 = InteriorClass.lam(5, 1)
+    k3 = InteriorClass.kappa(3)
     subs = {
-        "l1": l1,
-        "l2": Fraction(1, 2) * (l1 * l1),
-        "l3": Fraction(1, 6) * (l1 * l1 * l1) - Fraction(1, 360) * k3,
-        "k2": InteriorClass.gen("k2"),
-        "k3": k3,
+        ("lambda", 1): l1,
+        ("lambda", 2): Fraction(1, 2) * (l1 * l1),
+        ("lambda", 3): Fraction(1, 6) * (l1 * l1 * l1) - Fraction(1, 360) * k3,
+        ("kappa", 2): InteriorClass.kappa(2),
+        ("kappa", 3): k3,
     }
-    in_lk = InteriorClass.zero()
-    for mon, coeff in c.coeffs:
-        if _degree(mon) != 3:
+    parts = []
+    for mon, coeff in c.terms.items():
+        if sum(i for _, i in mon) != 3:
             raise ValueError("reduction defined for homogeneous degree 3")
-        factor = InteriorClass.from_dict({(): coeff})
-        for name in mon:
-            factor = factor * subs[name]
-        in_lk = in_lk + factor
+        factor = InteriorClass.one()
+        for gen in mon:
+            factor = factor * subs[gen]
+        parts.append((coeff, factor.terms))
     # now a polynomial in l1, k2, k3; rewrite l1 = k1/12 and collapse the
     # kappa monomials by the socle ratios
     ratios = interior_socle_ratios(5)
     total = Fraction(0)
-    for mon, coeff in in_lk.coeffs:
-        parts = []
-        scale = Fraction(1)
-        for name in mon:
-            if name == "l1":
-                parts.append(1)
-                scale /= 12
-            else:
-                parts.append(int(name[1:]))
-        key = tuple(sorted(parts, reverse=True))
+    for mon, coeff in _accumulate(parts).items():
+        scale = Fraction(1, 12 ** mon.count(("lambda", 1)))
+        key = tuple(sorted((i for _, i in mon), reverse=True))
         total += coeff * scale * ratios[key]
-    return InteriorClass.from_dict({("k3",): total})
+    return total * k3
 
 
 # --------------------------------------------------------------------------
@@ -577,16 +472,16 @@ def reduce_interior_degree3_genus5(c: InteriorClass) -> InteriorClass:
 
 #: imported literal: the class of the genus-5 hyperelliptic locus in the
 #: interior ring (display-only provenance lives in the constants table)
-HYPERELLIPTIC_G5 = InteriorClass.from_dict({("k3",): Fraction(31, 30)})
+HYPERELLIPTIC_G5 = Fraction(31, 30) * InteriorClass.kappa(3)
 
 
 @dataclass(frozen=True)
 class Genus5Report:
     ch_moduli: tuple[InteriorClass, ...]
-    ch_abelian: tuple[chern.HodgeExpression, ...]
+    ch_abelian: tuple[InteriorClass, ...]
     #: degree-2 entry shown in its reduced normal form (lambda_2), the
     #: others as raw expansions
-    ch_abelian_display: tuple[chern.HodgeExpression, ...]
+    ch_abelian_display: tuple[InteriorClass, ...]
     ch_normal: tuple[InteriorClass, ...]
     two_c3: InteriorClass
     multiplicity: int
@@ -602,25 +497,25 @@ def t_pullback_g5() -> tuple[InteriorClass, Genus5Report]:
         taut_to_interior(chern.ch_tangent(M5, m).interior()) for m in (1, 2, 3)
     )
     expected_m = (
-        InteriorClass.from_dict({("l1",): Fraction(-13)}),
-        InteriorClass.from_dict({("k2",): Fraction(1, 2)}),
-        InteriorClass.from_dict({("k3",): Fraction(-119, 720)}),
+        -13 * InteriorClass.lam(5, 1),
+        Fraction(1, 2) * InteriorClass.kappa(2),
+        Fraction(-119, 720) * InteriorClass.kappa(3),
     )
     if ch_m != expected_m:
         raise PipelineMismatch(f"moduli characters {ch_m}")
 
     ch_a = tuple(chern.ch_tangent_Ag(5, m) for m in (1, 2, 3))
     ch_a_display = (ch_a[0], chern.ch_tangent_Ag(5, 2, reduced=True), ch_a[2])
-    ch_n = tuple(hodge_to_interior(a) - m_ for a, m_ in zip(ch_a, ch_m))
+    ch_n = tuple(a - m_ for a, m_ in zip(ch_a, ch_m))
 
     c3 = chern_from_ch(list(ch_n), 3)[2]
     two_c3 = reduce_interior_degree3_genus5(Fraction(2) * c3)
-    if two_c3 != InteriorClass.from_dict({("k3",): Fraction(454, 15)}):
+    if two_c3 != Fraction(454, 15) * InteriorClass.kappa(3):
         raise PipelineMismatch(f"2 c3(N) = {two_c3}")
 
     m = excess.multiplicity(excess.ExcessDims(3, 3))
     final = two_c3 + Fraction(m) * HYPERELLIPTIC_G5
-    if final != InteriorClass.from_dict({("k3",): Fraction(48, 5)}):
+    if final != Fraction(48, 5) * InteriorClass.kappa(3):
         raise PipelineMismatch(f"final class {final}")
     report = Genus5Report(
         ch_m, ch_a, ch_a_display, ch_n, two_c3, m, HYPERELLIPTIC_G5, final

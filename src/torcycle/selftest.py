@@ -89,18 +89,16 @@ def criterion_1_genus4() -> CriterionResult:
 def criterion_2_genus5() -> CriterionResult:
     def body():
         final, rep = pipeline.t_pullback_g5()
-        IC = pipeline.InteriorClass
-        assert final == IC.from_dict({("k3",): F(48, 5)}), f"final {final}"
-        assert rep.ch_moduli[0] == IC.from_dict({("l1",): F(-13)})
-        assert rep.ch_moduli[1] == IC.from_dict({("k2",): F(1, 2)})
-        assert rep.ch_moduli[2] == IC.from_dict({("k3",): F(-119, 720)})
-        H = chern.HodgeExpression
-        assert rep.ch_abelian[0] == H.from_dict(5, {(1,): F(-6)})
-        assert rep.ch_abelian_display[1] == H.from_dict(5, {(2,): F(1)})
-        assert rep.ch_abelian[2] == H.from_dict(
-            5, {(1, 1, 1): F(-2), (1, 2): F(11, 2), (3,): F(-9, 2)}
-        )
-        assert rep.two_c3 == IC.from_dict({("k3",): F(454, 15)})
+        k = chern.InteriorClass.kappa
+        l1, l2, l3 = (chern.InteriorClass.lam(5, i) for i in (1, 2, 3))
+        assert final == F(48, 5) * k(3), f"final {final}"
+        assert rep.ch_moduli[0] == -13 * l1
+        assert rep.ch_moduli[1] == F(1, 2) * k(2)
+        assert rep.ch_moduli[2] == F(-119, 720) * k(3)
+        assert rep.ch_abelian[0] == -6 * l1
+        assert rep.ch_abelian_display[1] == l2
+        assert rep.ch_abelian[2] == -2 * l1 * l1 * l1 + F(11, 2) * l1 * l2 - F(9, 2) * l3
+        assert rep.two_c3 == F(454, 15) * k(3)
         return "t*T5 interior = 48/5 kappa3; 2c3(N) = 454/15 kappa3"
 
     return _run(2, "genus-5 interior pullback", 1.0, body)

@@ -31,13 +31,18 @@ A term is admitted once, when it enters through a public constructor:
 ``TautClass(space, terms)``, ``ProductClass(spaces, terms)`` and the
 builders on top of them (``kappa``, ``lam``, ``psi``, ``delta_*``, ...)
 check stability, genus and markings against the ambient, canonicalize the
-generator and prune it.  The arithmetic of admitted classes (``+``, ``-``,
-scalar ``*``, ``interior()``, ``ProductClass.from_factors`` and
-``map_factor``) carries their canonical terms through the private
-``_carry`` constructors, which only drop zero coefficients; adding classes
-on different ambients still raises.  The sparse decorated-graph ring of
-admcycles (Delecroix--Schmitt--van Zelm, arXiv:2002.01709) follows the same
-design.
+generator and prune it.  Everything after that runs on the sparse kernel
+``algebra._LinearCombination``, which both classes (and the lambda/kappa
+polynomials of ``chern``) share: ``+``, ``-``, scalar ``*``, equality and
+hash of admitted classes carry their canonical terms through the private
+``_carry`` constructors, which check nothing; adding classes on different
+ambients still raises.  A sum of many classes (a product expanded term by
+term, a pullback or pushforward summed over generators) is collected by the
+kernel's one accumulation helper ``algebra._accumulate`` into a single dict
+and wrapped by a single ``_carry`` (or, for raw generators, one admitting
+constructor), so no sum copies its partial result.  The sparse
+decorated-graph ring of admcycles (Delecroix--Schmitt--van Zelm,
+arXiv:2002.01709) follows the same design.
 
 Unsupported pushforward/product shapes raise ``UnsupportedOperation`` instead
 of approximating.
@@ -51,6 +56,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from typing import Iterable, Mapping, Sequence
+
+from .algebra import _accumulate, _LinearCombination
 
 
 class UnsupportedOperation(ValueError):
@@ -364,14 +371,15 @@ def _prunable(gen: Gen) -> bool:
     return False
 
 
-class TautClass:
-    """Fraction-linear combination of canonical generators on one ambient."""
+class TautClass(_LinearCombination):
+    """Fraction-linear combination of canonical generators on one ambient;
+    ``*`` of two classes is :func:`multiply`."""
 
     __slots__ = ("space", "terms")
 
     def __init__(self, space: ModuliSpec, terms: Mapping[Gen, Fraction] | None = None):
         self.space = space
-        acc: dict[Gen, Fraction] = {}
+        admitted = []
         for gen, coeff in (terms or {}).items():
             coeff = Fraction(coeff)
             if coeff == 0:
@@ -384,55 +392,23 @@ class TautClass:
             ):
                 raise ValueError("generator markings do not match ambient")
             cgen, _ = canonicalize(gen)
-            if _prunable(cgen):
-                continue
-            acc[cgen] = acc.get(cgen, Fraction(0)) + coeff
-        self.terms = {g: c for g, c in acc.items() if c != 0}
+            if not _prunable(cgen):
+                admitted.append((1, {cgen: coeff}))
+        self.terms = _accumulate(admitted)
 
     @classmethod
-    def _carry(cls, space: ModuliSpec, terms: Mapping[Gen, Fraction]) -> "TautClass":
-        """Class from terms already admitted on ``space``; only zero
-        coefficients are dropped."""
+    def _carry(cls, space: ModuliSpec, terms: dict[Gen, Fraction]) -> "TautClass":
+        """Class from nonzero terms already admitted on ``space``."""
         self = cls.__new__(cls)
         self.space = space
-        self.terms = {g: c for g, c in terms.items() if c}
+        self.terms = terms
         return self
 
-    def __add__(self, other: "TautClass") -> "TautClass":
-        if self.space != other.space:
-            raise ValueError("ambient mismatch")
-        out = dict(self.terms)
-        for g, c in other.terms.items():
-            out[g] = out.get(g, Fraction(0)) + c
-        return TautClass._carry(self.space, out)
+    def _ambient(self) -> ModuliSpec:
+        return self.space
 
-    def __sub__(self, other: "TautClass") -> "TautClass":
-        return self + (-1) * other
-
-    def __neg__(self) -> "TautClass":
-        return (-1) * self
-
-    def __rmul__(self, scalar) -> "TautClass":
-        s = Fraction(scalar)
-        return TautClass._carry(self.space, {g: s * c for g, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, TautClass):
-            return multiply(self, other)
-        return self.__rmul__(other)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TautClass)
-            and self.space == other.space
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.space, frozenset(self.terms.items())))
-
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _times(self, other: "TautClass") -> "TautClass":
+        return multiply(self, other)
 
     def degrees(self) -> set[int]:
         return {g.degree() for g in self.terms}
@@ -504,10 +480,9 @@ def psi(space: ModuliSpec, label: str, exp: int = 1) -> TautClass:
 
 
 def psi_total(space: ModuliSpec) -> TautClass:
-    out = zero(space)
-    for m in space.markings:
-        out = out + psi(space, m)
-    return out
+    return TautClass._carry(
+        space, _accumulate((1, psi(space, m).terms) for m in space.markings)
+    )
 
 
 def monomial(
@@ -708,10 +683,12 @@ def _substitute_vertex(gen: Gen, v: int, sub: Gen) -> Gen:
 def _expand_vertex(
     space: ModuliSpec, blank: Gen, v: int, vertex_class: TautClass
 ) -> TautClass:
-    out = zero(space)
-    for sgen, coeff in vertex_class.terms.items():
-        out = out + TautClass(space, {_substitute_vertex(blank, v, sgen): coeff})
-    return out
+    # distinct vertex terms can substitute to one raw generator (a self
+    # edge at v swaps its slots), so the raw terms are accumulated
+    return TautClass(space, _accumulate(
+        (1, {_substitute_vertex(blank, v, sgen): coeff})
+        for sgen, coeff in vertex_class.terms.items()
+    ))
 
 
 def _undecorated(gen: Gen) -> Gen:
@@ -788,11 +765,11 @@ def multiply(d: TautClass, c: TautClass) -> TautClass:
         return multiply(kappa1_expand(d), c)
 
     space = d.space
-    out = zero(space)
-    for dg, dc in d.terms.items():
-        for cg, cc in c.terms.items():
-            out = out + (dc * cc) * _mul_term(space, dg, cg)
-    return out
+    return TautClass._carry(space, _accumulate(
+        (dc * cc, _mul_term(space, dg, cg).terms)
+        for dg, dc in d.terms.items()
+        for cg, cc in c.terms.items()
+    ))
 
 
 def _mul_term(space: ModuliSpec, dg: Gen, cg: Gen) -> TautClass:
@@ -829,36 +806,33 @@ def _mul_free_divisor(space: ModuliSpec, dg: Gen, cg: Gen) -> TautClass:
         return TautClass(
             space, {Gen(cg.genera, cg.edges, legs, cg.kappa, cg.lam): Fraction(1)}
         )
+    # the factor lands on one vertex at a time: distinct raw generators
     if lm:
         ((i, _),) = lm
-        out = zero(space)
-        for v in range(cg.n_vertices()):
-            lam_v = list(cg.lam)
-            lam_v[v] = _norm_monomial(list(lam_v[v]) + [(i, 1)])
-            out = out + TautClass(
-                space,
-                {Gen(cg.genera, cg.edges, cg.legs, cg.kappa, tuple(lam_v)): Fraction(1)},
-            )
-        return out
+        return TautClass(space, {
+            Gen(cg.genera, cg.edges, cg.legs, cg.kappa, _bump(cg.lam, v, i)): Fraction(1)
+            for v in range(cg.n_vertices())
+        })
     if kap:
         ((i, _),) = kap
-        out = zero(space)
-        for v in range(cg.n_vertices()):
-            kap_v = list(cg.kappa)
-            kap_v[v] = _norm_monomial(list(kap_v[v]) + [(i, 1)])
-            out = out + TautClass(
-                space,
-                {Gen(cg.genera, cg.edges, cg.legs, tuple(kap_v), cg.lam): Fraction(1)},
-            )
-        return out
+        return TautClass(space, {
+            Gen(cg.genera, cg.edges, cg.legs, _bump(cg.kappa, v, i), cg.lam): Fraction(1)
+            for v in range(cg.n_vertices())
+        })
     raise UnsupportedOperation("empty divisor term")
 
 
+def _bump(mons: tuple, v: int, i: int) -> tuple:
+    """Per-vertex monomials with one more factor of index i at vertex v."""
+    out = list(mons)
+    out[v] = _norm_monomial(list(out[v]) + [(i, 1)])
+    return tuple(out)
+
+
 def _mul_term_class(space: ModuliSpec, dgen: Gen, cls: TautClass) -> TautClass:
-    out = zero(space)
-    for cg, cc in cls.terms.items():
-        out = out + cc * _mul_term(space, dgen, cg)
-    return out
+    return TautClass._carry(space, _accumulate(
+        (cc, _mul_term(space, dgen, cg).terms) for cg, cc in cls.terms.items()
+    ))
 
 
 def _distribute_free_onto_graph(space: ModuliSpec, free: Gen, graph: Gen) -> TautClass:
@@ -903,17 +877,16 @@ def _boundary_times_graph(space: ModuliSpec, dg: Gen, cg: Gen) -> TautClass:
         )
     d_undec, d_aut = canonicalize(dg)
     c_undec, _ = canonicalize(_undecorated(cg))
-    out = zero(space)
+    excess = []
     if d_undec == c_undec:
         for sym in _structure_perms(cg):
             sg = _apply_perm(cg, sym)
             (a, b, av, aw) = sg.edges[0]
             for bump in ((1, 0), (0, 1)):
                 e2 = (a, b, av + bump[0], aw + bump[1])
-                out = out - TautClass(
-                    space,
-                    {Gen(sg.genera, (e2,), sg.legs, sg.kappa, sg.lam): Fraction(1)},
-                )
+                gen = Gen(sg.genera, (e2,), sg.legs, sg.kappa, sg.lam)
+                excess.append((-1, {gen: Fraction(1)}))
+    parts = [(1, TautClass(space, _accumulate(excess)).terms)]
     for v in range(cg.n_vertices()):
         vspec, _, _ = _vertex_space(cg, v, space.policy)
         _, vmon = _vertex_monomial_gen(cg, v, space.policy)
@@ -924,8 +897,9 @@ def _boundary_times_graph(space: ModuliSpec, dg: Gen, cg: Gen) -> TautClass:
             if contracted is None or canonicalize(contracted)[0] != d_undec:
                 continue
             vclass = _distribute_free_onto_graph(vspec, vmon, sgen)
-            out = out + Fraction(d_aut, saut) * _expand_vertex(space, blank, v, vclass)
-    return out
+            expanded = _expand_vertex(space, blank, v, vclass)
+            parts.append((Fraction(d_aut, saut), expanded.terms))
+    return TautClass._carry(space, _accumulate(parts))
 
 
 # --------------------------------------------------------------------------
@@ -936,7 +910,7 @@ def kappa1_expand(c: TautClass) -> TautClass:
     """Replace every kappa_1 factor by 12 lambda_1 + sum psi - delta
     (vertex-level for boundary terms); idempotent."""
     space = c.space
-    out = zero(space)
+    parts = []
     for gen, coeff in c.terms.items():
         target = None
         for v in range(gen.n_vertices()):
@@ -944,7 +918,7 @@ def kappa1_expand(c: TautClass) -> TautClass:
                 target = v
                 break
         if target is None:
-            out = out + TautClass._carry(space, {gen: coeff})
+            parts.append((1, {gen: coeff}))
             continue
         stripped = _strip_one_kappa1(gen, target)
         if gen.is_trivial_graph():
@@ -957,8 +931,8 @@ def kappa1_expand(c: TautClass) -> TautClass:
             vclass = multiply(rel_v, TautClass(vspec, {vmon: Fraction(1)}))
             blank = _blank_vertex(stripped, target)
             prod = _expand_vertex(space, blank, target, vclass)
-        out = out + coeff * kappa1_expand(prod)
-    return out
+        parts.append((coeff, kappa1_expand(prod).terms))
+    return TautClass._carry(space, _accumulate(parts))
 
 
 def _strip_one_kappa1(gen: Gen, v: int) -> Gen:
@@ -979,23 +953,23 @@ def pullback_forgetful(c: TautClass, x: str) -> TautClass:
     distribute x over vertices with rational-tail corrections on decorated
     half edges."""
     up = c.space.with_extra_marking(x)
-    out = zero(up)
-    for gen, coeff in c.terms.items():
-        out = out + coeff * _pull_term_forgetful(up, gen, x)
-    return out
+    return TautClass._carry(up, _accumulate(
+        (coeff, _pull_term_forgetful(up, gen, x).terms)
+        for gen, coeff in c.terms.items()
+    ))
 
 
 def _pull_term_forgetful(up: ModuliSpec, gen: Gen, x: str) -> TautClass:
     if gen.is_trivial_graph():
         return _pull_free_forgetful(up, gen, x)
-    out = zero(up)
+    parts = []
     for v in range(gen.n_vertices()):
         vspec, _, _ = _vertex_space(gen, v, up.policy)
         _, vmon = _vertex_monomial_gen(gen, v, up.policy)
         vclass = _pull_free_forgetful(vspec.with_extra_marking(x), vmon, x)
         blank = _blank_vertex(gen, v)
-        out = out + _expand_vertex(up, blank, v, vclass)
-    return out
+        parts.append((1, _expand_vertex(up, blank, v, vclass).terms))
+    return TautClass._carry(up, _accumulate(parts))
 
 
 def _pull_free_forgetful(up: ModuliSpec, gen: Gen, x: str) -> TautClass:
@@ -1021,11 +995,11 @@ def _mul_poly(a: TautClass, b: TautClass) -> TautClass:
     """Product used inside the forgetful conversion: free monomials and
     rational tails through the new marking."""
     space = a.space
-    out = zero(space)
-    for ga, ca in a.terms.items():
-        for gb, cb in b.terms.items():
-            out = out + (ca * cb) * _mul_general_pair(space, ga, gb)
-    return out
+    return TautClass._carry(space, _accumulate(
+        (ca * cb, _mul_general_pair(space, ga, gb).terms)
+        for ga, ca in a.terms.items()
+        for gb, cb in b.terms.items()
+    ))
 
 
 def _rational_tail_data(gen: Gen):
@@ -1091,10 +1065,10 @@ def pushforward_forgetful(c: TautClass, x: str) -> TautClass:
     downstairs), D_px -> 1.  Graph terms push vertex-wise; rational tails
     through x contract."""
     down = c.space.without_marking(x)
-    out = zero(down)
-    for gen, coeff in c.terms.items():
-        out = out + coeff * _push_term_forgetful(down, c.space, gen, x)
-    return out
+    return TautClass._carry(down, _accumulate(
+        (coeff, _push_term_forgetful(down, c.space, gen, x).terms)
+        for gen, coeff in c.terms.items()
+    ))
 
 
 def _push_term_forgetful(
@@ -1202,7 +1176,7 @@ def _push_free_forgetful(down: ModuliSpec, gen: Gen, x: str) -> TautClass:
     kap_choices = [[(i, j, e - j) for j in range(e + 1)] for (i, e) in kaps]
     psi_choices = [[(lab, j, e - j) for j in range(e + 1)] for (lab, e) in psis]
 
-    out = zero(down)
+    parts = []
     for kchoice in itertools.product(*kap_choices) if kap_choices else [()]:
         for pchoice in itertools.product(*psi_choices) if psi_choices else [()]:
             coeff = Fraction(1)
@@ -1221,10 +1195,11 @@ def _push_free_forgetful(down: ModuliSpec, gen: Gen, x: str) -> TautClass:
                     pulled_psi[lab] = j
                 if rest:
                     d_powers[lab] = rest
-            out = out + coeff * _integrate_fiber(
+            fiber = _integrate_fiber(
                 down, pulled_kappa, lams, pulled_psi, d_powers, psi_x_power
             )
-    return out
+            parts.append((coeff, fiber.terms))
+    return TautClass._carry(down, _accumulate(parts))
 
 
 def _integrate_fiber(down, pulled_kappa, lams, pulled_psi, d_powers, psi_x_power):
@@ -1254,112 +1229,74 @@ def _integrate_fiber(down, pulled_kappa, lams, pulled_psi, d_powers, psi_x_power
 # gluing maps
 
 
-class ProductClass:
+class ProductClass(_LinearCombination):
     """Class on a product of moduli factors: Fraction combination of tuples
-    of per-factor generators."""
+    of per-factor generators; ``*`` multiplies factor by factor."""
 
     __slots__ = ("spaces", "terms")
+    _MISMATCH = "factor mismatch"
 
     def __init__(self, spaces: Sequence[ModuliSpec], terms=None):
         self.spaces = tuple(spaces)
-        acc: dict[tuple[Gen, ...], Fraction] = {}
+        admitted = []
         for gens, coeff in (terms or {}).items():
             coeff = Fraction(coeff)
             if coeff == 0:
                 continue
-            canon = []
-            keep = True
-            for g in gens:
-                cg, _ = canonicalize(g)
-                if _prunable(cg):
-                    keep = False
-                    break
-                canon.append(cg)
-            if not keep:
-                continue
-            key = tuple(canon)
-            acc[key] = acc.get(key, Fraction(0)) + coeff
-        self.terms = {k: v for k, v in acc.items() if v != 0}
+            canon = tuple(canonicalize(g)[0] for g in gens)
+            if not any(_prunable(cg) for cg in canon):
+                admitted.append((1, {canon: coeff}))
+        self.terms = _accumulate(admitted)
 
     @classmethod
-    def _carry(cls, spaces: Sequence[ModuliSpec], terms) -> "ProductClass":
-        """Class from factor tuples already admitted on ``spaces``; only zero
-        coefficients are dropped."""
+    def _carry(cls, spaces: Sequence[ModuliSpec], terms: dict) -> "ProductClass":
+        """Class from nonzero factor tuples already admitted on ``spaces``."""
         self = cls.__new__(cls)
         self.spaces = tuple(spaces)
-        self.terms = {k: v for k, v in terms.items() if v}
+        self.terms = terms
         return self
+
+    def _ambient(self) -> tuple[ModuliSpec, ...]:
+        return self.spaces
 
     @classmethod
     def from_factors(cls, factors: Sequence[TautClass]) -> "ProductClass":
-        spaces = [f.space for f in factors]
+        # distinct factor terms give distinct tuples and nonzero products
         terms: dict = {}
         for combo in itertools.product(*(f.terms.items() for f in factors)):
-            gens = tuple(g for g, _ in combo)
             coeff = Fraction(1)
             for _, c in combo:
                 coeff *= c
-            terms[gens] = terms.get(gens, Fraction(0)) + coeff
-        return cls._carry(spaces, terms)
+            terms[tuple(g for g, _ in combo)] = coeff
+        return cls._carry([f.space for f in factors], terms)
 
-    def __add__(self, other: "ProductClass") -> "ProductClass":
-        if self.spaces != other.spaces:
-            raise ValueError("factor mismatch")
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return ProductClass._carry(self.spaces, out)
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __rmul__(self, scalar) -> "ProductClass":
-        s = Fraction(scalar)
-        return ProductClass._carry(self.spaces, {k: s * v for k, v in self.terms.items()})
-
-    def __mul__(self, other):
-        if not isinstance(other, ProductClass):
-            return self.__rmul__(other)
-        if self.spaces != other.spaces:
-            raise ValueError("factor mismatch")
-        out = ProductClass(self.spaces, {})
+    def _times(self, other: "ProductClass") -> "ProductClass":
+        spaces = self._common(other)
+        parts = []
         for ka, va in self.terms.items():
             for kb, vb in other.terms.items():
                 factors = []
-                for sp, ga, gb in zip(self.spaces, ka, kb):
+                for sp, ga, gb in zip(spaces, ka, kb):
                     ta = TautClass._carry(sp, {ga: Fraction(1)})
                     tb = TautClass._carry(sp, {gb: Fraction(1)})
                     if ga.degree() <= 1 or gb.degree() <= 1:
                         factors.append(multiply(ta, tb))
                     else:
                         factors.append(_mul_poly(ta, tb))
-                out = out + (va * vb) * ProductClass.from_factors(factors)
-        return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ProductClass)
-            and self.spaces == other.spaces
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.spaces, frozenset(self.terms.items())))
-
-    def is_zero(self):
-        return not self.terms
+                parts.append((va * vb, ProductClass.from_factors(factors).terms))
+        return ProductClass._carry(spaces, _accumulate(parts))
 
     def map_factor(self, i: int, fn) -> "ProductClass":
         """Apply a linear TautClass -> TautClass map to factor i."""
         new_space = fn(zero(self.spaces[i])).space
-        acc: dict = {}
+        parts = []
         for gens, coeff in self.terms.items():
             cls = fn(TautClass._carry(self.spaces[i], {gens[i]: Fraction(1)}))
-            for g2, c2 in cls.terms.items():
-                key = gens[:i] + (g2,) + gens[i + 1 :]
-                acc[key] = acc.get(key, Fraction(0)) + coeff * c2
+            parts.append((coeff, {
+                gens[:i] + (g2,) + gens[i + 1 :]: c2 for g2, c2 in cls.terms.items()
+            }))
         spaces = self.spaces[:i] + (new_space,) + self.spaces[i + 1 :]
-        return ProductClass._carry(spaces, acc)
+        return ProductClass._carry(spaces, _accumulate(parts))
 
     def __str__(self):
         if not self.terms:
@@ -1390,10 +1327,9 @@ def pushforward_gluing(space: ModuliSpec, graph: Gen, pc: ProductClass) -> TautC
     expected = glue_spaces(space, graph)
     if list(pc.spaces) != expected:
         raise ValueError("product factors do not match the gluing graph")
-    out = zero(space)
-    for gens, coeff in pc.terms.items():
-        out = out + TautClass(space, {_assemble_glued(graph, gens): coeff})
-    return out
+    return TautClass(space, _accumulate(
+        (1, {_assemble_glued(graph, gens): coeff}) for gens, coeff in pc.terms.items()
+    ))
 
 
 def _assemble_glued(graph: Gen, gens: Sequence[Gen]) -> Gen:
@@ -1435,34 +1371,36 @@ def pullback_gluing(c: TautClass, graph: Gen) -> ProductClass:
     over vertices, psi restricts, total boundary gives vertex boundaries
     minus psi at the glued half edges); one-edge generators by self-excess
     plus transverse vertex splits."""
-    space = c.space
-    spaces = glue_spaces(space, graph)
-    out = ProductClass(spaces, {})
+    spaces = glue_spaces(c.space, graph)
+    parts = []
     for gen, coeff in c.terms.items():
         if gen.is_trivial_graph():
             piece = _pull_free_gluing(spaces, graph, gen)
         else:
             piece = _pull_boundary_gluing(spaces, graph, gen)
-        out = out + coeff * piece
-    return out
+        parts.append((coeff, piece.terms))
+    return ProductClass._carry(spaces, _accumulate(parts))
+
+
+def _vertex_sum(spaces, builder) -> ProductClass:
+    """Sum over the factors v of builder(spaces[v]) on factor v times the
+    unit on the others: a free class restricted along a gluing map."""
+    parts = []
+    for v in range(len(spaces)):
+        factors = [one(sp) for sp in spaces]
+        factors[v] = builder(spaces[v])
+        parts.append((1, ProductClass.from_factors(factors).terms))
+    return ProductClass._carry(spaces, _accumulate(parts))
 
 
 def _pull_free_gluing(spaces, graph: Gen, gen: Gen) -> ProductClass:
     out = product_one(spaces)
     for (i, e) in gen.lam[0]:
-        single = ProductClass(spaces, {})
-        for v in range(len(spaces)):
-            factors = [one(sp) for sp in spaces]
-            factors[v] = lam(spaces[v], i)
-            single = single + ProductClass.from_factors(factors)
+        single = _vertex_sum(spaces, lambda sp: lam(sp, i))
         for _ in range(e):
             out = out * single
     for (i, e) in gen.kappa[0]:
-        single = ProductClass(spaces, {})
-        for v in range(len(spaces)):
-            factors = [one(sp) for sp in spaces]
-            factors[v] = kappa(spaces[v], i)
-            single = single + ProductClass.from_factors(factors)
+        single = _vertex_sum(spaces, lambda sp: kappa(sp, i))
         for _ in range(e):
             out = out * single
     for (lab, _, e) in gen.legs:
@@ -1512,7 +1450,7 @@ def _decoration_to_factors(spaces, moved: Gen) -> list[Gen]:
 def _pull_boundary_gluing(spaces, graph: Gen, gen: Gen) -> ProductClass:
     if len(gen.edges) != 1 or len(graph.edges) != 1:
         raise UnsupportedOperation("gluing pullback for one-edge graphs only")
-    out = ProductClass(spaces, {})
+    parts = []
     g_undec = _undecorated(graph)
     c_undec, c_aut = canonicalize(_undecorated(gen))
     if canonicalize(g_undec)[0] == c_undec:
@@ -1525,7 +1463,7 @@ def _pull_boundary_gluing(spaces, graph: Gen, gen: Gen) -> ProductClass:
                     for sp, g in zip(spaces, base_factors)
                 ]
                 factors[v_end] = multiply(psi(spaces[v_end], lab_end), factors[v_end])
-                out = out - ProductClass.from_factors(factors)
+                parts.append((-1, ProductClass.from_factors(factors).terms))
     # transverse vertex splits
     if any(sp.policy == "stable" for sp in spaces):
         raise UnsupportedOperation(
@@ -1543,10 +1481,9 @@ def _pull_boundary_gluing(spaces, graph: Gen, gen: Gen) -> ProductClass:
                     _trivial_gen(sp) if w != v else decorated
                     for w, sp in enumerate(spaces)
                 ]
-                out = out + Fraction(c_aut, saut) * ProductClass(
-                    spaces, {tuple(factors): Fraction(1)}
-                )
-    return out
+                split = ProductClass(spaces, {tuple(factors): Fraction(1)})
+                parts.append((Fraction(c_aut, saut), split.terms))
+    return ProductClass._carry(spaces, _accumulate(parts))
 
 
 def _old_edge_indices(big: Gen, sgen: Gen) -> list[int]:

@@ -2,9 +2,13 @@ from fractions import Fraction
 
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from torcycle import tautring as tr
+from torcycle.algebra import _accumulate, ch_from_chern, chern_from_ch
 from torcycle.chern import (
-    HodgeExpression,
+    InteriorClass,
     c1_log_cotangent_Abar4,
     c1_tangent,
     ch_log_cotangent,
@@ -130,26 +134,22 @@ class TestTangentChernClasses:
 class TestAbelianSide:
     def test_ch1(self):
         for g in range(2, 7):
-            assert ch_tangent_Ag(g, 1) == F(-(g + 1)) * HodgeExpression.lam(g, 1)
+            assert ch_tangent_Ag(g, 1) == F(-(g + 1)) * InteriorClass.lam(g, 1)
 
     def test_ch2_raw(self):
         g = 5
+        l1, l2 = InteriorClass.lam(g, 1), InteriorClass.lam(g, 2)
         raw = ch_tangent_Ag(g, 2)
-        expect = HodgeExpression.from_dict(
-            g, {(1, 1): F(g + 3, 2), (2,): F(-(g + 2))}
-        )
-        assert raw == expect
+        assert raw == F(g + 3, 2) * l1 * l1 - (g + 2) * l2
 
     def test_ch2_reduced(self):
         for g in range(2, 7):
-            assert ch_tangent_Ag(g, 2, reduced=True) == HodgeExpression.lam(g, 2)
+            assert ch_tangent_Ag(g, 2, reduced=True) == InteriorClass.lam(g, 2)
 
     def test_ch3_raw_genus5(self):
+        l1, l2, l3 = (InteriorClass.lam(5, i) for i in (1, 2, 3))
         raw = ch_tangent_Ag(5, 3)
-        expect = HodgeExpression.from_dict(
-            5,
-            {(1, 1, 1): F(-12, 6), (1, 2): F(33, 6), (3,): F(-27, 6)},
-        )
+        expect = F(-12, 6) * l1 * l1 * l1 + F(33, 6) * l1 * l2 + F(-27, 6) * l3
         assert raw == expect
 
     def test_reduction_lies_in_even_power_sum_ideal(self):
@@ -159,20 +159,77 @@ class TestAbelianSide:
             for m in range(1, 5):
                 raw = ch_tangent_Ag(g, m)
                 red = ch_tangent_Ag(g, m, reduced=True)
-                assert (raw - red).reduce().is_zero()
+                assert (raw - red).reduce(g).is_zero()
                 if m % 2 == 0:
-                    assert red.coefficient((1,) * m) == 0
+                    assert red.coefficient((("lambda", 1),) * m) == 0
 
     def test_squarefree_normal_form(self):
         g = 6
-        sq = HodgeExpression.from_dict(g, {(2, 2): F(1)})
-        red = sq.reduce()
-        assert red == HodgeExpression.from_dict(g, {(1, 3): F(2), (4,): F(-2)})
+        l1, l2, l3, l4 = (InteriorClass.lam(g, i) for i in (1, 2, 3, 4))
+        red = (l2 * l2).reduce(g)
+        assert red == 2 * l1 * l3 - 2 * l4
 
     def test_reduce_idempotent(self):
         g = 5
         e = ch_tangent_Ag(g, 4)
-        assert e.reduce() == e.reduce().reduce()
+        assert e.reduce(g) == e.reduce(g).reduce(g)
+
+
+#: lambda classes of a rank-4 Hodge bundle, and kappa classes
+POLY_RANK = 4
+POLY_GENERATORS = [("lambda", i) for i in range(1, POLY_RANK + 1)]
+POLY_GENERATORS += [("kappa", i) for i in (1, 2, 3)]
+POLY_COEFFS = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+
+@st.composite
+def polynomials(draw):
+    """Sparse polynomials: up to five monomials of up to three generators."""
+    out = 0 * InteriorClass.one()
+    for mon, c in draw(st.lists(
+        st.tuples(st.lists(st.sampled_from(POLY_GENERATORS), max_size=3), POLY_COEFFS),
+        max_size=5,
+    )):
+        term = c * InteriorClass.one()
+        for name, i in mon:
+            gen = InteriorClass.lam(POLY_RANK, i) if name == "lambda" else InteriorClass.kappa(i)
+            term = term * gen
+        out = out + term
+    return out
+
+
+class TestPolynomialLaws:
+    """Laws of the lambda/kappa polynomial ring over random sparse
+    polynomials."""
+
+    @given(polynomials(), polynomials(), polynomials(), POLY_COEFFS, POLY_COEFFS)
+    @settings(max_examples=80, deadline=None)
+    def test_linear_laws(self, a, b, c, s, t):
+        parts = [(s, a), (t, b), (1, c), (-1, a)]
+        fold = 0 * InteriorClass.one()
+        for scale, x in parts:
+            fold = fold + scale * x
+        assert InteriorClass._carry(None, _accumulate((k, x.terms) for k, x in parts)) == fold
+        assert a + b == b + a
+        assert (a + b) + c == a + (b + c)
+        assert (a - a).is_zero() and (-a + a).is_zero()
+        assert s * (a + b) == s * a + s * b
+        assert (s + t) * a == s * a + t * a
+
+    @given(polynomials(), polynomials(), polynomials(), POLY_COEFFS)
+    @settings(max_examples=60, deadline=None)
+    def test_product_and_reduce(self, a, b, c, s):
+        assert a * b == b * a
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+        red = a.reduce(POLY_RANK)
+        assert (s * a + b).reduce(POLY_RANK) == s * red + b.reduce(POLY_RANK)
+        assert red.reduce(POLY_RANK) == red
+
+    @given(st.lists(polynomials(), min_size=3, max_size=3))
+    @settings(max_examples=40, deadline=None)
+    def test_newton_round_trip(self, ch):
+        assert ch_from_chern(chern_from_ch(ch, 3), 3) == ch
 
 
 class TestToroidal:

@@ -59,15 +59,12 @@ class TestSocle:
 
     def test_reduction_monomials(self):
         # lambda_1^3 = kappa_3/6 on the genus-5 interior
-        c = InteriorClass.from_dict({("l1", "l1", "l1"): F(1)})
-        assert reduce_interior_degree3_genus5(c) == InteriorClass.from_dict(
-            {("k3",): F(1, 6)}
-        )
+        l1 = InteriorClass.lam(5, 1)
+        c = l1 * l1 * l1
+        assert reduce_interior_degree3_genus5(c) == F(1, 6) * InteriorClass.kappa(3)
         # lambda_3 = kappa_3/40
-        c = InteriorClass.from_dict({("l3",): F(1)})
-        assert reduce_interior_degree3_genus5(c) == InteriorClass.from_dict(
-            {("k3",): F(1, 40)}
-        )
+        c = InteriorClass.lam(5, 3)
+        assert reduce_interior_degree3_genus5(c) == F(1, 40) * InteriorClass.kappa(3)
 
 
 class TestGenus4:
@@ -98,23 +95,19 @@ class TestGenus4:
 class TestGenus5:
     def test_final_class(self):
         final, rep = t_pullback_g5()
-        assert final == InteriorClass.from_dict({("k3",): F(48, 5)})
+        assert final == F(48, 5) * InteriorClass.kappa(3)
 
     def test_intermediates(self):
         _, rep = t_pullback_g5()
-        assert rep.ch_moduli[0] == InteriorClass.from_dict({("l1",): F(-13)})
-        assert rep.ch_moduli[1] == InteriorClass.from_dict({("k2",): F(1, 2)})
-        assert rep.ch_moduli[2] == InteriorClass.from_dict({("k3",): F(-119, 720)})
-        assert rep.ch_abelian[0] == chern.HodgeExpression.from_dict(
-            5, {(1,): F(-6)}
-        )
-        assert rep.ch_abelian_display[1] == chern.HodgeExpression.from_dict(
-            5, {(2,): F(1)}
-        )
-        assert rep.ch_abelian[2] == chern.HodgeExpression.from_dict(
-            5, {(1, 1, 1): F(-2), (1, 2): F(11, 2), (3,): F(-9, 2)}
-        )
-        assert rep.two_c3 == InteriorClass.from_dict({("k3",): F(454, 15)})
+        k = InteriorClass.kappa
+        l1, l2, l3 = (InteriorClass.lam(5, i) for i in (1, 2, 3))
+        assert rep.ch_moduli[0] == -13 * l1
+        assert rep.ch_moduli[1] == F(1, 2) * k(2)
+        assert rep.ch_moduli[2] == F(-119, 720) * k(3)
+        assert rep.ch_abelian[0] == -6 * l1
+        assert rep.ch_abelian_display[1] == l2
+        assert rep.ch_abelian[2] == -2 * l1 * l1 * l1 + F(11, 2) * l1 * l2 - F(9, 2) * l3
+        assert rep.two_c3 == F(454, 15) * k(3)
         assert rep.multiplicity == -20
 
     def test_exact_closing_arithmetic(self):
@@ -163,6 +156,4 @@ class TestRename:
 class TestInteriorConversion:
     def test_kappa1_is_12_lambda1(self):
         space = ModuliSpec(5, ())
-        assert taut_to_interior(kappa(space, 1)) == InteriorClass.from_dict(
-            {("l1",): F(12)}
-        )
+        assert taut_to_interior(kappa(space, 1)) == 12 * InteriorClass.lam(5, 1)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torcycle import tautring as tr
+from torcycle.algebra import _accumulate
 from torcycle.tautring import (
     ModuliSpec,
     ProductClass,
@@ -183,6 +184,35 @@ class TestAdmission:
         pc = ProductClass.from_factors([a, b])
         for result in (pc, pc + pc, pc - s * pc):
             assert result == ProductClass(result.spaces, result.terms)
+
+
+class TestKernelLaws:
+    """Laws of the sparse kernel on random spans, and its accumulation
+    helper against the pairwise fold of ``+``."""
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_linear_laws(self, data):
+        g, n = data.draw(st.sampled_from(ADMISSION_SPACES))
+        space = ModuliSpec(g, tuple(f"m{i}" for i in range(n)))
+        basis = _span_basis(space)
+        coeffs = st.lists(st.sampled_from(SMALL_FRACTIONS), min_size=len(basis),
+                          max_size=len(basis))
+        a, b, c = (_combine(space, basis, data.draw(coeffs)) for _ in range(3))
+        s, t = (data.draw(st.sampled_from(SMALL_FRACTIONS)) for _ in range(2))
+        parts = [(s, a), (t, b), (1, c), (-1, a)]
+        fold = zero(space)
+        for scale, x in parts:
+            fold = fold + scale * x
+        assert TautClass._carry(space, _accumulate((k, x.terms) for k, x in parts)) == fold
+        assert a + b == b + a
+        assert (a + b) + c == a + (b + c)
+        assert (a - a).is_zero() and (-a + a).is_zero()
+        assert s * (a + b) == s * a + s * b
+        assert (s + t) * a == s * a + t * a
+        pc = ProductClass.from_factors([a, b])
+        assert (pc - pc).is_zero()
+        assert s * pc + t * pc == (s + t) * pc
 
 
 class TestOneEdgeGraphs:
