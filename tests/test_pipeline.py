@@ -1,7 +1,7 @@
 import time
 from fractions import Fraction
 
-from torcycle import chern, pipeline
+from torcycle import pipeline
 from torcycle.pipeline import (
     M4,
     M4_STABLE,
