@@ -2,12 +2,16 @@
 The symbolic commands are compared byte for byte.  So is the stdout of the
 report scripts, run from the repository root, except for the wall-time line
 of ``torelli_report.py``.  The ``period`` commands
-are floating point: their non-numeric fields must match exactly and each
-numeric field must parse with ``float()`` and agree within
-``PERIOD_RTOL * max(1, |x|)``.
+and ``rho4_scan.py`` are floating point: their non-numeric fields must
+match exactly and each numeric field must parse (with ``float()``, or for
+the script as a complex number once a trailing ``i`` is stripped) and agree
+within ``PERIOD_RTOL * max(1, |x|)``.
 
 Regenerate (only when a change of output is intended, and say so in the
-changelog) with ``PYTHONPATH=src python tests/test_golden.py``.
+changelog) with ``PYTHONPATH=src python tests/test_golden.py``.  That
+rewrites the exact goldens; a floating-point golden is rewritten only when
+its name is given on the command line, since regeneration moves last
+digits that the tolerance accepts anyway.
 """
 
 import contextlib
@@ -90,6 +94,13 @@ SCRIPT_GOLDEN = {
     "script_torelli_report": "scripts/torelli_report.py",
 }
 
+#: Floating-point script output, compared token by token like the period
+#: goldens: the certificate scan is the one caller of the segment rule at
+#: eps=None.
+FLOAT_SCRIPT_GOLDEN = {
+    "script_rho4_scan": "scripts/rho4_scan.py",
+}
+
 _WALL_TIME = re.compile(r"^total \d+\.\d+s$", re.MULTILINE)
 
 
@@ -144,17 +155,47 @@ def test_period_golden(name):
                 assert g == w, got_line
 
 
+def _script_number(token: str) -> complex | None:
+    try:
+        return complex(token.removesuffix("i"))
+    except ValueError:
+        return None
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT_SCRIPT_GOLDEN))
+def test_float_script_golden(name):
+    want = (GOLDEN_DIR / f"{name}.txt").read_text().splitlines()
+    got = script_output(FLOAT_SCRIPT_GOLDEN[name]).splitlines()
+    assert len(got) == len(want)
+    for got_line, want_line in zip(got, want):
+        got_tokens, want_tokens = got_line.split(), want_line.split()
+        assert len(got_tokens) == len(want_tokens), got_line
+        for g, w in zip(got_tokens, want_tokens):
+            x = _script_number(w)
+            if x is None:
+                assert g == w, got_line
+            else:
+                assert abs(_script_number(g) - x) <= PERIOD_RTOL * max(1.0, abs(x)), got_line
+
+
 def test_no_stray_golden_files():
     expected = {f"{name}.tsv" for name in (*GOLDEN, *PERIOD_GOLDEN)}
-    expected |= {f"{name}.txt" for name in SCRIPT_GOLDEN}
+    expected |= {f"{name}.txt" for name in (*SCRIPT_GOLDEN, *FLOAT_SCRIPT_GOLDEN)}
     assert {p.name for p in GOLDEN_DIR.iterdir()} == expected
 
 
 if __name__ == "__main__":
+    named = set(sys.argv[1:])
+    unknown = named - set(PERIOD_GOLDEN) - set(FLOAT_SCRIPT_GOLDEN)
+    if unknown:
+        sys.exit(f"not a floating-point golden: {', '.join(sorted(unknown))}")
     GOLDEN_DIR.mkdir(exist_ok=True)
-    for name, argv in {**GOLDEN, **PERIOD_GOLDEN}.items():
+    machine = {**GOLDEN, **{n: a for n, a in PERIOD_GOLDEN.items() if n in named}}
+    for name, argv in machine.items():
         code, out = machine_output(argv)
         assert code == 0, (name, code)
         (GOLDEN_DIR / f"{name}.tsv").write_text(out)
-    for name, path in SCRIPT_GOLDEN.items():
+    scripts = {**SCRIPT_GOLDEN,
+               **{n: p for n, p in FLOAT_SCRIPT_GOLDEN.items() if n in named}}
+    for name, path in scripts.items():
         (GOLDEN_DIR / f"{name}.txt").write_text(script_output(path))
