@@ -22,10 +22,9 @@ def main():
             )
 
     print("\ndouble-integral routes (contour vs segment decomposition):")
-    kc = period.cauchy_kernel_coeffs(period.BASE_CURVE_1)
     for i in (1, 2):
-        gc, ec = period.compute_G(period.BASE_CURVE_1, i, rule="contour", kc=kc)
-        gs, es = period.compute_G(period.BASE_CURVE_1, i, rule="segments", kc=kc)
+        gc, ec = period.compute_G(period.BASE_CURVE_1, i, eps=None, rule="contour")
+        gs, es = period.compute_G(period.BASE_CURVE_1, i, eps=None, rule="segments")
         print(f"  G{i}: contour {gc:+.12e}  segments {gs:+.12e}  "
               f"diff {abs(gc - gs):.2e}")
 

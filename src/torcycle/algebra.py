@@ -80,8 +80,10 @@ def _accumulate(
     is the one place where sparse coefficients are added and scaled."""
     acc: dict = {}
     for scale, terms in parts:
+        unit = scale == 1
         for key, c in terms.items():
-            c = c * scale
+            if not unit:
+                c = c * scale
             if key in acc:
                 acc[key] += c
             else:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import groupby
 from math import comb, factorial
 
@@ -106,13 +107,14 @@ def ch_tangent(space: ModuliSpec, m: int) -> TautClass:
     return Fraction((-1) ** m) * ch_cotangent(space, m)
 
 
-def chern_tangent_moduli(space: ModuliSpec, k: int) -> list[TautClass]:
+@lru_cache(maxsize=64)
+def chern_tangent_moduli(space: ModuliSpec, k: int) -> tuple[TautClass, ...]:
     """Chern classes c_1..c_k of the tangent bundle, exact.
 
     Degree 1 is returned in the lambda/psi/delta basis (kappa_1 expanded).
     Products beyond the implemented boundary calculus raise; the divisor
     pipelines need k <= 2 with boundary terms and k = 3 only on the
-    interior.
+    interior.  Memoized per (space, k): every caller shares the tuple.
     """
     if k > 3:
         raise UnsupportedOperation("Chern classes beyond degree 3 not needed")
@@ -120,7 +122,7 @@ def chern_tangent_moduli(space: ModuliSpec, k: int) -> list[TautClass]:
 
     ch = [ch_tangent(space, m) for m in range(1, k + 1)]
     cs = chern_from_ch(ch, k)
-    return [kappa1_expand(c) for c in cs]
+    return tuple(kappa1_expand(c) for c in cs)
 
 
 def c1_tangent(space: ModuliSpec) -> TautClass:

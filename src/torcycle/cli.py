@@ -21,7 +21,6 @@ from .tautring import (
     ModuliSpec,
     TautClass,
     UnsupportedOperation,
-    aut_order,
     canonicalize,
     gen_to_string,
     kappa,

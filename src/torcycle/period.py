@@ -39,6 +39,12 @@ cycle integrals:
 
 Error estimates come from node doubling; everything is bitwise
 deterministic for fixed configuration.
+
+Memoization.  Each curve's contours are built and checked once, and its
+A-periods of z^p dz/Y (p = 0, 1, -1, -2, -3) once per (curve, tol).  The
+memos are bounded LRU caches, since a scan may visit any number of curves,
+and return immutable values (a read-only mapping, tuples), since every
+caller shares them.  A failed clearance check is not cached: it re-raises.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -180,7 +187,8 @@ class EllipseContour:
             )
 
 
-def standard_contours(curve: HyperellipticCurve) -> dict[str, EllipseContour]:
+@functools.lru_cache(maxsize=32)
+def standard_contours(curve: HyperellipticCurve) -> MappingProxyType:
     """A1, A2 around cuts 1, 2 (crossings in the f > 0 gaps); B1 through
     cuts 1 and 3; B2 through cuts 2 and 3."""
     r = curve.roots
@@ -198,7 +206,7 @@ def standard_contours(curve: HyperellipticCurve) -> dict[str, EllipseContour]:
     }
     for c in contours.values():
         c.check(curve)
-    return contours
+    return MappingProxyType(contours)
 
 
 # --------------------------------------------------------------------------
@@ -283,26 +291,31 @@ def segment_integrate(fn, curve, a, b, tol=1e-10, n0=48, nmax=3072):
 # periods and the normalized basis
 
 
-def _cycle_integral(curve, contours, name, fn, tol):
+def _cycle_integral(curve, name, fn, tol):
     """All cycles are traversed clockwise (the ellipses are parameterized
     counterclockwise, hence the global sign): the A-loops run clockwise
     around their cuts and the upper arcs of the B-contours run from the
     lower cut to cut 3.  This orientation renders tau symmetric with
     positive definite imaginary part."""
-    val, err = contour_integrate(fn, curve, contours[name], tol)
+    val, err = contour_integrate(fn, curve, standard_contours(curve)[name], tol)
     return -val, err
 
 
-def a_period_matrix(curve, tol=1e-10):
-    """M[i][j] = integral over A_i of z^j dz/Y for j = 0, 1."""
-    contours = standard_contours(curve)
-    M = [[0j, 0j], [0j, 0j]]
-    E = [[0.0, 0.0], [0.0, 0.0]]
-    for i, name in enumerate(("A1", "A2")):
-        for j in range(2):
-            fn = (lambda p: (lambda z, y: z**p / y))(j)
-            M[i][j], E[i][j] = _cycle_integral(curve, contours, name, fn, tol)
-    return M, E
+def _power_integrand(p):
+    """z^p / Y.  A negative power is evaluated as 1 / (z^-p Y): z**p / y
+    rounds differently, and the certificate's last digits would move."""
+    if p >= 0:
+        return lambda z, y: z**p / y
+    return lambda z, y: 1.0 / (z**-p * y)
+
+
+@functools.lru_cache(maxsize=64)
+def _a_periods(curve, tol, powers):
+    """M[i][j] = integral over A_i of z^p dz/Y for p = powers[j], as tuples."""
+    return tuple(
+        tuple(_cycle_integral(curve, name, _power_integrand(p), tol)[0] for p in powers)
+        for name in ("A1", "A2")
+    )
 
 
 def _solve2(M, rhs):
@@ -329,7 +342,7 @@ class NormalizedBasis:
 
 
 def normalized_basis(curve: HyperellipticCurve, tol=1e-10) -> NormalizedBasis:
-    M, E = a_period_matrix(curve, tol)
+    M = _a_periods(curve, tol, (0, 1))
     a, b = _solve2(M, (1.0, 0.0))
     c, d = _solve2(M, (0.0, 1.0))
     # duality residual, re-evaluated
@@ -348,13 +361,12 @@ def normalized_basis(curve: HyperellipticCurve, tol=1e-10) -> NormalizedBasis:
 def period_matrix(curve: HyperellipticCurve, tol=1e-10):
     """tau[i][j] = integral over B_i of v_j, A-normalized."""
     nb = normalized_basis(curve, tol)
-    contours = standard_contours(curve)
     tau = [[0j, 0j], [0j, 0j]]
     err = 0.0
     for i, name in enumerate(("B1", "B2")):
         for j, (al, be) in enumerate(((nb.a, nb.b), (nb.c, nb.d))):
             fn = (lambda A, B: (lambda z, y: (A + B * z) / y))(al, be)
-            v, e = _cycle_integral(curve, contours, name, fn, tol)
+            v, e = _cycle_integral(curve, name, fn, tol)
             tau[i][j] = v
             err = max(err, e)
     return tau, err
@@ -443,14 +455,9 @@ def cauchy_kernel_coeffs(
     alpha = (
         y_taylor_by_circle(curve, eps) if eps is not None else curve.y_taylor0()
     )
-    M, _ = a_period_matrix(curve, tol)
-    contours = standard_contours(curve)
-    # inverse power A-periods: P[i][k] = integral over A_i of z^-k dz/Y
-    P = [[0j] * 4, [0j] * 4]
-    for i, name in enumerate(("A1", "A2")):
-        for k in range(1, 4):
-            fn = (lambda p: (lambda z, y: 1.0 / (z**p * y)))(k)
-            P[i][k], _ = _cycle_integral(curve, contours, name, fn, tol)
+    M = _a_periods(curve, tol, (0, 1))
+    # inverse power A-periods: P[i][k - 1] = integral over A_i of z^-k dz/Y
+    P = _a_periods(curve, tol, (-1, -2, -3))
     hs = []
     ks = []
     residual = 0.0
@@ -459,7 +466,7 @@ def cauchy_kernel_coeffs(
         for i in range(2):
             acc = 0j
             for j in range(order + 1):
-                acc += alpha[j] * P[i][order + 1 - j]
+                acc += alpha[j] * P[i][order - j]
             rhs.append(-acc / 2)
         h, k = _solve2(M, rhs)
         hs.append(h)
@@ -482,25 +489,17 @@ def g_integrand(kc: KernelCoefficients):
     return fn
 
 
-def compute_G(
-    curve: HyperellipticCurve,
-    i: int,
-    eps: float = 0.05,
-    tol: float = 1e-10,
-    rule: str = "contour",
-    kc: KernelCoefficients | None = None,
-):
+def compute_G(curve: HyperellipticCurve, i: int, eps: float | None = 0.05,
+              tol: float = 1e-10, rule: str = "contour"):
     """G_i: the B_i integral of 2 pi i times the z1^2 coefficient of the
-    kernel.  ``rule`` picks the quadrature route."""
+    kernel (inner circle radius ``eps``, or the exact Y-Taylor data when
+    None).  ``rule`` picks the quadrature route."""
     if i not in (1, 2):
         raise ValueError("cycle index is 1 or 2")
-    if kc is None:
-        kc = cauchy_kernel_coeffs(curve, tol, eps)
-    fn = g_integrand(kc)
+    fn = g_integrand(cauchy_kernel_coeffs(curve, tol, eps))
     name = f"B{i}"
     if rule == "contour":
-        contours = standard_contours(curve)
-        val, err = _cycle_integral(curve, contours, name, fn, tol)
+        val, err = _cycle_integral(curve, name, fn, tol)
     elif rule == "segments":
         val, err = SEGMENT_RULES[name](curve, fn, tol)
     else:
@@ -562,8 +561,8 @@ def rho4(config: PeriodConfig = PeriodConfig()) -> Rho4Certificate:
 
     nb1 = normalized_basis(c1curve, tol)
     kc = cauchy_kernel_coeffs(c1curve, tol, config.eps)
-    G1, e1 = compute_G(c1curve, 1, config.eps, tol, "contour", kc)
-    G2, e2 = compute_G(c1curve, 2, config.eps, tol, "contour", kc)
+    G1, e1 = compute_G(c1curve, 1, config.eps, tol)
+    G2, e2 = compute_G(c1curve, 2, config.eps, tol)
     (D1, D2), nb2 = compute_D(c2curve, tol)
 
     left = nb1.c * G1 - nb1.a * G2

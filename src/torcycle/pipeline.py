@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import factorial
 
 from . import chern, ctp, excess
 from .algebra import _accumulate, bernoulli_number, chern_from_ch
@@ -37,16 +37,12 @@ from .tautring import (
     delta_sep,
     delta_total,
     glue_spaces,
-    kappa,
     lam,
-    monomial,
     one,
-    psi,
     pullback_forgetful,
     pullback_gluing,
     pushforward_forgetful,
     pushforward_gluing,
-    zero,
 )
 
 M4 = ModuliSpec(4, ())
@@ -237,11 +233,12 @@ def _b_component_contribution() -> tuple[TautClass, dict[str, TautClass]]:
 # genus 4 headline
 
 
+@lru_cache(maxsize=None)
 def t_pullback_g4() -> tuple[TautClass, ContributionLedger]:
     """The genus-4 pullback of the Torelli cycle with its full ledger.
 
     Aborts with a diff against the expected intermediate whenever one of
-    the cross-checked contributions drifts.
+    the cross-checked contributions drifts.  Computed once per process.
     """
     delta = delta_total(M4)
     delta_a = delta_sep(M4, 1)

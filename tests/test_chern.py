@@ -116,6 +116,10 @@ class TestTangentChernClasses:
         )
         assert c2 == expect
 
+    def test_memoized_tuple(self):
+        cs = chern_tangent_moduli(M4, 2)
+        assert type(cs) is tuple and chern_tangent_moduli(M4, 2) is cs
+
     def test_c2_kappa2_coefficient(self):
         c2 = chern_tangent_moduli(M4, 2)[1]
         coeff = c2.coefficient(tr._trivial_gen(M4, kappa_mon=[(2, 1)]))

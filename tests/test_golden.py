@@ -175,6 +175,7 @@ def test_float_script_golden(name):
             if x is None:
                 assert g == w, got_line
             else:
+                assert g.endswith("i") == w.endswith("i"), got_line
                 assert abs(_script_number(g) - x) <= PERIOD_RTOL * max(1.0, abs(x)), got_line
 
 

@@ -159,7 +159,7 @@ class TestPythonTypes:
         assert all(type(x) is complex for x in (*kc.h, *kc.k, *kc.alpha))
         assert type(kc.residual) is float
         for rule in ("contour", "segments"):
-            val, err = compute_G(BASE_CURVE_1, 1, rule=rule, kc=kc)
+            val, err = compute_G(BASE_CURVE_1, 1, eps=None, rule=rule)
             assert type(val) is complex and type(err) is float
 
 
@@ -180,9 +180,8 @@ class TestQuadrature:
 
     def test_cross_rule_agreement(self):
         fn = lambda z, y: 1.0 / y
-        contours = standard_contours(BASE_CURVE_1)
         for name in ("A1", "A2", "B1", "B2"):
-            v1, _ = P._cycle_integral(BASE_CURVE_1, contours, name, fn, 1e-10)
+            v1, _ = P._cycle_integral(BASE_CURVE_1, name, fn, 1e-10)
             v2, _ = P.SEGMENT_RULES[name](BASE_CURVE_1, fn)
             assert abs(v1 - v2) <= 1e-8 * max(1.0, abs(v1)), name
 
@@ -209,7 +208,9 @@ class TestPeriodMatrix:
         for i, name in enumerate(("B1", "B2")):
             for j, (al, be) in enumerate(((nb.a, nb.b), (nb.c, nb.d))):
                 fn = (lambda A, B: (lambda z, y: (A + B * z) / y))(al, be)
-                tau2[i][j], _ = P._cycle_integral(BASE_CURVE_1, fat, name, fn, 1e-10)
+                # the cycles run clockwise, the ellipses counterclockwise
+                v, _ = contour_integrate(fn, BASE_CURVE_1, fat[name], 1e-10)
+                tau2[i][j] = -v
         diff = max(
             abs(tau1[i][j] - tau2[i][j]) for i in range(2) for j in range(2)
         )
@@ -347,5 +348,62 @@ class TestRho4:
 
     def test_deterministic(self):
         c1 = rho4()
+        clear_period_memo()
         c2 = rho4()
         assert c1.value == c2.value and c1.quadrature_error == c2.quadrature_error
+
+
+def clear_period_memo():
+    P.standard_contours.cache_clear()
+    P._a_periods.cache_clear()
+
+
+class TestMemo:
+    """Each curve's contours and A-periods are computed once, shared as
+    immutable values."""
+
+    def test_counts(self, monkeypatch):
+        # a curve pair no other test uses, so the counts start cold
+        curve = HyperellipticCurve((1.0, 2.1, 3.05, 4.2, 5.1, 6.3))
+        curve2 = HyperellipticCurve((1.0, 2.1, 3.05, 4.2, 5.1, 7.2))
+        counts = {"integrals": 0, "checks": 0}
+        integrate, check = P.contour_integrate, EllipseContour.check
+
+        def counted_integrate(*args, **kwargs):
+            counts["integrals"] += 1
+            return integrate(*args, **kwargs)
+
+        def counted_check(contour, c):
+            counts["checks"] += 1
+            return check(contour, c)
+
+        monkeypatch.setattr(P, "contour_integrate", counted_integrate)
+        monkeypatch.setattr(EllipseContour, "check", counted_check)
+        period_matrix(curve)
+        rho4(PeriodConfig(curve1=curve, curve2=curve2))
+        for i in (1, 2):
+            for rule in ("contour", "segments"):
+                compute_G(curve, i, rule=rule)
+        # 10 + 4 A-periods, 4 B-periods of tau, G_1 and G_2 by rho4 and again
+        # by compute_G (70 integrals and 72 checks when nothing was shared)
+        assert counts["integrals"] <= 22
+        assert counts["checks"] == 8
+
+    def test_immutable(self):
+        contours = standard_contours(BASE_CURVE_1)
+        with pytest.raises(TypeError):
+            contours["A1"] = contours["B1"]
+        for powers in ((0, 1), (-1, -2, -3)):
+            M = P._a_periods(BASE_CURVE_1, 1e-10, powers)
+            assert type(M) is tuple and all(type(row) is tuple for row in M)
+            assert all(len(row) == len(powers) for row in M)
+
+    def test_clearance_failure_not_cached(self):
+        # the cut-1/cut-2 gap is 1.5e-3, so the A-contour crossing in it
+        # lies within clearance of both branch points
+        curve = HyperellipticCurve((1, 2, 2.0015, 3, 4, 5))
+        for _ in range(2):
+            with pytest.raises(PathClearanceError):
+                standard_contours(curve)
+        with pytest.raises(PathClearanceError):
+            period_matrix(curve)

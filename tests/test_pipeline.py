@@ -86,7 +86,15 @@ class TestGenus4:
         boundary = final - final.interior()
         assert boundary.is_zero()
 
+    def test_computed_once(self):
+        # abar4 reuses the genus-4 result instead of rerunning it
+        t_pullback_g4.cache_clear()
+        t_pullback_g4()
+        t_pushforward_Abar4()
+        assert t_pullback_g4.cache_info().misses == 1
+
     def test_runtime(self):
+        t_pullback_g4.cache_clear()
         t0 = time.time()
         t_pullback_g4()
         assert time.time() - t0 < 1.0
