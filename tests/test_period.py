@@ -348,14 +348,11 @@ class TestRho4:
 
     def test_deterministic(self):
         c1 = rho4()
-        clear_period_memo()
+        # the second run recomputes every contour and A-period
+        P.standard_contours.cache_clear()
+        P._a_periods.cache_clear()
         c2 = rho4()
         assert c1.value == c2.value and c1.quadrature_error == c2.quadrature_error
-
-
-def clear_period_memo():
-    P.standard_contours.cache_clear()
-    P._a_periods.cache_clear()
 
 
 class TestMemo:
