@@ -37,10 +37,12 @@ _CHERN = {
 }
 
 #: Abelian-side characters; (12, 11) pins the order of two-digit lambda
-#: indices (lambda11 sorts after lambda5*lambda6).
+#: indices (lambda11 sorts after lambda5*lambda6), and (8, 5) a coefficient
+#: of -1.
 _CHERN_AG = {
     f"chern_ag_g{g}_deg{d}": ["chern", "--space", "ag", "--g", str(g), "--deg", str(d)]
-    for g, d in ((1, 1), (1, 2), (3, 2), (4, 3), (5, 1), (5, 2), (5, 3), (6, 6), (12, 11))
+    for g, d in ((1, 1), (1, 2), (3, 2), (4, 3), (5, 1), (5, 2), (5, 3), (6, 6), (8, 5),
+                 (12, 11))
 }
 
 _CTP = {
@@ -53,15 +55,33 @@ GOLDEN = {
     "torelli_g4_ledger": ["torelli", "g4", "--ledger"],
     "torelli_g5": ["torelli", "g5"],
     "torelli_abar4": ["torelli", "abar4"],
+    "torelli_g4_ledger_explain": ["torelli", "g4", "--ledger", "--explain"],
+    "torelli_g5_explain": ["torelli", "g5", "--explain"],
+    "torelli_abar4_explain": ["torelli", "abar4", "--explain"],
+    # g=8 and g=10: the socle-bound and negative-dimension verdicts
+    "torelli_dim_g8": ["torelli", "dim", "--g", "8"],
+    "torelli_dim_g10": ["torelli", "dim", "--g", "10"],
     "excess_m_1_1": ["excess", "m", "--da", "1", "--db", "1"],
     "excess_m_2_1": ["excess", "m", "--da", "2", "--db", "1"],
     "excess_m_3_3": ["excess", "m", "--da", "3", "--db", "3"],
+    "excess_oracle_b2": ["excess", "oracle", "--model", "b2"],
+    "excess_oracle_b3": ["excess", "oracle", "--model", "b3"],
+    "excess_oracle_b4": ["excess", "oracle", "--model", "b4"],
+    "excess_residual": ["excess", "residual"],
+    "constants": ["constants"],
     **_CHERN,
     **_CHERN_AG,
     **_CTP,
     "ctp_components_g2": ["ctp", "components", "--g", "2"],
     "ctp_components_g3": ["ctp", "components", "--g", "3"],
     "ctp_intersections": ["ctp", "intersections"],
+    "ctp_dim_g4_22": [
+        "ctp", "dim", "T1 V 2 2; E 0-1 | T2 V 2 2; E 0-1 | nu: 0>0 1>1 | sigma: 0:+- 1:+-",
+    ],
+    "ctp_check_pairing_admissible": ["ctp", "check-pairing", "g=2 L=1 R=1 b:0-0 r:0-0"],
+    "ctp_check_pairing_cycle": [
+        "ctp", "check-pairing", "g=5 L=3 R=3 b:0-0 b:1-1 b:2-2 r:0-1 r:1-2 r:2-0",
+    ],
     "taut_kappa1_g1_n1": ["taut", "kappa1", "--g", "1", "--n", "1"],
     "taut_kappa1_g2_n1": ["taut", "kappa1", "--g", "2", "--n", "1"],
     "taut_kappa1_g3_n2": ["taut", "kappa1", "--g", "3", "--n", "2"],
