@@ -1,10 +1,14 @@
 """Exact rational arithmetic, sparse linear combinations, truncated power
-series, Bernoulli polynomials, and Newton-identity conversions between Chern
-characters and Chern classes.
+series, Bernoulli polynomials, Newton-identity conversions between Chern
+characters and Chern classes, and the human renderer of classes.
 
 Rationals are plain :class:`fractions.Fraction` values: always reduced,
 positive denominator, exact arithmetic.  They serialize as ``p/q`` (or ``p``
 when the denominator is 1), which is what ``str`` already produces.
+
+:func:`render_sum` is the one human rendering of a sum of monomials, and
+:func:`power` of one generator power; every pretty-printer of classes
+(``cli.pretty_class``, ``chern.InteriorClass``) goes through them.
 """
 
 from __future__ import annotations
@@ -158,6 +162,33 @@ class _LinearCombination:
 
 
 # --------------------------------------------------------------------------
+# human rendering
+
+
+def power(name: str, e: int) -> str:
+    """``name^e``, or plain ``name`` when e is 1."""
+    return name + (f"^{e}" if e > 1 else "")
+
+
+def render_sum(terms: Iterable[tuple[Fraction, str]]) -> str:
+    """Human rendering of a sum of ``(coefficient, monomial)`` terms, in the
+    order given: an empty monomial prints as its coefficient, a coefficient
+    of 1 or -1 is elided, and ``+ -`` folds to ``- ``.  The empty sum is
+    ``0``."""
+    parts = []
+    for c, mon in terms:
+        if not mon:
+            parts.append(str(c))
+        elif c == 1:
+            parts.append(mon)
+        elif c == -1:
+            parts.append(f"-{mon}")
+        else:
+            parts.append(f"{c}*{mon}")
+    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+
+
+# --------------------------------------------------------------------------
 # truncated power series
 
 
@@ -189,14 +220,6 @@ class TruncatedSeries:
     @classmethod
     def one(cls, cap: int) -> "TruncatedSeries":
         return cls.from_list([1], cap)
-
-    @classmethod
-    def monomial(cls, coeff, degree: int, cap: int) -> "TruncatedSeries":
-        if degree > cap:
-            raise DegreeCapError(f"monomial degree {degree} exceeds cap {cap}")
-        vals = [Fraction(0)] * (cap + 1)
-        vals[degree] = Fraction(coeff)
-        return cls(tuple(vals))
 
     def _check(self, other: "TruncatedSeries"):
         if self.cap != other.cap:
@@ -259,27 +282,6 @@ class TruncatedSeries:
             raise DegreeCapError(f"coefficient {k} beyond cap {self.cap}")
         return self.coeffs[k]
 
-    def __str__(self):
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            elif i == 1:
-                parts.append(f"{c}*H")
-            else:
-                parts.append(f"{c}*H^{i}")
-        return " + ".join(parts) if parts else "0"
-
-
-def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    return a * b
-
-
-def series_inv(a: TruncatedSeries) -> TruncatedSeries:
-    return a.inverse()
-
 
 def line_bundle_series(degrees: Sequence[int], cap: int) -> TruncatedSeries:
     """Total Chern series prod_i (1 + d_i H) of a sum of line bundles."""
@@ -289,35 +291,15 @@ def line_bundle_series(degrees: Sequence[int], cap: int) -> TruncatedSeries:
     return out
 
 
-@dataclass(frozen=True)
-class ChernCharVector:
-    """Chern characters ch_1..ch_k as abstract ring elements.
-
-    Entry m must be homogeneous of degree m in whatever graded ring the
-    caller works in; the conversion routines only assume ``+``, ``*`` and
-    multiplication by Fraction.
-    """
-
-    entries: tuple
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __getitem__(self, m: int):
-        # 1-indexed by degree, matching ch_m notation
-        if not 1 <= m <= len(self.entries):
-            raise DegreeCapError(f"ch_{m} not populated")
-        return self.entries[m - 1]
-
-
 def chern_from_ch(ch, k: int) -> list:
     """Chern classes c_1..c_k from Chern characters via Newton's identities.
 
-    ``ch`` is a ChernCharVector or a plain sequence of ch_1..ch_k.  Entries
-    live in any commutative Q-algebra.  For k=3 this reproduces the closed
-    form c_3 = ch_1^3/6 - ch_1 ch_2 + 2 ch_3.
+    ``ch`` is the sequence ch_1..ch_k; entry m is homogeneous of degree m in
+    any commutative Q-algebra (only ``+``, ``*`` and multiplication by
+    Fraction are used).  For k=3 this reproduces the closed form
+    c_3 = ch_1^3/6 - ch_1 ch_2 + 2 ch_3.
     """
-    entries = ch.entries if isinstance(ch, ChernCharVector) else tuple(ch)
+    entries = tuple(ch)
     if len(entries) < k:
         raise DegreeCapError(f"need ch_1..ch_{k}, got {len(entries)} entries")
     # power sums p_m = m! ch_m

@@ -39,6 +39,8 @@ from .algebra import (
     bernoulli_polynomial,
     ch_from_chern,
     chern_from_ch,
+    power,
+    render_sum,
 )
 from .tautring import (
     Gen,
@@ -191,18 +193,10 @@ class InteriorClass(_LinearCombination):
         return InteriorClass._carry(None, _accumulate(done))
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for mon in sorted(self.terms):
-            c = self.terms[mon]
-            names = []
-            for (name, i), run in groupby(mon):
-                e = len(list(run))
-                names.append(f"{name}{i}" + (f"^{e}" if e > 1 else ""))
-            body = "*".join(names)
-            parts.append(str(c) if not mon else body if c == 1 else f"{c}*{body}")
-        return " + ".join(parts).replace("+ -", "- ")
+        def body(mon):
+            return "*".join(power(f"{name}{i}", len(list(run))) for (name, i), run in groupby(mon))
+
+        return render_sum((c, body(mon)) for mon, c in sorted(self.terms.items()))
 
     __repr__ = __str__
 
@@ -274,9 +268,6 @@ class ToroidalDivisorClass:
         if space.policy != "stable":
             raise UnsupportedOperation("pullback needs the stable policy")
         return Fraction(self.lambda1) * lam(space) + Fraction(self.boundary) * delta_irr(space)
-
-    def __str__(self):
-        return f"{self.lambda1}*lambda1 + {self.boundary}*D".replace("+ -", "- ")
 
 
 def c1_log_cotangent_Abar4() -> ToroidalDivisorClass:

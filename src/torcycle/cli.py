@@ -16,11 +16,13 @@ import sys
 from dataclasses import dataclass
 
 from . import chern, ctp, excess, period, pipeline, selftest
+from .algebra import power, render_sum
 from .tautring import (
     Gen,
     ModuliSpec,
     TautClass,
     UnsupportedOperation,
+    _gen_sort_key,
     canonicalize,
     gen_to_string,
     kappa,
@@ -47,25 +49,20 @@ def _emit(cfg: RunConfig, key: str, value):
 
 
 def _name_gen(g: Gen) -> str:
+    """Human name of a basis term; the empty string for the unit."""
+
+    def kappa_lambda(v):
+        return ([power(f"kappa{i}", e) for (i, e) in g.kappa[v]]
+                + [power(f"lambda{i}", e) for (i, e) in g.lam[v]])
+
     if g.is_trivial_graph():
-        parts = []
-        for (i, e) in g.kappa[0]:
-            parts.append(f"kappa{i}" + (f"^{e}" if e > 1 else ""))
-        for (i, e) in g.lam[0]:
-            parts.append(f"lambda{i}" + (f"^{e}" if e > 1 else ""))
-        for (lab, _, e) in g.legs:
-            if e:
-                parts.append(f"psi_{lab}" + (f"^{e}" if e > 1 else ""))
-        return "*".join(parts) if parts else "1"
+        parts = kappa_lambda(0) + [power(f"psi_{lab}", e) for (lab, _, e) in g.legs if e]
+        return "*".join(parts)
     if len(g.edges) == 1:
         (a, b, av, aw) = g.edges[0]
 
         def side(v, halfpsi):
-            bits = []
-            for (i, e) in g.kappa[v]:
-                bits.append(f"kappa{i}" + (f"^{e}" if e > 1 else ""))
-            for (i, e) in g.lam[v]:
-                bits.append(f"lambda{i}" + (f"^{e}" if e > 1 else ""))
+            bits = kappa_lambda(v)
             for (lab, lv, e) in g.legs:
                 if lv == v:
                     bits.append(f"psi_{lab}^{e}" if e else lab)
@@ -87,24 +84,8 @@ def _name_gen(g: Gen) -> str:
 
 
 def pretty_class(c: TautClass) -> str:
-    if c.is_zero():
-        return "0"
-    parts = []
-    from .tautring import _gen_sort_key
-
-    for g in sorted(c.terms, key=_gen_sort_key, reverse=True):
-        coeff = c.terms[g]
-        name = _name_gen(g)
-        if name == "1":
-            parts.append(str(coeff))
-        elif coeff == 1:
-            parts.append(name)
-        elif coeff == -1:
-            parts.append(f"-{name}")
-        else:
-            parts.append(f"{coeff}*{name}")
-    out = " + ".join(parts)
-    return out.replace("+ -", "- ")
+    terms = sorted(c.terms, key=_gen_sort_key, reverse=True)
+    return render_sum((c.terms[g], _name_gen(g)) for g in terms)
 
 
 def _print_class(cfg: RunConfig, key: str, c: TautClass):

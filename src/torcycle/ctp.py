@@ -131,9 +131,6 @@ class Component:
     nu: tuple[int, ...]
     sigma: tuple[str | None, ...]
 
-    def dimension(self) -> int:
-        return component_dimension(self)
-
     def label(self) -> str:
         shape = ",".join(str(x) for x in sorted(self.t1.genera))
         signs = "".join(s for s in self.sigma if s) or ""

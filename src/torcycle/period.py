@@ -41,10 +41,14 @@ Error estimates come from node doubling; everything is bitwise
 deterministic for fixed configuration.
 
 Memoization.  Each curve's contours are built and checked once, and its
-A-periods of z^p dz/Y (p = 0, 1, -1, -2, -3) once per (curve, tol).  The
-memos are bounded LRU caches, since a scan may visit any number of curves,
-and return immutable values (a read-only mapping, tuples), since every
-caller shares them.  A failed clearance check is not cached: it re-raises.
+A-periods of z^p dz/Y (p = 0, 1, -1, -2, -3) once per (curve, tol); the
+kernel coefficients once per (curve, tol, eps), and G_i once per
+(curve, i, eps, tol, rule), so ``rho4`` and a caller of ``compute_G``
+share one B_i integral.  The memos are bounded LRU caches, since a scan
+may visit any number of curves, and return immutable values (a read-only
+mapping, tuples, frozen dataclasses), since every caller shares them.  A
+failure (a clearance check, an invalid argument) is not cached: it
+re-raises.
 """
 
 from __future__ import annotations
@@ -375,41 +379,19 @@ def period_matrix(curve: HyperellipticCurve, tol=1e-10):
 # segment decompositions (the independent quadrature route) -----------------
 
 
-def a1_period_segments(curve, fn, tol=1e-10):
-    """Clockwise A1 period of an odd integrand via 2 int_{r0}^{r1}."""
+#: Root-index pairs (a, b) of the segments [r_a, r_b] of each cycle: its
+#: cut for an A-cycle; for a B-cycle the f > 0 gaps between its axis
+#: crossings (the cut portions cancel between the two arcs, the gaps double).
+SEGMENT_ROOTS = {"A1": ((0, 1),), "A2": ((2, 3),), "B1": ((1, 2), (3, 4)), "B2": ((3, 4),)}
+
+
+def segment_period(curve, name, fn, tol=1e-10):
+    """Clockwise period of an odd integrand over cycle ``name``: twice the
+    sum of its segment integrals, added in table order."""
     r = curve.roots
-    val, err = segment_integrate(fn, curve, r[0], r[1], tol)
-    return 2 * val, 2 * err
-
-
-def a2_period_segments(curve, fn, tol=1e-10):
-    r = curve.roots
-    val, err = segment_integrate(fn, curve, r[2], r[3], tol)
-    return 2 * val, 2 * err
-
-
-def b1_period_segments(curve, fn, tol=1e-10):
-    """Clockwise B1 period of an odd integrand: twice the sum over the
-    f > 0 gap segments between the axis crossings (the cut portions cancel
-    between the two arcs, the gaps double)."""
-    r = curve.roots
-    v1, e1 = segment_integrate(fn, curve, r[1], r[2], tol)
-    v2, e2 = segment_integrate(fn, curve, r[3], r[4], tol)
-    return 2 * (v1 + v2), 2 * (e1 + e2)
-
-
-def b2_period_segments(curve, fn, tol=1e-10):
-    r = curve.roots
-    v, e = segment_integrate(fn, curve, r[3], r[4], tol)
-    return 2 * v, 2 * e
-
-
-SEGMENT_RULES = {
-    "A1": a1_period_segments,
-    "A2": a2_period_segments,
-    "B1": b1_period_segments,
-    "B2": b2_period_segments,
-}
+    vals, errs = zip(*(segment_integrate(fn, curve, r[a], r[b], tol)
+                       for a, b in SEGMENT_ROOTS[name]))
+    return 2 * sum(vals[1:], vals[0]), 2 * sum(errs[1:], errs[0])
 
 
 # --------------------------------------------------------------------------
@@ -441,11 +423,12 @@ def y_taylor_by_circle(curve, eps, n=512):
     )
 
 
+@functools.lru_cache(maxsize=64)
 def cauchy_kernel_coeffs(
     curve: HyperellipticCurve, tol=1e-10, eps: float | None = None
 ) -> KernelCoefficients:
     """Solve the A-normalization of the kernel order by order in the second
-    argument around 0.
+    argument around 0.  Memoized per (curve, tol, eps).
 
     The kernel is (y1 + y) dz / (2 (z - z1) y) + h(z1) dz/y + k(z1) z dz/y;
     the pure 1/(2 (z - z1)) part has zero A-periods (the contours do not
@@ -496,14 +479,17 @@ def compute_G(curve: HyperellipticCurve, i: int, eps: float | None = 0.05,
     None).  ``rule`` picks the quadrature route."""
     if i not in (1, 2):
         raise ValueError("cycle index is 1 or 2")
-    fn = g_integrand(cauchy_kernel_coeffs(curve, tol, eps))
-    name = f"B{i}"
-    if rule == "contour":
-        val, err = _cycle_integral(curve, name, fn, tol)
-    elif rule == "segments":
-        val, err = SEGMENT_RULES[name](curve, fn, tol)
-    else:
+    if rule not in ("contour", "segments"):
         raise ValueError(f"unknown rule {rule!r}")
+    return _G(curve, i, eps, tol, rule)
+
+
+@functools.lru_cache(maxsize=64)
+def _G(curve, i, eps, tol, rule):
+    """compute_G on validated arguments, memoized on all five of them."""
+    fn = g_integrand(cauchy_kernel_coeffs(curve, tol, eps))
+    integrate = _cycle_integral if rule == "contour" else segment_period
+    val, err = integrate(curve, f"B{i}", fn, tol)
     tau_factor = 2j * math.pi
     return tau_factor * val, abs(tau_factor) * err
 

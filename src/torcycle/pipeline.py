@@ -72,13 +72,6 @@ class ContributionLedger:
             _accumulate((e.multiplicity, e.value.terms) for e in self.entries),
         )
 
-    def lines(self) -> list[str]:
-        out = []
-        for e in self.entries:
-            body = "; ".join(str(e.value).splitlines())
-            out.append(f"{e.source:14s} x{e.multiplicity}  {e.description}: {body}")
-        return out
-
 
 # --------------------------------------------------------------------------
 # marking renames and pair-space helpers
@@ -372,7 +365,7 @@ def kappa_socle_integral(g: int, parts: tuple[int, ...]) -> Fraction:
     parts = tuple(sorted(parts))
     psi_val = psi_socle_integral(g, tuple(a + 1 for a in parts))
     correction = Fraction(0)
-    for partition in _set_partitions(len(parts)):
+    for partition in _set_partitions_of(list(range(len(parts)))):
         if all(len(block) == 1 for block in partition):
             continue
         weight = Fraction(1)
@@ -382,17 +375,6 @@ def kappa_socle_integral(g: int, parts: tuple[int, ...]) -> Fraction:
             merged.append(sum(parts[i] for i in block))
         correction += weight * kappa_socle_integral(g, tuple(sorted(merged)))
     return psi_val - correction
-
-
-def _set_partitions(n: int):
-    if n == 0:
-        yield []
-        return
-    first = 0
-    for rest in _set_partitions_of(list(range(1, n))):
-        yield [[first]] + rest
-        for i, block in enumerate(rest):
-            yield rest[:i] + [[first] + block] + rest[i + 1 :]
 
 
 def _set_partitions_of(items):

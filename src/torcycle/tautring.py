@@ -855,11 +855,6 @@ def _distribute_free_onto_graph(space: ModuliSpec, free: Gen, graph: Gen) -> Tau
     return out
 
 
-def _structure_perms(gen: Gen) -> list[list[int]]:
-    und = _undecorated(gen)
-    return _isomorphisms(und, und)
-
-
 def _boundary_times_graph(space: ModuliSpec, dg: Gen, cg: Gen) -> TautClass:
     """Projection formula xi_{Gamma*}(dec) . [Gamma']:
 
@@ -876,10 +871,11 @@ def _boundary_times_graph(space: ModuliSpec, dg: Gen, cg: Gen) -> TautClass:
             "boundary x boundary products implemented on compact type only"
         )
     d_undec, d_aut = canonicalize(dg)
-    c_undec, _ = canonicalize(_undecorated(cg))
+    c_plain = _undecorated(cg)
+    c_undec, _ = canonicalize(c_plain)
     excess = []
     if d_undec == c_undec:
-        for sym in _structure_perms(cg):
+        for sym in _isomorphisms(c_plain, c_plain):
             sg = _apply_perm(cg, sym)
             (a, b, av, aw) = sg.edges[0]
             for bump in ((1, 0), (0, 1)):

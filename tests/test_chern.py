@@ -178,6 +178,13 @@ class TestAbelianSide:
         e = ch_tangent_Ag(g, 4)
         assert e.reduce(g) == e.reduce(g).reduce(g)
 
+    def test_str_renders_like_taut_classes(self):
+        # a coefficient of -1 is elided like +1, as in cli.pretty_class
+        l1, l5 = InteriorClass.lam(5, 1), InteriorClass.lam(5, 5)
+        assert str(-1 * l5) == "-lambda5"
+        assert str(3 * l1 * l1 - l5 + InteriorClass.one()) == "1 + 3*lambda1^2 - lambda5"
+        assert str(0 * l1) == "0"
+
 
 #: lambda classes of a rank-4 Hodge bundle, and kappa classes
 POLY_RANK = 4

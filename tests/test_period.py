@@ -182,7 +182,7 @@ class TestQuadrature:
         fn = lambda z, y: 1.0 / y
         for name in ("A1", "A2", "B1", "B2"):
             v1, _ = P._cycle_integral(BASE_CURVE_1, name, fn, 1e-10)
-            v2, _ = P.SEGMENT_RULES[name](BASE_CURVE_1, fn)
+            v2, _ = P.segment_period(BASE_CURVE_1, name, fn)
             assert abs(v1 - v2) <= 1e-8 * max(1.0, abs(v1)), name
 
 
@@ -233,9 +233,9 @@ class TestNormalizedBasis:
         fn0 = lambda z, y: 1.0 / y
         fn1 = lambda z, y: z / y
         M = [[0j, 0j], [0j, 0j]]
-        for i, rule in enumerate((P.a1_period_segments, P.a2_period_segments)):
-            M[i][0], _ = rule(BASE_CURVE_1, fn0)
-            M[i][1], _ = rule(BASE_CURVE_1, fn1)
+        for i, name in enumerate(("A1", "A2")):
+            M[i][0], _ = P.segment_period(BASE_CURVE_1, name, fn0)
+            M[i][1], _ = P.segment_period(BASE_CURVE_1, name, fn1)
         a, b = P._solve2(M, (1.0, 0.0))
         c, d = P._solve2(M, (0.0, 1.0))
         for x, y in ((a, nb1.a), (b, nb1.b), (c, nb1.c), (d, nb1.d)):
@@ -348,16 +348,18 @@ class TestRho4:
 
     def test_deterministic(self):
         c1 = rho4()
-        # the second run recomputes every contour and A-period
+        # the second run recomputes every contour, A-period, kernel and G_i
         P.standard_contours.cache_clear()
         P._a_periods.cache_clear()
+        P.cauchy_kernel_coeffs.cache_clear()
+        P._G.cache_clear()
         c2 = rho4()
         assert c1.value == c2.value and c1.quadrature_error == c2.quadrature_error
 
 
 class TestMemo:
-    """Each curve's contours and A-periods are computed once, shared as
-    immutable values."""
+    """Each curve's contours, A-periods, kernel coefficients and G_i are
+    computed once, shared as immutable values."""
 
     def test_counts(self, monkeypatch):
         # a curve pair no other test uses, so the counts start cold
@@ -381,9 +383,10 @@ class TestMemo:
         for i in (1, 2):
             for rule in ("contour", "segments"):
                 compute_G(curve, i, rule=rule)
-        # 10 + 4 A-periods, 4 B-periods of tau, G_1 and G_2 by rho4 and again
-        # by compute_G (70 integrals and 72 checks when nothing was shared)
-        assert counts["integrals"] <= 22
+        # 10 + 4 A-periods, 4 B-periods of tau, and G_1 and G_2 once each,
+        # shared by rho4 and compute_G (70 integrals and 72 checks when
+        # nothing was shared)
+        assert counts["integrals"] == 20
         assert counts["checks"] == 8
 
     def test_immutable(self):
@@ -404,3 +407,13 @@ class TestMemo:
                 standard_contours(curve)
         with pytest.raises(PathClearanceError):
             period_matrix(curve)
+
+    def test_invalid_G_not_cached(self):
+        # arguments are validated before the memo, and a failure re-raises
+        before = P._G.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(ValueError, match="cycle index"):
+                compute_G(BASE_CURVE_1, 3)
+            with pytest.raises(ValueError, match="unknown rule"):
+                compute_G(BASE_CURVE_1, 1, rule="simpson")
+        assert P._G.cache_info().currsize == before

@@ -138,6 +138,13 @@ def _combine(space, basis, coeffs):
     return out
 
 
+def _divisor_span(space):
+    """lambda_1, kappa_1, delta_total, the psi_p, and their pairwise products."""
+    divisors = [lam(space), kappa(space, 1), delta_total(space)]
+    divisors += [psi(space, m) for m in space.markings]
+    return divisors + [multiply(d, e) for i, d in enumerate(divisors) for e in divisors[i:]]
+
+
 class TestAdmission:
     """Public constructors validate; arithmetic of admitted classes keeps
     every term admitted and refuses to mix ambients."""
@@ -433,6 +440,21 @@ class TestForgetful:
             prod = multiply(psi(M41.with_extra_marking("x"), "x"), up)
             down = pushforward_forgetful(prod, "x")
             assert down == F(2 * 4 - 2 + 1) * alpha, str(alpha)
+
+    @given(st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_projection_formula_property(self, data):
+        # pi_*(psi_x . pi^* a) = (2g-2+n) a on random combinations of the
+        # divisors and their pairwise products
+        g, n = data.draw(st.sampled_from(ADMISSION_SPACES))
+        space = ModuliSpec(g, tuple(f"m{i}" for i in range(n)))
+        basis = _divisor_span(space)
+        coeffs = st.lists(st.sampled_from(SMALL_FRACTIONS), min_size=len(basis),
+                          max_size=len(basis))
+        a = _combine(space, basis, data.draw(coeffs))
+        up = space.with_extra_marking("x")
+        down = pushforward_forgetful(multiply(psi(up, "x"), pullback_forgetful(a, "x")), "x")
+        assert down == (2 * g - 2 + n) * a
 
     def _probe_classes(self):
         return {
