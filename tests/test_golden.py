@@ -58,7 +58,8 @@ GOLDEN = {
     "torelli_g4_ledger_explain": ["torelli", "g4", "--ledger", "--explain"],
     "torelli_g5_explain": ["torelli", "g5", "--explain"],
     "torelli_abar4_explain": ["torelli", "abar4", "--explain"],
-    # g=8 and g=10: the socle-bound and negative-dimension verdicts
+    # the three verdicts: possibly nonzero, socle bound, negative dimension
+    "torelli_dim_g4": ["torelli", "dim", "--g", "4"],
     "torelli_dim_g8": ["torelli", "dim", "--g", "8"],
     "torelli_dim_g10": ["torelli", "dim", "--g", "10"],
     "excess_m_1_1": ["excess", "m", "--da", "1", "--db", "1"],

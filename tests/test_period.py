@@ -408,8 +408,8 @@ class TestMemo:
         with pytest.raises(PathClearanceError):
             period_matrix(curve)
 
-    def test_invalid_G_not_cached(self):
-        # arguments are validated before the memo, and a failure re-raises
+    def test_invalid_G_arguments(self):
+        # validated before the memo: each call raises, and nothing is stored
         before = P._G.cache_info().currsize
         for _ in range(2):
             with pytest.raises(ValueError, match="cycle index"):
