@@ -12,10 +12,11 @@ stderr).  Configuration is flags-only for reproducibility.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass
 
-from . import chern, ctp, excess, period, pipeline, selftest
+from . import chern, ctp, excess, period, pipeline
 from .algebra import power, render_sum
 from .tautring import (
     Gen,
@@ -369,6 +370,8 @@ def _cmd_constants(args, cfg: RunConfig) -> int:
 
 
 def _cmd_selftest(args, cfg: RunConfig) -> int:
+    from . import selftest  # compiled only by the command that runs it
+
     results = selftest.run_all()
     return 0 if all(r.passed for r in results) else 1
 
@@ -377,7 +380,11 @@ def _cmd_selftest(args, cfg: RunConfig) -> int:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later
+    ``main`` call in the process.  Each ``parse_args`` returns a fresh
+    namespace, so no parsed option carries over between calls."""
     top = argparse.ArgumentParser(
         prog="torcycle",
         description="exact and numerical Torelli-cycle computations",

@@ -189,10 +189,9 @@ def _b_component_contribution() -> tuple[TautClass, dict[str, TautClass]]:
         pc = _rename_factor(pc, 1, "q", slot_b)
         return pushforward_gluing(M4, graph, pc)
 
-    c1_f1 = chern.c1_tangent(F1)
-    c1_f2 = chern.c1_tangent(F2)
-    c2_f1 = chern.chern_tangent_moduli(F1, 2)[1]
-    c2_f2 = chern.chern_tangent_moduli(F2, 2)[1]
+    # F2 is F1 with p, x renamed to q, y: rename its Chern classes, don't recompute
+    c1_f1, c2_f1 = chern.chern_tangent_moduli(F1, 2)
+    c1_f2, c2_f2 = (rename_marking(rename_marking(c, "p", "q"), "x", "y") for c in (c1_f1, c2_f1))
     c1_m4 = chern.c1_tangent(M4)
 
     # term 1: c2 of the product tangent bundle (the per-factor c2 pieces

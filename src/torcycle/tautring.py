@@ -1267,29 +1267,35 @@ class ProductClass(_LinearCombination):
         return cls._carry([f.space for f in factors], terms)
 
     def _times(self, other: "ProductClass") -> "ProductClass":
+        """Factor-by-factor product.  Term pairs share factor generators, so
+        each distinct ``(factor, ga, gb)`` product is computed once per call."""
         spaces = self._common(other)
+        memo: dict = {}
         parts = []
         for ka, va in self.terms.items():
             for kb, vb in other.terms.items():
                 factors = []
-                for sp, ga, gb in zip(spaces, ka, kb):
-                    ta = TautClass._carry(sp, {ga: Fraction(1)})
-                    tb = TautClass._carry(sp, {gb: Fraction(1)})
-                    if ga.degree() <= 1 or gb.degree() <= 1:
-                        factors.append(multiply(ta, tb))
-                    else:
-                        factors.append(_mul_poly(ta, tb))
+                for i, (sp, ga, gb) in enumerate(zip(spaces, ka, kb)):
+                    if (i, ga, gb) not in memo:
+                        ta = TautClass._carry(sp, {ga: Fraction(1)})
+                        tb = TautClass._carry(sp, {gb: Fraction(1)})
+                        mul = multiply if ga.degree() <= 1 or gb.degree() <= 1 else _mul_poly
+                        memo[i, ga, gb] = mul(ta, tb)
+                    factors.append(memo[i, ga, gb])
                 parts.append((va * vb, ProductClass.from_factors(factors).terms))
         return ProductClass._carry(spaces, _accumulate(parts))
 
     def map_factor(self, i: int, fn) -> "ProductClass":
-        """Apply a linear TautClass -> TautClass map to factor i."""
+        """Apply a linear TautClass -> TautClass map to factor i.  Many terms
+        share a factor-i generator, so ``fn`` runs once per distinct one."""
         new_space = fn(zero(self.spaces[i])).space
+        images: dict = {}
         parts = []
         for gens, coeff in self.terms.items():
-            cls = fn(TautClass._carry(self.spaces[i], {gens[i]: Fraction(1)}))
+            if gens[i] not in images:
+                images[gens[i]] = fn(TautClass._carry(self.spaces[i], {gens[i]: Fraction(1)}))
             parts.append((coeff, {
-                gens[:i] + (g2,) + gens[i + 1 :]: c2 for g2, c2 in cls.terms.items()
+                gens[:i] + (g2,) + gens[i + 1 :]: c2 for g2, c2 in images[gens[i]].terms.items()
             }))
         spaces = self.spaces[:i] + (new_space,) + self.spaces[i + 1 :]
         return ProductClass._carry(spaces, _accumulate(parts))

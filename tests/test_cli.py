@@ -1,7 +1,14 @@
 import io
 import contextlib
+import os
+import pathlib
+import subprocess
+import sys
 
+from torcycle import selftest
 from torcycle.cli import main
+
+SRC = pathlib.Path(__file__).parent.parent / "src"
 
 
 def run_cli(*argv):
@@ -152,3 +159,20 @@ class TestTaut:
         code, out = run_cli("taut", "canon", "V 2 2; E 0-1")
         assert code == 0
         assert "aut_order = 2" in out
+
+
+class TestImport:
+    def test_selftest_not_loaded(self):
+        # selftest is compiled only by the command that runs it; period and
+        # numpy stay part of the import
+        code = ("import sys, torcycle.cli; "
+                "print(*(m in sys.modules for m in "
+                "('torcycle.selftest', 'torcycle.period', 'numpy')))")
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True, env=dict(os.environ, PYTHONPATH=path))
+        assert proc.stdout.split() == ["False", "True", "True"]
+
+    def test_selftest_command(self, monkeypatch):
+        monkeypatch.setattr(selftest, "run_all", lambda: [])
+        assert run_cli("selftest") == (0, "")

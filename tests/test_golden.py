@@ -23,7 +23,7 @@ import sys
 
 import pytest
 
-from torcycle.cli import main
+from torcycle.cli import build_parser, main
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 REPO_ROOT = pathlib.Path(__file__).parent.parent
@@ -137,6 +137,25 @@ def test_golden(name):
     code, out = machine_output(GOLDEN[name])
     assert code == 0
     assert out == (GOLDEN_DIR / f"{name}.tsv").read_text()
+
+
+def human_output(argv) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(argv) == 0
+    return buf.getvalue()
+
+
+def test_parser_reuse():
+    # one parser serves every call; no parsed option (--explain, --machine)
+    # leaks into the next
+    assert build_parser() is build_parser()
+    human = human_output(GOLDEN["torelli_g4_ledger"])
+    assert machine_output(["torelli", "g4", "--ledger", "--explain"])[0] == 0
+    code, out = machine_output(GOLDEN["torelli_g4_ledger"])
+    assert code == 0
+    assert out == (GOLDEN_DIR / "torelli_g4_ledger.tsv").read_text()
+    assert human_output(GOLDEN["torelli_g4_ledger"]) == human
 
 
 def script_output(path: str) -> str:

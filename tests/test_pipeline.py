@@ -1,7 +1,8 @@
 import time
 from fractions import Fraction
 
-from torcycle import pipeline
+from torcycle import chern, pipeline
+from torcycle import tautring as tr
 from torcycle.pipeline import (
     M4,
     M4_STABLE,
@@ -98,6 +99,88 @@ class TestGenus4:
         t0 = time.time()
         t_pullback_g4()
         assert time.time() - t0 < 1.0
+
+
+class TestMemo:
+    """The genus-4 push-pull computes each factor product, factor image and
+    Chern class once."""
+
+    def test_factor_products_once_per_times_call(self, monkeypatch):
+        # one frame per ProductClass._times call, nested calls included;
+        # a frame records only the products its own call asks for, not the
+        # ones multiply makes in turn
+        frames = []
+        seen_total = 0
+        times = tr.ProductClass._times
+
+        def counted_times(self, other):
+            nonlocal seen_total
+            frames.append({"seen": set(), "depth": 0})
+            try:
+                return times(self, other)
+            finally:
+                seen_total += len(frames.pop()["seen"])
+
+        def counted(mul):
+            def wrapper(a, b):
+                # products outside any _times call are not recorded
+                top = frames[-1] if frames else {"seen": set(), "depth": 1}
+                if top["depth"] == 0:
+                    (ga,), (gb,) = a.terms, b.terms
+                    assert (a.space, ga, gb) not in top["seen"]
+                    top["seen"].add((a.space, ga, gb))
+                top["depth"] += 1
+                try:
+                    return mul(a, b)
+                finally:
+                    top["depth"] -= 1
+            return wrapper
+
+        monkeypatch.setattr(tr.ProductClass, "_times", counted_times)
+        monkeypatch.setattr(tr, "multiply", counted(tr.multiply))
+        monkeypatch.setattr(tr, "_mul_poly", counted(tr._mul_poly))
+        total, _ = pipeline._b_component_contribution()
+        assert total == 8 * delta_sep(M4, 2)
+        assert seen_total > 100
+
+    def test_map_factor_once_per_generator(self, monkeypatch):
+        map_factor = tr.ProductClass.map_factor
+        calls = []
+
+        def counted_map_factor(self, i, fn):
+            images = []
+
+            def counted_fn(c):
+                images.extend(c.terms)
+                return fn(c)
+
+            out = map_factor(self, i, counted_fn)
+            assert sorted(map(tr._gen_sort_key, images)) == sorted(
+                map(tr._gen_sort_key, {gens[i] for gens in self.terms})
+            )
+            calls.append(len(images))
+            return out
+
+        monkeypatch.setattr(tr.ProductClass, "map_factor", counted_map_factor)
+        pipeline._b_component_contribution()
+        assert len(calls) > 10 and sum(calls) > 50
+
+    def test_two_pointed_genus2_chern_once(self, monkeypatch):
+        # the (q, y) factor's Chern classes are the (p, x) ones renamed
+        degree2 = []
+        ch_tangent = chern.ch_tangent
+
+        def counted_ch_tangent(space, m):
+            if m == 2 and space.genus == 2 and len(space.markings) == 2:
+                degree2.append(space)
+            return ch_tangent(space, m)
+
+        monkeypatch.setattr(chern, "ch_tangent", counted_ch_tangent)
+        t_pullback_g4.cache_clear()
+        chern.chern_tangent_moduli.cache_clear()
+        final, _ = t_pullback_g4()
+        assert final == 16 * lam(M4)
+        assert degree2 == [ModuliSpec(2, ("p", "x"))]
 
 
 class TestGenus5:

@@ -428,6 +428,13 @@ class TestForgetful:
         space_up = M41.with_extra_marking("x")
         assert pushforward_forgetful(kappa(space_up, 2), "x") == kappa(M41, 1)
 
+    def test_push_kappa_square(self):
+        # kappa_1^2 = (pi^*kappa_1 + psi_x)^2 upstairs: the cross term's
+        # binomial 2 gives 2 * (2g-2+n) kappa_1, psi_x^2 gives kappa_1
+        space_up = M41.with_extra_marking("x")
+        out = pushforward_forgetful(tr.monomial(space_up, [(1, 2)]), "x")
+        assert out == 15 * kappa(M41, 1)
+
     def test_push_delta_row(self):
         space_up = M41.with_extra_marking("x")
         out = pushforward_forgetful(delta_total(space_up), "x")
