@@ -34,7 +34,7 @@ from functools import cached_property
 from .tautring import (
     Gen,
     _gen_sort_key,
-    _isomorphisms,
+    _least_relabelings,
     canonicalize,
     make_gen,
     parse_gen,
@@ -182,11 +182,9 @@ class Component:
 def canonical_component(t1: Gen, t2: Gen, nu, sigma) -> Component:
     """Canonical representative under simultaneous relabeling of both
     trees (nu and sigma ride along as vertex colors)."""
-    c1, _ = canonicalize(t1)
-    c2, _ = canonicalize(t2)
-    return _least_component(
-        c1, c2, _isomorphisms(t1, c1), _isomorphisms(t2, c2), nu, sigma
-    )
+    c1, iso1 = _least_relabelings(t1)
+    c2, iso2 = _least_relabelings(t2)
+    return _least_component(c1, c2, iso1, iso2, nu, sigma)
 
 
 def _least_component(c1: Gen, c2: Gen, iso1, iso2, nu, sigma) -> Component:
@@ -226,8 +224,9 @@ def enumerate_components(g: int, max_edges: int | None = None) -> list[Component
     if max_edges is None and g >= 4:
         max_edges = 1
     trees = enumerate_stable_trees(g, positive_only=True, max_edges=max_edges)
-    # the trees are canonical, so their automorphisms are the isomorphisms
-    autos = {t: _isomorphisms(t, t) for t in trees}
+    # the trees are canonical, so their maps onto the canonical form are
+    # their automorphisms
+    autos = {t: _least_relabelings(t)[1] for t in trees}
     out: dict = {}
     for t1 in trees:
         for t2 in trees:

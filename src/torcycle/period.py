@@ -233,6 +233,22 @@ def y_on_path(
     return list(zip(z.tolist(), y.tolist()))
 
 
+def _doubling(level, what, tol, n0, nmax):
+    """(value, error) of the rule ``level(n)``: start at n0 nodes and double
+    until two levels agree within tol relative to max(|value|, 1), failing
+    past nmax nodes."""
+    prev = level(n0)
+    n = 2 * n0
+    while n <= nmax:
+        cur = level(n)
+        err = abs(cur - prev)
+        if err <= tol * max(abs(cur), 1.0):
+            return cur, err
+        prev = cur
+        n *= 2
+    raise QuadratureError(f"{what}: no convergence at {nmax} nodes")
+
+
 def contour_integrate(fn, curve, contour, tol=1e-10, n0=64, nmax=65536):
     """Midpoint-trapezoid integral of fn(z, Y) dz over the closed contour,
     doubling nodes until two refinements agree within tol (relative).
@@ -243,17 +259,7 @@ def contour_integrate(fn, curve, contour, tol=1e-10, n0=64, nmax=65536):
         t, z, y = _midpoint_samples(curve, contour, n)
         return complex(np.sum(fn(z, y) * contour.derivative(t))) / n
 
-    prev = level(n0)
-    n = 2 * n0
-    while n <= nmax:
-        cur = level(n)
-        err = abs(cur - prev)
-        scale = max(abs(cur), 1.0)
-        if err <= tol * scale:
-            return cur, err
-        prev = cur
-        n *= 2
-    raise QuadratureError(f"contour {contour.label}: no convergence at {nmax} nodes")
+    return _doubling(level, f"contour {contour.label}", tol, n0, nmax)
 
 
 @functools.cache
@@ -279,16 +285,10 @@ def gauss_segment(fn, curve, a, b, n):
 
 
 def segment_integrate(fn, curve, a, b, tol=1e-10, n0=48, nmax=3072):
-    prev = gauss_segment(fn, curve, a, b, n0)
-    n = 2 * n0
-    while n <= nmax:
-        cur = gauss_segment(fn, curve, a, b, n)
-        err = abs(cur - prev)
-        if err <= tol * max(abs(cur), 1.0):
-            return cur, err
-        prev = cur
-        n *= 2
-    raise QuadratureError(f"segment [{a},{b}]: no convergence at {nmax} nodes")
+    """Gauss-Legendre integral over the segment [a, b], doubling the order
+    like ``contour_integrate``."""
+    return _doubling(lambda n: gauss_segment(fn, curve, a, b, n),
+                     f"segment [{a},{b}]", tol, n0, nmax)
 
 
 # --------------------------------------------------------------------------

@@ -99,7 +99,7 @@ def _push_pair(pc: ProductClass, pushers: dict[int, object]) -> ProductClass:
     outright when any pushed factor carries a degree-0 generator (the
     fundamental class pushes to zero), which also keeps unsupported shapes
     in doomed terms from ever being pushed."""
-    live = ProductClass(pc.spaces, {
+    live = ProductClass._carry(pc.spaces, {
         gens: c for gens, c in pc.terms.items() if all(gens[i].degree() for i in pushers)
     })
     for i, fn in pushers.items():

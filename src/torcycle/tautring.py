@@ -25,6 +25,15 @@ term maps coincide; no completeness of tautological relations is claimed.
 Terms whose decoration degree exceeds a vertex moduli dimension are pruned
 (they vanish in the Chow ring of the vertex factor).
 
+Canonical form
+--------------
+One permutation search, ``_least_relabelings``, gives the canonical form
+of a generator (its least relabeling) and every vertex map onto it.
+``canonicalize`` returns the form and |Aut| (the number of maps times the
+edge-level symmetries of ``_halfedge_factor``); ``_isomorphisms`` composes
+one generator's maps with the inverse of another's; ``ctp`` takes tree
+automorphisms from the same search.
+
 Admission
 ---------
 A term is admitted once, when it enters through a public constructor:
@@ -290,15 +299,14 @@ def _halfedge_factor(gen: Gen) -> int:
     return factor
 
 
-@lru_cache(maxsize=200000)
-def canonicalize(gen: Gen) -> tuple[Gen, int]:
-    """Canonical representative of the isomorphism class and the order of
-    the decoration-preserving automorphism group (counted on half-edges, so
-    a symmetric self edge contributes a factor 2).
+def _least_relabelings(gen: Gen) -> tuple[Gen, list[tuple[int, ...]]]:
+    """The one permutation search: the least relabeling of gen and every
+    vertex map reaching it.
 
-    Tie-breaking: vertices are grouped by (genus, half-edge decorations, leg
-    data, vertex decorations, neighbor data); the minimal lexicographic
-    encoding over the remaining within-group permutations wins.
+    Vertices are grouped by (genus, half-edge decorations, leg data, vertex
+    decorations, neighbor data); the least encoding over the permutations
+    within groups wins.  An isomorphism onto the winner keeps the groups,
+    so the search visits every map onto it.
     """
     nv = gen.n_vertices()
     base = []
@@ -332,18 +340,17 @@ def canonicalize(gen: Gen) -> tuple[Gen, int]:
 
     best: Gen | None = None
     best_key = None
-    aut = 0
+    maps: list[tuple[int, ...]] = []
 
     def rec(gi: int):
-        nonlocal best, best_key, aut
+        nonlocal best, best_key, maps
         if gi == len(plan):
             cand = _apply_perm(gen, perm)
             key = _gen_sort_key(cand)
             if best_key is None or key < best_key:
-                best, best_key = cand, key
-                aut = _halfedge_factor(cand)
+                best, best_key, maps = cand, key, [tuple(perm)]
             elif key == best_key:
-                aut += _halfedge_factor(cand)
+                maps.append(tuple(perm))
             return
         vs, idxs = plan[gi]
         for assignment in itertools.permutations(idxs):
@@ -353,7 +360,29 @@ def canonicalize(gen: Gen) -> tuple[Gen, int]:
 
     rec(0)
     assert best is not None
-    return best, aut
+    return best, maps
+
+
+@lru_cache(maxsize=200000)
+def canonicalize(gen: Gen) -> tuple[Gen, int]:
+    """Canonical representative of the isomorphism class and the order of
+    the decoration-preserving automorphism group (counted on half-edges, so
+    a symmetric self edge contributes a factor 2): the vertex maps onto the
+    representative times the edge-level symmetries fixing every vertex."""
+    best, maps = _least_relabelings(gen)
+    return best, len(maps) * _halfedge_factor(best)
+
+
+def _isomorphisms(gen_from: Gen, gen_to: Gen) -> list[list[int]]:
+    """Every vertex map p with ``_apply_perm(gen_from, p) == gen_to``, in
+    lexicographic order: gen_from's maps onto the canonical form followed
+    by the inverse of one of gen_to's."""
+    canon, maps = _least_relabelings(gen_from)
+    canon_to, maps_to = _least_relabelings(gen_to)
+    if canon != canon_to:
+        return []
+    back = {image: v for v, image in enumerate(maps_to[0])}
+    return sorted([back[i] for i in m] for m in maps)
 
 
 def aut_order(gen: Gen) -> int:
@@ -496,7 +525,8 @@ def monomial(
     )
 
 
-def one_edge_graphs(space: ModuliSpec) -> list[tuple[Gen, int]]:
+@lru_cache(maxsize=1024)
+def one_edge_graphs(space: ModuliSpec) -> tuple[tuple[Gen, int], ...]:
     """All one-edge boundary graph types of the ambient, as (canonical
     generator, automorphism order).  Compact type omits the self-edge
     graph."""
@@ -523,7 +553,7 @@ def one_edge_graphs(space: ModuliSpec) -> list[tuple[Gen, int]]:
             gen = make_gen((g - 1,), [(0, 0)], [(m, 0) for m in P])
             cg, aut = canonicalize(gen)
             found[cg] = aut
-    return sorted(found.items(), key=lambda kv: _gen_sort_key(kv[0]))
+    return tuple(sorted(found.items(), key=lambda kv: _gen_sort_key(kv[0])))
 
 
 def boundary_gen(
@@ -698,44 +728,6 @@ def _undecorated(gen: Gen) -> Gen:
     return Gen(gen.genera, edges, legs, blank, blank)
 
 
-def _contract_edge(gen: Gen, edge_index: int) -> Gen:
-    """Contract a non-self, psi-free edge, merging its endpoints."""
-    (a, b, av, aw) = gen.edges[edge_index]
-    if a == b:
-        raise UnsupportedOperation("cannot contract a self edge")
-    if av or aw:
-        raise UnsupportedOperation("contracting a psi-decorated edge")
-    keep = [u for u in range(gen.n_vertices()) if u != b]
-    remap = {u: i for i, u in enumerate(keep)}
-
-    def m(u):
-        return remap[a] if u == b else remap[u]
-
-    genera = [gen.genera[u] for u in keep]
-    genera[remap[a]] = gen.genera[a] + gen.genera[b]
-    edges = [
-        (m(p), m(q), x, y)
-        for i, (p, q, x, y) in enumerate(gen.edges)
-        if i != edge_index
-    ]
-    legs = [(lab, m(lv), e) for (lab, lv, e) in gen.legs]
-    kappa = {remap[u]: list(gen.kappa[u]) for u in keep}
-    lam = {remap[u]: list(gen.lam[u]) for u in keep}
-    kappa[remap[a]] = list(gen.kappa[a]) + list(gen.kappa[b])
-    lam[remap[a]] = list(gen.lam[a]) + list(gen.lam[b])
-    return make_gen(genera, edges, legs, kappa, lam)
-
-
-def _isomorphisms(gen_from: Gen, gen_to: Gen) -> list[list[int]]:
-    nv = gen_from.n_vertices()
-    target = _gen_sort_key(gen_to)
-    return [
-        list(p)
-        for p in itertools.permutations(range(nv))
-        if _gen_sort_key(_apply_perm(gen_from, list(p))) == target
-    ]
-
-
 # --------------------------------------------------------------------------
 # multiplication by divisor classes
 
@@ -784,20 +776,24 @@ def _mul_term(space: ModuliSpec, dg: Gen, cg: Gen) -> TautClass:
     return _boundary_times_graph(space, dg, cg)
 
 
+def _merge_free(ga: Gen, gb: Gen) -> Gen:
+    """Product of two trivial-graph generators on one ambient."""
+    apsi = {lab: e for (lab, _, e) in ga.legs}
+    return make_gen(
+        ga.genera,
+        (),
+        [(lab, 0, e + apsi[lab]) for (lab, _, e) in gb.legs],
+        {0: list(ga.kappa[0]) + list(gb.kappa[0])},
+        {0: list(ga.lam[0]) + list(gb.lam[0])},
+    )
+
+
 def _mul_free_divisor(space: ModuliSpec, dg: Gen, cg: Gen) -> TautClass:
     kap = dg.kappa[0]
     lm = dg.lam[0]
     psis = [(lab, e) for (lab, _, e) in dg.legs if e]
     if cg.is_trivial_graph():
-        dpsi = {lab: e for (lab, _, e) in dg.legs}
-        merged = make_gen(
-            cg.genera,
-            cg.edges,
-            [(lab, v, e + dpsi[lab]) for (lab, v, e) in cg.legs],
-            {0: list(cg.kappa[0]) + list(kap)},
-            {0: list(cg.lam[0]) + list(lm)},
-        )
-        return TautClass(space, {merged: Fraction(1)})
+        return TautClass(space, {_merge_free(dg, cg): Fraction(1)})
     if psis:
         lab = psis[0][0]
         legs = tuple(
@@ -871,31 +867,59 @@ def _boundary_times_graph(space: ModuliSpec, dg: Gen, cg: Gen) -> TautClass:
             "boundary x boundary products implemented on compact type only"
         )
     d_undec, d_aut = canonicalize(dg)
-    c_plain = _undecorated(cg)
-    c_undec, _ = canonicalize(c_plain)
-    excess = []
-    if d_undec == c_undec:
-        for sym in _isomorphisms(c_plain, c_plain):
-            sg = _apply_perm(cg, sym)
-            (a, b, av, aw) = sg.edges[0]
-            for bump in ((1, 0), (0, 1)):
-                e2 = (a, b, av + bump[0], aw + bump[1])
-                gen = Gen(sg.genera, (e2,), sg.legs, sg.kappa, sg.lam)
-                excess.append((-1, {gen: Fraction(1)}))
-    parts = [(1, TautClass(space, _accumulate(excess)).terms)]
-    for v in range(cg.n_vertices()):
-        vspec, _, _ = _vertex_space(cg, v, space.policy)
-        _, vmon = _vertex_monomial_gen(cg, v, space.policy)
-        blank = _blank_vertex(cg, v)
-        for sgen, saut in one_edge_graphs(vspec):
-            probe = _substitute_vertex(_undecorated(blank), v, sgen)
-            contracted = _contract_many(probe, _old_edge_indices(probe, sgen))
-            if contracted is None or canonicalize(contracted)[0] != d_undec:
-                continue
-            vclass = _distribute_free_onto_graph(vspec, vmon, sgen)
-            expanded = _expand_vertex(space, blank, v, vclass)
-            parts.append((Fraction(d_aut, saut), expanded.terms))
+    parts = []
+    if canonicalize(_undecorated(cg))[0] == d_undec:
+        # dg is undecorated and has cg's graph, so each of its d_aut
+        # identifications with cg gives -psi_h - psi_hbar on cg's edge
+        (a, b, av, aw) = cg.edges[0]
+        excess = {
+            Gen(cg.genera, (edge,), cg.legs, cg.kappa, cg.lam): Fraction(-d_aut)
+            for edge in ((a, b, av + 1, aw), (a, b, av, aw + 1))
+        }
+        parts.append((1, TautClass(space, excess).terms))
+    for v, sgen, saut in _transverse_splits(cg, d_undec):
+        vspec, vmon = _vertex_monomial_gen(cg, v, space.policy)
+        vclass = _distribute_free_onto_graph(vspec, vmon, sgen)
+        expanded = _expand_vertex(space, _blank_vertex(cg, v), v, vclass)
+        parts.append((Fraction(d_aut, saut), expanded.terms))
     return TautClass._carry(space, _accumulate(parts))
+
+
+def _transverse_splits(graph: Gen, target: Gen):
+    """The transverse vertex splits of a compact-type one-edge graph:
+    ``(v, sgen, |Aut sgen|)`` for each one-edge graph sgen of vertex v whose
+    substitution, with the graph's own edge contracted, is the canonical
+    target."""
+    plain = _undecorated(graph)
+    for v in range(plain.n_vertices()):
+        for sgen, saut in one_edge_graphs(_vertex_space(plain, v, "ct")[0]):
+            probe = _substitute_vertex(plain, v, sgen)
+            if canonicalize(_contract_old_edge(probe, sgen))[0] == target:
+                yield v, sgen, saut
+
+
+def _contract_old_edge(big: Gen, sgen: Gen) -> Gen:
+    """Contract the one edge of ``big`` outside the substituted one-edge
+    graph ``sgen`` (its last vertices): the psi-free edge of the graph it
+    was substituted into.  The edge's endpoints merge."""
+    nv = big.n_vertices()
+    news = range(nv - sgen.n_vertices(), nv)
+    ((k, (a, b, _, _)),) = [
+        (i, e) for i, e in enumerate(big.edges) if not (e[0] in news and e[1] in news)
+    ]
+    keep = [u for u in range(nv) if u != b]
+    remap = {u: i for i, u in enumerate(keep)}
+    remap[b] = remap[a]
+    genera = [big.genera[u] for u in keep]
+    genera[remap[a]] += big.genera[b]
+    edges = [(remap[p], remap[q], x, y) for i, (p, q, x, y) in enumerate(big.edges) if i != k]
+    legs = [(lab, remap[lv], e) for (lab, lv, e) in big.legs]
+    kappa: dict[int, list] = {}
+    lam: dict[int, list] = {}
+    for u in range(nv):
+        kappa.setdefault(remap[u], []).extend(big.kappa[u])
+        lam.setdefault(remap[u], []).extend(big.lam[u])
+    return make_gen(genera, edges, legs, kappa, lam)
 
 
 # --------------------------------------------------------------------------
@@ -921,9 +945,8 @@ def kappa1_expand(c: TautClass) -> TautClass:
             rel = Fraction(12) * lam(space) + psi_total(space) - delta_total(space)
             prod = multiply(rel, TautClass(space, {stripped: Fraction(1)}))
         else:
-            vspec, _, _ = _vertex_space(gen, target, space.policy)
+            vspec, vmon = _vertex_monomial_gen(stripped, target, space.policy)
             rel_v = Fraction(12) * lam(vspec) + psi_total(vspec) - delta_total(vspec)
-            _, vmon = _vertex_monomial_gen(stripped, target, space.policy)
             vclass = multiply(rel_v, TautClass(vspec, {vmon: Fraction(1)}))
             blank = _blank_vertex(stripped, target)
             prod = _expand_vertex(space, blank, target, vclass)
@@ -960,8 +983,7 @@ def _pull_term_forgetful(up: ModuliSpec, gen: Gen, x: str) -> TautClass:
         return _pull_free_forgetful(up, gen, x)
     parts = []
     for v in range(gen.n_vertices()):
-        vspec, _, _ = _vertex_space(gen, v, up.policy)
-        _, vmon = _vertex_monomial_gen(gen, v, up.policy)
+        vspec, vmon = _vertex_monomial_gen(gen, v, up.policy)
         vclass = _pull_free_forgetful(vspec.with_extra_marking(x), vmon, x)
         blank = _blank_vertex(gen, v)
         parts.append((1, _expand_vertex(up, blank, v, vclass).terms))
@@ -1011,15 +1033,7 @@ def _rational_tail_data(gen: Gen):
 
 def _mul_general_pair(space: ModuliSpec, ga: Gen, gb: Gen) -> TautClass:
     if ga.is_trivial_graph() and gb.is_trivial_graph():
-        apsi = {lab: e for (lab, _, e) in ga.legs}
-        merged = make_gen(
-            ga.genera,
-            (),
-            [(lab, 0, e + apsi[lab]) for (lab, _, e) in gb.legs],
-            {0: list(ga.kappa[0]) + list(gb.kappa[0])},
-            {0: list(ga.lam[0]) + list(gb.lam[0])},
-        )
-        return TautClass(space, {merged: Fraction(1)})
+        return TautClass(space, {_merge_free(ga, gb): Fraction(1)})
     if gb.is_trivial_graph():
         ga, gb = gb, ga
     if ga.is_trivial_graph():
@@ -1074,82 +1088,37 @@ def _push_term_forgetful(
         return _push_free_forgetful(down, gen, x)
     v = gen.leg_vertex(x)
     if 2 * gen.genera[v] - 2 + (gen.valence(v) - 1) > 0:
-        vspec, _, _ = _vertex_space(gen, v, up.policy)
-        _, vmon = _vertex_monomial_gen(gen, v, up.policy)
+        vspec, vmon = _vertex_monomial_gen(gen, v, up.policy)
         pushed = _push_free_forgetful(vspec.without_marking(x), vmon, x)
         blank = _strip_leg(_blank_vertex(gen, v), x)
         return _expand_vertex(down, blank, v, pushed)
-    legs_at_v = [lab for (lab, lv, _) in gen.legs if lv == v]
-    ends_at_v = sum((a == v) + (b == v) for (a, b, _, _) in gen.edges)
-    if gen.genera[v] == 0 and legs_at_v == [x] and ends_at_v == 2:
-        return _contract_node_bubble(down, gen, v, x)
-    if gen.genera[v] == 0 and len(legs_at_v) == 2 and ends_at_v == 1:
-        # rational tail through x: contraction moves the other marking
-        # onto the adjacent component
-        p = next(lab for lab in legs_at_v if lab != x)
-        if gen.kappa[v] or gen.lam[v]:
-            raise UnsupportedOperation("decorated rational tail pushforward")
-        if any(e for (lab, lv, e) in gen.legs if lv == v):
-            return zero(down)  # psi on the contracted 3-pointed vertex
-        edge_idx = next(
-            i for i, (a, b, _, _) in enumerate(gen.edges) if v in (a, b)
-        )
-        (a, b, av, aw) = gen.edges[edge_idx]
-        tail_exp, core_exp = (av, aw) if a == v else (aw, av)
-        if tail_exp:
-            return zero(down)
-        other = b if a == v else a
-        keep = [u for u in range(gen.n_vertices()) if u != v]
-        remap = {u: i for i, u in enumerate(keep)}
-        genera = [gen.genera[u] for u in keep]
-        edges = [
-            (remap[p_], remap[q_], x_, y_)
-            for i, (p_, q_, x_, y_) in enumerate(gen.edges)
-            if i != edge_idx
-        ]
-        legs = [
-            (lab, remap[lv], e) for (lab, lv, e) in gen.legs if lv != v
-        ]
-        legs.append((p, remap[other], core_exp))
-        kappa = {remap[u]: gen.kappa[u] for u in keep}
-        lam = {remap[u]: gen.lam[u] for u in keep}
-        new = make_gen(genera, edges, legs, kappa, lam)
-        return TautClass(down, {new: Fraction(1)})
-    raise UnsupportedOperation(
-        f"pushforward of {gen_to_string(gen)} along forgetting {x!r}"
-    )
-
-
-def _contract_node_bubble(down: ModuliSpec, gen: Gen, v: int, x: str) -> TautClass:
-    """Forget x sitting alone on a genus-0 vertex with two edges: the
-    bubble contracts and the two edges merge into one node."""
+    # otherwise v has genus 0 and valence 3, and it contracts: its other two
+    # ends join, two edge ends into an edge, or a leg and an edge end into
+    # that leg on the far vertex
     if gen.kappa[v] or gen.lam[v]:
-        raise UnsupportedOperation("decorated bubble pushforward")
-    if any(e for (lab, lv, e) in gen.legs if lv == v):
-        return zero(down)
-    far = []  # (far vertex, far exp) of the two bubble edges
-    edge_idxs = []
-    for i, (a, b, av, aw) in enumerate(gen.edges):
-        if a == v or b == v:
-            edge_idxs.append(i)
-            near_exp = av if a == v else aw
-            if near_exp:
-                return zero(down)  # psi at the 3-pointed bubble vanishes
+        raise UnsupportedOperation("decorated rational vertex pushforward")
+    if any(e for (_, lv, e) in gen.legs if lv == v):
+        return zero(down)  # psi on the contracted 3-pointed vertex
+    far = []  # (far vertex, far exp) of the edges at v
+    for (a, b, av, aw) in gen.edges:
+        if (a == v and av) or (b == v and aw):
+            return zero(down)  # psi at the 3-pointed vertex vanishes
+        if v in (a, b):
             far.append((b, aw) if a == v else (a, av))
     keep = [u for u in range(gen.n_vertices()) if u != v]
     remap = {u: i for i, u in enumerate(keep)}
-    genera = [gen.genera[u] for u in keep]
-    edges = [
-        (remap[p_], remap[q_], x_, y_)
-        for i, (p_, q_, x_, y_) in enumerate(gen.edges)
-        if i not in edge_idxs
-    ]
-    (u1, e1), (u2, e2) = far
-    edges.append((remap[u1], remap[u2], e1, e2))
+    edges = [(remap[a], remap[b], av, aw) for (a, b, av, aw) in gen.edges if v not in (a, b)]
     legs = [(lab, remap[lv], e) for (lab, lv, e) in gen.legs if lv != v]
+    if len(far) == 2:
+        (u1, e1), (u2, e2) = far
+        edges.append((remap[u1], remap[u2], e1, e2))
+    else:
+        ((u, e),) = far
+        p = next(lab for (lab, lv, _) in gen.legs if lv == v and lab != x)
+        legs.append((p, remap[u], e))
     kappa = {remap[u]: gen.kappa[u] for u in keep}
     lam = {remap[u]: gen.lam[u] for u in keep}
-    new = make_gen(genera, edges, legs, kappa, lam)
+    new = make_gen([gen.genera[u] for u in keep], edges, legs, kappa, lam)
     return TautClass(down, {new: Fraction(1)})
 
 
@@ -1423,86 +1392,36 @@ def _halfedge_slots(graph: Gen):
     return slots
 
 
-def _decoration_to_factors(spaces, moved: Gen) -> list[Gen]:
-    """moved carries the gluing graph's structure; read its decorations as
-    per-vertex trivial generators on the factor spaces."""
-    factors = []
-    for v, sp in enumerate(spaces):
-        exps: dict[str, int] = {}
-        for (lab, lv, e) in moved.legs:
-            if lv == v:
-                exps[lab] = e
-        for i, (a, b, av, aw) in enumerate(moved.edges):
-            if a == v:
-                exps[f"__e{i}a"] = av
-            if b == v:
-                exps[f"__e{i}b"] = aw
-        factors.append(
-            make_gen(
-                (sp.genus,),
-                (),
-                [(m, 0, exps.get(m, 0)) for m in sp.markings],
-                {0: moved.kappa[v]},
-                {0: moved.lam[v]},
-            )
-        )
-    return factors
-
-
 def _pull_boundary_gluing(spaces, graph: Gen, gen: Gen) -> ProductClass:
     if len(gen.edges) != 1 or len(graph.edges) != 1:
         raise UnsupportedOperation("gluing pullback for one-edge graphs only")
-    parts = []
-    g_undec = _undecorated(graph)
-    c_undec, c_aut = canonicalize(_undecorated(gen))
-    if canonicalize(g_undec)[0] == c_undec:
-        for ident in _isomorphisms(_undecorated(gen), g_undec):
-            moved = _apply_perm(gen, ident)
-            base_factors = _decoration_to_factors(spaces, moved)
-            for v_end, lab_end in _halfedge_slots(graph):
-                factors = [
-                    TautClass(sp, {g: Fraction(1)})
-                    for sp, g in zip(spaces, base_factors)
-                ]
-                factors[v_end] = multiply(psi(spaces[v_end], lab_end), factors[v_end])
-                parts.append((-1, ProductClass.from_factors(factors).terms))
-    # transverse vertex splits
     if any(sp.policy == "stable" for sp in spaces):
         raise UnsupportedOperation(
             "boundary gluing pullback implemented on compact type only"
         )
-    for v in range(len(spaces)):
-        vspec = spaces[v]
-        for sgen, saut in one_edge_graphs(vspec):
-            probe = _substitute_vertex(g_undec, v, sgen)
-            contracted = _contract_many(probe, _old_edge_indices(probe, sgen))
-            if contracted is None or canonicalize(contracted)[0] != c_undec:
-                continue
-            for decorated in _transport_tail_decoration(gen, sgen, g_undec, v):
-                factors = [
-                    _trivial_gen(sp) if w != v else decorated
-                    for w, sp in enumerate(spaces)
-                ]
-                split = ProductClass(spaces, {tuple(factors): Fraction(1)})
-                parts.append((Fraction(c_aut, saut), split.terms))
+    parts = []
+    g_undec = _undecorated(graph)
+    c_undec, c_aut = canonicalize(_undecorated(gen))
+    for ident in _isomorphisms(_undecorated(gen), g_undec):
+        moved = _apply_perm(gen, ident)
+        base = [
+            TautClass(sp, {_vertex_monomial_gen(moved, v, sp.policy)[1]: Fraction(1)})
+            for v, sp in enumerate(spaces)
+        ]
+        for v_end, lab_end in _halfedge_slots(graph):
+            factors = list(base)
+            factors[v_end] = multiply(psi(spaces[v_end], lab_end), base[v_end])
+            parts.append((-1, ProductClass.from_factors(factors).terms))
+    # transverse vertex splits
+    for v, sgen, saut in _transverse_splits(graph, c_undec):
+        for decorated in _transport_tail_decoration(gen, sgen, g_undec, v):
+            factors = [
+                _trivial_gen(sp) if w != v else decorated
+                for w, sp in enumerate(spaces)
+            ]
+            split = ProductClass(spaces, {tuple(factors): Fraction(1)})
+            parts.append((Fraction(c_aut, saut), split.terms))
     return ProductClass._carry(spaces, _accumulate(parts))
-
-
-def _old_edge_indices(big: Gen, sgen: Gen) -> list[int]:
-    nv = big.n_vertices()
-    news = set(range(nv - sgen.n_vertices(), nv))
-    return [
-        i for i, (a, b, _, _) in enumerate(big.edges) if not (a in news and b in news)
-    ]
-
-
-def _contract_many(gen: Gen, indices) -> Gen | None:
-    if len(indices) != 1:
-        return None  # only one-edge graphs are split here
-    try:
-        return _contract_edge(gen, indices[0])
-    except UnsupportedOperation:
-        return None
 
 
 def _transport_tail_decoration(
@@ -1526,8 +1445,7 @@ def _transport_tail_decoration(
             dict(enumerate(sgen.lam)),
         )
         big = _substitute_vertex(g_undec, v, trial)
-        con = _contract_many(big, _old_edge_indices(big, trial))
-        if con is not None and canonicalize(con)[0] == target:
+        if canonicalize(_contract_old_edge(big, trial))[0] == target:
             kept.append(trial)
     return kept
 

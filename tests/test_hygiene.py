@@ -6,6 +6,10 @@ dependency).
   lists it in ``__all__`` (a re-export).
 * The human rendering rules live in ``algebra.render_sum`` alone: no other
   module has a string constant containing the ``+ -`` fold.
+* There is one permutation search over graph vertices,
+  ``tautring._least_relabelings``: ``itertools.permutations`` appears there
+  and in ``ctp._genus_preserving_bijections`` (the component bijections)
+  and nowhere else.
 """
 
 import ast
@@ -68,3 +72,41 @@ def test_scan_catches_an_unused_import():
 def test_scan_catches_a_fold():
     tree = ast.parse('s = " + ".join(parts).replace("+ -", "- ")\nt = f"{a} + -{b}"\n')
     assert sorted(fold_strings(tree)) == [" + -", "+ -"]
+
+
+#: (module, top-level function) pairs allowed to reach itertools.permutations
+PERMUTATION_SITES = {("tautring.py", "_least_relabelings"),
+                     ("ctp.py", "_genus_preserving_bijections")}
+
+
+def permutation_sites(tree: ast.Module) -> list[str]:
+    """The top-level function or class around each use of ``permutations``
+    (attribute, name or import alias); ``<module>`` outside them."""
+    sites = []
+    for top in tree.body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for node in ast.walk(top):
+            if ((isinstance(node, ast.Attribute) and node.attr == "permutations")
+                    or (isinstance(node, ast.Name) and node.id == "permutations")
+                    or (isinstance(node, ast.alias) and node.name == "permutations")):
+                sites.append(owner)
+    return sites
+
+
+def test_one_permutation_search():
+    found = {(path.name, site) for path in SRC.glob("*.py")
+             for site in permutation_sites(ast.parse(path.read_text()))}
+    assert found <= PERMUTATION_SITES, (
+        f"permutation search outside tautring._least_relabelings: "
+        f"{sorted(found - PERMUTATION_SITES)}")
+
+
+def test_scan_catches_a_permutation_search():
+    tree = ast.parse(
+        "import itertools as it\n"
+        "from itertools import permutations as perms\n"
+        "def f(n):\n    return list(it.permutations(range(n)))\n"
+        "class C:\n    def g(self):\n        return perms('ab')\n"
+        "def h(n):\n    return list(it.combinations(range(n), 2))\n"
+    )
+    assert permutation_sites(tree) == ["<module>", "f"]

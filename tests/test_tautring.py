@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -101,6 +102,61 @@ class TestCanonicalize:
             ch, ah = canonicalize(h)
             assert cg == ch
             assert ag == ah
+
+
+def _isomorphisms_by_scan(a, b):
+    """Reference oracle: every order of a's vertices, kept when it gives b."""
+    return [list(p) for p in itertools.permutations(range(a.n_vertices()))
+            if tr._apply_perm(a, list(p)) == b]
+
+
+def _random_decorated_tree(rng):
+    nv = rng.randint(1, 6)
+    genera = [rng.choice((1, 1, 2)) for _ in range(nv)]
+    edges = [(rng.randrange(w), w, rng.choice((0, 0, 0, 1)), rng.choice((0, 0, 0, 1)))
+             for w in range(1, nv)]
+    legs = [(lab, rng.randrange(nv)) for lab in ("p", "q")[: rng.choice((0, 0, 1, 2))]]
+    kap = {rng.randrange(nv): [(1, 1)]} if rng.random() < 0.3 else {}
+    return make_gen(genera, edges, legs, kap)
+
+
+class TestOneSearch:
+    """canonicalize, |Aut| and _isomorphisms all come from one search; the
+    deleted scan over every vertex order is the oracle."""
+
+    def check(self, a, b):
+        maps = tr._isomorphisms(a, b)
+        assert len({tuple(m) for m in maps}) == len(maps)
+        assert {tuple(m) for m in maps} == {tuple(m) for m in _isomorphisms_by_scan(a, b)}
+        c, aut = canonicalize(a)
+        assert aut == len(_isomorphisms_by_scan(a, c)) * tr._halfedge_factor(c)
+
+    def test_random_decorated_trees(self):
+        rng = random.Random(20261018)
+        symmetric = 0
+        for _ in range(300):
+            a = _random_decorated_tree(rng)
+            perm = list(range(a.n_vertices()))
+            rng.shuffle(perm)
+            self.check(a, tr._apply_perm(a, perm))
+            self.check(a, _random_decorated_tree(rng))
+            symmetric += aut_order(a) > 1
+        assert symmetric > 25  # many trees have more than one map
+
+    def test_symmetric_22_relabelings(self):
+        for edge in ((0, 1), (0, 1, 1, 0)):
+            g = make_gen((2, 2), [edge])
+            for perm in ([0, 1], [1, 0]):
+                self.check(g, tr._apply_perm(g, perm))
+        g = make_gen((2, 2), [(0, 1)])
+        assert tr._isomorphisms(g, g) == [[0, 1], [1, 0]]
+
+    def test_stable_self_edge_graphs(self):
+        for g in (make_gen((3,), [(0, 0)]), make_gen((3,), [(0, 0, 1, 0)]),
+                  make_gen((1, 1), [(0, 0), (1, 1), (0, 1)])):
+            for perm in itertools.permutations(range(g.n_vertices())):
+                self.check(g, tr._apply_perm(g, list(perm)))
+        assert aut_order(make_gen((1, 1), [(0, 0), (1, 1), (0, 1)])) == 8
 
 
 class TestStability:
@@ -235,7 +291,7 @@ class TestOneEdgeGraphs:
         assert any(v == w for g, _ in gens for (v, w, _, _) in g.edges)
 
     def test_m11_ct_empty(self):
-        assert one_edge_graphs(M11) == []
+        assert one_edge_graphs(M11) == ()
 
     def test_m21_single(self):
         gens = one_edge_graphs(ModuliSpec(2, ("p",)))
