@@ -14,11 +14,11 @@ neighbors of T2 (such strata lie in the closure of a genus-2 merger).
 Stable trees are enumerated shape first.  The unlabeled trees on n vertices
 grow from those on n - 1 by one leaf at every vertex, one kept per least
 rooted Aho-Hopcroft-Ullman code (orderly generation of free trees after
-Wright-Richmond-Odlyzko-McKay 1986).  Each composition of g into n vertex
-genera labels each shape, and the stable labelings go through
-``tautring.canonicalize``.  A stable leg-free tree on n > 1 vertices has
-sum_v (2 g(v) - 2 + d(v)) = 2g - 2 with every term positive, so n <= 2g - 2
-(n <= g when every genus is positive).
+Wright-Richmond-Odlyzko-McKay 1986).  Each shape is labeled only by the
+stable compositions of g (genus at least 1 below degree 3), which go
+through ``tautring.canonicalize``.  A stable leg-free tree on n > 1
+vertices has sum_v (2 g(v) - 2 + d(v)) = 2g - 2 with every term positive,
+so n <= 2g - 2 (n <= g when every genus is positive).
 
 Component counts are anchored against known lists at genus 2, 4 and 5
 (divisor level); counts this module produces for other inputs are new
@@ -65,19 +65,16 @@ def _tree_code(edges, n: int) -> str:
     return min(code(r, -1) for r in range(n))
 
 
-def _compositions(total: int, parts: int, lo: int):
-    """Ordered tuples of ``parts`` integers >= lo summing to total, by stars
-    and bars: parts - 1 bars among total - lo * parts stars."""
-    slots = total - lo * parts + parts - 1
-    for bars in itertools.combinations(range(slots), parts - 1):
+def _compositions(total: int, lows: list[int]):
+    """Tuples of integers, the i-th at least ``lows[i]``, summing to total,
+    by stars and bars: len(lows) - 1 bars among total - sum(lows) stars."""
+    stars = total - sum(lows)
+    if stars < 0:
+        return
+    slots = stars + len(lows) - 1
+    for bars in itertools.combinations(range(slots), len(lows) - 1):
         ends = (-1, *bars, slots)
-        yield tuple(lo + b - a - 1 for a, b in zip(ends, ends[1:]))
-
-
-def _tree_stable(genera, degrees) -> bool:
-    """Every genus-0 vertex needs three edges.  A positive-genus vertex of a
-    tree is stable; the lone genus-1 vertex is admitted on purpose."""
-    return all(gv > 0 or d >= 3 for gv, d in zip(genera, degrees))
+        yield tuple(lo + b - a - 1 for lo, a, b in zip(lows, ends, ends[1:]))
 
 
 def enumerate_stable_trees(
@@ -98,19 +95,18 @@ def enumerate_stable_trees(
     max_n = g if positive_only else max(1, 2 * g - 2)
     if max_edges is not None:
         max_n = min(max_n, max_edges + 1)
-    lo = 1 if positive_only else 0
     found: dict = {}
     trees: list[tuple[tuple[int, int], ...]] = [()]
     for n in range(1, max_n + 1):
         if n > 1:  # a new leaf n - 1 at every vertex, one tree per code
             grown = (t + ((v, n - 1),) for t in trees for v in range(n - 1))
             trees = list({_tree_code(t, n): t for t in grown}.values())
-        compositions = list(_compositions(g, n, lo))
         for edges in trees:
-            degrees = [sum(v in e for e in edges) for v in range(n)]
-            for genera in compositions:
-                if _tree_stable(genera, degrees):
-                    found[canonicalize(make_gen(genera, edges))[0]] = True
+            # stability: genus 0 only at degree >= 3 (the lone genus-1
+            # vertex is admitted on purpose)
+            lows = [int(positive_only or sum(v in e for e in edges) < 3) for v in range(n)]
+            for genera in _compositions(g, lows):
+                found[canonicalize(make_gen(genera, edges))[0]] = True
     return sorted(found, key=_gen_sort_key)
 
 
@@ -184,13 +180,13 @@ def canonical_component(t1: Gen, t2: Gen, nu, sigma) -> Component:
     trees (nu and sigma ride along as vertex colors)."""
     c1, iso1 = _least_relabelings(t1)
     c2, iso2 = _least_relabelings(t2)
-    return _least_component(c1, c2, iso1, iso2, nu, sigma)
+    return Component(c1, c2, *min(_carried(nu, sigma, iso1, iso2), key=_nu_sigma_key))
 
 
-def _least_component(c1: Gen, c2: Gen, iso1, iso2, nu, sigma) -> Component:
-    """The component on the canonical trees c1, c2 whose (nu, sigma) is
-    least over the isomorphisms iso1, iso2 onto them."""
-    best = None
+def _carried(nu, sigma, iso1, iso2) -> set:
+    """Every (nu, sigma) carried along a vertex map p1 of T1 and p2 of T2:
+    the orbit under Aut(T1) x Aut(T2) when the maps are automorphisms."""
+    out = set()
     for p1 in iso1:
         for p2 in iso2:
             nu2 = [0] * len(nu)
@@ -198,11 +194,14 @@ def _least_component(c1: Gen, c2: Gen, iso1, iso2, nu, sigma) -> Component:
             for v in range(len(nu)):
                 nu2[p1[v]] = p2[nu[v]]
                 sig2[p1[v]] = sigma[v]
-            key = (tuple(nu2), tuple(x or "" for x in sig2))
-            if best is None or key < best:
-                best = key
-                chosen = (tuple(nu2), tuple(sig2))
-    return Component(c1, c2, chosen[0], chosen[1])
+            out.add((tuple(nu2), tuple(sig2)))
+    return out
+
+
+def _nu_sigma_key(pair):
+    """Order on (nu, sigma) with None below every sign."""
+    nu, sigma = pair
+    return nu, tuple(x or "" for x in sigma)
 
 
 def _elliptic_pairs_ok(t1: Gen, t2: Gen, nu) -> bool:
@@ -227,21 +226,26 @@ def enumerate_components(g: int, max_edges: int | None = None) -> list[Component
     # the trees are canonical, so their maps onto the canonical form are
     # their automorphisms
     autos = {t: _least_relabelings(t)[1] for t in trees}
-    out: dict = {}
+    out = []
     for t1 in trees:
         for t2 in trees:
             if sorted(t1.genera) != sorted(t2.genera):
                 continue
+            # one least element per orbit; the elliptic rule and the sign
+            # choices are invariant under the automorphisms
+            seen: set = set()
             for nu in _genus_preserving_bijections(t1, t2):
                 if not _elliptic_pairs_ok(t1, t2, nu):
                     continue
                 for sigma in _sign_choices(t1):
-                    comp = _least_component(t1, t2, autos[t1], autos[t2], nu, sigma)
-                    out[comp] = True
+                    if (nu, sigma) not in seen:
+                        orbit = _carried(nu, sigma, autos[t1], autos[t2])
+                        seen |= orbit
+                        out.append(Component(t1, t2, *min(orbit, key=_nu_sigma_key)))
     return sorted(
-        out.keys(),
-        key=lambda c: (_gen_sort_key(c.t1), _gen_sort_key(c.t2), c.nu,
-                       tuple(s or "" for s in c.sigma)),
+        out,
+        key=lambda c: (_gen_sort_key(c.t1), _gen_sort_key(c.t2),
+                       *_nu_sigma_key((c.nu, c.sigma))),
     )
 
 

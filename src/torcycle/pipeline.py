@@ -32,11 +32,11 @@ from .tautring import (
     ModuliSpec,
     ProductClass,
     TautClass,
+    _halfedge_slots,
     boundary_gen,
     delta_irr,
     delta_sep,
     delta_total,
-    glue_spaces,
     lam,
     one,
     pullback_forgetful,
@@ -90,21 +90,33 @@ def rename_marking(c: TautClass, old: str, new: str) -> TautClass:
     return TautClass(space, terms)
 
 
-def _rename_factor(pc: ProductClass, i: int, old: str, new: str) -> ProductClass:
-    return pc.map_factor(i, lambda cls: rename_marking(cls, old, new))
+def _pull(c: TautClass, graph: Gen, names, forget: dict[int, str]) -> ProductClass:
+    """Gluing pullback along the one-edge graph, the half-edge slot of each
+    factor i renamed to ``names[i]``, then the forgetful pullback adding
+    marking ``forget[i]`` to each factor i in ``forget``."""
+    pc = pullback_gluing(c, graph)
+    for (i, slot), name in zip(_halfedge_slots(graph), names):
+        pc = pc.map_factor(i, lambda cls, slot=slot, name=name: rename_marking(cls, slot, name))
+    for i, x in forget.items():
+        pc = pc.map_factor(i, lambda cls, x=x: pullback_forgetful(cls, x))
+    return pc
 
 
-def _push_pair(pc: ProductClass, pushers: dict[int, object]) -> ProductClass:
-    """Pushforward several factors of a product class at once.  A term dies
-    outright when any pushed factor carries a degree-0 generator (the
-    fundamental class pushes to zero), which also keeps unsupported shapes
-    in doomed terms from ever being pushed."""
-    live = ProductClass._carry(pc.spaces, {
-        gens: c for gens, c in pc.terms.items() if all(gens[i].degree() for i in pushers)
+def _push(pc: ProductClass, graph: Gen, names, forget: dict[int, str]) -> TautClass:
+    """The way back from ``_pull``: forgetful pushforward of marking
+    ``forget[i]`` on each factor i in ``forget``, ``names[i]`` renamed back
+    to factor i's slot, then gluing pushforward.  A term dies outright when
+    a pushed factor carries a degree-0 generator (the fundamental class
+    pushes to zero), which also keeps unsupported shapes in doomed terms
+    from ever being pushed."""
+    pc = ProductClass._carry(pc.spaces, {
+        gens: c for gens, c in pc.terms.items() if all(gens[i].degree() for i in forget)
     })
-    for i, fn in pushers.items():
-        live = live.map_factor(i, fn)
-    return live
+    for i, x in forget.items():
+        pc = pc.map_factor(i, lambda cls, x=x: pushforward_forgetful(cls, x))
+    for (i, slot), name in zip(_halfedge_slots(graph), names):
+        pc = pc.map_factor(i, lambda cls, slot=slot, name=name: rename_marking(cls, name, slot))
+    return pushforward_gluing(M4, graph, pc)
 
 
 # --------------------------------------------------------------------------
@@ -117,42 +129,19 @@ def _a_component_contribution() -> TautClass:
     projection glues p to q after forgetting y, the second glues p to y
     after forgetting q."""
     graph = boundary_gen(M4, 1, ())
-    spaces = glue_spaces(M4, graph)
-    slot1 = [m for m in spaces[0].markings if m.startswith("__e")][0]
-    slot3 = [m for m in spaces[1].markings if m.startswith("__e")][0]
-
     F1 = ModuliSpec(1, ("p",))
     F2 = ModuliSpec(3, ("q", "y"))
-
-    def p1_pull(c: TautClass) -> ProductClass:
-        pc = pullback_gluing(c, graph)
-        pc = _rename_factor(pc, 0, slot1, "p")
-        pc = _rename_factor(pc, 1, slot3, "q")
-        return pc.map_factor(1, lambda cls: pullback_forgetful(cls, "y"))
-
-    def p2_pull(c: TautClass) -> ProductClass:
-        pc = pullback_gluing(c, graph)
-        pc = _rename_factor(pc, 0, slot1, "p")
-        pc = _rename_factor(pc, 1, slot3, "y")
-        return pc.map_factor(1, lambda cls: pullback_forgetful(cls, "q"))
-
-    def p1_push(pc: ProductClass) -> TautClass:
-        pc = _push_pair(pc, {1: lambda cls: pushforward_forgetful(cls, "y")})
-        pc = _rename_factor(pc, 0, "p", slot1)
-        pc = _rename_factor(pc, 1, "q", slot3)
-        return pushforward_gluing(M4, graph, pc)
-
+    p1 = (graph, ("p", "q"), {1: "y"})
+    p2 = (graph, ("p", "y"), {1: "q"})
     c1_m4 = chern.c1_tangent(M4)
-    pulled_a4 = Fraction(-5) * lam(M4)
-
     n_class = (
-        p1_pull(pulled_a4)
-        - p1_pull(c1_m4)
-        - p2_pull(c1_m4)
+        _pull(Fraction(-5) * lam(M4), *p1)
+        - _pull(c1_m4, *p1)
+        - _pull(c1_m4, *p2)
         + ProductClass.from_factors([chern.c1_tangent(F1), one(F2)])
         + ProductClass.from_factors([one(F1), chern.c1_tangent(F2)])
     )
-    return p1_push(n_class)
+    return _push(n_class, *p1)
 
 
 # --------------------------------------------------------------------------
@@ -163,31 +152,11 @@ def _b_component_contribution() -> tuple[TautClass, dict[str, TautClass]]:
     """The three-term expansion on the square of the two-pointed genus-2
     product, halved for the symmetric-group quotient."""
     graph = boundary_gen(M4, 2, ())
-    spaces = glue_spaces(M4, graph)
-    slot_a = [m for m in spaces[0].markings if m.startswith("__e")][0]
-    slot_b = [m for m in spaces[1].markings if m.startswith("__e")][0]
-
     F1 = ModuliSpec(2, ("p", "x"))
     F2 = ModuliSpec(2, ("q", "y"))
-
-    def p2_pull(c: TautClass) -> ProductClass:
-        pc = pullback_gluing(c, graph)
-        pc = _rename_factor(pc, 0, slot_a, "x")
-        pc = _rename_factor(pc, 1, slot_b, "y")
-        pc = pc.map_factor(0, lambda cls: pullback_forgetful(cls, "p"))
-        return pc.map_factor(1, lambda cls: pullback_forgetful(cls, "q"))
-
-    def p1_push(pc: ProductClass) -> TautClass:
-        pc = _push_pair(
-            pc,
-            {
-                0: lambda cls: pushforward_forgetful(cls, "x"),
-                1: lambda cls: pushforward_forgetful(cls, "y"),
-            },
-        )
-        pc = _rename_factor(pc, 0, "p", slot_a)
-        pc = _rename_factor(pc, 1, "q", slot_b)
-        return pushforward_gluing(M4, graph, pc)
+    # p1 glues p to q after forgetting x, y; p2 glues x to y after forgetting p, q
+    p1 = (graph, ("p", "q"), {0: "x", 1: "y"})
+    p2 = (graph, ("x", "y"), {0: "p", 1: "q"})
 
     # F2 is F1 with p, x renamed to q, y: rename its Chern classes, don't recompute
     c1_f1, c2_f1 = chern.chern_tangent_moduli(F1, 2)
@@ -201,20 +170,20 @@ def _b_component_contribution() -> tuple[TautClass, dict[str, TautClass]]:
         + ProductClass.from_factors([c2_f1, one(F2)])
         + ProductClass.from_factors([one(F1), c2_f2])
     )
-    term1 = p1_push(c2_tx)
+    term1 = _push(c2_tx, *p1)
 
     # term 2: minus the pullback of c2 of the ambient tangent bundle,
     # pulled in the structured form c2 = c1^2/2 - ch2 (pullback is a ring
     # map; the square is taken upstairs in the product ring)
-    p2c1 = p2_pull(c1_m4)
-    p2ch2 = p2_pull(chern.ch_tangent(M4, 2))
-    term2 = -1 * p1_push(Fraction(1, 2) * (p2c1 * p2c1) - p2ch2)
+    p2c1 = _pull(c1_m4, *p2)
+    p2ch2 = _pull(chern.ch_tangent(M4, 2), *p2)
+    term2 = -1 * _push(Fraction(1, 2) * (p2c1 * p2c1) - p2ch2, *p1)
 
     # term 3: p2^* c1 (p2^* c1 - c1(TX))
     c1_tx = ProductClass.from_factors([c1_f1, one(F2)]) + ProductClass.from_factors(
         [one(F1), c1_f2]
     )
-    term3 = p1_push(p2c1 * (p2c1 - c1_tx))
+    term3 = _push(p2c1 * (p2c1 - c1_tx), *p1)
 
     pieces = {"product_tangent": term1, "ambient_c2": term2, "cross": term3}
     total = Fraction(1, 2) * (term1 + term2 + term3)

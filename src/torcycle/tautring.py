@@ -14,10 +14,20 @@ A generator ("Gen") is a genus-labeled graph with
 * ``kappa[v]`` / ``lam[v]``: sorted ``(index, exp)`` monomials per vertex.
 
 The generator denotes the pushforward, under the gluing map of the graph, of
-the decoration monomial.  No automorphism factor is baked in: the boundary
-divisor class of a one-edge graph with a 2-element automorphism group is
-*half* the generator (see ``delta_B`` usage downstream), which matches how
-gluing maps are manipulated directly in the genus-4 pipelines.
+the decoration monomial.  So a generator is its vertex factors glued along
+its edges: ``_vertex_factors`` gives each vertex's decoration as a
+trivial-graph generator on the vertex moduli, whose markings are the
+vertex's legs and the slots of its half edges (``_halfedge_slots``, the one
+place the slot labels are spelled out), and ``_assemble_glued``, the one
+routine that wires generators along graph edges, glues them back.  Every
+vertex-local operation (forgetful pull and push on graph terms, vertex
+kappa_1 expansion, transverse splits) replaces one factor and re-glues
+(``_expand_vertex``); the gluing pushforward glues a factor per vertex.
+
+No automorphism factor is baked in: the boundary divisor class of a
+one-edge graph with a 2-element automorphism group is *half* the generator
+(see ``delta_B`` usage downstream), which matches how gluing maps are
+manipulated directly in the genus-4 pipelines.
 
 A ``TautClass`` is a Fraction-linear combination of canonicalized generators
 on a fixed ambient ``ModuliSpec``.  Two classes are equal iff their canonical
@@ -606,124 +616,91 @@ def delta_zero_pair(space: ModuliSpec, p: str, x: str) -> TautClass:
 
 
 # --------------------------------------------------------------------------
-# vertex-level plumbing
+# vertex factors and the one wiring routine
 
 
-def _vertex_space(gen: Gen, v: int, policy: str) -> tuple[ModuliSpec, list[str], dict]:
-    """Moduli spec of a vertex factor.  Edge ends become synthetic markings
-    ``__e{i}a`` / ``__e{i}b``.  Returns (spec, labels, psi exps on them)."""
-    labels: list[str] = []
-    exps: dict[str, int] = {}
-    for (lab, lv, e) in gen.legs:
-        if lv == v:
-            labels.append(lab)
-            exps[lab] = e
-    for i, (a, b, av, aw) in enumerate(gen.edges):
-        if a == v:
-            labels.append(f"__e{i}a")
-            exps[f"__e{i}a"] = av
-        if b == v:
-            labels.append(f"__e{i}b")
-            exps[f"__e{i}b"] = aw
-    return ModuliSpec(gen.genera[v], tuple(labels), policy), labels, exps
+def _halfedge_slots(graph: Gen) -> list[tuple[int, str]]:
+    """``(vertex, slot label)`` of every half edge, edge by edge (a end, then
+    b end): the marking each edge end becomes on its vertex factor."""
+    slots = []
+    for i, (a, b, _, _) in enumerate(graph.edges):
+        slots.append((a, f"__e{i}a"))
+        slots.append((b, f"__e{i}b"))
+    return slots
 
 
-def _blank_vertex(gen: Gen, v: int) -> Gen:
-    """gen with all decorations at vertex v removed (they move into the
-    vertex class during expansion)."""
-    kap = {u: gen.kappa[u] for u in range(gen.n_vertices())}
-    lm = {u: gen.lam[u] for u in range(gen.n_vertices())}
-    kap[v] = ()
-    lm[v] = ()
-    legs = [(lab, lv, 0 if lv == v else e) for (lab, lv, e) in gen.legs]
-    edges = []
-    for (a, b, av, aw) in gen.edges:
-        edges.append((a, b, 0 if a == v else av, 0 if b == v else aw))
-    return make_gen(gen.genera, edges, legs, kap, lm)
+def _vertex_factors(gen: Gen) -> list[Gen]:
+    """The decoration at each vertex v as a trivial-graph generator on v's
+    moduli, whose markings are v's legs and the slots of its half edges (the
+    half-edge psi exponents sit on the slots)."""
+    legs: list[list] = [[] for _ in gen.genera]
+    for (lab, v, e) in gen.legs:
+        legs[v].append((lab, 0, e))
+    ends = [e for (_, _, av, aw) in gen.edges for e in (av, aw)]
+    for (v, lab), e in zip(_halfedge_slots(gen), ends):
+        legs[v].append((lab, 0, e))
+    return [
+        Gen((g,), (), tuple(sorted(lv)), (kv,), (mv,))
+        for g, lv, kv, mv in zip(gen.genera, legs, gen.kappa, gen.lam)
+    ]
 
 
-def _vertex_monomial_gen(gen: Gen, v: int, policy: str) -> tuple[ModuliSpec, Gen]:
-    """Decoration at vertex v as a trivial-graph generator on the vertex
-    moduli."""
-    spec, labels, exps = _vertex_space(gen, v, policy)
-    tgen = make_gen(
-        (gen.genera[v],),
-        (),
-        [(lab, 0, exps[lab]) for lab in labels],
-        {0: gen.kappa[v]},
-        {0: gen.lam[v]},
-    )
-    return spec, tgen
+def _vertex_space(factor: Gen, policy: str) -> ModuliSpec:
+    """The moduli of a vertex factor: its genus, with its legs as markings."""
+    return ModuliSpec(factor.genera[0], tuple(lab for (lab, _, _) in factor.legs), policy)
 
 
-def _substitute_vertex(gen: Gen, v: int, sub: Gen) -> Gen:
-    """Replace (blanked) vertex v by the graph ``sub``.  sub's legs must
-    cover v's slot labels (original legs and ``__e{i}a/b`` markers); legs of
-    sub outside those slots become new legs of the result."""
-    if gen.kappa[v] or gen.lam[v]:
-        raise AssertionError("substitute into a blanked vertex only")
-    old_nv = gen.n_vertices()
-    keep = [u for u in range(old_nv) if u != v]
-    remap = {u: i for i, u in enumerate(keep)}
-    offset = len(keep)
-
-    slot_to: dict[str, tuple[int, int]] = {}
-    extra_legs = []
-    own_labels = {lab for (lab, lv, _) in gen.legs if lv == v}
-    for (lab, sv, e) in sub.legs:
-        if lab.startswith("__e") or lab in own_labels:
-            slot_to[lab] = (offset + sv, e)
-        else:
-            extra_legs.append((lab, offset + sv, e))
-
-    genera = [gen.genera[u] for u in keep] + list(sub.genera)
-    kappa = {remap[u]: gen.kappa[u] for u in keep}
-    lam = {remap[u]: gen.lam[u] for u in keep}
-    for sv in range(sub.n_vertices()):
-        kappa[offset + sv] = sub.kappa[sv]
-        lam[offset + sv] = sub.lam[sv]
-
-    edges = []
-    for i, (a, b, av, aw) in enumerate(gen.edges):
-        if a == v:
-            na, extra = slot_to[f"__e{i}a"]
-            av = extra  # blanked: av == 0
-        else:
-            na = remap[a]
-        if b == v:
-            nb, extra = slot_to[f"__e{i}b"]
-            aw = extra
-        else:
-            nb = remap[b]
-        edges.append((na, nb, av, aw))
-    for (a, b, av, aw) in sub.edges:
-        edges.append((offset + a, offset + b, av, aw))
-
-    legs = []
-    for (lab, lv, e) in gen.legs:
-        if lv == v:
-            nv_, extra = slot_to[lab]
-            legs.append((lab, nv_, extra))
-        else:
-            legs.append((lab, remap[lv], e))
-    legs.extend(extra_legs)
+def _assemble_glued(graph: Gen, gens: Sequence[Gen]) -> Gen:
+    """The one wiring routine: the disjoint union of the factor generators,
+    factor v in place of vertex v, with the two slot legs of each edge of
+    the gluing graph joined into that edge (the graph's half-edge psi
+    exponents add to the slots').  Every generator is
+    ``_assemble_glued(_undecorated(gen), _vertex_factors(gen))``."""
+    slots = _halfedge_slots(graph)
+    is_slot = set(slots)
+    genera: list[int] = []
+    kappa: dict[int, tuple] = {}
+    lam: dict[int, tuple] = {}
+    edges: list[tuple] = []
+    legs: list[tuple] = []
+    slot_at: dict[tuple[int, str], tuple[int, int]] = {}
+    for v, g in enumerate(gens):
+        off = len(genera)
+        genera.extend(g.genera)
+        for sv in range(g.n_vertices()):
+            kappa[off + sv] = g.kappa[sv]
+            lam[off + sv] = g.lam[sv]
+        edges.extend((off + a, off + b, av, aw) for (a, b, av, aw) in g.edges)
+        for (lab, lv, e) in g.legs:
+            if (v, lab) in is_slot:
+                slot_at[v, lab] = (off + lv, e)
+            else:
+                legs.append((lab, off + lv, e))
+    for i, (_, _, av, aw) in enumerate(graph.edges):
+        (va, ea), (vb, eb) = slot_at[slots[2 * i]], slot_at[slots[2 * i + 1]]
+        edges.append((va, vb, av + ea, aw + eb))
     return make_gen(genera, edges, legs, kappa, lam)
 
 
 def _expand_vertex(
-    space: ModuliSpec, blank: Gen, v: int, vertex_class: TautClass
+    space: ModuliSpec, gen: Gen, v: int, vertex_class: TautClass
 ) -> TautClass:
-    # distinct vertex terms can substitute to one raw generator (a self
-    # edge at v swaps its slots), so the raw terms are accumulated
+    """gen with its vertex-v factor replaced by each term of vertex_class,
+    the vertex factors glued along gen's edges."""
+    graph, factors = _undecorated(gen), _vertex_factors(gen)
+    # distinct vertex terms can glue to one raw generator (a self edge at v
+    # swaps its slots), so the raw terms are accumulated
     return TautClass(space, _accumulate(
-        (1, {_substitute_vertex(blank, v, sgen): coeff})
+        (1, {_assemble_glued(graph, factors[:v] + [sgen] + factors[v + 1 :]): coeff})
         for sgen, coeff in vertex_class.terms.items()
     ))
 
 
 def _undecorated(gen: Gen) -> Gen:
-    edges = tuple(sorted((a, b, 0, 0) for (a, b, _, _) in gen.edges))
-    legs = tuple(sorted((lab, v, 0) for (lab, v, _) in gen.legs))
+    """gen's graph without decorations, edges in gen's order (so the two
+    share their half-edge slots)."""
+    edges = tuple((a, b, 0, 0) for (a, b, _, _) in gen.edges)
+    legs = tuple((lab, v, 0) for (lab, v, _) in gen.legs)
     blank = ((),) * gen.n_vertices()
     return Gen(gen.genera, edges, legs, blank, blank)
 
@@ -877,33 +854,40 @@ def _boundary_times_graph(space: ModuliSpec, dg: Gen, cg: Gen) -> TautClass:
             for edge in ((a, b, av + 1, aw), (a, b, av, aw + 1))
         }
         parts.append((1, TautClass(space, excess).terms))
+    factors = _vertex_factors(cg)
     for v, sgen, saut in _transverse_splits(cg, d_undec):
-        vspec, vmon = _vertex_monomial_gen(cg, v, space.policy)
-        vclass = _distribute_free_onto_graph(vspec, vmon, sgen)
-        expanded = _expand_vertex(space, _blank_vertex(cg, v), v, vclass)
+        vspec = _vertex_space(factors[v], space.policy)
+        vclass = _distribute_free_onto_graph(vspec, factors[v], sgen)
+        expanded = _expand_vertex(space, cg, v, vclass)
         parts.append((Fraction(d_aut, saut), expanded.terms))
     return TautClass._carry(space, _accumulate(parts))
 
 
 def _transverse_splits(graph: Gen, target: Gen):
     """The transverse vertex splits of a compact-type one-edge graph:
-    ``(v, sgen, |Aut sgen|)`` for each one-edge graph sgen of vertex v whose
-    substitution, with the graph's own edge contracted, is the canonical
-    target."""
+    ``(v, sgen, |Aut sgen|)`` for each one-edge graph sgen of vertex v that
+    ``_splits_to`` the canonical target."""
     plain = _undecorated(graph)
-    for v in range(plain.n_vertices()):
-        for sgen, saut in one_edge_graphs(_vertex_space(plain, v, "ct")[0]):
-            probe = _substitute_vertex(plain, v, sgen)
-            if canonicalize(_contract_old_edge(probe, sgen))[0] == target:
+    for v, factor in enumerate(_vertex_factors(plain)):
+        for sgen, saut in one_edge_graphs(_vertex_space(factor, "ct")):
+            if _splits_to(plain, v, sgen, target):
                 yield v, sgen, saut
 
 
-def _contract_old_edge(big: Gen, sgen: Gen) -> Gen:
-    """Contract the one edge of ``big`` outside the substituted one-edge
-    graph ``sgen`` (its last vertices): the psi-free edge of the graph it
-    was substituted into.  The edge's endpoints merge."""
+def _splits_to(plain: Gen, v: int, sgen: Gen, target: Gen) -> bool:
+    """Whether sgen glued in place of vertex v of the undecorated one-edge
+    graph plain, with plain's own edge then contracted, is target."""
+    factors = _vertex_factors(plain)
+    factors[v] = sgen
+    big = _assemble_glued(plain, factors)
+    return canonicalize(_contract_old_edge(big, range(v, v + sgen.n_vertices())))[0] == target
+
+
+def _contract_old_edge(big: Gen, news: range) -> Gen:
+    """Contract the one edge of ``big`` outside the vertices ``news`` that
+    replaced a vertex: the edge of the graph glued into.  The edge's
+    endpoints merge."""
     nv = big.n_vertices()
-    news = range(nv - sgen.n_vertices(), nv)
     ((k, (a, b, _, _)),) = [
         (i, e) for i, e in enumerate(big.edges) if not (e[0] in news and e[1] in news)
     ]
@@ -940,26 +924,21 @@ def kappa1_expand(c: TautClass) -> TautClass:
         if target is None:
             parts.append((1, {gen: coeff}))
             continue
-        stripped = _strip_one_kappa1(gen, target)
-        if gen.is_trivial_graph():
-            rel = Fraction(12) * lam(space) + psi_total(space) - delta_total(space)
-            prod = multiply(rel, TautClass(space, {stripped: Fraction(1)}))
-        else:
-            vspec, vmon = _vertex_monomial_gen(stripped, target, space.policy)
-            rel_v = Fraction(12) * lam(vspec) + psi_total(vspec) - delta_total(vspec)
-            vclass = multiply(rel_v, TautClass(vspec, {vmon: Fraction(1)}))
-            blank = _blank_vertex(stripped, target)
-            prod = _expand_vertex(space, blank, target, vclass)
+        vmon = _vertex_factors(gen)[target]
+        vspec = _vertex_space(vmon, space.policy)
+        rel = Fraction(12) * lam(vspec) + psi_total(vspec) - delta_total(vspec)
+        vclass = multiply(rel, TautClass(vspec, {_strip_one_kappa1(vmon): Fraction(1)}))
+        # a lone vertex is its own factor, on the ambient itself
+        prod = vclass if gen.is_trivial_graph() else _expand_vertex(space, gen, target, vclass)
         parts.append((coeff, kappa1_expand(prod).terms))
     return TautClass._carry(space, _accumulate(parts))
 
 
-def _strip_one_kappa1(gen: Gen, v: int) -> Gen:
-    kap = list(gen.kappa)
-    mon = dict(kap[v])
+def _strip_one_kappa1(gen: Gen) -> Gen:
+    """A trivial-graph generator with one kappa_1 factor fewer."""
+    mon = dict(gen.kappa[0])
     mon[1] -= 1
-    kap[v] = _norm_monomial(mon.items())
-    return Gen(gen.genera, gen.edges, gen.legs, tuple(kap), gen.lam)
+    return Gen(gen.genera, gen.edges, gen.legs, (_norm_monomial(mon.items()),), gen.lam)
 
 
 # --------------------------------------------------------------------------
@@ -982,11 +961,10 @@ def _pull_term_forgetful(up: ModuliSpec, gen: Gen, x: str) -> TautClass:
     if gen.is_trivial_graph():
         return _pull_free_forgetful(up, gen, x)
     parts = []
-    for v in range(gen.n_vertices()):
-        vspec, vmon = _vertex_monomial_gen(gen, v, up.policy)
+    for v, vmon in enumerate(_vertex_factors(gen)):
+        vspec = _vertex_space(vmon, up.policy)
         vclass = _pull_free_forgetful(vspec.with_extra_marking(x), vmon, x)
-        blank = _blank_vertex(gen, v)
-        parts.append((1, _expand_vertex(up, blank, v, vclass).terms))
+        parts.append((1, _expand_vertex(up, gen, v, vclass).terms))
     return TautClass._carry(up, _accumulate(parts))
 
 
@@ -1020,14 +998,15 @@ def _mul_poly(a: TautClass, b: TautClass) -> TautClass:
     ))
 
 
-def _rational_tail_data(gen: Gen):
+def _rational_tail_labels(gen: Gen) -> set[str] | None:
+    """The two markings on gen's rational tail, if gen is a rational tail."""
     if len(gen.edges) != 1 or gen.n_vertices() != 2:
         return None
     for v in (0, 1):
         if gen.genera[v] == 0 and gen.valence(v) == 3:
-            labs = tuple(lab for (lab, lv, _) in gen.legs if lv == v)
+            labs = {lab for (lab, lv, _) in gen.legs if lv == v}
             if len(labs) == 2:
-                return v, labs
+                return labs
     return None
 
 
@@ -1037,31 +1016,16 @@ def _mul_general_pair(space: ModuliSpec, ga: Gen, gb: Gen) -> TautClass:
     if gb.is_trivial_graph():
         ga, gb = gb, ga
     if ga.is_trivial_graph():
-        data = _rational_tail_data(gb)
-        if data is None:
+        labs = _rational_tail_labels(gb)
+        if labs is None:
             raise UnsupportedOperation("free x boundary product outside tail shape")
-        _, labs = data
         if any(e and lab in labs for (lab, _, e) in ga.legs):
             return zero(space)  # psi at a 3-pointed rational vertex
         return _distribute_free_onto_graph(space, ga, gb)
-    da = _rational_tail_data(ga)
-    db = _rational_tail_data(gb)
-    if da is None or db is None:
-        raise UnsupportedOperation("boundary x boundary outside tail shapes")
-    if set(da[1]) != set(db[1]):
-        if set(da[1]) & set(db[1]):
-            return zero(space)  # tails sharing a marking are disjoint
-        raise UnsupportedOperation("independent tail product not needed/implemented")
-    if ga.degree() != 1 and gb.degree() != 1:
-        raise UnsupportedOperation("tail product needs a divisor factor")
-    if gb.degree() != 1:
-        ga, gb = gb, ga
-    (a, b, av, aw) = gb.edges[0]
-    zero_v = _rational_tail_data(gb)[0]
-    e2 = (a, b, av + (0 if a == zero_v else 1), aw + (0 if b == zero_v else 1))
-    return -1 * TautClass(
-        space, {Gen(gb.genera, (e2,), gb.legs, gb.kappa, gb.lam): Fraction(1)}
-    )
+    la, lb = _rational_tail_labels(ga), _rational_tail_labels(gb)
+    if la and lb and len(la & lb) == 1:
+        return zero(space)  # tails sharing one marking are disjoint
+    raise UnsupportedOperation("boundary x boundary outside disjoint tails")
 
 
 # --------------------------------------------------------------------------
@@ -1088,10 +1052,10 @@ def _push_term_forgetful(
         return _push_free_forgetful(down, gen, x)
     v = gen.leg_vertex(x)
     if 2 * gen.genera[v] - 2 + (gen.valence(v) - 1) > 0:
-        vspec, vmon = _vertex_monomial_gen(gen, v, up.policy)
+        vmon = _vertex_factors(gen)[v]
+        vspec = _vertex_space(vmon, up.policy)
         pushed = _push_free_forgetful(vspec.without_marking(x), vmon, x)
-        blank = _strip_leg(_blank_vertex(gen, v), x)
-        return _expand_vertex(down, blank, v, pushed)
+        return _expand_vertex(down, gen, v, pushed)  # x leaves with the factor
     # otherwise v has genus 0 and valence 3, and it contracts: its other two
     # ends join, two edge ends into an edge, or a leg and an edge end into
     # that leg on the far vertex
@@ -1120,11 +1084,6 @@ def _push_term_forgetful(
     lam = {remap[u]: gen.lam[u] for u in keep}
     new = make_gen([gen.genera[u] for u in keep], edges, legs, kappa, lam)
     return TautClass(down, {new: Fraction(1)})
-
-
-def _strip_leg(gen: Gen, x: str) -> Gen:
-    legs = tuple((lab, v, e) for (lab, v, e) in gen.legs if lab != x)
-    return Gen(gen.genera, gen.edges, legs, gen.kappa, gen.lam)
 
 
 def _push_free_forgetful(down: ModuliSpec, gen: Gen, x: str) -> TautClass:
@@ -1283,7 +1242,7 @@ class ProductClass(_LinearCombination):
 
 def glue_spaces(space: ModuliSpec, graph: Gen) -> list[ModuliSpec]:
     return [
-        _vertex_space(graph, v, space.policy)[0] for v in range(graph.n_vertices())
+        _vertex_space(factor, space.policy) for factor in _vertex_factors(graph)
     ]
 
 
@@ -1301,40 +1260,6 @@ def pushforward_gluing(space: ModuliSpec, graph: Gen, pc: ProductClass) -> TautC
     return TautClass(space, _accumulate(
         (1, {_assemble_glued(graph, gens): coeff}) for gens, coeff in pc.terms.items()
     ))
-
-
-def _assemble_glued(graph: Gen, gens: Sequence[Gen]) -> Gen:
-    """Disjoint union of the factor generators, wired together along the
-    gluing graph's edges via the slot labels."""
-    offsets = []
-    total = 0
-    for g in gens:
-        offsets.append(total)
-        total += g.n_vertices()
-    genera: list[int] = []
-    kappa: dict[int, list] = {}
-    lam: dict[int, list] = {}
-    edges: list[tuple] = []
-    legs: list[tuple] = []
-    slot_at: dict[str, tuple[int, int]] = {}
-    for v, g in enumerate(gens):
-        off = offsets[v]
-        genera.extend(g.genera)
-        for sv in range(g.n_vertices()):
-            kappa[off + sv] = list(g.kappa[sv])
-            lam[off + sv] = list(g.lam[sv])
-        for (a, b, av, aw) in g.edges:
-            edges.append((off + a, off + b, av, aw))
-        for (lab, lv, e) in g.legs:
-            if lab.startswith("__e"):
-                slot_at[lab] = (off + lv, e)
-            else:
-                legs.append((lab, off + lv, e))
-    for i, (a, b, av, aw) in enumerate(graph.edges):
-        va, ea = slot_at[f"__e{i}a"]
-        vb, eb = slot_at[f"__e{i}b"]
-        edges.append((va, vb, av + ea, aw + eb))
-    return make_gen(genera, edges, legs, kappa, lam)
 
 
 def pullback_gluing(c: TautClass, graph: Gen) -> ProductClass:
@@ -1384,14 +1309,6 @@ def _pull_free_gluing(spaces, graph: Gen, gen: Gen) -> ProductClass:
     return out
 
 
-def _halfedge_slots(graph: Gen):
-    slots = []
-    for i, (a, b, _, _) in enumerate(graph.edges):
-        slots.append((a, f"__e{i}a"))
-        slots.append((b, f"__e{i}b"))
-    return slots
-
-
 def _pull_boundary_gluing(spaces, graph: Gen, gen: Gen) -> ProductClass:
     if len(gen.edges) != 1 or len(graph.edges) != 1:
         raise UnsupportedOperation("gluing pullback for one-edge graphs only")
@@ -1405,8 +1322,8 @@ def _pull_boundary_gluing(spaces, graph: Gen, gen: Gen) -> ProductClass:
     for ident in _isomorphisms(_undecorated(gen), g_undec):
         moved = _apply_perm(gen, ident)
         base = [
-            TautClass(sp, {_vertex_monomial_gen(moved, v, sp.policy)[1]: Fraction(1)})
-            for v, sp in enumerate(spaces)
+            TautClass(sp, {factor: Fraction(1)})
+            for sp, factor in zip(spaces, _vertex_factors(moved))
         ]
         for v_end, lab_end in _halfedge_slots(graph):
             factors = list(base)
@@ -1428,26 +1345,18 @@ def _transport_tail_decoration(
     gen: Gen, sgen: Gen, g_undec: Gen, v: int
 ) -> list[Gen]:
     """Decorate the split generator's edge with gen's half-edge psi
-    exponents, keeping every orientation whose old-edge contraction
-    reproduces the decorated gen."""
+    exponents, keeping every orientation that ``_splits_to`` the decorated
+    gen."""
     if any(gen.kappa) or any(gen.lam) or any(e for (_, _, e) in gen.legs):
         raise UnsupportedOperation("transverse transport outside psi-edge span")
     (_, _, xa, xb) = gen.edges[0]
     (p, q, bp, bq) = sgen.edges[0]
     target = canonicalize(gen)[0]
-    kept = []
-    for (ea, eb) in sorted({(xa, xb), (xb, xa)}):
-        trial = make_gen(
-            sgen.genera,
-            [(p, q, bp + ea, bq + eb)],
-            sgen.legs,
-            dict(enumerate(sgen.kappa)),
-            dict(enumerate(sgen.lam)),
-        )
-        big = _substitute_vertex(g_undec, v, trial)
-        if canonicalize(_contract_old_edge(big, trial))[0] == target:
-            kept.append(trial)
-    return kept
+    trials = (
+        Gen(sgen.genera, ((p, q, bp + ea, bq + eb),), sgen.legs, sgen.kappa, sgen.lam)
+        for (ea, eb) in sorted({(xa, xb), (xb, xa)})
+    )
+    return [trial for trial in trials if _splits_to(g_undec, v, trial, target)]
 
 
 # --------------------------------------------------------------------------

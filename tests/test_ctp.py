@@ -11,7 +11,9 @@ from torcycle.ctp import (
     Component,
     HalfEdgePairing,
     MalformedPairingError,
+    _elliptic_pairs_ok,
     _genus_preserving_bijections,
+    _sign_choices,
     check_pairing,
     completion,
     component_dimension,
@@ -20,7 +22,7 @@ from torcycle.ctp import (
     one_edge_intersections,
     pairing_equivalent,
 )
-from torcycle.tautring import _gen_sort_key, canonicalize, make_gen
+from torcycle.tautring import _gen_sort_key, _least_relabelings, canonicalize, make_gen
 
 
 class TestTrees:
@@ -50,6 +52,12 @@ class TestTrees:
     def test_genus8_unbounded(self):
         # 231 also comes out of the brute-force Pruefer enumeration
         assert len(enumerate_stable_trees(8)) == 231
+
+    @pytest.mark.parametrize("g, count", [(5, 30), (6, 105), (7, 380)])
+    def test_known_unbounded_counts(self, g, count):
+        # with genus-0 vertices; cross-checked against networkx's
+        # nonisomorphic_trees with genus labels up to isomorphism
+        assert len(enumerate_stable_trees(g, positive_only=False)) == count
 
     def test_genus3_with_genus0_vertices(self):
         trees = enumerate_stable_trees(3, positive_only=False)
@@ -118,7 +126,39 @@ def reference_bijections(t1, t2):
     return {c for c in itertools.product(*slots) if len(set(c)) == len(c)}
 
 
+def reference_components(g, max_edges):
+    """Brute force: every admissible (nu, sigma) made least over every pair
+    of automorphisms of the two trees, one at a time."""
+    trees = enumerate_stable_trees(g, max_edges=max_edges)
+    found = set()
+    for t1 in trees:
+        for t2 in trees:
+            if sorted(t1.genera) != sorted(t2.genera):
+                continue
+            auts = [_least_relabelings(t)[1] for t in (t1, t2)]
+            for nu in _genus_preserving_bijections(t1, t2):
+                if not _elliptic_pairs_ok(t1, t2, nu):
+                    continue
+                for sigma in _sign_choices(t1):
+                    best = None
+                    for p1, p2 in itertools.product(*auts):
+                        nu2, sig2 = [0] * len(nu), [None] * len(nu)
+                        for v in range(len(nu)):
+                            nu2[p1[v]], sig2[p1[v]] = p2[nu[v]], sigma[v]
+                        key = (tuple(nu2), tuple(x or "" for x in sig2))
+                        if best is None or key < best[0]:
+                            best = key, Component(t1, t2, tuple(nu2), tuple(sig2))
+                    found.add(best[1])
+    return found
+
+
 class TestComponents:
+    @pytest.mark.parametrize("g, max_edges", [(2, None), (3, None), (4, 2), (4, 3), (5, 2), (5, 3)])
+    def test_orbit_walk_vs_least_over_aut_pairs(self, g, max_edges):
+        comps = enumerate_components(g, max_edges)
+        assert len(comps) == len(set(comps))
+        assert set(comps) == reference_components(g, max_edges)
+
     @pytest.mark.parametrize("g", range(1, 6))
     def test_bijections_vs_product_filter(self, g):
         trees = enumerate_stable_trees(g)

@@ -6,6 +6,9 @@ dependency).
   lists it in ``__all__`` (a re-export).
 * The human rendering rules live in ``algebra.render_sum`` alone: no other
   module has a string constant containing the ``+ -`` fold.
+* The half-edge slot labels (``__e{i}a``/``__e{i}b``) are spelled out in
+  ``tautring`` alone: no other module has a string constant starting with
+  ``__e``, so none parses or builds them itself.
 * There is one permutation search over graph vertices,
   ``tautring._least_relabelings``: ``itertools.permutations`` appears there
   and in ``ctp._genus_preserving_bijections`` (the component bijections)
@@ -72,6 +75,25 @@ def test_scan_catches_an_unused_import():
 def test_scan_catches_a_fold():
     tree = ast.parse('s = " + ".join(parts).replace("+ -", "- ")\nt = f"{a} + -{b}"\n')
     assert sorted(fold_strings(tree)) == [" + -", "+ -"]
+
+
+def slot_strings(tree: ast.Module) -> list[str]:
+    return [node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and node.value.startswith("__e")]
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "tautring.py"),
+                         ids=lambda p: p.name)
+def test_slot_labels_stay_in_tautring(path):
+    found = slot_strings(ast.parse(path.read_text()))
+    assert not found, f"{path.name} spells half-edge slot labels; use tautring._halfedge_slots: {found}"
+
+
+def test_scan_catches_a_slot_label():
+    tree = ast.parse('a = [m for m in s if m.startswith("__e")]\nb = f"__e{i}a"\n'
+                     'def __eq__(self, o):\n    return "x__e" == o\n')
+    assert sorted(slot_strings(tree)) == ["__e", "__e"]
 
 
 #: (module, top-level function) pairs allowed to reach itertools.permutations

@@ -548,6 +548,121 @@ class TestForgetful:
             assert down == F(7) * alpha, name
 
 
+def _random_leggy_tree(rng):
+    """A compact-type tree on up to 5 vertices with legs, half-edge psi and
+    kappa/lambda decorations."""
+    nv = rng.randint(1, 5)
+    genera = [rng.choice((1, 1, 2, 3) if nv > 1 else (2, 3)) for _ in range(nv)]
+    edges = [(rng.randrange(w), w, rng.choice((0, 0, 1)), rng.choice((0, 0, 1)))
+             for w in range(1, nv)]
+    legs = [(lab, rng.randrange(nv), rng.choice((0, 0, 1)))
+            for lab in ("p", "q", "r")[: rng.randint(0, 3)]]
+    kap = {rng.randrange(nv): [(rng.choice((1, 2)), 1)]} if rng.random() < 0.5 else {}
+    lm = {rng.randrange(nv): [(1, 1)]} if rng.random() < 0.4 else {}
+    return make_gen(genera, edges, legs, kap, lm)
+
+
+def _space_of(gen, policy="ct"):
+    return ModuliSpec(gen.total_genus(), tuple(lab for (lab, _, _) in gen.legs), policy)
+
+
+def _own_factor(gen, v, policy):
+    factor = tr._vertex_factors(gen)[v]
+    return TautClass(tr._vertex_space(factor, policy), {factor: F(1)})
+
+
+def _contract_by_hand(gen, k):
+    """(coarse, m, factor): gen with its edge k contracted to vertex m of
+    coarse, and factor the two-vertex generator on m's moduli whose gluing
+    in place of m gives gen back."""
+    a, b, pa, pb = gen.edges[k]
+    keep = [u for u in range(gen.n_vertices()) if u != b]
+    index = {u: i for i, u in enumerate(keep)}
+    index[b] = m = index[a]
+    coarse = make_gen(
+        [gen.genera[u] + (gen.genera[b] if u == a else 0) for u in keep],
+        [(index[p], index[q], x, y) for i, (p, q, x, y) in enumerate(gen.edges) if i != k],
+        [(lab, index[v], e) for (lab, v, e) in gen.legs],
+        {index[u]: gen.kappa[u] for u in keep if u != a},
+        {index[u]: gen.lam[u] for u in keep if u != a},
+    )
+    side = {a: 0, b: 1}
+    slots = tr._halfedge_slots(coarse)
+    legs = []
+    for (lab, _, e) in tr._vertex_factors(coarse)[m].legs:
+        if (m, lab) in slots:  # the coarse edge's far end names gen's edge
+            j = slots.index((m, lab))
+            p, q, _, _ = coarse.edges[j // 2]
+            far = keep[q if j % 2 == 0 else p]
+            end = next(u for (x, y, _, _) in gen.edges for u in (a, b) if {x, y} == {far, u})
+            legs.append((lab, side[end], e))
+        else:
+            legs.append((lab, side[gen.leg_vertex(lab)], e))
+    factor = make_gen((gen.genera[a], gen.genera[b]), [(0, 1, pa, pb)], legs,
+                      {0: gen.kappa[a], 1: gen.kappa[b]}, {0: gen.lam[a], 1: gen.lam[b]})
+    return coarse, m, factor
+
+
+class TestRegluing:
+    """Every generator is its vertex factors glued along its edges, so
+    re-gluing a factor in its own place is the identity."""
+
+    def test_own_factor_random_trees(self):
+        rng = random.Random(20261019)
+        nonzero = 0
+        for _ in range(200):
+            gen = _random_leggy_tree(rng)
+            space = _space_of(gen)
+            expect = TautClass(space, {gen: F(1)})
+            nonzero += not expect.is_zero()
+            for v in range(gen.n_vertices()):
+                assert tr._expand_vertex(space, gen, v, _own_factor(gen, v, "ct")) == expect
+        assert nonzero > 100
+
+    def test_own_factor_stable_self_edges(self):
+        for gen in (make_gen((2,), [(0, 0, 1, 0)], [("p", 0, 1)]),
+                    make_gen((1, 1), [(0, 0, 1, 0), (1, 1), (0, 1, 0, 1)], [("p", 1)],
+                             {0: [(1, 1)]})):
+            space = _space_of(gen, "stable")
+            expect = TautClass(space, {gen: F(1)})
+            assert not expect.is_zero()
+            for v in range(gen.n_vertices()):
+                assert tr._expand_vertex(space, gen, v, _own_factor(gen, v, "stable")) == expect
+
+    def test_factor_with_an_edge(self):
+        # gluing a two-vertex factor in place of the vertex its edge was
+        # contracted to gives the fine tree back
+        rng = random.Random(20261020)
+        checked = 0
+        for _ in range(200):
+            gen = _random_leggy_tree(rng)
+            for k in range(len(gen.edges)):
+                coarse, m, factor = _contract_by_hand(gen, k)
+                space = _space_of(gen)
+                vspec = tr._vertex_space(tr._vertex_factors(coarse)[m], "ct")
+                got = tr._expand_vertex(space, coarse, m, TautClass(vspec, {factor: F(1)}))
+                assert got == TautClass(space, {gen: F(1)})
+                checked += not got.is_zero()
+        assert checked > 100
+
+
+class TestTailProducts:
+    def test_same_tail_product_raises(self):
+        # the psi-decorated tail times the plain one is multiply's job
+        space = ModuliSpec(2, ("p", "x"))
+        decorated = TautClass(space, {boundary_gen(space, 0, ("p", "x"), exps=(0, 1)): F(1)})
+        plain = delta_zero_pair(space, "p", "x")
+        with pytest.raises(tr.UnsupportedOperation):
+            tr._mul_poly(decorated, plain)
+        squared = boundary_gen(space, 0, ("p", "x"), exps=(0, 2))
+        assert multiply(decorated, plain) == TautClass(space, {squared: F(-1)})
+
+    def test_tails_sharing_one_marking_are_disjoint(self):
+        space = ModuliSpec(2, ("p", "q", "x"))
+        assert tr._mul_poly(delta_zero_pair(space, "p", "x"),
+                            delta_zero_pair(space, "q", "x")).is_zero()
+
+
 class TestAssociativity:
     def test_divisor_triples(self):
         dA = delta_sep(M4, 1)
