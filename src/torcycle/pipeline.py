@@ -91,31 +91,34 @@ def rename_marking(c: TautClass, old: str, new: str) -> TautClass:
 
 
 def _pull(c: TautClass, graph: Gen, names, forget: dict[int, str]) -> ProductClass:
-    """Gluing pullback along the one-edge graph, the half-edge slot of each
-    factor i renamed to ``names[i]``, then the forgetful pullback adding
-    marking ``forget[i]`` to each factor i in ``forget``."""
+    """Gluing pullback along the separating one-edge graph, then one pass
+    per factor i: its half-edge slot renamed to ``names[i]``, then the
+    forgetful pullback adding marking ``forget[i]`` if i is in ``forget``."""
     pc = pullback_gluing(c, graph)
     for (i, slot), name in zip(_halfedge_slots(graph), names):
-        pc = pc.map_factor(i, lambda cls, slot=slot, name=name: rename_marking(cls, slot, name))
-    for i, x in forget.items():
-        pc = pc.map_factor(i, lambda cls, x=x: pullback_forgetful(cls, x))
+        def pull(cls, slot=slot, name=name, x=forget.get(i)):
+            cls = rename_marking(cls, slot, name)
+            return pullback_forgetful(cls, x) if x else cls
+        pc = pc.map_factor(i, pull)
     return pc
 
 
 def _push(pc: ProductClass, graph: Gen, names, forget: dict[int, str]) -> TautClass:
-    """The way back from ``_pull``: forgetful pushforward of marking
-    ``forget[i]`` on each factor i in ``forget``, ``names[i]`` renamed back
-    to factor i's slot, then gluing pushforward.  A term dies outright when
-    a pushed factor carries a degree-0 generator (the fundamental class
-    pushes to zero), which also keeps unsupported shapes in doomed terms
-    from ever being pushed."""
+    """The way back from ``_pull``: one pass per factor i, the forgetful
+    pushforward of marking ``forget[i]`` if i is in ``forget``, then
+    ``names[i]`` renamed back to factor i's slot; then gluing pushforward.
+    A term dies outright when a pushed factor carries a degree-0 generator
+    (the fundamental class pushes to zero), which also keeps unsupported
+    shapes in doomed terms from ever being pushed."""
     pc = ProductClass._carry(pc.spaces, {
         gens: c for gens, c in pc.terms.items() if all(gens[i].degree() for i in forget)
     })
-    for i, x in forget.items():
-        pc = pc.map_factor(i, lambda cls, x=x: pushforward_forgetful(cls, x))
     for (i, slot), name in zip(_halfedge_slots(graph), names):
-        pc = pc.map_factor(i, lambda cls, slot=slot, name=name: rename_marking(cls, name, slot))
+        def push(cls, slot=slot, name=name, x=forget.get(i)):
+            if x:
+                cls = pushforward_forgetful(cls, x)
+            return rename_marking(cls, name, slot)
+        pc = pc.map_factor(i, push)
     return pushforward_gluing(M4, graph, pc)
 
 

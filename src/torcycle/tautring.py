@@ -32,8 +32,21 @@ manipulated directly in the genus-4 pipelines.
 A ``TautClass`` is a Fraction-linear combination of canonicalized generators
 on a fixed ambient ``ModuliSpec``.  Two classes are equal iff their canonical
 term maps coincide; no completeness of tautological relations is claimed.
-Terms whose decoration degree exceeds a vertex moduli dimension are pruned
-(they vanish in the Chow ring of the vertex factor).
+Terms whose decoration degree exceeds a vertex moduli dimension, or that
+carry a lambda_i with i above the vertex genus, are pruned (they vanish in
+the Chow ring of the vertex factor).
+
+Products
+--------
+Every product with a graph term is the projection formula
+d . xi_*(x) = xi_*(xi^*d . x).  ``_mul_term`` returns the other factor for
+a degree-0 one, merges two free generators, and otherwise hands the graph
+term and the other factor to ``_project``, which pulls the other factor
+back along the graph's gluing map (``pullback_gluing``), multiplies factor
+by factor with the graph's vertex factors and glues back.  ``_mul_poly``
+sums ``_mul_term`` over term pairs; ``ProductClass`` multiplies its
+factors with it.  Only ``multiply`` rewrites kappa_1 (on its divisor side),
+so a pulled-back kappa_1 stays kappa_1 on its vertex.
 
 Canonical form
 --------------
@@ -404,8 +417,12 @@ def aut_order(gen: Gen) -> int:
 
 
 def _prunable(gen: Gen) -> bool:
+    """A vertex decoration above the vertex moduli dimension, or a lambda_i
+    with i above the vertex genus, vanishes."""
     for v, g in enumerate(gen.genera):
         if gen.vertex_decoration_degree(v) > 3 * g - 3 + gen.valence(v):
+            return True
+        if any(i > g for (i, _) in gen.lam[v]):
             return True
     return False
 
@@ -621,11 +638,17 @@ def delta_zero_pair(space: ModuliSpec, p: str, x: str) -> TautClass:
 
 def _halfedge_slots(graph: Gen) -> list[tuple[int, str]]:
     """``(vertex, slot label)`` of every half edge, edge by edge (a end, then
-    b end): the marking each edge end becomes on its vertex factor."""
+    b end): the marking each edge end becomes on its vertex factor.  The
+    prefix is ``__e`` behind as many more underscores as it takes for no
+    leg label of the graph to start with it, so a graph whose legs are
+    themselves slots (a factor's graph pulled back again) gets fresh ones."""
+    prefix = "__e"
+    while any(lab.startswith(prefix) for (lab, _, _) in graph.legs):
+        prefix = "_" + prefix
     slots = []
     for i, (a, b, _, _) in enumerate(graph.edges):
-        slots.append((a, f"__e{i}a"))
-        slots.append((b, f"__e{i}b"))
+        slots.append((a, f"{prefix}{i}a"))
+        slots.append((b, f"{prefix}{i}b"))
     return slots
 
 
@@ -706,18 +729,19 @@ def _undecorated(gen: Gen) -> Gen:
 
 
 # --------------------------------------------------------------------------
-# multiplication by divisor classes
+# products: the projection formula
 
 
 def multiply(d: TautClass, c: TautClass) -> TautClass:
     """Product of a divisor-span class with an arbitrary class.
 
-    Supported divisor terms after kappa_1 expansion: degree-0 scalars, free
-    lambda_i / psi_p / kappa_i factors of degree 1, and undecorated one-edge
-    boundary generators.  Boundary x boundary products use the self-excess
-    rule (-psi - psibar per identification) plus the transverse vertex-split
-    components; the normalization reproduces the gluing-pullback table row
-    for the total boundary.
+    The kappa_1 factors of the divisor side are rewritten first as
+    12 lambda_1 + sum psi - delta (``kappa1_expand``); this is the only
+    product that rewrites kappa_1.  The term pairs then multiply by
+    ``_mul_poly``: a graph term takes the other factor through the
+    projection formula (``_project``), so a boundary x boundary product is
+    the self-excess (-psi - psibar per identification) plus the transverse
+    vertex splits of the gluing pullback.
     """
     if d.space != c.space:
         raise ValueError("ambient mismatch")
@@ -731,26 +755,34 @@ def multiply(d: TautClass, c: TautClass) -> TautClass:
         for g in d.terms
         for v in range(g.n_vertices())
     ):
-        return multiply(kappa1_expand(d), c)
+        d = kappa1_expand(d)
+    return _mul_poly(d, c)
 
-    space = d.space
+
+def _mul_poly(a: TautClass, b: TautClass) -> TautClass:
+    """Product of two classes term pair by term pair (``_mul_term``),
+    kappa_1 left as it is."""
+    space = a.space
     return TautClass._carry(space, _accumulate(
-        (dc * cc, _mul_term(space, dg, cg).terms)
-        for dg, dc in d.terms.items()
-        for cg, cc in c.terms.items()
+        (ca * cb, _mul_term(space, ga, gb).terms)
+        for ga, ca in a.terms.items()
+        for gb, cb in b.terms.items()
     ))
 
 
-def _mul_term(space: ModuliSpec, dg: Gen, cg: Gen) -> TautClass:
-    if dg.degree() == 0:
-        return TautClass._carry(space, {cg: Fraction(1)})
-    if dg.is_trivial_graph():
-        return _mul_free_divisor(space, dg, cg)
-    if len(dg.edges) != 1 or dg.degree() != 1:
-        raise UnsupportedOperation(f"unsupported divisor term: {gen_to_string(dg)}")
-    if cg.is_trivial_graph():
-        return _distribute_free_onto_graph(space, cg, dg)
-    return _boundary_times_graph(space, dg, cg)
+def _mul_term(space: ModuliSpec, a: Gen, b: Gen) -> TautClass:
+    """Product of two admitted generators: a degree-0 factor is the unit,
+    two free generators merge, and otherwise a graph term takes the other
+    factor through the projection formula (a is pulled back along b's graph
+    when both are graph terms)."""
+    if a.degree() == 0:
+        return TautClass._carry(space, {b: Fraction(1)})
+    if b.degree() == 0:
+        return TautClass._carry(space, {a: Fraction(1)})
+    if a.is_trivial_graph() and b.is_trivial_graph():
+        return TautClass(space, {_merge_free(a, b): Fraction(1)})
+    d, gen = (b, a) if b.is_trivial_graph() else (a, b)
+    return _project(space, d, gen)
 
 
 def _merge_free(ga: Gen, gb: Gen) -> Gen:
@@ -765,145 +797,18 @@ def _merge_free(ga: Gen, gb: Gen) -> Gen:
     )
 
 
-def _mul_free_divisor(space: ModuliSpec, dg: Gen, cg: Gen) -> TautClass:
-    kap = dg.kappa[0]
-    lm = dg.lam[0]
-    psis = [(lab, e) for (lab, _, e) in dg.legs if e]
-    if cg.is_trivial_graph():
-        return TautClass(space, {_merge_free(dg, cg): Fraction(1)})
-    if psis:
-        lab = psis[0][0]
-        legs = tuple(
-            (l, lv, e + (1 if l == lab else 0)) for (l, lv, e) in cg.legs
-        )
-        return TautClass(
-            space, {Gen(cg.genera, cg.edges, legs, cg.kappa, cg.lam): Fraction(1)}
-        )
-    # the factor lands on one vertex at a time: distinct raw generators
-    if lm:
-        ((i, _),) = lm
-        return TautClass(space, {
-            Gen(cg.genera, cg.edges, cg.legs, cg.kappa, _bump(cg.lam, v, i)): Fraction(1)
-            for v in range(cg.n_vertices())
-        })
-    if kap:
-        ((i, _),) = kap
-        return TautClass(space, {
-            Gen(cg.genera, cg.edges, cg.legs, _bump(cg.kappa, v, i), cg.lam): Fraction(1)
-            for v in range(cg.n_vertices())
-        })
-    raise UnsupportedOperation("empty divisor term")
-
-
-def _bump(mons: tuple, v: int, i: int) -> tuple:
-    """Per-vertex monomials with one more factor of index i at vertex v."""
-    out = list(mons)
-    out[v] = _norm_monomial(list(out[v]) + [(i, 1)])
-    return tuple(out)
-
-
-def _mul_term_class(space: ModuliSpec, dgen: Gen, cls: TautClass) -> TautClass:
-    return TautClass._carry(space, _accumulate(
-        (cc, _mul_term(space, dgen, cg).terms) for cg, cc in cls.terms.items()
-    ))
-
-
-def _distribute_free_onto_graph(space: ModuliSpec, free: Gen, graph: Gen) -> TautClass:
-    """xi_{Gamma*}(xi_Gamma^* monomial . dec): table-row distribution of a
-    free monomial over a boundary term, factor by factor.  No kappa_1
-    rewriting happens here."""
-    out = TautClass(space, {graph: Fraction(1)})
-    for (i, e) in free.kappa[0]:
-        dgen = _trivial_gen(space, kappa_mon=[(i, 1)])
-        for _ in range(e):
-            out = _mul_term_class(space, dgen, out)
-    for (i, e) in free.lam[0]:
-        dgen = _trivial_gen(space, lam_mon=[(i, 1)])
-        for _ in range(e):
-            out = _mul_term_class(space, dgen, out)
-    for (lab, _, e) in free.legs:
-        dgen = _trivial_gen(space, psi_mon={lab: 1})
-        for _ in range(e):
-            out = _mul_term_class(space, dgen, out)
-    return out
-
-
-def _boundary_times_graph(space: ModuliSpec, dg: Gen, cg: Gen) -> TautClass:
-    """Projection formula xi_{Gamma*}(dec) . [Gamma']:
-
-      xi_Gamma^*[Gamma'] = [Gamma' = Gamma] |Aut Gamma| (-psi_h - psi_hbar)
-        + |Aut Gamma'| sum over one-edge splits s of vertices of Gamma whose
-          old-edge contraction is Gamma', weighted 1/|Aut s|.
-    """
-    if len(cg.edges) != 1:
-        raise UnsupportedOperation(
-            "boundary products implemented against one-edge or free terms"
-        )
-    if space.policy == "stable":
-        raise UnsupportedOperation(
-            "boundary x boundary products implemented on compact type only"
-        )
-    d_undec, d_aut = canonicalize(dg)
-    parts = []
-    if canonicalize(_undecorated(cg))[0] == d_undec:
-        # dg is undecorated and has cg's graph, so each of its d_aut
-        # identifications with cg gives -psi_h - psi_hbar on cg's edge
-        (a, b, av, aw) = cg.edges[0]
-        excess = {
-            Gen(cg.genera, (edge,), cg.legs, cg.kappa, cg.lam): Fraction(-d_aut)
-            for edge in ((a, b, av + 1, aw), (a, b, av, aw + 1))
-        }
-        parts.append((1, TautClass(space, excess).terms))
-    factors = _vertex_factors(cg)
-    for v, sgen, saut in _transverse_splits(cg, d_undec):
-        vspec = _vertex_space(factors[v], space.policy)
-        vclass = _distribute_free_onto_graph(vspec, factors[v], sgen)
-        expanded = _expand_vertex(space, cg, v, vclass)
-        parts.append((Fraction(d_aut, saut), expanded.terms))
-    return TautClass._carry(space, _accumulate(parts))
-
-
-def _transverse_splits(graph: Gen, target: Gen):
-    """The transverse vertex splits of a compact-type one-edge graph:
-    ``(v, sgen, |Aut sgen|)`` for each one-edge graph sgen of vertex v that
-    ``_splits_to`` the canonical target."""
-    plain = _undecorated(graph)
-    for v, factor in enumerate(_vertex_factors(plain)):
-        for sgen, saut in one_edge_graphs(_vertex_space(factor, "ct")):
-            if _splits_to(plain, v, sgen, target):
-                yield v, sgen, saut
-
-
-def _splits_to(plain: Gen, v: int, sgen: Gen, target: Gen) -> bool:
-    """Whether sgen glued in place of vertex v of the undecorated one-edge
-    graph plain, with plain's own edge then contracted, is target."""
-    factors = _vertex_factors(plain)
-    factors[v] = sgen
-    big = _assemble_glued(plain, factors)
-    return canonicalize(_contract_old_edge(big, range(v, v + sgen.n_vertices())))[0] == target
-
-
-def _contract_old_edge(big: Gen, news: range) -> Gen:
-    """Contract the one edge of ``big`` outside the vertices ``news`` that
-    replaced a vertex: the edge of the graph glued into.  The edge's
-    endpoints merge."""
-    nv = big.n_vertices()
-    ((k, (a, b, _, _)),) = [
-        (i, e) for i, e in enumerate(big.edges) if not (e[0] in news and e[1] in news)
-    ]
-    keep = [u for u in range(nv) if u != b]
-    remap = {u: i for i, u in enumerate(keep)}
-    remap[b] = remap[a]
-    genera = [big.genera[u] for u in keep]
-    genera[remap[a]] += big.genera[b]
-    edges = [(remap[p], remap[q], x, y) for i, (p, q, x, y) in enumerate(big.edges) if i != k]
-    legs = [(lab, remap[lv], e) for (lab, lv, e) in big.legs]
-    kappa: dict[int, list] = {}
-    lam: dict[int, list] = {}
-    for u in range(nv):
-        kappa.setdefault(remap[u], []).extend(big.kappa[u])
-        lam.setdefault(remap[u], []).extend(big.lam[u])
-    return make_gen(genera, edges, legs, kappa, lam)
+@lru_cache(maxsize=4096)
+def _project(space: ModuliSpec, d: Gen, gen: Gen) -> TautClass:
+    """d . gen by the projection formula d . xi_*(x) = xi_*(xi^*d . x), with
+    xi the gluing map of gen's undecorated graph and x gen's vertex factors:
+    d is pulled back, multiplied factor by factor and glued back."""
+    graph = _undecorated(gen)
+    factors = ProductClass.from_factors([
+        TautClass._carry(sp, {f: Fraction(1)})
+        for sp, f in zip(glue_spaces(space, graph), _vertex_factors(gen))
+    ])
+    pulled = pullback_gluing(TautClass._carry(space, {d: Fraction(1)}), graph)
+    return pushforward_gluing(space, graph, pulled * factors)
 
 
 # --------------------------------------------------------------------------
@@ -985,47 +890,6 @@ def _pull_free_forgetful(up: ModuliSpec, gen: Gen, x: str) -> TautClass:
         tail = TautClass(up, {boundary_gen(up, 0, (lab, x), exps=(0, b - 1)): Fraction(1)})
         acc = _mul_poly(main - tail, acc)
     return acc
-
-
-def _mul_poly(a: TautClass, b: TautClass) -> TautClass:
-    """Product used inside the forgetful conversion: free monomials and
-    rational tails through the new marking."""
-    space = a.space
-    return TautClass._carry(space, _accumulate(
-        (ca * cb, _mul_general_pair(space, ga, gb).terms)
-        for ga, ca in a.terms.items()
-        for gb, cb in b.terms.items()
-    ))
-
-
-def _rational_tail_labels(gen: Gen) -> set[str] | None:
-    """The two markings on gen's rational tail, if gen is a rational tail."""
-    if len(gen.edges) != 1 or gen.n_vertices() != 2:
-        return None
-    for v in (0, 1):
-        if gen.genera[v] == 0 and gen.valence(v) == 3:
-            labs = {lab for (lab, lv, _) in gen.legs if lv == v}
-            if len(labs) == 2:
-                return labs
-    return None
-
-
-def _mul_general_pair(space: ModuliSpec, ga: Gen, gb: Gen) -> TautClass:
-    if ga.is_trivial_graph() and gb.is_trivial_graph():
-        return TautClass(space, {_merge_free(ga, gb): Fraction(1)})
-    if gb.is_trivial_graph():
-        ga, gb = gb, ga
-    if ga.is_trivial_graph():
-        labs = _rational_tail_labels(gb)
-        if labs is None:
-            raise UnsupportedOperation("free x boundary product outside tail shape")
-        if any(e and lab in labs for (lab, _, e) in ga.legs):
-            return zero(space)  # psi at a 3-pointed rational vertex
-        return _distribute_free_onto_graph(space, ga, gb)
-    la, lb = _rational_tail_labels(ga), _rational_tail_labels(gb)
-    if la and lb and len(la & lb) == 1:
-        return zero(space)  # tails sharing one marking are disjoint
-    raise UnsupportedOperation("boundary x boundary outside disjoint tails")
 
 
 # --------------------------------------------------------------------------
@@ -1205,10 +1069,10 @@ class ProductClass(_LinearCombination):
                 factors = []
                 for i, (sp, ga, gb) in enumerate(zip(spaces, ka, kb)):
                     if (i, ga, gb) not in memo:
-                        ta = TautClass._carry(sp, {ga: Fraction(1)})
-                        tb = TautClass._carry(sp, {gb: Fraction(1)})
-                        mul = multiply if ga.degree() <= 1 or gb.degree() <= 1 else _mul_poly
-                        memo[i, ga, gb] = mul(ta, tb)
+                        memo[i, ga, gb] = _mul_poly(
+                            TautClass._carry(sp, {ga: Fraction(1)}),
+                            TautClass._carry(sp, {gb: Fraction(1)}),
+                        )
                     factors.append(memo[i, ga, gb])
                 parts.append((va * vb, ProductClass.from_factors(factors).terms))
         return ProductClass._carry(spaces, _accumulate(parts))
@@ -1246,10 +1110,6 @@ def glue_spaces(space: ModuliSpec, graph: Gen) -> list[ModuliSpec]:
     ]
 
 
-def product_one(spaces: Sequence[ModuliSpec]) -> ProductClass:
-    return ProductClass.from_factors([one(sp) for sp in spaces])
-
-
 def pushforward_gluing(space: ModuliSpec, graph: Gen, pc: ProductClass) -> TautClass:
     """xi_{Gamma*} of a product class on the vertex factors of Gamma.  No
     automorphism factor is applied; callers building delta-type sums supply
@@ -1263,10 +1123,11 @@ def pushforward_gluing(space: ModuliSpec, graph: Gen, pc: ProductClass) -> TautC
 
 
 def pullback_gluing(c: TautClass, graph: Gen) -> ProductClass:
-    """xi_Gamma^*: free monomials by the table rows (lambda and kappa sum
-    over vertices, psi restricts, total boundary gives vertex boundaries
-    minus psi at the glued half edges); one-edge generators by self-excess
-    plus transverse vertex splits."""
+    """xi_Gamma^*: free monomials factor by factor on the vertices (kappa_i
+    sums over the vertices, lambda_i over the splits of i, psi restricts);
+    one-edge separating generators by self-excess plus transverse vertex
+    splits, which makes the total boundary the vertex boundaries minus psi
+    at the glued half edges."""
     spaces = glue_spaces(c.space, graph)
     parts = []
     for gen, coeff in c.terms.items():
@@ -1278,43 +1139,46 @@ def pullback_gluing(c: TautClass, graph: Gen) -> ProductClass:
     return ProductClass._carry(spaces, _accumulate(parts))
 
 
-def _vertex_sum(spaces, builder) -> ProductClass:
-    """Sum over the factors v of builder(spaces[v]) on factor v times the
-    unit on the others: a free class restricted along a gluing map."""
-    parts = []
-    for v in range(len(spaces)):
-        factors = [one(sp) for sp in spaces]
-        factors[v] = builder(spaces[v])
-        parts.append((1, ProductClass.from_factors(factors).terms))
-    return ProductClass._carry(spaces, _accumulate(parts))
-
-
 def _pull_free_gluing(spaces, graph: Gen, gen: Gen) -> ProductClass:
-    out = product_one(spaces)
-    for (i, e) in gen.lam[0]:
-        single = _vertex_sum(spaces, lambda sp: lam(sp, i))
-        for _ in range(e):
-            out = out * single
-    for (i, e) in gen.kappa[0]:
-        single = _vertex_sum(spaces, lambda sp: kappa(sp, i))
-        for _ in range(e):
-            out = out * single
-    for (lab, _, e) in gen.legs:
-        if not e:
-            continue
-        v = graph.leg_vertex(lab)
-        factors = [one(sp) for sp in spaces]
-        factors[v] = psi(spaces[v], lab, e)
-        out = out * ProductClass.from_factors(factors)
-    return out
+    """A free monomial restricted along a gluing map, each factor placed on
+    its vertex: kappa_i on one vertex at a time, psi_p on p's vertex, and
+    lambda_i, by c(xi^*E) = prod_v c(E_v), on every split i = sum_v i_v as
+    the product of the lambda_{i_v}."""
+    n = len(spaces)
+    # the alternative placements of each kappa_i or lambda_i factor, as
+    # (vertex, 0 for kappa or 1 for lambda, index) triples
+    alts = [[((v, 0, i),) for v in range(n)] for (i, e) in gen.kappa[0] for _ in range(e)]
+    alts += [
+        [tuple((v, 1, j) for v, j in enumerate(split) if j)
+         for split in itertools.product(range(i + 1), repeat=n) if sum(split) == i]
+        for (i, e) in gen.lam[0]
+        for _ in range(e)
+    ]
+    psi_exp = {lab: e for (lab, _, e) in gen.legs}
+    blank = _vertex_factors(_undecorated(graph))
+    terms: dict = {}
+    for combo in itertools.product(*alts):
+        mons: list = [([], []) for _ in range(n)]
+        for placed in combo:
+            for v, part, i in placed:
+                mons[v][part].append((i, 1))
+        key = tuple(
+            Gen(f.genera, (), tuple((lab, 0, psi_exp.get(lab, 0)) for (lab, _, _) in f.legs),
+                (_norm_monomial(kap),), (_norm_monomial(lm),))
+            for f, (kap, lm) in zip(blank, mons)
+        )
+        terms[key] = terms.get(key, 0) + 1
+    return ProductClass(spaces, terms)
 
 
 def _pull_boundary_gluing(spaces, graph: Gen, gen: Gen) -> ProductClass:
     if len(gen.edges) != 1 or len(graph.edges) != 1:
         raise UnsupportedOperation("gluing pullback for one-edge graphs only")
-    if any(sp.policy == "stable" for sp in spaces):
+    # two separating edges meet transversally in a three-vertex tree, on
+    # either policy; a self edge has more ways to meet
+    if any(a == b for (a, b, _, _) in gen.edges + graph.edges):
         raise UnsupportedOperation(
-            "boundary gluing pullback implemented on compact type only"
+            "boundary gluing pullback implemented on compact type (separating edges) only"
         )
     parts = []
     g_undec = _undecorated(graph)
@@ -1357,6 +1221,49 @@ def _transport_tail_decoration(
         for (ea, eb) in sorted({(xa, xb), (xb, xa)})
     )
     return [trial for trial in trials if _splits_to(g_undec, v, trial, target)]
+
+
+def _transverse_splits(graph: Gen, target: Gen):
+    """The transverse vertex splits of a compact-type one-edge graph:
+    ``(v, sgen, |Aut sgen|)`` for each one-edge graph sgen of vertex v that
+    ``_splits_to`` the canonical target."""
+    plain = _undecorated(graph)
+    for v, factor in enumerate(_vertex_factors(plain)):
+        for sgen, saut in one_edge_graphs(_vertex_space(factor, "ct")):
+            if _splits_to(plain, v, sgen, target):
+                yield v, sgen, saut
+
+
+def _splits_to(plain: Gen, v: int, sgen: Gen, target: Gen) -> bool:
+    """Whether sgen glued in place of vertex v of the undecorated one-edge
+    graph plain, with plain's own edge then contracted, is target."""
+    factors = _vertex_factors(plain)
+    factors[v] = sgen
+    big = _assemble_glued(plain, factors)
+    return canonicalize(_contract_old_edge(big, range(v, v + sgen.n_vertices())))[0] == target
+
+
+def _contract_old_edge(big: Gen, news: range) -> Gen:
+    """Contract the one edge of ``big`` outside the vertices ``news`` that
+    replaced a vertex: the edge of the graph glued into.  The edge's
+    endpoints merge."""
+    nv = big.n_vertices()
+    ((k, (a, b, _, _)),) = [
+        (i, e) for i, e in enumerate(big.edges) if not (e[0] in news and e[1] in news)
+    ]
+    keep = [u for u in range(nv) if u != b]
+    remap = {u: i for i, u in enumerate(keep)}
+    remap[b] = remap[a]
+    genera = [big.genera[u] for u in keep]
+    genera[remap[a]] += big.genera[b]
+    edges = [(remap[p], remap[q], x, y) for i, (p, q, x, y) in enumerate(big.edges) if i != k]
+    legs = [(lab, remap[lv], e) for (lab, lv, e) in big.legs]
+    kappa: dict[int, list] = {}
+    lam: dict[int, list] = {}
+    for u in range(nv):
+        kappa.setdefault(remap[u], []).extend(big.kappa[u])
+        lam.setdefault(remap[u], []).extend(big.lam[u])
+    return make_gen(genera, edges, legs, kappa, lam)
 
 
 # --------------------------------------------------------------------------

@@ -9,6 +9,10 @@ dependency).
 * The half-edge slot labels (``__e{i}a``/``__e{i}b``) are spelled out in
   ``tautring`` alone: no other module has a string constant starting with
   ``__e``, so none parses or builds them itself.
+* Only ``tautring.multiply`` rewrites kappa_1 inside a product:
+  ``kappa1_expand`` is referenced from ``multiply``, from itself, and from
+  the two places that return kappa_1 expanded by design
+  (``chern.chern_tangent_moduli`` and ``cli._cmd_taut``).
 * There is one permutation search over graph vertices,
   ``tautring._least_relabelings``: ``itertools.permutations`` appears there
   and in ``ctp._genus_preserving_bijections`` (the component bijections)
@@ -132,3 +136,41 @@ def test_scan_catches_a_permutation_search():
         "def h(n):\n    return list(it.combinations(range(n), 2))\n"
     )
     assert permutation_sites(tree) == ["<module>", "f"]
+
+
+#: (module, top-level function) pairs allowed to reference kappa1_expand
+KAPPA1_SITES = {("tautring.py", "multiply"), ("tautring.py", "kappa1_expand"),
+                ("chern.py", "chern_tangent_moduli"), ("cli.py", "_cmd_taut")}
+
+
+def kappa1_sites(tree: ast.Module) -> list[str]:
+    """The top-level function or class around each reference to
+    ``kappa1_expand`` (a name or an attribute); ``<module>`` outside them.
+    Imports bind it without referencing it."""
+    sites = []
+    for top in tree.body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for node in ast.walk(top):
+            if ((isinstance(node, ast.Attribute) and node.attr == "kappa1_expand")
+                    or (isinstance(node, ast.Name) and node.id == "kappa1_expand")):
+                sites.append(owner)
+    return sites
+
+
+def test_kappa1_rewritten_only_by_multiply():
+    found = {(path.name, site) for path in SRC.glob("*.py")
+             for site in kappa1_sites(ast.parse(path.read_text()))}
+    assert found <= KAPPA1_SITES, (
+        f"kappa1_expand outside multiply and its two expanding callers: "
+        f"{sorted(found - KAPPA1_SITES)}")
+
+
+def test_scan_catches_a_kappa1_call():
+    tree = ast.parse(
+        "from .tautring import kappa1_expand\n"
+        "def f(c):\n    return kappa1_expand(c)\n"
+        "class C:\n    def g(self, c):\n        return tr.kappa1_expand(c)\n"
+        "h = map(kappa1_expand, [])\n"
+        "def k(c):\n    return kappa1(c)\n"
+    )
+    assert kappa1_sites(tree) == ["f", "C", "<module>"]

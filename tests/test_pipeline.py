@@ -163,7 +163,7 @@ class TestMemo:
 
         monkeypatch.setattr(tr.ProductClass, "map_factor", counted_map_factor)
         pipeline._b_component_contribution()
-        assert len(calls) > 10 and sum(calls) > 50
+        assert sum(calls) > 50
 
     def test_two_pointed_genus2_chern_once(self, monkeypatch):
         # the (q, y) factor's Chern classes are the (p, x) ones renamed

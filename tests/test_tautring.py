@@ -223,8 +223,8 @@ class TestAdmission:
 
     @pytest.mark.parametrize("op", ["add", "sub"])
     def test_product_factor_mismatch(self, op):
-        a = tr.product_one([M4, M11])
-        b = tr.product_one([M41, M11])
+        a = ProductClass.from_factors([one(M4), one(M11)])
+        b = ProductClass.from_factors([one(M41), one(M11)])
         with pytest.raises(ValueError, match="factor mismatch"):
             a + b if op == "add" else a - b
 
@@ -435,6 +435,37 @@ class TestTable1Gluing:
         cls = pushforward_gluing(M4, self.graph, pc)
         assert cls == TautClass(M4, {boundary_gen(M4, 2, ()): F(1)})
         assert F(1, 2) * cls == delta_sep(M4, 2)
+
+    def test_lambda_splits_over_vertices(self):
+        # c(xi^*E) = c(E_0) c(E_1): lambda_2 restricts to lambda_2 x 1 +
+        # lambda_1 x lambda_1 + 1 x lambda_2, lambda_4 to lambda_2 x lambda_2
+        s0, s1 = self.spaces
+        pc = pullback_gluing(lam(M4, 2), self.graph)
+        assert pc == (
+            ProductClass.from_factors([lam(s0, 2), one(s1)])
+            + ProductClass.from_factors([lam(s0, 1), lam(s1, 1)])
+            + ProductClass.from_factors([one(s0), lam(s1, 2)])
+        )
+        assert pullback_gluing(lam(M4, 4), self.graph) == ProductClass.from_factors(
+            [lam(s0, 2), lam(s1, 2)]
+        )
+
+    def test_lambda_above_genus_vanishes(self):
+        assert lam(ModuliSpec(2, ("p",)), 3).is_zero()
+        assert not lam(ModuliSpec(2, ("p",)), 2).is_zero()
+
+    @pytest.mark.parametrize("g, markings, g1", [
+        (4, (), 1), (4, (), 2), (4, (), 3), (2, ("p", "q"), 1),
+    ], ids=["M4-g1", "M4-g2", "M4-g3", "M2pq-g1"])
+    def test_kappa1_cubed(self, g, markings, g1):
+        # the factor products of a pulled-back kappa_1^3 nest one gluing
+        # pullback inside another, on factor spaces that carry slots
+        space = ModuliSpec(g, markings)
+        graph = boundary_gen(space, g1, ())
+        single = pullback_gluing(kappa(space, 1), graph)
+        cubed = pullback_gluing(tr.monomial(space, [(1, 3)]), graph)
+        assert cubed == single * single * single
+        assert not cubed.is_zero()
 
     def test_glue_pushforward_decorated(self):
         graphA = tr._undecorated(boundary_gen(M4, 1, ()))
@@ -647,20 +678,46 @@ class TestRegluing:
 
 
 class TestTailProducts:
-    def test_same_tail_product_raises(self):
-        # the psi-decorated tail times the plain one is multiply's job
+    def test_same_tail_product_matches_multiply(self):
+        # the psi-decorated tail times the plain one: only the excess at the
+        # genus-2 end survives
         space = ModuliSpec(2, ("p", "x"))
         decorated = TautClass(space, {boundary_gen(space, 0, ("p", "x"), exps=(0, 1)): F(1)})
         plain = delta_zero_pair(space, "p", "x")
-        with pytest.raises(tr.UnsupportedOperation):
-            tr._mul_poly(decorated, plain)
         squared = boundary_gen(space, 0, ("p", "x"), exps=(0, 2))
-        assert multiply(decorated, plain) == TautClass(space, {squared: F(-1)})
+        assert tr._mul_poly(decorated, plain) == TautClass(space, {squared: F(-1)})
+        assert multiply(decorated, plain) == tr._mul_poly(decorated, plain)
 
     def test_tails_sharing_one_marking_are_disjoint(self):
         space = ModuliSpec(2, ("p", "q", "x"))
         assert tr._mul_poly(delta_zero_pair(space, "p", "x"),
                             delta_zero_pair(space, "q", "x")).is_zero()
+
+
+class TestStableSeparating:
+    """Separating edges multiply the same way on both policies."""
+
+    def test_two_psi_forgetful_pullback(self):
+        # (psi_p - D_px)(psi_q - D_qx): the two tails through x are disjoint
+        pulled = [
+            pullback_forgetful(tr.monomial(ModuliSpec(2, ("p", "q"), policy),
+                                           psi_mon={"p": 1, "q": 1}), "x")
+            for policy in ("ct", "stable")
+        ]
+        assert str(pulled[0]) == str(pulled[1])
+
+    @pytest.mark.parametrize("g, markings", [(2, ("p",)), (3, ()), (4, ("p", "q"))])
+    def test_separating_products_match_compact_type(self, g, markings):
+        products = [
+            multiply(delta_sep(space, 1), delta_sep(space, 1) + delta_sep(space, g - 1))
+            for space in (ModuliSpec(g, markings), ModuliSpec(g, markings, "stable"))
+        ]
+        assert str(products[0]) == str(products[1])
+
+    def test_self_edge_products_raise(self):
+        space = ModuliSpec(3, (), "stable")
+        with pytest.raises(tr.UnsupportedOperation):
+            multiply(tr.delta_irr(space), delta_sep(space, 1))
 
 
 class TestAssociativity:
