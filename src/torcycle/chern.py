@@ -114,9 +114,10 @@ def chern_tangent_moduli(space: ModuliSpec, k: int) -> tuple[TautClass, ...]:
     """Chern classes c_1..c_k of the tangent bundle, exact.
 
     Degree 1 is returned in the lambda/psi/delta basis (kappa_1 expanded).
-    Products beyond the implemented boundary calculus raise; the divisor
-    pipelines need k <= 2 with boundary terms and k = 3 only on the
-    interior.  Memoized per (space, k): every caller shares the tuple.
+    Products beyond the implemented boundary calculus raise.  The divisor
+    pipelines need k = 1 with boundary terms; k = 2 serves the ``chern``
+    command and ``selftest`` only; k = 3 works only on the interior.  Memoized
+    per (space, k): every caller shares the tuple.
     """
     if k > 3:
         raise UnsupportedOperation("Chern classes beyond degree 3 not needed")

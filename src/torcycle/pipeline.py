@@ -3,7 +3,8 @@
 * genus 4: the pullback of the Torelli cycle decomposes into the canonical
   top-Chern contributions of the diagonal, (1,3) and (2,2) components plus
   multiplicity-weighted intersection and nonreduced loci; everything
-  cancels to 16 lambda_1.
+  cancels to 16 lambda_1.  A push-pull forms only the terms its push
+  keeps: the fundamental class pushes to zero along a forgetful map.
 * genus 5: the interior restriction; the normal-bundle Chern characters
   live in the interior ring spanned by lambda and kappa classes, degree 3
   collapses onto kappa_3, and the hyperelliptic locus enters with
@@ -91,10 +92,14 @@ def rename_marking(c: TautClass, old: str, new: str) -> TautClass:
 
 
 def _pull(c: TautClass, graph: Gen, names, forget: dict[int, str]) -> ProductClass:
-    """Gluing pullback along the separating one-edge graph, then one pass
-    per factor i: its half-edge slot renamed to ``names[i]``, then the
-    forgetful pullback adding marking ``forget[i]`` if i is in ``forget``."""
-    pc = pullback_gluing(c, graph)
+    """Gluing pullback along the separating one-edge graph, then ``_lift``."""
+    return _lift(pullback_gluing(c, graph), graph, names, forget)
+
+
+def _lift(pc: ProductClass, graph: Gen, names, forget: dict[int, str]) -> ProductClass:
+    """One pass per factor i of a class on the graph's vertex factors: its
+    half-edge slot renamed to ``names[i]``, then the forgetful pullback
+    adding marking ``forget[i]`` if i is in ``forget``."""
     for (i, slot), name in zip(_halfedge_slots(graph), names):
         def pull(cls, slot=slot, name=name, x=forget.get(i)):
             cls = rename_marking(cls, slot, name)
@@ -103,16 +108,22 @@ def _pull(c: TautClass, graph: Gen, names, forget: dict[int, str]) -> ProductCla
     return pc
 
 
+def _kept(pc: ProductClass, factors) -> ProductClass:
+    """The terms with a positive-degree generator at every factor in
+    ``factors``: the only ones a push forgetting a marking on each of them
+    keeps, since pi_* 1 = 0 along a forgetful map."""
+    return ProductClass._carry(pc.spaces, {
+        gens: c for gens, c in pc.terms.items() if all(gens[i].degree() for i in factors)
+    })
+
+
 def _push(pc: ProductClass, graph: Gen, names, forget: dict[int, str]) -> TautClass:
     """The way back from ``_pull``: one pass per factor i, the forgetful
     pushforward of marking ``forget[i]`` if i is in ``forget``, then
     ``names[i]`` renamed back to factor i's slot; then gluing pushforward.
-    A term dies outright when a pushed factor carries a degree-0 generator
-    (the fundamental class pushes to zero), which also keeps unsupported
+    Only the ``_kept`` terms are pushed, which also keeps unsupported
     shapes in doomed terms from ever being pushed."""
-    pc = ProductClass._carry(pc.spaces, {
-        gens: c for gens, c in pc.terms.items() if all(gens[i].degree() for i in forget)
-    })
+    pc = _kept(pc, forget)
     for (i, slot), name in zip(_halfedge_slots(graph), names):
         def push(cls, slot=slot, name=name, x=forget.get(i)):
             if x:
@@ -130,9 +141,9 @@ def _a_component_contribution() -> TautClass:
     """Push-pull through the (1,3) gluing: the parametrizing product is
     genus-1 with marking p times genus-3 with markings q, y; the first
     projection glues p to q after forgetting y, the second glues p to y
-    after forgetting q."""
+    after forgetting q.  The push forgets y on the genus-3 factor, so
+    c_1(M_{1,p}) (x) 1 pushes to zero and is not formed."""
     graph = boundary_gen(M4, 1, ())
-    F1 = ModuliSpec(1, ("p",))
     F2 = ModuliSpec(3, ("q", "y"))
     p1 = (graph, ("p", "q"), {1: "y"})
     p2 = (graph, ("p", "y"), {1: "q"})
@@ -141,8 +152,7 @@ def _a_component_contribution() -> TautClass:
         _pull(Fraction(-5) * lam(M4), *p1)
         - _pull(c1_m4, *p1)
         - _pull(c1_m4, *p2)
-        + ProductClass.from_factors([chern.c1_tangent(F1), one(F2)])
-        + ProductClass.from_factors([one(F1), chern.c1_tangent(F2)])
+        + ProductClass.from_factors([one(ModuliSpec(1, ("p",))), chern.c1_tangent(F2)])
     )
     return _push(n_class, *p1)
 
@@ -153,7 +163,13 @@ def _a_component_contribution() -> TautClass:
 
 def _b_component_contribution() -> tuple[TautClass, dict[str, TautClass]]:
     """The three-term expansion on the square of the two-pointed genus-2
-    product, halved for the symmetric-group quotient."""
+    product, halved for the symmetric-group quotient.  The push p1 forgets
+    x and y, so only bidegree (1,1) survives it (``_kept``).  With
+    p2^*c_1 = L + R of bidegrees (1,0), (0,1) and c_1(T_X) = A + B,
+    A = c_1(F1) (x) 1, B = 1 (x) c_1(F2), each factor product has a unit side:
+        product_tangent = push(c_2(T_X)) = push(A B)
+        ambient_c2 = -push(p2^*(c_1^2/2 - ch_2)) = -push(L R - (p2^*ch_2)_(1,1))
+        cross = push(p2^*c_1 (p2^*c_1 - c_1(T_X))) = push(2 L R - L B - R A)"""
     graph = boundary_gen(M4, 2, ())
     F1 = ModuliSpec(2, ("p", "x"))
     F2 = ModuliSpec(2, ("q", "y"))
@@ -161,32 +177,20 @@ def _b_component_contribution() -> tuple[TautClass, dict[str, TautClass]]:
     p1 = (graph, ("p", "q"), {0: "x", 1: "y"})
     p2 = (graph, ("x", "y"), {0: "p", 1: "q"})
 
-    # F2 is F1 with p, x renamed to q, y: rename its Chern classes, don't recompute
-    c1_f1, c2_f1 = chern.chern_tangent_moduli(F1, 2)
-    c1_f2, c2_f2 = (rename_marking(rename_marking(c, "p", "q"), "x", "y") for c in (c1_f1, c2_f1))
-    c1_m4 = chern.c1_tangent(M4)
+    # F2 is F1 with p, x renamed to q, y: rename its Chern class, don't recompute
+    c1_f1 = chern.c1_tangent(F1)
+    c1_f2 = rename_marking(rename_marking(c1_f1, "p", "q"), "x", "y")
+    A = ProductClass.from_factors([c1_f1, one(F2)])
+    B = ProductClass.from_factors([one(F1), c1_f2])
+    p2c1 = _pull(chern.c1_tangent(M4), *p2)
+    L, R = _kept(p2c1, {0}), _kept(p2c1, {1})
+    LR = L * R
+    # _lift keeps each factor's degree, so the (1,1) terms are picked first
+    p2ch2_11 = _lift(_kept(pullback_gluing(chern.ch_tangent(M4, 2), graph), p1[2]), *p2)
 
-    # term 1: c2 of the product tangent bundle (the per-factor c2 pieces
-    # die under the pushforward; the cross term carries everything)
-    c2_tx = (
-        ProductClass.from_factors([c1_f1, c1_f2])
-        + ProductClass.from_factors([c2_f1, one(F2)])
-        + ProductClass.from_factors([one(F1), c2_f2])
-    )
-    term1 = _push(c2_tx, *p1)
-
-    # term 2: minus the pullback of c2 of the ambient tangent bundle,
-    # pulled in the structured form c2 = c1^2/2 - ch2 (pullback is a ring
-    # map; the square is taken upstairs in the product ring)
-    p2c1 = _pull(c1_m4, *p2)
-    p2ch2 = _pull(chern.ch_tangent(M4, 2), *p2)
-    term2 = -1 * _push(Fraction(1, 2) * (p2c1 * p2c1) - p2ch2, *p1)
-
-    # term 3: p2^* c1 (p2^* c1 - c1(TX))
-    c1_tx = ProductClass.from_factors([c1_f1, one(F2)]) + ProductClass.from_factors(
-        [one(F1), c1_f2]
-    )
-    term3 = _push(p2c1 * (p2c1 - c1_tx), *p1)
+    term1 = _push(ProductClass.from_factors([c1_f1, c1_f2]), *p1)
+    term2 = -1 * _push(LR - p2ch2_11, *p1)
+    term3 = _push(2 * LR - L * B - R * A, *p1)
 
     pieces = {"product_tangent": term1, "ambient_c2": term2, "cross": term3}
     total = Fraction(1, 2) * (term1 + term2 + term3)

@@ -1,6 +1,9 @@
 import time
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from torcycle import chern, pipeline
 from torcycle import tautring as tr
 from torcycle.pipeline import (
@@ -25,10 +28,61 @@ from torcycle.tautring import (
     delta_total,
     kappa,
     lam,
+    one,
     psi,
 )
 
 F = Fraction
+
+# the (2,2) push-pull: p1 glues p to q after forgetting x, y; p2 glues x
+# to y after forgetting p, q
+B_F1 = ModuliSpec(2, ("p", "x"))
+B_F2 = ModuliSpec(2, ("q", "y"))
+B_GRAPH = tr.boundary_gen(M4, 2, ())
+B_P1 = (B_GRAPH, ("p", "q"), {0: "x", 1: "y"})
+B_P2 = (B_GRAPH, ("x", "y"), {0: "p", 1: "q"})
+
+
+def full_b_pieces() -> dict:
+    """The (2,2) pieces with every bidegree formed: c_2 of each factor, the
+    full squares of p2^*c_1 and all of p2^*ch_2.  The (2,0) and (0,2) parts
+    die in the push."""
+    c1_f1, c2_f1 = chern.chern_tangent_moduli(B_F1, 2)
+    c1_f2, c2_f2 = (
+        rename_marking(rename_marking(c, "p", "q"), "x", "y") for c in (c1_f1, c2_f1)
+    )
+    c2_tx = (
+        tr.ProductClass.from_factors([c1_f1, c1_f2])
+        + tr.ProductClass.from_factors([c2_f1, one(B_F2)])
+        + tr.ProductClass.from_factors([one(B_F1), c2_f2])
+    )
+    c1_tx = tr.ProductClass.from_factors([c1_f1, one(B_F2)]) + tr.ProductClass.from_factors(
+        [one(B_F1), c1_f2]
+    )
+    p2c1 = pipeline._pull(chern.c1_tangent(M4), *B_P2)
+    p2ch2 = pipeline._pull(chern.ch_tangent(M4, 2), *B_P2)
+    return {
+        "product_tangent": pipeline._push(c2_tx, *B_P1),
+        "ambient_c2": -1 * pipeline._push(F(1, 2) * (p2c1 * p2c1) - p2ch2, *B_P1),
+        "cross": pipeline._push(p2c1 * (p2c1 - c1_tx), *B_P1),
+    }
+
+
+def full_a_contribution():
+    """The (1,3) push-pull with c_1(M_{1,p}) (x) 1 formed as well."""
+    graph = tr.boundary_gen(M4, 1, ())
+    f1, f2 = ModuliSpec(1, ("p",)), ModuliSpec(3, ("q", "y"))
+    p1 = (graph, ("p", "q"), {1: "y"})
+    p2 = (graph, ("p", "y"), {1: "q"})
+    c1_m4 = chern.c1_tangent(M4)
+    n_class = (
+        pipeline._pull(F(-5) * lam(M4), *p1)
+        - pipeline._pull(c1_m4, *p1)
+        - pipeline._pull(c1_m4, *p2)
+        + tr.ProductClass.from_factors([chern.c1_tangent(f1), one(f2)])
+        + tr.ProductClass.from_factors([one(f1), chern.c1_tangent(f2)])
+    )
+    return pipeline._push(n_class, *p1)
 
 
 class TestSocle:
@@ -101,6 +155,99 @@ class TestGenus4:
         assert time.time() - t0 < 1.0
 
 
+class TestFullExpansion:
+    """Forming only the terms the push keeps changes no term of the result."""
+
+    def test_b_pieces_match_full_expansion(self):
+        total, pieces = pipeline._b_component_contribution()
+        full = full_b_pieces()
+        assert pieces.keys() == full.keys()
+        for key, value in full.items():
+            assert pieces[key] == value, key
+        assert total == F(1, 2) * (full["product_tangent"] + full["ambient_c2"] + full["cross"])
+
+    def test_a_contribution_matches_full_expansion(self):
+        assert pipeline._a_component_contribution() == full_a_contribution()
+
+
+def _factor_divisors(space):
+    return (
+        [lam(space), kappa(space, 1)]
+        + [psi(space, m) for m in space.markings]
+        + [tr.TautClass(space, {g: F(1)}) for g, _ in tr.one_edge_graphs(space)]
+    )
+
+
+@st.composite
+def factor_classes(draw, space, degree):
+    """A class of the given degree on one factor: a combination of products
+    of ``degree`` of lambda_1, kappa_1, psi and one-edge classes."""
+    divisors = _factor_divisors(space)
+    out = tr.zero(space)
+    for _ in range(draw(st.integers(1, 2))):
+        term = one(space)
+        for d in draw(st.lists(st.sampled_from(divisors), min_size=degree, max_size=degree)):
+            term = tr.multiply(d, term)
+        out = out + draw(st.integers(-3, 3).filter(bool)) * term
+    return out
+
+
+BIDEGREES = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+
+
+@st.composite
+def b_product_classes(draw):
+    """A degree <= 2 class on F1 x F2: a sum of factor products of
+    bidegrees (a, b) with a + b <= 2, one of them (1,1)."""
+    out = tr.ProductClass([B_F1, B_F2])
+    for a, b in [(1, 1)] + draw(st.lists(st.sampled_from(BIDEGREES), max_size=3)):
+        factors = [draw(factor_classes(B_F1, a)), draw(factor_classes(B_F2, b))]
+        out = out + tr.ProductClass.from_factors(factors)
+    return out
+
+
+class TestBidegreeFilter:
+    @given(b_product_classes())
+    @settings(max_examples=40, deadline=None)
+    def test_push_keeps_only_bidegree_11(self, x):
+        x11 = tr.ProductClass._carry(x.spaces, {
+            gens: c for gens, c in x.terms.items() if [g.degree() for g in gens] == [1, 1]
+        })
+        assert pipeline._kept(x, B_P1[2]) == x11
+        assert pipeline._push(x, *B_P1) == pipeline._push(x11, *B_P1)
+
+    def test_work_stays_off_the_projection_formula(self, monkeypatch):
+        # every factor product of the (2,2) expansion has a degree-0 side,
+        # so no ProductClass product reaches the projection formula
+        depth = 0
+        reached = []
+        times = tr.ProductClass._times
+
+        def counted_times(self, other):
+            nonlocal depth
+            depth += 1
+            try:
+                return times(self, other)
+            finally:
+                depth -= 1
+
+        def watched(name, fn):
+            def wrapper(*args):
+                if depth:
+                    reached.append(name)
+                return fn(*args)
+            return wrapper
+
+        chern.chern_tangent_moduli.cache_clear()
+        tr._project.cache_clear()
+        monkeypatch.setattr(tr.ProductClass, "_times", counted_times)
+        monkeypatch.setattr(tr, "_project", watched("_project", tr._project))
+        monkeypatch.setattr(tr, "multiply", watched("multiply", tr.multiply))
+        total, _ = pipeline._b_component_contribution()
+        assert total == 8 * delta_sep(M4, 2)
+        assert reached == []
+
+
 class TestMemo:
     """The genus-4 push-pull computes each factor product, factor image and
     Chern class once."""
@@ -139,8 +286,9 @@ class TestMemo:
         monkeypatch.setattr(tr.ProductClass, "_times", counted_times)
         monkeypatch.setattr(tr, "multiply", counted(tr.multiply))
         monkeypatch.setattr(tr, "_mul_poly", counted(tr._mul_poly))
-        total, _ = pipeline._b_component_contribution()
-        assert total == 8 * delta_sep(M4, 2)
+        # the full expansion, where both squares multiply (a (x) 1)(a' (x) 1)
+        full = full_b_pieces()
+        assert full["product_tangent"] + full["ambient_c2"] + full["cross"] == 16 * delta_sep(M4, 2)
         assert seen_total > 100
 
     def test_map_factor_once_per_generator(self, monkeypatch):
@@ -162,11 +310,14 @@ class TestMemo:
             return out
 
         monkeypatch.setattr(tr.ProductClass, "map_factor", counted_map_factor)
-        pipeline._b_component_contribution()
+        t_pullback_g4.cache_clear()
+        final, _ = t_pullback_g4()
+        assert final == 16 * lam(M4)
         assert sum(calls) > 50
 
     def test_two_pointed_genus2_chern_once(self, monkeypatch):
-        # the (q, y) factor's Chern classes are the (p, x) ones renamed
+        # the push keeps no degree-2 class of one factor alone, so no
+        # two-pointed genus-2 space needs its degree-2 character
         degree2 = []
         ch_tangent = chern.ch_tangent
 
@@ -180,7 +331,7 @@ class TestMemo:
         chern.chern_tangent_moduli.cache_clear()
         final, _ = t_pullback_g4()
         assert final == 16 * lam(M4)
-        assert degree2 == [ModuliSpec(2, ("p", "x"))]
+        assert degree2 == []
 
 
 class TestGenus5:
