@@ -256,11 +256,7 @@ def _cmd_period(args, cfg: RunConfig) -> int:
 
 def _cmd_torelli(args, cfg: RunConfig) -> int:
     if args.op == "g4":
-        try:
-            final, ledger = pipeline.t_pullback_g4()
-        except pipeline.PipelineMismatch as exc:
-            print(f"mismatch: {exc}", file=sys.stderr)
-            return 1
+        final, ledger = pipeline.t_pullback_g4()
         if cfg.machine:
             _print_class(cfg, "t*T4", final)
         else:
@@ -288,11 +284,7 @@ def _cmd_torelli(args, cfg: RunConfig) -> int:
                 print(f"  explain: {line}")
         return 0
     if args.op == "g5":
-        try:
-            final, rep = pipeline.t_pullback_g5()
-        except pipeline.PipelineMismatch as exc:
-            print(f"mismatch: {exc}", file=sys.stderr)
-            return 1
+        final, rep = pipeline.t_pullback_g5()
         _emit(cfg, "t*T5|interior", final)
         _emit(cfg, "ch1(T moduli)", rep.ch_moduli[0])
         _emit(cfg, "ch2(T moduli)", rep.ch_moduli[1])
@@ -311,11 +303,7 @@ def _cmd_torelli(args, cfg: RunConfig) -> int:
                   "kappa1^3 = 288 kappa3)")
         return 0
     if args.op == "abar4":
-        try:
-            curve_side, rep = pipeline.t_pushforward_Abar4()
-        except pipeline.PipelineMismatch as exc:
-            print(f"mismatch: {exc}", file=sys.stderr)
-            return 1
+        curve_side, rep = pipeline.t_pushforward_Abar4()
         _print_class(cfg, "t*t_*[curve side]", curve_side)
         _emit(cfg, "conclusion", rep.pic_conclusion)
         if cfg.explain:
@@ -477,6 +465,9 @@ def main(argv=None) -> int:
             parser.error("shift makes a component dimension non-positive")
     try:
         return args.fn(args, cfg)
+    except pipeline.PipelineMismatch as exc:
+        print(f"mismatch: {exc}", file=sys.stderr)
+        return 1
     except UnsupportedOperation as exc:
         msg = " ".join(str(exc).split())
         print(f"torcycle {args.command}: unsupported operation: {msg}", file=sys.stderr)

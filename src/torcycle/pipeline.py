@@ -34,6 +34,7 @@ from .tautring import (
     ProductClass,
     TautClass,
     _halfedge_slots,
+    _relabel,
     boundary_gen,
     delta_irr,
     delta_sep,
@@ -84,11 +85,7 @@ def rename_marking(c: TautClass, old: str, new: str) -> TautClass:
         tuple(new if m == old else m for m in c.space.markings),
         c.space.policy,
     )
-    terms = {}
-    for g, coeff in c.terms.items():
-        legs = tuple((new if lab == old else lab, v, e) for (lab, v, e) in g.legs)
-        terms[Gen(g.genera, g.edges, tuple(sorted(legs)), g.kappa, g.lam)] = coeff
-    return TautClass(space, terms)
+    return TautClass(space, {_relabel(g, {old: new}): coeff for g, coeff in c.terms.items()})
 
 
 def _pull(c: TautClass, graph: Gen, names, forget: dict[int, str]) -> ProductClass:
@@ -141,20 +138,17 @@ def _a_component_contribution() -> TautClass:
     """Push-pull through the (1,3) gluing: the parametrizing product is
     genus-1 with marking p times genus-3 with markings q, y; the first
     projection glues p to q after forgetting y, the second glues p to y
-    after forgetting q.  The push forgets y on the genus-3 factor, so
-    c_1(M_{1,p}) (x) 1 pushes to zero and is not formed."""
+    after forgetting q.  The push p1_* forgets y on the genus-3 factor, so
+    p1_* p1^* = 0 and c_1(M_{1,p}) (x) 1 pushes to zero: of the normal class
+    p1^*(-5 lambda_1 - c_1) - p2^*c_1 + c_1(T_X), only
+    1 (x) c_1(M_{3,{q,y}}) - p2^*c_1 is formed."""
     graph = boundary_gen(M4, 1, ())
-    F2 = ModuliSpec(3, ("q", "y"))
     p1 = (graph, ("p", "q"), {1: "y"})
     p2 = (graph, ("p", "y"), {1: "q"})
-    c1_m4 = chern.c1_tangent(M4)
-    n_class = (
-        _pull(Fraction(-5) * lam(M4), *p1)
-        - _pull(c1_m4, *p1)
-        - _pull(c1_m4, *p2)
-        + ProductClass.from_factors([one(ModuliSpec(1, ("p",))), chern.c1_tangent(F2)])
+    tangent = ProductClass.from_factors(
+        [one(ModuliSpec(1, ("p",))), chern.c1_tangent(ModuliSpec(3, ("q", "y")))]
     )
-    return _push(n_class, *p1)
+    return _push(tangent - _pull(chern.c1_tangent(M4), *p2), *p1)
 
 
 # --------------------------------------------------------------------------

@@ -21,8 +21,9 @@ vertex's legs and the slots of its half edges (``_halfedge_slots``, the one
 place the slot labels are spelled out), and ``_assemble_glued``, the one
 routine that wires generators along graph edges, glues them back.  Every
 vertex-local operation (forgetful pull and push on graph terms, vertex
-kappa_1 expansion, transverse splits) replaces one factor and re-glues
-(``_expand_vertex``); the gluing pushforward glues a factor per vertex.
+kappa_1 expansion) replaces one factor and re-glues (``_expand_vertex``);
+the gluing pushforward glues a factor per vertex.  ``_relabel`` is the one
+leg rename.
 
 No automorphism factor is baked in: the boundary divisor class of a
 one-edge graph with a 2-element automorphism group is *half* the generator
@@ -48,14 +49,24 @@ sums ``_mul_term`` over term pairs; ``ProductClass`` multiplies its
 factors with it.  Only ``multiply`` rewrites kappa_1 (on its divisor side),
 so a pulled-back kappa_1 stays kappa_1 on its vertex.
 
+Gluing pullback
+---------------
+``pullback_gluing`` restricts a free monomial factor by factor
+(``_pull_free_gluing``).  A one-edge separating generator is read off the
+two sides of its graph Delta, as in the generic-structure formula of
+Graber--Pandharipande (Michigan Math. J. 2003, App. A): a side equal to
+Gamma's vertex 0 identifies the edges (self-excess), and a side that fits
+in a vertex of Gamma splits that vertex transversally, Delta's other side
+pulled back by the free rule and glued on (``_pull_boundary_gluing``).
+Nothing is searched for and no automorphism factor enters.
+
 Canonical form
 --------------
 One permutation search, ``_least_relabelings``, gives the canonical form
 of a generator (its least relabeling) and every vertex map onto it.
 ``canonicalize`` returns the form and |Aut| (the number of maps times the
-edge-level symmetries of ``_halfedge_factor``); ``_isomorphisms`` composes
-one generator's maps with the inverse of another's; ``ctp`` takes tree
-automorphisms from the same search.
+edge-level symmetries of ``_halfedge_factor``); ``ctp`` takes tree
+isomorphisms and automorphisms from the same search.
 
 Admission
 ---------
@@ -396,18 +407,6 @@ def canonicalize(gen: Gen) -> tuple[Gen, int]:
     return best, len(maps) * _halfedge_factor(best)
 
 
-def _isomorphisms(gen_from: Gen, gen_to: Gen) -> list[list[int]]:
-    """Every vertex map p with ``_apply_perm(gen_from, p) == gen_to``, in
-    lexicographic order: gen_from's maps onto the canonical form followed
-    by the inverse of one of gen_to's."""
-    canon, maps = _least_relabelings(gen_from)
-    canon_to, maps_to = _least_relabelings(gen_to)
-    if canon != canon_to:
-        return []
-    back = {image: v for v, image in enumerate(maps_to[0])}
-    return sorted([back[i] for i in m] for m in maps)
-
-
 def aut_order(gen: Gen) -> int:
     return canonicalize(gen)[1]
 
@@ -671,6 +670,12 @@ def _vertex_factors(gen: Gen) -> list[Gen]:
 def _vertex_space(factor: Gen, policy: str) -> ModuliSpec:
     """The moduli of a vertex factor: its genus, with its legs as markings."""
     return ModuliSpec(factor.genera[0], tuple(lab for (lab, _, _) in factor.legs), policy)
+
+
+def _relabel(gen: Gen, names: Mapping[str, str]) -> Gen:
+    """gen with the leg labels in ``names`` renamed, all at once."""
+    legs = tuple(sorted((names.get(lab, lab), v, e) for (lab, v, e) in gen.legs))
+    return Gen(gen.genera, gen.edges, legs, gen.kappa, gen.lam)
 
 
 def _assemble_glued(graph: Gen, gens: Sequence[Gen]) -> Gen:
@@ -1172,6 +1177,16 @@ def _pull_free_gluing(spaces, graph: Gen, gen: Gen) -> ProductClass:
 
 
 def _pull_boundary_gluing(spaces, graph: Gen, gen: Gen) -> ProductClass:
+    """xi_Gamma^* of a one-edge separating generator, read off the two sides
+    (genus h, legs L, vertex factor, slot) of its graph Delta.  A side equal
+    to Gamma's vertex 0 identifies the edges: the self-excess -(psi +
+    psibar) times Delta's factors moved onto Gamma's slots.  A side with L
+    among the legs of a vertex v, the rest of v stable, splits v
+    transversally: S = boundary_gen(v's space, h, L) carries the side's
+    factor on its slot-free vertex, and Delta's other side, which S's slot
+    vertex and Gamma's other vertex u merge into, is pulled back along the
+    edge joining them.  S has no automorphism, and a symmetric Delta is
+    counted once per side."""
     if len(gen.edges) != 1 or len(graph.edges) != 1:
         raise UnsupportedOperation("gluing pullback for one-edge graphs only")
     # two separating edges meet transversally in a three-vertex tree, on
@@ -1180,90 +1195,41 @@ def _pull_boundary_gluing(spaces, graph: Gen, gen: Gen) -> ProductClass:
         raise UnsupportedOperation(
             "boundary gluing pullback implemented on compact type (separating edges) only"
         )
-    parts = []
-    g_undec = _undecorated(graph)
-    c_undec, c_aut = canonicalize(_undecorated(gen))
-    for ident in _isomorphisms(_undecorated(gen), g_undec):
-        moved = _apply_perm(gen, ident)
-        base = [
-            TautClass(sp, {factor: Fraction(1)})
-            for sp, factor in zip(spaces, _vertex_factors(moved))
-        ]
-        for v_end, lab_end in _halfedge_slots(graph):
-            factors = list(base)
-            factors[v_end] = multiply(psi(spaces[v_end], lab_end), base[v_end])
-            parts.append((-1, ProductClass.from_factors(factors).terms))
-    # transverse vertex splits
-    for v, sgen, saut in _transverse_splits(graph, c_undec):
-        for decorated in _transport_tail_decoration(gen, sgen, g_undec, v):
-            factors = [
-                _trivial_gen(sp) if w != v else decorated
-                for w, sp in enumerate(spaces)
-            ]
-            split = ProductClass(spaces, {tuple(factors): Fraction(1)})
-            parts.append((Fraction(c_aut, saut), split.terms))
-    return ProductClass._carry(spaces, _accumulate(parts))
-
-
-def _transport_tail_decoration(
-    gen: Gen, sgen: Gen, g_undec: Gen, v: int
-) -> list[Gen]:
-    """Decorate the split generator's edge with gen's half-edge psi
-    exponents, keeping every orientation that ``_splits_to`` the decorated
-    gen."""
-    if any(gen.kappa) or any(gen.lam) or any(e for (_, _, e) in gen.legs):
-        raise UnsupportedOperation("transverse transport outside psi-edge span")
-    (_, _, xa, xb) = gen.edges[0]
-    (p, q, bp, bq) = sgen.edges[0]
-    target = canonicalize(gen)[0]
-    trials = (
-        Gen(sgen.genera, ((p, q, bp + ea, bq + eb),), sgen.legs, sgen.kappa, sgen.lam)
-        for (ea, eb) in sorted({(xa, xb), (xb, xa)})
-    )
-    return [trial for trial in trials if _splits_to(g_undec, v, trial, target)]
-
-
-def _transverse_splits(graph: Gen, target: Gen):
-    """The transverse vertex splits of a compact-type one-edge graph:
-    ``(v, sgen, |Aut sgen|)`` for each one-edge graph sgen of vertex v that
-    ``_splits_to`` the canonical target."""
-    plain = _undecorated(graph)
-    for v, factor in enumerate(_vertex_factors(plain)):
-        for sgen, saut in one_edge_graphs(_vertex_space(factor, "ct")):
-            if _splits_to(plain, v, sgen, target):
-                yield v, sgen, saut
-
-
-def _splits_to(plain: Gen, v: int, sgen: Gen, target: Gen) -> bool:
-    """Whether sgen glued in place of vertex v of the undecorated one-edge
-    graph plain, with plain's own edge then contracted, is target."""
-    factors = _vertex_factors(plain)
-    factors[v] = sgen
-    big = _assemble_glued(plain, factors)
-    return canonicalize(_contract_old_edge(big, range(v, v + sgen.n_vertices())))[0] == target
-
-
-def _contract_old_edge(big: Gen, news: range) -> Gen:
-    """Contract the one edge of ``big`` outside the vertices ``news`` that
-    replaced a vertex: the edge of the graph glued into.  The edge's
-    endpoints merge."""
-    nv = big.n_vertices()
-    ((k, (a, b, _, _)),) = [
-        (i, e) for i, e in enumerate(big.edges) if not (e[0] in news and e[1] in news)
+    slot = dict(_halfedge_slots(graph))
+    legs = [{lab for (lab, w, _) in graph.legs if w == v} for v in (0, 1)]
+    factors = _vertex_factors(gen)
+    sides = [
+        (gen.genera[j], {lab for (lab, w, _) in gen.legs if w == j}, factors[j], s)
+        for j, s in _halfedge_slots(gen)
     ]
-    keep = [u for u in range(nv) if u != b]
-    remap = {u: i for i, u in enumerate(keep)}
-    remap[b] = remap[a]
-    genera = [big.genera[u] for u in keep]
-    genera[remap[a]] += big.genera[b]
-    edges = [(remap[p], remap[q], x, y) for i, (p, q, x, y) in enumerate(big.edges) if i != k]
-    legs = [(lab, remap[lv], e) for (lab, lv, e) in big.legs]
-    kappa: dict[int, list] = {}
-    lam: dict[int, list] = {}
-    for u in range(nv):
-        kappa.setdefault(remap[u], []).extend(big.kappa[u])
-        lam.setdefault(remap[u], []).extend(big.lam[u])
-    return make_gen(genera, edges, legs, kappa, lam)
+    terms: dict = {}
+    for (h, L, f, s), (_, _, rest, r) in (sides, sides[::-1]):
+        if (h, L) == (graph.genera[0], legs[0]):
+            moved = [_relabel(f, {s: slot[0]}), _relabel(rest, {r: slot[1]})]
+            for v in (0, 1):
+                x = list(moved)
+                x[v] = _merge_free(x[v], _trivial_gen(spaces[v], psi_mon={slot[v]: 1}))
+                terms[tuple(x)] = terms.get(tuple(x), 0) - 1
+        for v, u in ((0, 1), (1, 0)):
+            g_m = graph.genera[v] - h  # the rest of v: v's other legs, slot, new edge
+            if not L <= legs[v] or g_m < 0 or 2 * g_m + len(legs[v]) - len(L) <= 0:
+                continue
+            split = boundary_gen(spaces[v], h, sorted(L))
+            (_, sa), (_, sb) = _halfedge_slots(split)
+            edge = make_gen(
+                (g_m, graph.genera[u]), [(0, 1)],
+                [(lab, 0) for lab in (legs[v] - L) | {r}] + [(lab, 1) for lab in legs[u]],
+            )
+            (_, ea), (_, eb) = _halfedge_slots(edge)
+            merged = _vertex_space(rest, spaces[v].policy)
+            pulled = _pull_free_gluing(glue_spaces(merged, edge), edge, rest)
+            tail = _relabel(f, {s: sa})
+            for (m, w), c in pulled.terms.items():
+                pair = (_assemble_glued(split, [tail, _relabel(m, {r: sb, ea: slot[v]})]),
+                        _relabel(w, {eb: slot[u]}))
+                key = pair if v == 0 else pair[::-1]
+                terms[key] = terms.get(key, 0) + c
+    return ProductClass(spaces, terms)
 
 
 # --------------------------------------------------------------------------

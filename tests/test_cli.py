@@ -5,7 +5,7 @@ import pathlib
 import subprocess
 import sys
 
-from torcycle import selftest
+from torcycle import pipeline, selftest
 from torcycle.cli import main
 
 SRC = pathlib.Path(__file__).parent.parent / "src"
@@ -49,6 +49,17 @@ class TestTorelli:
         code, out = run_cli("torelli", "dim", "--g", "10")
         assert code == 0
         assert "-1" in out and "vanishes" in out
+
+    def test_mismatch_exit_1(self, monkeypatch, capsys):
+        def drifted():
+            raise pipeline.PipelineMismatch("2 c3(N) = 0")
+
+        monkeypatch.setattr(pipeline, "t_pullback_g5", drifted)
+        code, out = run_cli("torelli", "g5")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert out == ""
+        assert err == "mismatch: 2 c3(N) = 0\n"
 
 
 class TestExcess:
