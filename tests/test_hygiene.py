@@ -4,6 +4,9 @@ dependency).
 * Every module-level import is used: a name bound by a top-level
   ``import`` must be referenced somewhere in its module, unless the module
   lists it in ``__all__`` (a re-export).
+* The package runs on the standard library alone: every import in it,
+  function-level ones included, names a module of
+  ``sys.stdlib_module_names`` or of ``torcycle`` (numpy is a test extra).
 * The human rendering rules live in ``algebra.render_sum`` alone: no other
   module has a string constant containing the ``+ -`` fold.
 * The half-edge slot labels (``__e{i}a``/``__e{i}b``) are spelled out in
@@ -21,6 +24,7 @@ dependency).
 
 import ast
 import pathlib
+import sys
 
 import pytest
 
@@ -54,6 +58,31 @@ def test_no_unused_imports(path):
     tree = ast.parse(path.read_text())
     unused = imported_names(tree) - referenced_names(tree) - exported_names(tree)
     assert not unused, f"{path.name} imports but never uses {sorted(unused)}"
+
+
+def foreign_imports(tree: ast.Module) -> set[str]:
+    """Top-level names of the modules imported anywhere in ``tree`` that
+    are neither in the standard library nor in ``torcycle``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names - sys.stdlib_module_names - {"torcycle"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_standard_library_only(path):
+    found = foreign_imports(ast.parse(path.read_text()))
+    assert not found, f"{path.name} imports outside the standard library: {sorted(found)}"
+
+
+def test_scan_catches_a_foreign_import():
+    tree = ast.parse("import math, os.path\nfrom . import period\nfrom .algebra import x\n"
+                     "from torcycle.ctp import y\n"
+                     "def f():\n    import numpy as np\n    from scipy.linalg import eig\n")
+    assert foreign_imports(tree) == {"numpy", "scipy"}
 
 
 def fold_strings(tree: ast.Module) -> list[str]:

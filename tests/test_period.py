@@ -8,6 +8,7 @@ from torcycle import period as P
 from torcycle.period import (
     BASE_CURVE_1,
     BASE_CURVE_2,
+    BRANCH_CLEARANCE,
     EllipseContour,
     HyperellipticCurve,
     PathClearanceError,
@@ -69,6 +70,21 @@ class TestSheetTracking:
         with pytest.raises(PathClearanceError):
             EllipseContour(left, left + 2, 1e-4).check(BASE_CURVE_1)
 
+    @pytest.mark.parametrize("factor", [0.9, 1.1])
+    def test_clearance_exact(self, factor):
+        # a flat arc from 0.5 to 2.5 over branch points 1 and 2, each at
+        # offset 1/2 from its center (half-width 1): its nearest approach d
+        # to either satisfies d^2 = s - s/4 / (1 - s) with s = height^2,
+        # solved here for s at d = factor * BRANCH_CLEARANCE
+        d2 = (factor * BRANCH_CLEARANCE) ** 2
+        s = (0.75 + d2 - math.sqrt((0.75 + d2) ** 2 - 4 * d2)) / 2
+        arc = EllipseContour(0.5, 2.5, math.sqrt(s))
+        if factor < 1:
+            with pytest.raises(PathClearanceError):
+                arc.check(BASE_CURVE_1)
+        else:
+            arc.check(BASE_CURVE_1)
+
 
 def ref_y_upper(curve, z):
     """Node-by-node reference: the product of cmath principal roots."""
@@ -99,8 +115,9 @@ def close(a, b, rtol=1e-13):
 
 
 class TestArrayEvaluation:
-    """The array path agrees with scalar calls and with a node-by-node
-    cmath reference, and a scalar argument gives a Python number."""
+    """The node rows of a refinement level (``_midpoint_samples``) and the
+    scalar maps they are built from agree with a node-by-node cmath
+    reference, and every value is a Python number."""
 
     # inside the cuts (f < 0), outside them, off the axis, and on the axis
     # approached from below (-0.0 imaginary part)
@@ -108,31 +125,39 @@ class TestArrayEvaluation:
     COMPLEX = [1.5 + 0.3j, 2.5 - 0.2j, 5.9 + 1e-9j, complex(1.5, -0.0),
                complex(3.5, -0.0), complex(2.5, -0.0), complex(-1.0, -0.0)]
     TS = [0.0, 0.1, 0.25, 0.49, 0.5, 0.75, 0.999, 1.2, -0.3]
+    #: the standard contours (B1 and B2 flip on the lower arc, A1 and A2 do
+    #: not) and a lower-sheet loop
+    CONTOURS = (*standard_contours(BASE_CURVE_1).values(), EllipseContour(-0.3, 0.3, 0.3, -1))
 
     @pytest.mark.parametrize("curve", [BASE_CURVE_1, BASE_CURVE_2])
     @pytest.mark.parametrize("points", [REAL, COMPLEX])
     def test_y_upper(self, curve, points):
-        ys = curve.y_upper(np.array(points))
-        assert ys.shape == (len(points),)
-        for z, y in zip(points, ys):
-            scalar = curve.y_upper(z)
-            assert type(scalar) is complex
-            assert close(y, scalar)
-            assert close(scalar, ref_y_upper(curve, z)), z
+        for z in points:
+            y = curve.y_upper(z)
+            assert type(y) is complex
+            assert close(y, ref_y_upper(curve, z)), z
 
     def test_contour_maps(self):
-        contours = standard_contours(BASE_CURVE_1)
-        ts = np.array(self.TS)
-        for c in (*contours.values(), EllipseContour(-0.3, 0.3, 0.3, -1)):
-            zs, dzs = c.point(ts), c.derivative(ts)
-            signs = c.sheet_sign(BASE_CURVE_1, ts)
-            for k, t in enumerate(self.TS):
+        for c in self.CONTOURS:
+            for t in self.TS:
                 z, dz, s = c.point(t), c.derivative(t), c.sheet_sign(BASE_CURVE_1, t)
                 assert type(z) is complex and type(dz) is complex
                 assert type(s) is int
-                assert close(zs[k], z) and close(z, ref_point(c, t))
-                assert close(dzs[k], dz) and close(dz, ref_derivative(c, t))
-                assert signs[k] == s == ref_sheet_sign(c, BASE_CURVE_1, t)
+                assert close(z, ref_point(c, t))
+                assert close(dz, ref_derivative(c, t))
+                assert s == ref_sheet_sign(c, BASE_CURVE_1, t)
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_level_rows(self, n):
+        curve = BASE_CURVE_1
+        for c in self.CONTOURS:
+            rows = P._midpoint_samples(curve, c, n)
+            assert type(rows) is tuple and len(rows) == n
+            for k, (z, y, dz) in enumerate(rows):
+                t = (k + 0.5) / n
+                assert z == c.point(t)
+                assert dz == c.derivative(t) / n
+                assert y == c.sheet_sign(curve, t) * curve.y_upper(z)
 
     def test_y_on_path_python_pairs(self):
         ys = y_on_path(BASE_CURVE_1, standard_contours(BASE_CURVE_1)["B1"], 16)
@@ -163,7 +188,42 @@ class TestPythonTypes:
             assert type(val) is complex and type(err) is float
 
 
+def legendre_segment(fn, curve, a, b, n):
+    """Reference: Gauss-Legendre of order n on the root segment [r_a, r_b]
+    after x = m - h cos(theta).  Y's two endpoint roots are taken as
+    sqrt(x - r_a) sqrt(x - r_b) = i h sin(theta): from x - r they would
+    lose digits at the end nodes (1e-12 on a cut of length 0.15)."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    r = curve.roots
+    m, h = (r[a] + r[b]) / 2, (r[b] - r[a]) / 2
+    total = 0j
+    for node, weight in zip(nodes.tolist(), weights.tolist()):
+        theta = (node + 1) * math.pi / 2
+        x = m - h * math.cos(theta)
+        y = -1j * h * math.sin(theta)
+        for root in r[:a] + r[b + 1:]:
+            y *= cmath.sqrt(x - root)
+        total += fn(x, y) * h * math.sin(theta) * math.pi / 2 * weight
+    return total
+
+
+#: the uneven curve of the period goldens: short cut 2 and short gaps
+UNEVEN_CURVE = HyperellipticCurve((0.5, 0.7, 1.9, 2.05, 3, 4.4))
+
+
 class TestQuadrature:
+    @pytest.mark.parametrize("curve", [BASE_CURVE_1, BASE_CURVE_2, UNEVEN_CURVE])
+    def test_segment_rule_vs_legendre(self, curve):
+        r = curve.roots
+        segments = sorted({seg for segs in P.SEGMENT_ROOTS.values() for seg in segs})
+        for a, b in segments:
+            for p in (0, 1, -1, -3):
+                fn = P._power_integrand(p)
+                got = P.gauss_segment(fn, curve, r[a], r[b], 48)
+                want = legendre_segment(fn, curve, a, b, 48)
+                assert type(got) is complex
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (a, b, p)
+
     def test_residue_theorem(self):
         # dz/z around the unit-ish circle: 2 pi i (counterclockwise)
         circle = EllipseContour(-0.3, 0.3, 0.3, +1, "unit")
@@ -353,6 +413,7 @@ class TestRho4:
         P._a_periods.cache_clear()
         P.cauchy_kernel_coeffs.cache_clear()
         P._G.cache_clear()
+        P._midpoint_samples.cache_clear()
         c2 = rho4()
         assert c1.value == c2.value and c1.quadrature_error == c2.quadrature_error
 
