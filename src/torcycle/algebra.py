@@ -13,7 +13,6 @@ when the denominator is 1), which is what ``str`` already produces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -192,20 +191,46 @@ def render_sum(terms: Iterable[tuple[Fraction, str]]) -> str:
 # truncated power series
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+class FrozenValue:
+    """Immutable algebraic value: read-only slots, equal and hashed by the
+    tuple of its fields.  No tuple, so ``x + y`` or ``2 * x`` reaches the
+    class's own operators or raises ``TypeError``."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return self._values() == other._values() if same else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({args})"
+
+
+class TruncatedSeries(FrozenValue):
     """Univariate power series over Fraction, truncated at a fixed degree.
 
     ``coeffs[i]`` is the coefficient of H^i; ``len(coeffs) == cap + 1``.
     Operations never read beyond the cap.
     """
 
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        if not self.coeffs:
+    def __init__(self, coeffs: tuple[Fraction, ...]):
+        if not coeffs:
             raise ValueError("series needs at least the constant coefficient")
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in coeffs))
 
     @property
     def cap(self) -> int:

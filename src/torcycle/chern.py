@@ -27,7 +27,6 @@ genus-5 pipeline restricts curve-side classes to it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
@@ -36,6 +35,7 @@ from math import comb, factorial
 from .algebra import (
     _accumulate,
     _LinearCombination,
+    FrozenValue,
     bernoulli_polynomial,
     ch_from_chern,
     chern_from_ch,
@@ -253,14 +253,16 @@ def ch_tangent_Ag(g: int, m: int, reduced: bool = False) -> InteriorClass:
     return out.reduce(g) if reduced else out
 
 
-@dataclass(frozen=True)
-class ToroidalDivisorClass:
+class ToroidalDivisorClass(FrozenValue):
     """Formal class a lambda_1 + b D on a rank-one toroidal enlargement of
     the abelian moduli: D is the (irreducible) boundary divisor symbol,
     pulling back to the irreducible boundary class on the curve side."""
 
-    lambda1: Fraction
-    boundary: Fraction
+    __slots__ = ("lambda1", "boundary")
+
+    def __init__(self, lambda1: Fraction, boundary: Fraction):
+        object.__setattr__(self, "lambda1", lambda1)
+        object.__setattr__(self, "boundary", boundary)
 
     def __neg__(self):
         return ToroidalDivisorClass(-self.lambda1, -self.boundary)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import chern, ctp, excess, period, pipeline
 from .algebra import power, render_sum
@@ -23,7 +23,6 @@ from .tautring import (
     ModuliSpec,
     TautClass,
     UnsupportedOperation,
-    _gen_sort_key,
     canonicalize,
     gen_to_string,
     kappa,
@@ -32,8 +31,7 @@ from .tautring import (
 )
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     machine: bool = False
     explain: bool = False
 
@@ -85,7 +83,7 @@ def _name_gen(g: Gen) -> str:
 
 
 def pretty_class(c: TautClass) -> str:
-    terms = sorted(c.terms, key=_gen_sort_key, reverse=True)
+    terms = sorted(c.terms, reverse=True)
     return render_sum((c.terms[g], _name_gen(g)) for g in terms)
 
 

@@ -28,12 +28,11 @@ data, not cross-checked against an external source.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .tautring import (
     Gen,
-    _gen_sort_key,
     _least_relabelings,
     canonicalize,
     make_gen,
@@ -107,15 +106,14 @@ def enumerate_stable_trees(
             lows = [int(positive_only or sum(v in e for e in edges) < 3) for v in range(n)]
             for genera in _compositions(g, lows):
                 found[canonicalize(make_gen(genera, edges))[0]] = True
-    return sorted(found, key=_gen_sort_key)
+    return sorted(found)
 
 
 # --------------------------------------------------------------------------
 # components
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(NamedTuple):
     """Irreducible component datum (T1, T2, nu, sigma) in canonical form.
 
     ``nu[v]`` is the T2-vertex paired with T1-vertex v; ``sigma[v]`` is
@@ -242,11 +240,7 @@ def enumerate_components(g: int, max_edges: int | None = None) -> list[Component
                         orbit = _carried(nu, sigma, autos[t1], autos[t2])
                         seen |= orbit
                         out.append(Component(t1, t2, *min(orbit, key=_nu_sigma_key)))
-    return sorted(
-        out,
-        key=lambda c: (_gen_sort_key(c.t1), _gen_sort_key(c.t2),
-                       *_nu_sigma_key((c.nu, c.sigma))),
-    )
+    return sorted(out, key=lambda c: (c.t1, c.t2, *_nu_sigma_key((c.nu, c.sigma))))
 
 
 def _genus_preserving_bijections(t1: Gen, t2: Gen):
@@ -293,23 +287,25 @@ class MalformedPairingError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class HalfEdgePairing:
-    """Bipartite multigraph on the half edges at a paired vertex: blue
-    edges record the identity-side pairing, red ones the involution side."""
-
+class _HalfEdgePairingFields(NamedTuple):
     genus: int
     left: int
     right: int
     blue: tuple[tuple[int, int], ...] = ()
     red: tuple[tuple[int, int], ...] = ()
 
-    def __post_init__(self):
-        for (color, edges) in (("blue", self.blue), ("red", self.red)):
+
+class HalfEdgePairing(_HalfEdgePairingFields):
+    """Bipartite multigraph on the half edges at a paired vertex: blue
+    edges record the identity-side pairing, red ones the involution side.
+    No ``__slots__``: the memos below need a ``__dict__``."""
+
+    def __new__(cls, genus: int, left: int, right: int, blue=(), red=()):
+        for (color, edges) in (("blue", blue), ("red", red)):
             seen_l: set[int] = set()
             seen_r: set[int] = set()
             for (i, j) in edges:
-                if not (0 <= i < self.left and 0 <= j < self.right):
+                if not (0 <= i < left and 0 <= j < right):
                     raise MalformedPairingError("half-edge index out of range")
                 if i in seen_l or j in seen_r:
                     raise MalformedPairingError(
@@ -317,6 +313,7 @@ class HalfEdgePairing:
                     )
                 seen_l.add(i)
                 seen_r.add(j)
+        return super().__new__(cls, genus, left, right, blue, red)
 
     def nodes(self):
         return [("L", i) for i in range(self.left)] + [
@@ -338,8 +335,7 @@ class HalfEdgePairing:
         return completion(self)
 
 
-@dataclass(frozen=True)
-class PairingVerdict:
+class PairingVerdict(NamedTuple):
     ok: bool
     reason: str = ""
 
@@ -434,8 +430,7 @@ def pairing_equivalent(p: HalfEdgePairing, q: HalfEdgePairing) -> bool:
 # intersections at the divisor level, genus 4
 
 
-@dataclass(frozen=True)
-class IntersectionStratum:
+class IntersectionStratum(NamedTuple):
     name: str
     first: str
     second: str

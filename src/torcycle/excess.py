@@ -15,31 +15,34 @@ true; :func:`binomial_identity_check` verifies it exhaustively.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
+from typing import NamedTuple
 
 from .algebra import TruncatedSeries, line_bundle_series
 
 
-@dataclass(frozen=True)
-class ExcessDims:
-    """Dimensions of the two components meeting at the point."""
-
+class _ExcessDimsFields(NamedTuple):
     d_A: int
     d_B: int
 
-    def __post_init__(self):
-        if self.d_A < 1 or self.d_B < 1:
+
+class ExcessDims(_ExcessDimsFields):
+    """Dimensions of the two components meeting at the point."""
+
+    __slots__ = ()
+
+    def __new__(cls, d_A: int, d_B: int):
+        if d_A < 1 or d_B < 1:
             raise ValueError("component dimensions must be >= 1")
+        return super().__new__(cls, d_A, d_B)
 
     @property
     def d(self) -> int:
         return self.d_A + self.d_B
 
 
-@dataclass(frozen=True)
-class LocalModel:
+class LocalModel(NamedTuple):
     """Split-bundle local model on projective space.
 
     ``bundle`` lists line-bundle degrees of the rank-n bundle whose section
@@ -52,7 +55,7 @@ class LocalModel:
     sub_a: tuple[int, ...]
     sub_b: tuple[int, ...]
     dims: ExcessDims
-    name: str = field(default="")
+    name: str = ""
 
     def top_degree(self) -> int:
         """deg c_n(bundle) with n = ambient dimension."""

@@ -56,7 +56,7 @@ kernel coefficients once per (curve, tol, eps), and G_i once per
 (curve, i, eps, tol, rule), so ``rho4`` and a caller of ``compute_G``
 share one B_i integral.  The memos are bounded LRU caches, since a scan
 may visit any number of curves, and return immutable values (a read-only
-mapping, tuples, frozen dataclasses), since every caller shares them.  A
+mapping, tuples, immutable records), since every caller shares them.  A
 failure (a clearance check, an invalid argument) is not cached: it
 re-raises.
 """
@@ -66,8 +66,8 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass, field
 from types import MappingProxyType
+from typing import NamedTuple
 
 
 class QuadratureError(RuntimeError):
@@ -86,19 +86,22 @@ BRANCH_CLEARANCE = 1e-3
 # curve and sheet bookkeeping
 
 
-@dataclass(frozen=True)
-class HyperellipticCurve:
-    """Six real increasing branch points; cuts pair them consecutively."""
-
+class _HyperellipticCurveFields(NamedTuple):
     roots: tuple[float, ...]
 
-    def __post_init__(self):
-        if len(self.roots) != 6:
+
+class HyperellipticCurve(_HyperellipticCurveFields):
+    """Six real increasing branch points; cuts pair them consecutively."""
+
+    __slots__ = ()
+
+    def __new__(cls, roots):
+        if len(roots) != 6:
             raise ValueError("exactly six branch points")
-        rs = tuple(float(r) for r in self.roots)
-        object.__setattr__(self, "roots", rs)
+        rs = tuple(float(r) for r in roots)
         if any(rs[i] >= rs[i + 1] for i in range(5)):
             raise ValueError("branch points must be strictly increasing")
+        return super().__new__(cls, rs)
 
     @property
     def cuts(self) -> tuple[tuple[float, float], ...]:
@@ -145,8 +148,7 @@ BASE_CURVE_1 = HyperellipticCurve((1, 2, 3, 4, 5, 6))
 BASE_CURVE_2 = HyperellipticCurve((1, 2, 3, 4, 5, 7))
 
 
-@dataclass(frozen=True)
-class EllipseContour:
+class EllipseContour(NamedTuple):
     """Closed contour crossing the real axis exactly at x = left and
     x = right, traversed counterclockwise starting at the right crossing.
     ``upper_sign`` is the sheet sign on the upper arc (the value of Y there
@@ -232,7 +234,7 @@ def standard_contours(curve: HyperellipticCurve) -> MappingProxyType:
 # quadrature engines
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=32)
 def _midpoint_samples(curve, contour, n):
     """Refinement level n on the contour: a row (z, Y, z'(t)/n) for each
     midpoint node t = (k + 1/2)/n, with Y branch-consistent.  Built once
@@ -345,8 +347,7 @@ def _solve2(M, rhs):
     return x0, x1
 
 
-@dataclass(frozen=True)
-class NormalizedBasis:
+class NormalizedBasis(NamedTuple):
     """v1 = (a + b z) dz/Y, v2 = (c + d z) dz/Y with A-period duality."""
 
     a: complex
@@ -412,8 +413,7 @@ def segment_period(curve, name, fn, tol=1e-10):
 # Cauchy kernel coefficients and the double integrals
 
 
-@dataclass(frozen=True)
-class KernelCoefficients:
+class KernelCoefficients(NamedTuple):
     """z1-Taylor data of the A-normalized kernel at the base point: h and k
     coefficient pairs per order, plus the Y-Taylor coefficients used."""
 
@@ -423,11 +423,13 @@ class KernelCoefficients:
     residual: float
 
 
-def y_taylor_by_circle(curve, eps, n=512):
+def y_taylor_by_circle(curve, eps, n=64):
     """Taylor coefficients of the upper branch at 0 from the eps-circle
     (trapezoid; the circle crosses the axis outside every cut, so the sheet
     is constant on it): the order-m coefficient is the mean of Y / z^m,
-    all three orders accumulated in one pass."""
+    all three orders accumulated in one pass.  Aliasing from the orders
+    m + jn costs at most (eps / min |r|)^n <= 2^-n relative, as every
+    |r| > 2 eps: n = 64 is below rounding."""
     if any(abs(r) <= 2 * eps for r in curve.roots):
         raise PathClearanceError("eps-circle too close to a branch point")
     s0 = s1 = s2 = 0j
@@ -533,8 +535,7 @@ def compute_D(curve2: HyperellipticCurve, tol=1e-10, sheet: int = +1):
 # the certificate
 
 
-@dataclass(frozen=True)
-class PeriodConfig:
+class PeriodConfig(NamedTuple):
     eps: float = 0.05
     tol: float = 1e-10
     margin: float = 10.0
@@ -542,12 +543,11 @@ class PeriodConfig:
     curve2: HyperellipticCurve = BASE_CURVE_2
 
 
-@dataclass(frozen=True)
-class Rho4Certificate:
+class Rho4Certificate(NamedTuple):
     value: complex
     quadrature_error: float
     margin: float
-    table: tuple[tuple[str, complex], ...] = field(default=())
+    table: tuple[tuple[str, complex], ...] = ()
 
     @property
     def passed(self) -> bool:

@@ -20,10 +20,10 @@ constants table).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from typing import NamedTuple
 
 from . import chern, ctp, excess
 from .algebra import _accumulate, bernoulli_number, chern_from_ch
@@ -56,16 +56,14 @@ class PipelineMismatch(AssertionError):
     """A cross-checked intermediate disagreed with its expected value."""
 
 
-@dataclass(frozen=True)
-class LedgerEntry:
+class LedgerEntry(NamedTuple):
     source: str
     description: str
     multiplicity: Fraction
     value: TautClass
 
 
-@dataclass(frozen=True)
-class ContributionLedger:
+class ContributionLedger(NamedTuple):
     entries: tuple[LedgerEntry, ...]
 
     def total(self) -> TautClass:
@@ -423,8 +421,7 @@ def reduce_interior_degree3_genus5(c: InteriorClass) -> InteriorClass:
 HYPERELLIPTIC_G5 = Fraction(31, 30) * InteriorClass.kappa(3)
 
 
-@dataclass(frozen=True)
-class Genus5Report:
+class Genus5Report(NamedTuple):
     ch_moduli: tuple[InteriorClass, ...]
     ch_abelian: tuple[InteriorClass, ...]
     #: degree-2 entry shown in its reduced normal form (lambda_2), the
@@ -479,8 +476,7 @@ def _to_stable(c: TautClass) -> TautClass:
     return TautClass(M4_STABLE, dict(c.terms))
 
 
-@dataclass(frozen=True)
-class Abar4Report:
+class Abar4Report(NamedTuple):
     curve_side: TautClass
     delta_irr_coeff_in_c1: Fraction
     pic_conclusion: str

@@ -7,9 +7,9 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from typing import NamedTuple
 
 from . import chern, ctp, excess, period, pipeline
 from .algebra import TruncatedSeries, bernoulli_polynomial
@@ -31,8 +31,7 @@ from .tautring import (
 F = Fraction
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(NamedTuple):
     number: int
     name: str
     passed: bool

@@ -63,7 +63,8 @@ Nothing is searched for and no automorphism factor enters.
 Canonical form
 --------------
 One permutation search, ``_least_relabelings``, gives the canonical form
-of a generator (its least relabeling) and every vertex map onto it.
+of a generator (its least relabeling, a ``Gen`` being a ``NamedTuple``
+ordered as its fields) and every vertex map onto it.
 ``canonicalize`` returns the form and |Aut| (the number of maps times the
 edge-level symmetries of ``_halfedge_factor``); ``ctp`` takes tree
 isomorphisms and automorphisms from the same search.
@@ -94,11 +95,10 @@ of approximating.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .algebra import _accumulate, _LinearCombination
 
@@ -115,30 +115,32 @@ class UnstableGraphError(ValueError):
 # ambient spaces and generators
 
 
-@dataclass(frozen=True, order=True)
-class ModuliSpec:
+class _ModuliSpecFields(NamedTuple):
+    genus: int
+    markings: tuple[str, ...]
+    policy: str = "ct"
+
+
+class ModuliSpec(_ModuliSpecFields):
     """A moduli space of curves: genus, marking labels, boundary policy.
 
     ``policy`` is ``"ct"`` (compact type: tree dual graphs, no self edges)
     or ``"stable"`` (all stable curves; self edges allowed).
     """
 
-    genus: int
-    markings: tuple[str, ...]
-    policy: str = "ct"
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, genus: int, markings: Iterable[str], policy: str = "ct"):
         # marking order is semantically irrelevant (legs match by label);
         # keep it sorted so equal spaces compare equal
-        object.__setattr__(
-            self, "markings", tuple(sorted(str(m) for m in self.markings))
-        )
-        if self.policy not in ("ct", "stable"):
-            raise ValueError(f"unknown policy {self.policy!r}")
-        if len(set(self.markings)) != len(self.markings):
+        markings = tuple(sorted(str(m) for m in markings))
+        if policy not in ("ct", "stable"):
+            raise ValueError(f"unknown policy {policy!r}")
+        if len(set(markings)) != len(markings):
             raise ValueError("duplicate marking labels")
-        if 2 * self.genus - 2 + len(self.markings) <= 0:
-            raise ValueError(f"unstable ambient ({self.genus}, {self.markings})")
+        if 2 * genus - 2 + len(markings) <= 0:
+            raise ValueError(f"unstable ambient ({genus}, {markings})")
+        return super().__new__(cls, genus, markings, policy)
 
     @property
     def n(self) -> int:
@@ -161,8 +163,7 @@ class ModuliSpec:
         )
 
 
-@dataclass(frozen=True)
-class Gen:
+class Gen(NamedTuple):
     """A decorated-graph generator; see the module docstring."""
 
     genera: tuple[int, ...]
@@ -313,10 +314,6 @@ def _apply_perm(gen: Gen, perm: Sequence[int]) -> Gen:
     return Gen(tuple(genera), tuple(sorted(edges)), legs, tuple(kap), tuple(lm))
 
 
-def _gen_sort_key(gen: Gen):
-    return (gen.genera, gen.edges, gen.legs, gen.kappa, gen.lam)
-
-
 def _halfedge_factor(gen: Gen) -> int:
     """Edge-level symmetries fixing all vertices: identical parallel edges
     permute, a self edge with equal psi exponents may swap its ends."""
@@ -373,17 +370,15 @@ def _least_relabelings(gen: Gen) -> tuple[Gen, list[tuple[int, ...]]]:
         next_index += len(vs)
 
     best: Gen | None = None
-    best_key = None
     maps: list[tuple[int, ...]] = []
 
     def rec(gi: int):
-        nonlocal best, best_key, maps
+        nonlocal best, maps
         if gi == len(plan):
             cand = _apply_perm(gen, perm)
-            key = _gen_sort_key(cand)
-            if best_key is None or key < best_key:
-                best, best_key, maps = cand, key, [tuple(perm)]
-            elif key == best_key:
+            if best is None or cand < best:
+                best, maps = cand, [tuple(perm)]
+            elif cand == best:
                 maps.append(tuple(perm))
             return
         vs, idxs = plan[gi]
@@ -482,7 +477,7 @@ class TautClass(_LinearCombination):
         if not self.terms:
             return "0"
         lines = []
-        for g in sorted(self.terms, key=_gen_sort_key):
+        for g in sorted(self.terms):
             lines.append(f"{self.terms[g]}\t{gen_to_string(g)}")
         return "\n".join(lines)
 
@@ -579,7 +574,7 @@ def one_edge_graphs(space: ModuliSpec) -> tuple[tuple[Gen, int], ...]:
             gen = make_gen((g - 1,), [(0, 0)], [(m, 0) for m in P])
             cg, aut = canonicalize(gen)
             found[cg] = aut
-    return tuple(sorted(found.items(), key=lambda kv: _gen_sort_key(kv[0])))
+    return tuple(sorted(found.items()))
 
 
 def boundary_gen(
@@ -1101,7 +1096,7 @@ class ProductClass(_LinearCombination):
         if not self.terms:
             return "0"
         lines = []
-        for gens in sorted(self.terms, key=lambda gs: tuple(map(_gen_sort_key, gs))):
+        for gens in sorted(self.terms):
             body = "  (x)  ".join(gen_to_string(g) for g in gens)
             lines.append(f"{self.terms[gens]}\t{body}")
         return "\n".join(lines)

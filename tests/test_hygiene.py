@@ -7,6 +7,10 @@ dependency).
 * The package runs on the standard library alone: every import in it,
   function-level ones included, names a module of
   ``sys.stdlib_module_names`` or of ``torcycle`` (numpy is a test extra).
+* No module imports ``dataclasses``, function-level imports included: the
+  records are ``typing.NamedTuple`` classes or slotted values, which
+  generate no code at import (``dataclasses`` execs fresh source for every
+  class and pulls in ``inspect``).
 * The human rendering rules live in ``algebra.render_sum`` alone: no other
   module has a string constant containing the ``+ -`` fold.
 * The half-edge slot labels (``__e{i}a``/``__e{i}b``) are spelled out in
@@ -60,16 +64,22 @@ def test_no_unused_imports(path):
     assert not unused, f"{path.name} imports but never uses {sorted(unused)}"
 
 
-def foreign_imports(tree: ast.Module) -> set[str]:
-    """Top-level names of the modules imported anywhere in ``tree`` that
-    are neither in the standard library nor in ``torcycle``."""
+def imported_modules(tree: ast.Module) -> set[str]:
+    """Top-level names of the modules imported anywhere in ``tree``,
+    relative imports aside."""
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             names |= {a.name.split(".")[0] for a in node.names}
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             names.add(node.module.split(".")[0])
-    return names - sys.stdlib_module_names - {"torcycle"}
+    return names
+
+
+def foreign_imports(tree: ast.Module) -> set[str]:
+    """The imported modules that are neither in the standard library nor
+    in ``torcycle``."""
+    return imported_modules(tree) - sys.stdlib_module_names - {"torcycle"}
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -83,6 +93,20 @@ def test_scan_catches_a_foreign_import():
                      "from torcycle.ctp import y\n"
                      "def f():\n    import numpy as np\n    from scipy.linalg import eig\n")
     assert foreign_imports(tree) == {"numpy", "scipy"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_dataclasses(path):
+    assert "dataclasses" not in imported_modules(ast.parse(path.read_text())), (
+        f"{path.name} imports dataclasses; use a typing.NamedTuple record")
+
+
+def test_scan_catches_a_dataclasses_import():
+    for code in ("from dataclasses import dataclass\n",
+                 "import dataclasses as dc\n",
+                 "def f():\n    from dataclasses import field\n"):
+        assert imported_modules(ast.parse(code)) == {"dataclasses"}
+    assert imported_modules(ast.parse("from . import dataclasses\n")) == set()
 
 
 def fold_strings(tree: ast.Module) -> list[str]:

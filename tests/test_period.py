@@ -315,6 +315,19 @@ class TestKernel:
         assert abs(exact.h[2] - circ.h[2]) < 1e-8
         assert abs(exact.k[2] - circ.k[2]) < 1e-8
 
+    @pytest.mark.parametrize("curve, eps", [
+        (BASE_CURVE_1, 0.05), (BASE_CURVE_1, 0.08),
+        (BASE_CURVE_2, 0.05), (BASE_CURVE_2, 0.08),
+        # clustered: the first branch point just outside 2 eps
+        (HyperellipticCurve((0.17, 0.5, 1.1, 2.0, 3.3, 4.1)), 0.08),
+    ])
+    def test_circle_default_nodes(self, curve, eps):
+        # the default node count leaves only rounding: aliasing is at most
+        # (eps / min |r|)^n <= 2^-n
+        got = P.y_taylor_by_circle(curve, eps)
+        for a, b in zip(got, curve.y_taylor0()):
+            assert abs(a - b) <= 1e-13 * abs(b)
+
     def test_radius_independence(self):
         c1 = cauchy_kernel_coeffs(BASE_CURVE_1, eps=0.05)
         c2 = cauchy_kernel_coeffs(BASE_CURVE_1, eps=0.1)
@@ -468,6 +481,30 @@ class TestMemo:
                 standard_contours(curve)
         with pytest.raises(PathClearanceError):
             period_matrix(curve)
+
+    def test_levels_built_once(self, monkeypatch):
+        # two curves whose B-levels outnumber a 16-level cache, so a smaller
+        # cache rebuilds their A-levels for the inverse-power A-periods
+        curves = [(0.92, 1.77, 1.86, 1.91, 4.68, 4.81), (0.82, 0.9, 2.47, 4.44, 7.06, 7.12)]
+        for memo in (P.standard_contours, P._a_periods, P.cauchy_kernel_coeffs, P._G,
+                     P._midpoint_samples):
+            memo.cache_clear()
+        levels = set()
+        samples = P._midpoint_samples
+
+        def recorded(curve, contour, n):
+            levels.add((curve, contour, n))
+            return samples(curve, contour, n)
+
+        monkeypatch.setattr(P, "_midpoint_samples", recorded)
+        for roots in curves:
+            curve = HyperellipticCurve(roots)
+            period_matrix(curve, 1e-11)
+            rho4(PeriodConfig(tol=1e-11, curve1=curve,
+                              curve2=HyperellipticCurve(roots[:5] + (roots[5] + 1,))))
+            for i in (1, 2):
+                compute_G(curve, i, tol=1e-11, rule="segments")
+        assert samples.cache_info().misses == len(levels) > 32
 
     def test_invalid_G_arguments(self):
         # validated before the memo: each call raises, and nothing is stored
