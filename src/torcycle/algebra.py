@@ -206,6 +206,10 @@ class FrozenValue:
 
     __delattr__ = __setattr__
 
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, never through setattr
+        return type(self), self._values()
+
     def __eq__(self, other):
         same = other.__class__ is self.__class__
         return self._values() == other._values() if same else NotImplemented

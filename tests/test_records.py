@@ -4,6 +4,8 @@ for ``ModuliSpec``, ``Name(field=value, ...)`` reprs, per-instance memos on
 ``HalfEdgePairing``, and operators on the algebraic values that never fall
 back to tuple concatenation or repetition."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -57,6 +59,14 @@ def test_fields_read_only(name):
     for field in field_names(record):
         with pytest.raises(AttributeError):
             setattr(record, field, getattr(record, field))
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_RECORDS))
+def test_copy_and_pickle(name):
+    record = FROZEN_RECORDS[name]()
+    for clone in (copy.copy(record), copy.deepcopy(record),
+                  pickle.loads(pickle.dumps(record))):
+        assert type(clone) is type(record) and clone == record
 
 
 def test_run_config_read_only():
