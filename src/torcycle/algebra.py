@@ -258,10 +258,6 @@ class TruncatedSeries(FrozenValue):
         self._check(other)
         return TruncatedSeries(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check(other)
-        return TruncatedSeries(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
             self._check(other)

@@ -3,7 +3,8 @@
 Subcommands: chern, taut, excess, ctp, period, torelli, constants,
 selftest.  ``--machine`` switches to line-oriented ``key<TAB>value``
 records; the human mode pretty-prints classes.  Exit status: 0 on success,
-1 on a computation mismatch or failed certificate, 2 on usage errors, 3
+1 on a computation mismatch, a failed certificate or a quadrature that
+does not converge (a one-line message), 2 on usage errors, 3
 when the request needs a shape outside the implemented calculus
 (``UnsupportedOperation``; a one-line message naming the shape goes to
 stderr).  Configuration is flags-only for reproducibility.
@@ -216,6 +217,17 @@ def _parse_pairing(text: str) -> ctp.HalfEdgePairing:
     return ctp.HalfEdgePairing(genus, left, right, tuple(blue), tuple(red))
 
 
+def _positive_float(text: str) -> float:
+    """A ``--tol`` value: at 0 or below no quadrature converges."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be a number > 0, got {text!r}")
+    return value
+
+
 def _fmt_complex(z: complex, err: float | None = None) -> str:
     body = f"{z.real:+.12e} {z.imag:+.12e}i"
     return f"{body} (+- {err:.2e})" if err is not None else body
@@ -423,10 +435,10 @@ def build_parser() -> argparse.ArgumentParser:
     ops = p.add_subparsers(dest="op", required=True)
     q = ops.add_parser("tau")
     q.add_argument("--roots", type=float, nargs=6, required=True)
-    q.add_argument("--tol", type=float, default=1e-10)
+    q.add_argument("--tol", type=_positive_float, default=1e-10)
     q = ops.add_parser("rho4")
     q.add_argument("--eps", type=float, default=0.05)
-    q.add_argument("--tol", type=float, default=1e-10)
+    q.add_argument("--tol", type=_positive_float, default=1e-10)
     q.add_argument("--report", action="store_true")
     p.set_defaults(fn=_cmd_period)
 
@@ -465,6 +477,9 @@ def main(argv=None) -> int:
         return args.fn(args, cfg)
     except pipeline.PipelineMismatch as exc:
         print(f"mismatch: {exc}", file=sys.stderr)
+        return 1
+    except period.QuadratureError as exc:
+        print(f"torcycle {args.command}: quadrature did not converge: {exc}", file=sys.stderr)
         return 1
     except UnsupportedOperation as exc:
         msg = " ".join(str(exc).split())

@@ -158,6 +158,8 @@ class Component(NamedTuple):
         for p in parts:
             tag, _, rest = p.partition(" ")
             data[tag.rstrip(":")] = rest.strip()
+        if missing := [field for field in ("T1", "T2", "nu") if field not in data]:
+            raise ValueError(f"component missing field(s) {', '.join(missing)}")
         t1 = parse_gen(data["T1"])
         t2 = parse_gen(data["T2"])
         nu = [0] * t1.n_vertices()
@@ -344,49 +346,48 @@ class PairingVerdict(NamedTuple):
 
 
 def _components_of(p: HalfEdgePairing):
-    """Connected components as (vertex set, edge list)."""
-    adj: dict = {v: [] for v in p.nodes()}
-    for (u, v, c) in p.colored_edges():
-        adj[u].append((v, c))
-        adj[v].append((u, c))
-    seen: set = set()
+    """Connected components, in order of their first node, as (node count,
+    edge count, ends), over integer node ids L i -> i and R j -> left + j.
+    A node has at most one edge of each color, so a component is a path or
+    a cycle: walk it from its first node, blue first then red, until the
+    walk stops at an end or closes back at the start."""
+    left, n = p.left, p.left + p.right
+    colors = ([-1] * n, [-1] * n)  # the blue and the red neighbor of each node
+    for color, edges in zip(colors, (p.blue, p.red)):
+        for (i, j) in edges:
+            color[i], color[left + j] = left + j, i
+    seen = [False] * n
     comps = []
-    for start in p.nodes():
-        if start in seen:
+    for start in range(n):
+        if seen[start]:
             continue
-        stack = [start]
-        seen.add(start)
-        verts = {start}
-        edges = set()
-        while stack:
-            u = stack.pop()
-            for (v, c) in adj[u]:
-                edges.add((tuple(sorted((u, v))), c))
-                if v not in seen:
-                    seen.add(v)
-                    verts.add(v)
-                    stack.append(v)
-        comps.append((verts, edges))
+        nv, ne, ends = 1, 0, []
+        for first in (0, 1):
+            u, c = start, first
+            while (v := colors[c][u]) >= 0 and v != start:
+                seen[v] = True
+                nv, ne, u, c = nv + 1, ne + 1, v, 1 - c
+            if v == start:  # a cycle
+                ne += 1
+                break
+            ends.append(u)
+        comps.append((nv, ne, ends))
     return comps
 
 
 def check_pairing(p: HalfEdgePairing) -> PairingVerdict:
     """Admissibility: every cycle has length 2 or 4, every path length at
     most 3, and at most 2g+2 cycles of length 2 (those pin Weierstrass
-    points)."""
+    points).  The first failing component in node order is reported."""
     two_cycles = 0
-    for verts, edges in _components_of(p):
-        ne, nv = len(edges), len(verts)
+    for nv, ne, _ in _components_of(p):
         if ne == nv:  # cycle
             if ne == 2:
                 two_cycles += 1
             elif ne != 4:
                 return PairingVerdict(False, f"cycle of length {ne}")
-        elif ne == nv - 1:  # path (possibly a single vertex)
-            if ne > 3:
-                return PairingVerdict(False, f"path of length {ne}")
-        else:
-            return PairingVerdict(False, "component is neither path nor cycle")
+        elif ne > 3:  # path (possibly a single vertex)
+            return PairingVerdict(False, f"path of length {ne}")
     bound = 2 * p.genus + 2
     if two_cycles > bound:
         return PairingVerdict(
@@ -396,25 +397,16 @@ def check_pairing(p: HalfEdgePairing) -> PairingVerdict:
 
 
 def completion(p: HalfEdgePairing) -> frozenset:
-    """Close every length-3 path into a 4-cycle (two edges of each color);
-    the completed edge set is the equivalence-class invariant."""
-    edges = set()
-    for (u, v, c) in p.colored_edges():
-        edges.add((tuple(sorted((u, v))), c))
-    for verts, comp_edges in _components_of(p):
-        if len(comp_edges) == 3 and len(verts) == 4:
-            degree: dict = {}
-            colors: dict = {}
-            for (pair, c) in comp_edges:
-                for x in pair:
-                    degree[x] = degree.get(x, 0) + 1
-                    colors.setdefault(x, []).append(c)
-            ends = [x for x in verts if degree.get(x, 0) == 1]
-            assert len(ends) == 2
-            # the closing edge takes the color missing at the endpoints
-            used = set(colors[ends[0]])
-            close_color = "r" if used == {"b"} else "b"
-            edges.add((tuple(sorted(ends)), close_color))
+    """Close every length-3 path into a 4-cycle (two edges of each color):
+    the closing edge joins its two ends, one on each side, in the color
+    missing there.  The completed edge set of (i, j, color) triples is the
+    equivalence-class invariant."""
+    edges = {(i, j, "b") for (i, j) in p.blue} | {(i, j, "r") for (i, j) in p.red}
+    for nv, ne, ends in _components_of(p):
+        if ne == 3 and nv == 4:
+            i, j = min(ends), max(ends) - p.left
+            # an end's one edge is blue exactly when the path is b-r-b
+            edges.add((i, j, "r" if any(i == e[0] for e in p.blue) else "b"))
     return frozenset(edges)
 
 

@@ -23,23 +23,23 @@ points, so the sheet bookkeeping is exact, not heuristic.  The "upper
 branch" is fixed by Y(0) = +sqrt(f(0)) continued along paths in the closed
 upper half plane, giving Y_up(z) = -Yref(z) there.
 
-Quadrature.  Two independent deterministic routes, both by the midpoint
-(periodic trapezoid) rule, which converges exponentially for analytic
-periodic integrands (Trefethen-Weideman, SIAM Rev. 56, 2014): on closed
-contours in the contour parameter, and on branch-point segments in theta
-after x = m - h cos(theta) (Gauss-Chebyshev), where dx cancels the
-endpoint square roots and leaves an even, periodic, analytic integrand.
-Each refinement level of a contour is built once, as rows (z, Y, z'(t)/n),
-and kept in a small LRU cache, so every integrand on that contour (the
-five A-period powers, the basis and G integrands on a B-cycle) reads the
-same level.  Integrands fn(z, Y) are called once per node with Python
-numbers, and the module needs only math and cmath.  That trades speed per
-node for start-up: building a node takes about 2.4 us and integrating it
-about 0.3 us (Python 3.11, x86-64), several times a vectorized numpy pass,
-but a certificate reads a few thousand nodes, while importing numpy cost
-every process about 0.12 s and 10 MB.  Every value returned is a Python
-complex or float, so ``--machine`` output prints plain reprs.
-Segment decompositions of the cycle integrals:
+Quadrature.  Two independent deterministic routes, both by a nested
+trapezoid rule, which converges exponentially for analytic periodic
+integrands (Trefethen-Weideman, SIAM Rev. 56, 2014): on closed contours at
+t = 2^-18 + k/n, an offset that keeps every node of every level up to
+nmax = 65536 off the real-axis crossings; on branch-point segments at
+theta = k pi/n with both ends, after x = m - h cos(theta) (nested
+Gauss-Chebyshev-Lobatto, Waldvogel, BIT 2006).  There Y's two endpoint
+roots are taken analytically as -i h sin(theta), and the integrand is
+called with Y / (h sin(theta)), which absorbs dx and is finite at the
+ends: every integrand in the module is g(z) / Y, homogeneous of degree -1
+in Y, and must stay so.  Level 2n adds only the odd nodes, T_2n = (T_n +
+M_n) / 2 with M_n the midpoint sum, so an integral converged at N nodes
+builds and integrates N.  Integrands are called once per node with Python
+numbers; the module needs only math and cmath (importing numpy cost every
+process about 0.12 s and 10 MB), and every value returned is a Python
+complex or float, so ``--machine`` output prints plain reprs.  Segment
+decompositions of the cycle integrals:
 
     A1(cw):  integral = +2 int_{r0}^{r1} g/Y_up dx   (odd integrands)
     B1(ccw): integral = -2 [int over the f>0 gaps between the crossings]
@@ -50,15 +50,17 @@ point to an ellipse is a quadratic in cos(angle), minimized in closed form.
 Error estimates come from node doubling; everything is bitwise
 deterministic for fixed configuration.
 
-Memoization.  Each curve's contours are built and checked once, and its
-A-periods of z^p dz/Y (p = 0, 1, -1, -2, -3) once per (curve, tol); the
-kernel coefficients once per (curve, tol, eps), and G_i once per
-(curve, i, eps, tol, rule), so ``rho4`` and a caller of ``compute_G``
-share one B_i integral.  The memos are bounded LRU caches, since a scan
-may visit any number of curves, and return immutable values (a read-only
-mapping, tuples, immutable records), since every caller shares them.  A
-failure (a clearance check, an invalid argument) is not cached: it
-re-raises.
+Memoization.  Each curve's contours are built and checked once; the rows
+(z, Y, weight) each level adds on a contour or segment once, shared by
+every integrand on the path (the five A-period powers, the basis and G
+integrands on a B-cycle); its A-periods of z^p dz/Y (p = 0, 1, -1, -2, -3)
+once per (curve, tol); the kernel coefficients once per (curve, tol, eps),
+and G_i once per (curve, i, eps, tol, rule), so ``rho4`` and a caller of
+``compute_G`` share one B_i integral.  The memos are bounded LRU caches,
+since a scan may visit any number of curves, and return immutable values
+(a read-only mapping, tuples, immutable records), since every caller
+shares them.  A failure (a clearance check, an invalid argument) is not
+cached: it re-raises.
 """
 
 from __future__ import annotations
@@ -102,11 +104,6 @@ class HyperellipticCurve(_HyperellipticCurveFields):
         if any(rs[i] >= rs[i + 1] for i in range(5)):
             raise ValueError("branch points must be strictly increasing")
         return super().__new__(cls, rs)
-
-    @property
-    def cuts(self) -> tuple[tuple[float, float], ...]:
-        r = self.roots
-        return ((r[0], r[1]), (r[2], r[3]), (r[4], r[5]))
 
     def y_ref(self, z) -> complex:
         """Product of principal square roots; continuous off the real axis.
@@ -234,21 +231,42 @@ def standard_contours(curve: HyperellipticCurve) -> MappingProxyType:
 # quadrature engines
 
 
-@functools.lru_cache(maxsize=32)
-def _midpoint_samples(curve, contour, n):
-    """Refinement level n on the contour: a row (z, Y, z'(t)/n) for each
-    midpoint node t = (k + 1/2)/n, with Y branch-consistent.  Built once
-    per (curve, contour, n) and shared by every integrand on the contour."""
-    c, w, h = contour.center, contour.halfwidth, contour.height
-    upper, lower = contour.upper_sign, contour.lower_sign(curve)
+#: Offset of the contour nodes t = NODE_OFFSET + k/n: t is 0 or 1/2, a
+#: real-axis crossing where the sheet sign jumps, only when 2^18 divides n,
+#: so no node of a level up to nmax = 65536 lies on one.
+NODE_OFFSET = 1 / 262144
+
+
+@functools.lru_cache(maxsize=64)
+def _level_rows(curve, path, n, odd):
+    """The rows (z, Y, weight) level n of the nested trapezoid rule adds on
+    ``path``: its odd nodes k when ``odd``, else all of them.  On a contour
+    t = NODE_OFFSET + k/n (k < n), Y is branch-consistent and the weight is
+    z'(t)/n.  On a root segment (a, b), theta = k pi/n (k <= n), x = m -
+    h cos(theta), Y is taken over h sin(theta) and the weight is pi/n,
+    halved at the ends.  Built once and shared by every integrand."""
     rows = []
-    for k in range(n):
-        t = (k + 0.5) / n
-        ang = 2 * math.pi * t
-        cos, sin = math.cos(ang), math.sin(ang)
-        z = complex(c + w * cos, h * sin)
-        sign = upper if t < 0.5 else lower
-        rows.append((z, sign * curve.y_upper(z), 2 * math.pi * complex(-w * sin, h * cos) / n))
+    if isinstance(path, EllipseContour):
+        c, w, h = path.center, path.halfwidth, path.height
+        upper, lower = path.upper_sign, path.lower_sign(curve)
+        for k in range(1, n, 2) if odd else range(n):
+            t = NODE_OFFSET + k / n
+            ang = 2 * math.pi * t
+            cos, sin = math.cos(ang), math.sin(ang)
+            z = complex(c + w * cos, h * sin)
+            sign = upper if t < 0.5 else lower
+            rows.append((z, sign * curve.y_upper(z), 2 * math.pi * complex(-w * sin, h * cos) / n))
+        return tuple(rows)
+    a, b = path
+    m, h = (a + b) / 2, (b - a) / 2
+    others = [r for r in curve.roots if r not in path]
+    for k in range(1, n, 2) if odd else range(n + 1):
+        x = m - h * math.cos(k * math.pi / n)
+        # Y_up = -sqrt(x - a) sqrt(x - b) prod(others) = -i h sin(theta) prod(others)
+        y = -1j
+        for r in others:
+            y *= cmath.sqrt(x - r)
+        rows.append((x, y, math.pi / n / (2 if k in (0, n) else 1)))
     return tuple(rows)
 
 
@@ -256,17 +274,18 @@ def y_on_path(
     curve: HyperellipticCurve, contour: EllipseContour, samples: int = 256
 ) -> list[tuple[complex, complex]]:
     """Branch-consistent samples (z, Y) along the contour."""
-    return [(z, y) for z, y, _ in _midpoint_samples(curve, contour, samples)]
+    return [(z, y) for z, y, _ in _level_rows(curve, contour, samples, False)]
 
 
-def _doubling(level, what, tol, n0, nmax):
-    """(value, error) of the rule ``level(n)``: start at n0 nodes and double
-    until two levels agree within tol relative to max(|value|, 1), failing
-    past nmax nodes."""
-    prev = level(n0)
+def _doubling(fn, curve, path, what, tol, n0, nmax):
+    """(value, error) of the nested trapezoid rule on ``path``: start at n0
+    nodes and double, integrating only the rows each level adds (a running
+    sum, T_2n = T_n / 2 + those rows), until two levels agree within tol
+    relative to max(|value|, 1), failing past nmax nodes."""
+    prev = sum(fn(z, y) * w for z, y, w in _level_rows(curve, path, n0, False))
     n = 2 * n0
     while n <= nmax:
-        cur = level(n)
+        cur = prev / 2 + sum(fn(z, y) * w for z, y, w in _level_rows(curve, path, n, True))
         err = abs(cur - prev)
         if err <= tol * max(abs(cur), 1.0):
             return cur, err
@@ -276,35 +295,23 @@ def _doubling(level, what, tol, n0, nmax):
 
 
 def contour_integrate(fn, curve, contour, tol=1e-10, n0=64, nmax=65536):
-    """Midpoint-trapezoid integral of fn(z, Y) dz over the closed contour,
-    doubling nodes until two refinements agree within tol (relative).
-    fn is called once per node with Python numbers z and Y."""
-
-    def level(n):
-        return sum(fn(z, y) * dz for z, y, dz in _midpoint_samples(curve, contour, n))
-
-    return _doubling(level, f"contour {contour.label}", tol, n0, nmax)
+    """Trapezoid integral of fn(z, Y) dz over the closed contour, doubling
+    nodes until two refinements agree within tol (relative).  fn is called
+    once per node with Python numbers z and Y."""
+    return _doubling(fn, curve, contour, f"contour {contour.label}", tol, n0, nmax)
 
 
 def gauss_segment(fn, curve, a, b, n):
-    """Gauss-Chebyshev integral of fn(x, Y_up(x)) dx over the root-to-root
-    segment [a, b]: the n-point midpoint rule in theta, weights pi/n, after
-    x = m - h cos(theta).  fn is called once per node with Python numbers."""
-    m = (a + b) / 2
-    h = (b - a) / 2
-    total = 0j
-    for k in range(n):
-        theta = (k + 0.5) * math.pi / n
-        x = m - h * math.cos(theta)
-        total += fn(x, curve.y_upper(x)) * (h * math.sin(theta))
-    return total * math.pi / n
+    """Integral of fn(x, Y_up(x)) dx over the root-to-root segment [a, b]
+    by the (n + 1)-point Gauss-Chebyshev-Lobatto rule: the trapezoid rule
+    in theta with both ends.  fn must be g(x) / Y (see the module notes)."""
+    return sum(fn(x, y) * w for x, y, w in _level_rows(curve, (a, b), n, False))
 
 
 def segment_integrate(fn, curve, a, b, tol=1e-10, n0=48, nmax=3072):
-    """Gauss-Chebyshev integral over the segment [a, b], doubling the order
-    like ``contour_integrate``."""
-    return _doubling(lambda n: gauss_segment(fn, curve, a, b, n),
-                     f"segment [{a},{b}]", tol, n0, nmax)
+    """``gauss_segment`` over the segment [a, b], doubling the order like
+    ``contour_integrate`` and reading the same nested rows."""
+    return _doubling(fn, curve, (a, b), f"segment [{a},{b}]", tol, n0, nmax)
 
 
 # --------------------------------------------------------------------------

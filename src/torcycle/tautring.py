@@ -146,10 +146,6 @@ class ModuliSpec(_ModuliSpecFields):
     def n(self) -> int:
         return len(self.markings)
 
-    @property
-    def dim(self) -> int:
-        return 3 * self.genus - 3 + self.n
-
     def with_extra_marking(self, x: str) -> "ModuliSpec":
         if x in self.markings:
             raise ValueError(f"marking {x!r} already present")
@@ -1091,17 +1087,6 @@ class ProductClass(_LinearCombination):
             }))
         spaces = self.spaces[:i] + (new_space,) + self.spaces[i + 1 :]
         return ProductClass._carry(spaces, _accumulate(parts))
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        lines = []
-        for gens in sorted(self.terms):
-            body = "  (x)  ".join(gen_to_string(g) for g in gens)
-            lines.append(f"{self.terms[gens]}\t{body}")
-        return "\n".join(lines)
-
-    __repr__ = __str__
 
 
 def glue_spaces(space: ModuliSpec, graph: Gen) -> list[ModuliSpec]:

@@ -124,6 +124,14 @@ class TestCtp:
         assert code == 0
         assert out.strip() == "10"
 
+    def test_dim_missing_fields(self, capsys):
+        code, out = run_cli("ctp", "dim", "nonsense")
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert errors == ["torcycle: error: component missing field(s) T1, T2, nu"]
+        assert "Traceback" not in err
+
     def test_check_pairing(self):
         code, out = run_cli("ctp", "check-pairing", "g=2 L=1 R=1 b:0-0 r:0-0")
         assert code == 0
@@ -143,6 +151,24 @@ class TestPeriod:
         code, out = run_cli("period", "rho4", "--tol", "1e-8")
         assert code == 0
         assert "PASS" in out
+
+    def test_non_positive_tol(self, capsys):
+        for op in (["rho4"], ["tau", "--roots", "1", "2", "3", "4", "5", "6"]):
+            for tol in ("0", "-1", "-0.5", "nan", "abc"):
+                code, out = run_cli("period", *op, "--tol", tol)
+                err = capsys.readouterr().err
+                assert code == 2 and out == ""
+                errors = [line for line in err.splitlines() if "error:" in line]
+                assert errors == [f"torcycle period {op[0]}: error: argument --tol: "
+                                  f"must be a number > 0, got {tol!r}"]
+
+    def test_no_convergence_exit_1(self, capsys):
+        # below rounding no level agrees with the last: a one-line message
+        code, out = run_cli("period", "rho4", "--tol", "1e-300")
+        err = capsys.readouterr().err
+        assert code == 1 and out == ""
+        assert err == ("torcycle period: quadrature did not converge: "
+                       "contour A1: no convergence at 65536 nodes\n")
 
     def test_machine_stability(self):
         _, out1 = run_cli("--machine", "period", "rho4", "--tol", "1e-8")

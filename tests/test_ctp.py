@@ -11,6 +11,7 @@ from torcycle.ctp import (
     Component,
     HalfEdgePairing,
     MalformedPairingError,
+    PairingVerdict,
     _elliptic_pairs_ok,
     _genus_preserving_bijections,
     _sign_choices,
@@ -347,12 +348,145 @@ def oracle_check(p: HalfEdgePairing):
     return two_cycles <= 2 * p.genus + 2
 
 
+def generic_components(p: HalfEdgePairing):
+    """The generic decomposition ``ctp`` used before its chain walk: a DFS
+    over ("L", i)/("R", j) nodes, components as (vertex set, edge set)."""
+    adj: dict = {v: [] for v in p.nodes()}
+    for (u, v, c) in p.colored_edges():
+        adj[u].append((v, c))
+        adj[v].append((u, c))
+    seen: set = set()
+    comps = []
+    for start in p.nodes():
+        if start in seen:
+            continue
+        stack = [start]
+        seen.add(start)
+        verts = {start}
+        edges = set()
+        while stack:
+            u = stack.pop()
+            for (v, c) in adj[u]:
+                edges.add((tuple(sorted((u, v))), c))
+                if v not in seen:
+                    seen.add(v)
+                    verts.add(v)
+                    stack.append(v)
+        comps.append((verts, edges))
+    return comps
+
+
+def generic_check(p: HalfEdgePairing) -> PairingVerdict:
+    """Verdict and reason of the generic check, first failure in node order."""
+    two_cycles = 0
+    for verts, edges in generic_components(p):
+        ne, nv = len(edges), len(verts)
+        if ne == nv:
+            if ne == 2:
+                two_cycles += 1
+            elif ne != 4:
+                return PairingVerdict(False, f"cycle of length {ne}")
+        elif ne == nv - 1:
+            if ne > 3:
+                return PairingVerdict(False, f"path of length {ne}")
+        else:
+            return PairingVerdict(False, "component is neither path nor cycle")
+    bound = 2 * p.genus + 2
+    if two_cycles > bound:
+        return PairingVerdict(False, f"{two_cycles} two-cycles exceed the bound {bound}")
+    return PairingVerdict(True)
+
+
+def generic_completion(p: HalfEdgePairing) -> frozenset:
+    """The generic completion: each 3-path closed by the color its ends miss."""
+    edges = {(tuple(sorted((u, v))), c) for (u, v, c) in p.colored_edges()}
+    for verts, comp_edges in generic_components(p):
+        if len(comp_edges) == 3 and len(verts) == 4:
+            degree: dict = {}
+            colors: dict = {}
+            for (pair, c) in comp_edges:
+                for x in pair:
+                    degree[x] = degree.get(x, 0) + 1
+                    colors.setdefault(x, []).append(c)
+            ends = [x for x in verts if degree[x] == 1]
+            edges.add((tuple(sorted(ends)), "r" if set(colors[ends[0]]) == {"b"} else "b"))
+    return frozenset(edges)
+
+
+def as_generic(edges: frozenset) -> frozenset:
+    """``completion``'s (i, j, color) triples in the generic edge form."""
+    return frozenset(((("L", i), ("R", j)), c) for (i, j, c) in edges)
+
+
+def mixed_pairing(rng, max_side=8):
+    """A random pairing with sides up to ``max_side`` whose red matching
+    often repeats blue edges (2-cycles) and whose colors are often empty."""
+    genus, left, right = rng.randint(1, 5), rng.randint(1, max_side), rng.randint(1, max_side)
+    colors = []
+    for _ in range(2):
+        ls, rs = list(range(left)), list(range(right))
+        rng.shuffle(ls)
+        rng.shuffle(rs)
+        k = rng.choice((0, rng.randint(0, min(left, right)), min(left, right)))
+        colors.append(list(zip(ls[:k], rs[:k])))
+    blue, red = colors
+    if rng.random() < 0.4:  # red repeats blue edges, keeps its own elsewhere
+        shared = blue if rng.random() < 0.5 else [e for e in blue if rng.random() < 0.5]
+        used_l, used_r = {i for i, _ in shared}, {j for _, j in shared}
+        red = shared + [(i, j) for (i, j) in red if i not in used_l and j not in used_r]
+    return HalfEdgePairing(genus, left, right, tuple(blue), tuple(red))
+
+
 class TestPairingOracle:
     def test_vs_bruteforce_10k(self):
         rng = random.Random(424242)
         for _ in range(10_000):
             p = random_pairing(rng)
             assert bool(check_pairing(p)) == oracle_check(p)
+
+    def test_verdict_and_reason_vs_generic_walk(self):
+        rng = random.Random(161616)
+        seen = dict.fromkeys(("shared", "empty", "side 8", "ok", "cycle", "path", "two-cycles"), 0)
+        for _ in range(20_000):
+            p = mixed_pairing(rng)
+            verdict = check_pairing(p)
+            assert verdict == generic_check(p), p
+            seen["shared"] += bool(set(p.blue) & set(p.red))
+            seen["empty"] += not p.blue or not p.red
+            seen["side 8"] += max(p.left, p.right) == 8
+            reason = verdict.reason
+            seen["ok" if verdict else "two-cycles" if "two" in reason else reason.split()[0]] += 1
+        assert min(seen.values()) > 100, seen
+
+    def test_completion_vs_generic_walk(self):
+        rng = random.Random(424242)
+        for _ in range(10_000):
+            p = random_pairing(rng)
+            assert as_generic(completion(p)) == generic_completion(p), p
+
+    def test_equivalence_vs_generic_completion(self):
+        # the families of test_equivalence_laws and of one shape, where the
+        # completions decide
+        rng = random.Random(777)
+        families = [[], []]
+        while len(families[0]) < 60:
+            p = random_pairing(rng, max_side=5)
+            if check_pairing(p):
+                families[0].append(p)
+        while len(families[1]) < 60:
+            p = mixed_pairing(rng, max_side=3)
+            p = HalfEdgePairing(3, 3, 3, p.blue, p.red) if max(p.left, p.right) == 3 else None
+            if p is not None and check_pairing(p):
+                families[1].append(p)
+        hits = 0
+        for valid in families:
+            for p in valid:
+                for q in valid:
+                    want = ((p.left, p.right, p.genus) == (q.left, q.right, q.genus)
+                            and generic_completion(p) == generic_completion(q))
+                    assert pairing_equivalent(p, q) == want
+                    hits += want and p is not q
+        assert hits > 0
 
     def test_equivalence_laws(self):
         rng = random.Random(777)

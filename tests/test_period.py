@@ -1,5 +1,8 @@
 import cmath
+import io
 import math
+import pathlib
+import runpy
 
 import numpy as np
 import pytest
@@ -115,9 +118,9 @@ def close(a, b, rtol=1e-13):
 
 
 class TestArrayEvaluation:
-    """The node rows of a refinement level (``_midpoint_samples``) and the
-    scalar maps they are built from agree with a node-by-node cmath
-    reference, and every value is a Python number."""
+    """The node rows of a refinement level (``_level_rows``) and the scalar
+    maps they are built from agree with a node-by-node cmath reference, and
+    every value is a Python number."""
 
     # inside the cuts (f < 0), outside them, off the axis, and on the axis
     # approached from below (-0.0 imaginary part)
@@ -149,15 +152,34 @@ class TestArrayEvaluation:
 
     @pytest.mark.parametrize("n", [16, 64])
     def test_level_rows(self, n):
+        # level n in full, then the odd nodes that level 2n adds
         curve = BASE_CURVE_1
         for c in self.CONTOURS:
-            rows = P._midpoint_samples(curve, c, n)
-            assert type(rows) is tuple and len(rows) == n
-            for k, (z, y, dz) in enumerate(rows):
-                t = (k + 0.5) / n
-                assert z == c.point(t)
-                assert dz == c.derivative(t) / n
-                assert y == c.sheet_sign(curve, t) * curve.y_upper(z)
+            for level, odd, ks in ((n, False, range(n)), (2 * n, True, range(1, 2 * n, 2))):
+                rows = P._level_rows(curve, c, level, odd)
+                assert type(rows) is tuple and len(rows) == len(ks)
+                for k, (z, y, dz) in zip(ks, rows):
+                    t = P.NODE_OFFSET + k / level
+                    assert z == c.point(t)
+                    assert dz == c.derivative(t) / level
+                    assert y == c.sheet_sign(curve, t) * curve.y_upper(z)
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_segment_rows(self, n):
+        # theta = k pi/n with both ends, Y over h sin(theta), weight pi/n
+        # halved at the ends; inside the segment Y matches y_upper
+        curve, r = BASE_CURVE_1, BASE_CURVE_1.roots
+        for a, b in sorted({seg for segs in P.SEGMENT_ROOTS.values() for seg in segs}):
+            m, h = (r[a] + r[b]) / 2, (r[b] - r[a]) / 2
+            for level, odd, ks in ((n, False, range(n + 1)), (2 * n, True, range(1, 2 * n, 2))):
+                rows = P._level_rows(curve, (r[a], r[b]), level, odd)
+                assert type(rows) is tuple and len(rows) == len(ks)
+                for k, (x, y, w) in zip(ks, rows):
+                    theta = k * math.pi / level
+                    assert x == m - h * math.cos(theta) and type(y) is complex
+                    assert w == math.pi / level / (2 if k in (0, level) else 1)
+                    if 0 < k < level:
+                        assert close(y * h * math.sin(theta), curve.y_upper(x), 1e-12)
 
     def test_y_on_path_python_pairs(self):
         ys = y_on_path(BASE_CURVE_1, standard_contours(BASE_CURVE_1)["B1"], 16)
@@ -426,7 +448,7 @@ class TestRho4:
         P._a_periods.cache_clear()
         P.cauchy_kernel_coeffs.cache_clear()
         P._G.cache_clear()
-        P._midpoint_samples.cache_clear()
+        P._level_rows.cache_clear()
         c2 = rho4()
         assert c1.value == c2.value and c1.quadrature_error == c2.quadrature_error
 
@@ -483,20 +505,21 @@ class TestMemo:
             period_matrix(curve)
 
     def test_levels_built_once(self, monkeypatch):
-        # two curves whose B-levels outnumber a 16-level cache, so a smaller
-        # cache rebuilds their A-levels for the inverse-power A-periods
+        # two curves whose contour and segment levels outnumber a 32-level
+        # cache, so a smaller cache rebuilds their A-levels for the
+        # inverse-power A-periods
         curves = [(0.92, 1.77, 1.86, 1.91, 4.68, 4.81), (0.82, 0.9, 2.47, 4.44, 7.06, 7.12)]
         for memo in (P.standard_contours, P._a_periods, P.cauchy_kernel_coeffs, P._G,
-                     P._midpoint_samples):
+                     P._level_rows):
             memo.cache_clear()
         levels = set()
-        samples = P._midpoint_samples
+        rows = P._level_rows
 
-        def recorded(curve, contour, n):
-            levels.add((curve, contour, n))
-            return samples(curve, contour, n)
+        def recorded(curve, path, n, odd):
+            levels.add((curve, path, n, odd))
+            return rows(curve, path, n, odd)
 
-        monkeypatch.setattr(P, "_midpoint_samples", recorded)
+        monkeypatch.setattr(P, "_level_rows", recorded)
         for roots in curves:
             curve = HyperellipticCurve(roots)
             period_matrix(curve, 1e-11)
@@ -504,7 +527,41 @@ class TestMemo:
                               curve2=HyperellipticCurve(roots[:5] + (roots[5] + 1,))))
             for i in (1, 2):
                 compute_G(curve, i, tol=1e-11, rule="segments")
-        assert samples.cache_info().misses == len(levels) > 32
+        assert rows.cache_info().misses == len(levels) > 32
+
+    def test_nodes_built_once_per_integral(self, monkeypatch):
+        # a contour integral converged at N nodes calls y_upper N times and
+        # its integrand N times; a second integrand on the contour reuses
+        # every row, and a segment integral at N intervals reads N + 1 nodes
+        curve = HyperellipticCurve((1.0, 2.2, 3.1, 4.3, 5.2, 6.4))
+        contour = standard_contours(curve)["B1"]
+        P._level_rows.cache_clear()
+        levels, calls = [], {"y_upper": 0, "fn": 0}
+        rows, y_upper = P._level_rows, HyperellipticCurve.y_upper
+
+        def recorded(curve, path, n, odd):
+            levels.append(n)
+            return rows(curve, path, n, odd)
+
+        def counted_y_upper(self, z):
+            calls["y_upper"] += 1
+            return y_upper(self, z)
+
+        def fn(z, y):
+            calls["fn"] += 1
+            return 1.0 / y
+
+        monkeypatch.setattr(P, "_level_rows", recorded)
+        monkeypatch.setattr(HyperellipticCurve, "y_upper", counted_y_upper)
+        contour_integrate(fn, curve, contour, 1e-12)
+        N = max(levels)
+        assert N > 64 and calls == {"y_upper": N, "fn": N}
+        contour_integrate(lambda z, y: z / y, curve, contour, 1e-12)
+        assert calls["y_upper"] == N
+        levels.clear()
+        calls.update(y_upper=0, fn=0)
+        P.segment_integrate(fn, curve, curve.roots[1], curve.roots[2], 1e-12)
+        assert calls == {"y_upper": 0, "fn": max(levels) + 1}
 
     def test_invalid_G_arguments(self):
         # validated before the memo: each call raises, and nothing is stored
@@ -515,3 +572,14 @@ class TestMemo:
             with pytest.raises(ValueError, match="unknown rule"):
                 compute_G(BASE_CURVE_1, 1, rule="simpson")
         assert P._G.cache_info().currsize == before
+
+
+class TestScan:
+    def test_node_count(self):
+        # the first five curves of scripts/period_scan.py: the nodes the
+        # nested quadrature builds from empty memos, pinned
+        path = pathlib.Path(__file__).parent.parent / "scripts" / "period_scan.py"
+        out = io.StringIO()
+        assert runpy.run_path(str(path))["scan"](5, out=out) == 28820
+        lines = out.getvalue().splitlines()
+        assert len(lines) == 11 and lines[-1] == "nodes_built\t28820"
