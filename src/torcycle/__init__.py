@@ -11,3 +11,6 @@ point lives in :mod:`torcycle.period`.
 """
 
 __version__ = "0.1.0"
+
+#: ``_make`` of the records that validate in ``__new__``; ``_replace`` calls it.
+validated_make = classmethod(lambda cls, fields: cls(*fields))

@@ -25,6 +25,7 @@ from .tautring import (
     TautClass,
     UnsupportedOperation,
     canonicalize,
+    check_stability,
     gen_to_string,
     kappa,
     kappa1_expand,
@@ -126,6 +127,7 @@ def _cmd_taut(args, cfg: RunConfig) -> int:
         return 0
     if args.op == "canon":
         gen = parse_gen(args.graph)
+        check_stability(gen, "stable")  # canon accepts self edges
         cg, aut = canonicalize(gen)
         _emit(cfg, "canonical", gen_to_string(cg))
         _emit(cfg, "aut_order", aut)

@@ -12,13 +12,15 @@ available).  Two neighboring genus-1 vertices of T1 may not map to
 neighbors of T2 (such strata lie in the closure of a genus-2 merger).
 
 Stable trees are enumerated shape first.  The unlabeled trees on n vertices
-grow from those on n - 1 by one leaf at every vertex, one kept per least
-rooted Aho-Hopcroft-Ullman code (orderly generation of free trees after
-Wright-Richmond-Odlyzko-McKay 1986).  Each shape is labeled only by the
-stable compositions of g (genus at least 1 below degree 3), which go
-through ``tautring.canonicalize``.  A stable leg-free tree on n > 1
-vertices has sum_v (2 g(v) - 2 + d(v)) = 2g - 2 with every term positive,
-so n <= 2g - 2 (n <= g when every genus is positive).
+grow once per process from those on n - 1 by one leaf at every vertex, one
+kept per Aho-Hopcroft-Ullman code rooted at the centre (orderly generation
+of free trees after Wright-Richmond-Odlyzko-McKay 1986).  Each shape is
+labeled only by the stable compositions of g (genus at least 1 below
+degree 3), deduplicated by the same code with the genera as vertex
+labels, so one labeling per class reaches ``tautring.canonicalize``.  A
+stable leg-free tree on n > 1 vertices has sum_v (2 g(v) - 2 + d(v)) =
+2g - 2 with every term positive, so n <= 2g - 2 (n <= g when every genus
+is positive).
 
 Component counts are anchored against known lists at genus 2, 4 and 5
 (divisor level); counts this module produces for other inputs are new
@@ -28,13 +30,15 @@ data, not cross-checked against an external source.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
+from . import validated_make
 from .tautring import (
     Gen,
     _least_relabelings,
     canonicalize,
+    gen_to_string,
     make_gen,
     parse_gen,
 )
@@ -50,18 +54,39 @@ UNBOUNDED_GENUS_LIMIT = 8
 # stable trees
 
 
-def _tree_code(edges, n: int) -> str:
-    """Least rooted Aho-Hopcroft-Ullman code of a tree on n vertices, over
-    all roots: two trees get the same code exactly when isomorphic."""
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for (a, b) in edges:
-        adj[a].append(b)
-        adj[b].append(a)
+@lru_cache(maxsize=None)
+def _shapes(n: int) -> tuple:
+    """One free tree per isomorphism class on n vertices, as (edges,
+    adjacency, centres): each shape on n - 1 vertices with a new leaf n - 1
+    at every vertex, one kept per unlabeled code."""
+    if n == 1:
+        return (((), ((),), (0,)),)
+    kept: dict = {}
+    for edges, adj, _ in _shapes(n - 1):
+        for v in range(n - 1):
+            grown = (*adj[:v], (*adj[v], n - 1), *adj[v + 1:], (v,))
+            centres = _centres(grown)
+            kept.setdefault(_code((0,) * n, grown, centres),
+                            (edges + ((v, n - 1),), grown, centres))
+    return tuple(kept.values())
 
-    def code(v: int, parent: int) -> str:
-        return "(" + "".join(sorted(code(u, v) for u in adj[v] if u != parent)) + ")"
 
-    return min(code(r, -1) for r in range(n))
+def _centres(adj) -> tuple[int, ...]:
+    """The centre or bicentre of a tree: what is left after peeling leaves."""
+    left = set(range(len(adj)))
+    while len(left) > 2:
+        left -= {v for v in left if sum(u in left for u in adj[v]) == 1}
+    return tuple(sorted(left))
+
+
+def _code(labels, adj, centres) -> tuple:
+    """Aho-Hopcroft-Ullman code of a vertex-labeled tree rooted at its
+    centre, least over a bicentre: equal exactly for isomorphic trees."""
+
+    def rooted(v: int, parent: int) -> tuple:
+        return labels[v], tuple(sorted(rooted(u, v) for u in adj[v] if u != parent))
+
+    return min(rooted(c, -1) for c in centres)
 
 
 def _compositions(total: int, lows: list[int]):
@@ -94,19 +119,17 @@ def enumerate_stable_trees(
     max_n = g if positive_only else max(1, 2 * g - 2)
     if max_edges is not None:
         max_n = min(max_n, max_edges + 1)
-    found: dict = {}
-    trees: list[tuple[tuple[int, int], ...]] = [()]
+    trees = []
     for n in range(1, max_n + 1):
-        if n > 1:  # a new leaf n - 1 at every vertex, one tree per code
-            grown = (t + ((v, n - 1),) for t in trees for v in range(n - 1))
-            trees = list({_tree_code(t, n): t for t in grown}.values())
-        for edges in trees:
+        for edges, adj, centres in _shapes(n):
             # stability: genus 0 only at degree >= 3 (the lone genus-1
             # vertex is admitted on purpose)
-            lows = [int(positive_only or sum(v in e for e in edges) < 3) for v in range(n)]
+            lows = [int(positive_only or len(a) < 3) for a in adj]
+            classes: dict = {}
             for genera in _compositions(g, lows):
-                found[canonicalize(make_gen(genera, edges))[0]] = True
-    return sorted(found)
+                classes.setdefault(_code(genera, adj, centres), genera)
+            trees += (canonicalize(make_gen(genera, edges))[0] for genera in classes.values())
+    return sorted(trees)
 
 
 # --------------------------------------------------------------------------
@@ -131,21 +154,12 @@ class Component(NamedTuple):
         return f"({shape})" + (f"[{signs}]" if signs else "")
 
     def swap(self) -> "Component":
-        inv = [0] * len(self.nu)
-        for v, w in enumerate(self.nu):
-            inv[w] = v
-        sigma2 = [None] * len(self.nu)
-        for v, w in enumerate(self.nu):
-            sigma2[w] = self.sigma[v]
-        return canonical_component(self.t2, self.t1, tuple(inv), tuple(sigma2))
+        inv = tuple(sorted(range(len(self.nu)), key=self.nu.__getitem__))
+        return canonical_component(self.t2, self.t1, inv, tuple(self.sigma[v] for v in inv))
 
     def to_string(self) -> str:
-        from .tautring import gen_to_string
-
         nu = " ".join(f"{v}>{w}" for v, w in enumerate(self.nu))
-        sig = " ".join(
-            f"{v}:{s}" for v, s in enumerate(self.sigma) if s is not None
-        )
+        sig = " ".join(f"{v}:{s}" for v, s in enumerate(self.sigma) if s is not None)
         return (
             f"T1 {gen_to_string(self.t1)} | T2 {gen_to_string(self.t2)} | "
             f"nu: {nu} | sigma: {sig}"
@@ -168,8 +182,6 @@ class Component(NamedTuple):
             nu[int(v)] = int(w)
         sigma: list = [None] * t1.n_vertices()
         for item in data.get("sigma", "").split():
-            if not item:
-                continue
             v, _, s = item.partition(":")
             sigma[int(v)] = s
         return canonical_component(t1, t2, tuple(nu), tuple(sigma))
@@ -204,14 +216,10 @@ def _nu_sigma_key(pair):
     return nu, tuple(x or "" for x in sigma)
 
 
-def _elliptic_pairs_ok(t1: Gen, t2: Gen, nu) -> bool:
-    e2 = {(min(a, b), max(a, b)) for (a, b, _, _) in t2.edges}
-    for (a, b, _, _) in t1.edges:
-        if t1.genera[a] == 1 and t1.genera[b] == 1:
-            img = (min(nu[a], nu[b]), max(nu[a], nu[b]))
-            if img in e2:
-                return False
-    return True
+def _elliptic_pairs_ok(elliptic1, edges2, nu) -> bool:
+    """No edge of T1 between genus-1 vertices (``elliptic1``) maps onto an
+    edge of T2 (``edges2``, both orientations)."""
+    return not any((nu[a], nu[b]) in edges2 for (a, b) in elliptic1)
 
 
 def enumerate_components(g: int, max_edges: int | None = None) -> list[Component]:
@@ -226,18 +234,24 @@ def enumerate_components(g: int, max_edges: int | None = None) -> list[Component
     # the trees are canonical, so their maps onto the canonical form are
     # their automorphisms
     autos = {t: _least_relabelings(t)[1] for t in trees}
+    elliptic = {t: [(a, b) for (a, b, _, _) in t.edges if t.genera[a] == t.genera[b] == 1]
+                for t in trees}
+    edges = {t: {e for (a, b, _, _) in t.edges for e in ((a, b), (b, a))} for t in trees}
+    by_genera: dict = {}
+    for t in trees:
+        by_genera.setdefault(tuple(sorted(t.genera)), []).append(t)
     out = []
     for t1 in trees:
-        for t2 in trees:
-            if sorted(t1.genera) != sorted(t2.genera):
-                continue
-            # one least element per orbit; the elliptic rule and the sign
-            # choices are invariant under the automorphisms
+        sigmas = _sign_choices(t1)
+        for t2 in by_genera[tuple(sorted(t1.genera))]:
+            # one least element per orbit.  The sign choices are invariant
+            # under the automorphisms, so a seen (nu, sigmas[0]) means every
+            # (nu, sigma) is seen; the elliptic rule is invariant too
             seen: set = set()
             for nu in _genus_preserving_bijections(t1, t2):
-                if not _elliptic_pairs_ok(t1, t2, nu):
+                if (nu, sigmas[0]) in seen or not _elliptic_pairs_ok(elliptic[t1], edges[t2], nu):
                     continue
-                for sigma in _sign_choices(t1):
+                for sigma in sigmas:
                     if (nu, sigma) not in seen:
                         orbit = _carried(nu, sigma, autos[t1], autos[t2])
                         seen |= orbit
@@ -260,16 +274,10 @@ def _genus_preserving_bijections(t1: Gen, t2: Gen):
         yield tuple(nu)
 
 
-def _sign_choices(t1: Gen):
-    options = []
-    for gv in t1.genera:
-        if gv >= 3:
-            options.append((PLUS, MINUS))
-        elif gv == 2:
-            options.append((BOTH,))
-        else:
-            options.append((None,))
-    yield from itertools.product(*options)
+def _sign_choices(t1: Gen) -> list:
+    """Every sigma: None below genus 2, +- at genus 2, + or - above."""
+    options = {0: (None,), 1: (None,), 2: (BOTH,)}
+    return list(itertools.product(*(options.get(gv, (PLUS, MINUS)) for gv in t1.genera)))
 
 
 def component_dimension(comp: Component) -> int:
@@ -301,6 +309,8 @@ class HalfEdgePairing(_HalfEdgePairingFields):
     """Bipartite multigraph on the half edges at a paired vertex: blue
     edges record the identity-side pairing, red ones the involution side.
     No ``__slots__``: the memos below need a ``__dict__``."""
+
+    _make = validated_make
 
     def __new__(cls, genus: int, left: int, right: int, blue=(), red=()):
         for (color, edges) in (("blue", blue), ("red", red)):

@@ -19,6 +19,7 @@ from fractions import Fraction
 from math import comb
 from typing import NamedTuple
 
+from . import validated_make
 from .algebra import TruncatedSeries, line_bundle_series
 
 
@@ -31,6 +32,7 @@ class ExcessDims(_ExcessDimsFields):
     """Dimensions of the two components meeting at the point."""
 
     __slots__ = ()
+    _make = validated_make
 
     def __new__(cls, d_A: int, d_B: int):
         if d_A < 1 or d_B < 1:

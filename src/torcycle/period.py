@@ -71,6 +71,8 @@ import math
 from types import MappingProxyType
 from typing import NamedTuple
 
+from . import validated_make
+
 
 class QuadratureError(RuntimeError):
     """Adaptive refinement failed to reach the tolerance."""
@@ -96,6 +98,7 @@ class HyperellipticCurve(_HyperellipticCurveFields):
     """Six real increasing branch points; cuts pair them consecutively."""
 
     __slots__ = ()
+    _make = validated_make
 
     def __new__(cls, roots):
         if len(roots) != 6:

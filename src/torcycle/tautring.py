@@ -100,6 +100,7 @@ from functools import lru_cache
 from math import comb
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
+from . import validated_make
 from .algebra import _accumulate, _LinearCombination
 
 
@@ -129,6 +130,7 @@ class ModuliSpec(_ModuliSpecFields):
     """
 
     __slots__ = ()
+    _make = validated_make
 
     def __new__(cls, genus: int, markings: Iterable[str], policy: str = "ct"):
         # marking order is semantically irrelevant (legs match by label);
@@ -1216,6 +1218,7 @@ def _pull_boundary_gluing(spaces, graph: Gen, gen: Gen) -> ProductClass:
 # serialization
 
 
+@lru_cache(maxsize=4096)
 def gen_to_string(gen: Gen) -> str:
     parts = ["V " + " ".join(str(g) for g in gen.genera)]
     if gen.edges:

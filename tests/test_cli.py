@@ -5,6 +5,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 from torcycle import pipeline, selftest
 from torcycle.cli import main
 
@@ -196,6 +198,26 @@ class TestTaut:
         code, out = run_cli("taut", "canon", "V 2 2; E 0-1")
         assert code == 0
         assert "aut_order = 2" in out
+
+    def test_canon_self_edge(self):
+        # canon checks stability under the stable policy: a self edge is fine
+        code, out = run_cli("taut", "canon", "V 1; E 0-0")
+        assert code == 0
+        assert "aut_order = 2" in out
+
+    @pytest.mark.parametrize("graph, message", [
+        ("V 0 0; E 0-1", "vertex 0 (genus 0, valence 1) is unstable"),
+        ("V 2 0; E 0-1", "vertex 1 (genus 0, valence 1) is unstable"),
+        ("V 1 1", "vertex 0 (genus 1, valence 0) is unstable"),
+        ("V 2 2", "graph must be connected"),
+    ], ids=["genus0-pair", "genus0-leaf", "bare-genus1", "disconnected"])
+    def test_canon_unstable(self, capsys, graph, message):
+        code, out = run_cli("taut", "canon", graph)
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert errors == [f"torcycle: error: {message}"]
+        assert "Traceback" not in err
 
 
 class TestImport:

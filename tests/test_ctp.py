@@ -12,8 +12,11 @@ from torcycle.ctp import (
     HalfEdgePairing,
     MalformedPairingError,
     PairingVerdict,
-    _elliptic_pairs_ok,
+    _carried,
+    _compositions,
     _genus_preserving_bijections,
+    _nu_sigma_key,
+    _shapes,
     _sign_choices,
     check_pairing,
     completion,
@@ -23,7 +26,7 @@ from torcycle.ctp import (
     one_edge_intersections,
     pairing_equivalent,
 )
-from torcycle.tautring import _least_relabelings, canonicalize, make_gen
+from torcycle.tautring import _least_relabelings, canonicalize, gen_to_string, make_gen
 
 
 class TestTrees:
@@ -64,6 +67,32 @@ class TestTrees:
         trees = enumerate_stable_trees(3, positive_only=False)
         shapes = sorted(tuple(sorted(t.genera)) for t in trees)
         assert shapes == [(0, 1, 1, 1), (1, 1, 1), (1, 2), (3,)]
+
+    @pytest.mark.parametrize("g", range(1, 7))
+    @pytest.mark.parametrize("positive_only", (True, False))
+    @pytest.mark.parametrize("max_edges", (None, 1, 2, 3, 4, 5))
+    def test_vs_per_labeling_loop(self, g, positive_only, max_edges):
+        assert enumerate_stable_trees(g, positive_only, max_edges) == \
+            per_labeling_trees(g, positive_only, max_edges)
+
+    @pytest.mark.parametrize("max_edges", (1, 2, 3, 4))
+    def test_genus7_vs_per_labeling_loop(self, max_edges):
+        assert enumerate_stable_trees(7, True, max_edges) == per_labeling_trees(7, True, max_edges)
+
+    def test_shape_counts(self):
+        # free trees on n vertices, OEIS A000055
+        assert [len(_shapes(n)) for n in range(1, 9)] == [1, 1, 1, 2, 3, 6, 11, 23]
+        for n in range(1, 9):
+            codes = {least_tree_code(edges, n) for edges, _, _ in _shapes(n)}
+            assert len(codes) == len(_shapes(n))
+
+    @pytest.mark.parametrize("args, misses", [((6,), 35), ((7, True, 4), 54)])
+    def test_one_canonicalize_per_tree(self, args, misses):
+        # one labeling per class reaches canonicalize: 35 and 54 misses,
+        # not the 57 and 107 stable labelings
+        canonicalize.cache_clear()
+        trees = enumerate_stable_trees(*args)
+        assert len(trees) == canonicalize.cache_info().misses == misses
 
     # unbounded with genus-0 vertices is left out: the oracle's 3g-vertex
     # sweep does not finish
@@ -117,6 +146,75 @@ def reference_stable_trees(g, positive_only, max_edges):
     return sorted(found)
 
 
+def least_tree_code(edges, n: int) -> str:
+    """Least rooted Aho-Hopcroft-Ullman string code of a tree on n
+    vertices, over all roots."""
+    adj = [[] for _ in range(n)]
+    for (a, b) in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+
+    def code(v, parent):
+        return "(" + "".join(sorted(code(u, v) for u in adj[v] if u != parent)) + ")"
+
+    return min(code(r, -1) for r in range(n))
+
+
+def per_labeling_trees(g, positive_only, max_edges):
+    """The shapes regrown on every call, one per least string code, and
+    every stable composition of every shape sent through canonicalize."""
+    max_n = g if positive_only else max(1, 2 * g - 2)
+    if max_edges is not None:
+        max_n = min(max_n, max_edges + 1)
+    found = {}
+    trees = [()]
+    for n in range(1, max_n + 1):
+        if n > 1:
+            grown = (t + ((v, n - 1),) for t in trees for v in range(n - 1))
+            trees = list({least_tree_code(t, n): t for t in grown}.values())
+        for edges in trees:
+            degree = [sum(v in e for e in edges) for v in range(n)]
+            lows = [int(positive_only or d < 3) for d in degree]
+            for genera in _compositions(g, lows):
+                found[canonicalize(make_gen(genera, edges))[0]] = True
+    return sorted(found)
+
+
+def elliptic_pairs_ok(t1, t2, nu):
+    """No edge between genus-1 vertices of T1 maps onto an edge of T2,
+    read off the two trees on every call."""
+    e2 = {(min(a, b), max(a, b)) for (a, b, _, _) in t2.edges}
+    for (a, b, _, _) in t1.edges:
+        if t1.genera[a] == 1 and t1.genera[b] == 1:
+            if (min(nu[a], nu[b]), max(nu[a], nu[b])) in e2:
+                return False
+    return True
+
+
+def per_pair_components(g, max_edges):
+    """The orbit walk with the elliptic rule tested on every bijection
+    before the seen orbits, and the edge sets rebuilt for every test."""
+    if max_edges is None and g >= 4:
+        max_edges = 1
+    trees = enumerate_stable_trees(g, positive_only=True, max_edges=max_edges)
+    autos = {t: _least_relabelings(t)[1] for t in trees}
+    out = []
+    for t1 in trees:
+        for t2 in trees:
+            if sorted(t1.genera) != sorted(t2.genera):
+                continue
+            seen = set()
+            for nu in _genus_preserving_bijections(t1, t2):
+                if not elliptic_pairs_ok(t1, t2, nu):
+                    continue
+                for sigma in _sign_choices(t1):
+                    if (nu, sigma) not in seen:
+                        orbit = _carried(nu, sigma, autos[t1], autos[t2])
+                        seen |= orbit
+                        out.append(Component(t1, t2, *min(orbit, key=_nu_sigma_key)))
+    return sorted(out, key=lambda c: (c.t1, c.t2, *_nu_sigma_key((c.nu, c.sigma))))
+
+
 def reference_bijections(t1, t2):
     """Product filter: every genus-respecting choice of images, kept when
     the images are distinct."""
@@ -138,7 +236,7 @@ def reference_components(g, max_edges):
                 continue
             auts = [_least_relabelings(t)[1] for t in (t1, t2)]
             for nu in _genus_preserving_bijections(t1, t2):
-                if not _elliptic_pairs_ok(t1, t2, nu):
+                if not elliptic_pairs_ok(t1, t2, nu):
                     continue
                 for sigma in _sign_choices(t1):
                     best = None
@@ -159,6 +257,22 @@ class TestComponents:
         comps = enumerate_components(g, max_edges)
         assert len(comps) == len(set(comps))
         assert set(comps) == reference_components(g, max_edges)
+
+    @pytest.mark.parametrize("g, max_edges", [
+        *((g, e) for g in range(2, 7) for e in (None, 0, 1, 2, 3)), (5, 4)])
+    def test_vs_per_pair_loop(self, g, max_edges):
+        assert enumerate_components(g, max_edges) == per_pair_components(g, max_edges)
+
+    def test_genus7_five_edges(self):
+        assert len(enumerate_components(7, 5)) == 4861
+
+    def test_each_tree_rendered_once(self):
+        comps = enumerate_components(7, 3)
+        gen_to_string.cache_clear()
+        lines = [c.to_string() for c in comps]
+        info = gen_to_string.cache_info()
+        assert len(lines) == 338 and info.hits + info.misses == 2 * len(lines)
+        assert info.misses == len({t for c in comps for t in (c.t1, c.t2)}) == 30
 
     @pytest.mark.parametrize("g", range(1, 6))
     def test_bijections_vs_product_filter(self, g):

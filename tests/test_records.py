@@ -99,6 +99,42 @@ def test_validation(build, error, message):
     assert type(info.value) is error and str(info.value) == message
 
 
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: HyperellipticCurve((1, 2, 3, 4, 5, 6))._replace(roots=(3, 2, 1)), ValueError,
+     "exactly six branch points"),
+    (lambda: BASE_CURVE_1._replace(roots=(6, 5, 4, 3, 2, 1)), ValueError,
+     "branch points must be strictly increasing"),
+    (lambda: HyperellipticCurve._make([(1, 1, 2, 3, 4, 5)]), ValueError,
+     "branch points must be strictly increasing"),
+    (lambda: HalfEdgePairing(2, 2, 1)._replace(blue=((0, 0), (1, 0))), MalformedPairingError,
+     "vertex with two blue edges"),
+    (lambda: HalfEdgePairing._make((2, 2, 2, ((0, 2),), ())), MalformedPairingError,
+     "half-edge index out of range"),
+    (lambda: ModuliSpec(2, ("b", "a"))._replace(markings=("x", "x")), ValueError,
+     "duplicate marking labels"),
+    (lambda: ModuliSpec._make((1, ("p",), "open")), ValueError, "unknown policy 'open'"),
+    (lambda: ExcessDims(2, 3)._replace(d_A=0), ValueError, "component dimensions must be >= 1"),
+    (lambda: ExcessDims._make((1, 0)), ValueError, "component dimensions must be >= 1"),
+], ids=["curve-replace-count", "curve-replace-order", "curve-make", "pairing-replace",
+        "pairing-make", "spec-replace", "spec-make", "dims-replace", "dims-make"])
+def test_replace_and_make_validate(build, error, message):
+    # _replace and _make build through the constructor, so they check too
+    test_validation(build, error, message)
+
+
+def test_replace_and_make_normalize():
+    space = ModuliSpec(2, ("b", "a"))._replace(markings=("z", "y"))
+    assert space.markings == ("y", "z") and space == ModuliSpec(2, ("y", "z"))
+    assert ModuliSpec._make((2, ["q", 1, "p"])) == ModuliSpec(2, ("1", "p", "q"), "ct")
+    curve = BASE_CURVE_1._replace(roots=[1, 2, 3, 4, 5, F(13, 2)])
+    assert curve.roots == (1.0, 2.0, 3.0, 4.0, 5.0, 6.5)
+    assert all(type(r) is float for r in curve.roots)
+    assert type(HyperellipticCurve._make([range(6)])) is HyperellipticCurve
+    pairing = HalfEdgePairing(2, 2, 2)._replace(red=((0, 1),))
+    assert type(pairing) is HalfEdgePairing and pairing == HalfEdgePairing(2, 2, 2, (), ((0, 1),))
+    assert ExcessDims._make([2, 3]) == ExcessDims(2, 3)
+
+
 def test_normalization():
     space = ModuliSpec(genus=2, markings=["q", 1, "p"])
     assert space.markings == ("1", "p", "q") and space.policy == "ct"
