@@ -137,11 +137,7 @@ def _cmd_taut(args, cfg: RunConfig) -> int:
 
 def _cmd_excess(args, cfg: RunConfig) -> int:
     if args.op == "m":
-        if args.shift:
-            value = excess.multiplicity_shifted(args.da, args.db, args.shift)
-        else:
-            value = excess.multiplicity(excess.ExcessDims(args.da, args.db))
-        print(value)
+        print(excess.multiplicity_shifted(args.da, args.db, args.shift))
         return 0
     if args.op == "oracle":
         model = excess.BUILTIN_MODELS[args.model]
@@ -470,11 +466,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     cfg = RunConfig(machine=args.machine, explain=getattr(args, "explain", False))
-    if args.command == "excess" and args.op == "m":
-        if args.da < 1 or args.db < 1:
-            parser.error("component dimensions must be >= 1")
-        if args.shift and (args.da - args.shift < 1 or args.db - args.shift < 1):
-            parser.error("shift makes a component dimension non-positive")
     try:
         return args.fn(args, cfg)
     except pipeline.PipelineMismatch as exc:

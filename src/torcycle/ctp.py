@@ -470,40 +470,24 @@ def one_edge_intersections(g: int = 4) -> list[IntersectionStratum]:
             raise RuntimeError("genus-4 component enumeration incomplete")
 
     out = []
-    # Delta^s meets A^s: pair the half edges at the genus-3 vertices with
-    # the pairing colored by the sign; dimensions 1 + (9 - 3 + 1 + 1 - 1)
-    for sign, d_name, a_name, zname in (
-        (PLUS, "Delta+", "A+", "Z1"),
-        (MINUS, "Delta-", "A-", "Z2"),
+    # Delta^s meets A^s: the half edges at the genus-3 vertices paired, blue
+    # (resp. red) by the sign; Delta^s meets B: the same pairing at both
+    # genus-2 vertices
+    for zname, sign, other, genus, push, note in (
+        ("Z1", PLUS, "A+", 3, "delta_A", "full half-edge pairing at the genus-3 factor"),
+        ("Z2", MINUS, "A-", 3, "delta_A", "full half-edge pairing at the genus-3 factor"),
+        ("Z3", PLUS, "B", 2, "delta_B", "matching node identification on both genus-2 factors"),
+        ("Z4", MINUS, "B", 2, "delta_B", "matching node identification on both genus-2 factors"),
     ):
+        matched = ((0, 0),)
         pairing = HalfEdgePairing(
-            genus=3, left=1, right=1,
-            blue=(((0, 0),) if sign == PLUS else ()),
-            red=(((0, 0),) if sign == MINUS else ()),
+            genus=genus, left=1, right=1,
+            blue=matched if sign == PLUS else (), red=matched if sign == MINUS else (),
         )
         assert check_pairing(pairing)
-        dim = _paired_dimension_13(named[a_name], m_g3=1)
-        out.append(
-            IntersectionStratum(
-                zname, d_name, a_name, dim, dim == 8, "delta_A",
-                "full half-edge pairing at the genus-3 factor",
-            )
-        )
-    # Delta^s meets B: blue (resp. red) pairing at both genus-2 vertices
-    for sign, d_name, zname in ((PLUS, "Delta+", "Z3"), (MINUS, "Delta-", "Z4")):
-        pairing = HalfEdgePairing(
-            genus=2, left=1, right=1,
-            blue=(((0, 0),) if sign == PLUS else ()),
-            red=(((0, 0),) if sign == MINUS else ()),
-        )
-        assert check_pairing(pairing)
-        dim = _paired_dimension_22()
-        out.append(
-            IntersectionStratum(
-                zname, d_name, "B", dim, dim == 8, "delta_B",
-                "matching node identification on both genus-2 factors",
-            )
-        )
+        dim = _paired_dimension(named[other])
+        d_name = "Delta+" if sign == PLUS else "Delta-"
+        out.append(IntersectionStratum(zname, d_name, other, dim, dim == 8, push, note))
     # Delta+ meets Delta-: supported on hyperelliptic curves, codim >= 2
     out.append(
         IntersectionStratum(
@@ -514,23 +498,11 @@ def one_edge_intersections(g: int = 4) -> list[IntersectionStratum]:
     return out
 
 
-def _paired_dimension_13(a_comp: Component, m_g3: int) -> int:
-    """(1,3)-component with m matched half-edge pairs at the genus-3
-    vertices: genus-1 factor keeps d + d' - 1, the genus-3 factor drops one
-    modulus per matched pair."""
-    total = 0
-    for v, gv in enumerate(a_comp.t1.genera):
-        d1 = a_comp.t1.valence(v)
-        d2 = a_comp.t2.valence(a_comp.nu[v])
-        if gv == 1:
-            total += d1 + d2 - 1
-        else:
-            total += 3 * gv - 3 + d1 + d2 - m_g3
-    return total
-
-
-def _paired_dimension_22() -> int:
-    """(2,2)-component with one matched pair at each vertex: per genus-2
-    vertex the bipartite graph has one non-2-cycle component, so the factor
-    is (2g-1) + 1 = 4 dimensional."""
-    return 2 * ((2 * 2 - 1) + 1)
+def _paired_dimension(comp: Component) -> int:
+    """Dimension of a component with one matched half-edge pair at each
+    vertex: a vertex of genus g keeps d + d' - 1 points of its two valences
+    d, d', so it contributes 3g - 3 + d + d' - 1 (d + d' - 1 at genus 1)."""
+    return sum(
+        3 * gv - 3 + comp.t1.valence(v) + comp.t2.valence(comp.nu[v]) - 1
+        for v, gv in enumerate(comp.t1.genera)
+    )

@@ -80,7 +80,11 @@ def multiplicity(dims: ExcessDims) -> int:
 
 
 def multiplicity_shifted(d_a: int, d_b: int, k: int) -> int:
-    """m after cutting both components down by a k-dimensional intersection."""
+    """m after cutting both components down by a k-dimensional intersection
+    (k = 0 gives m itself)."""
+    ExcessDims(d_a, d_b)  # the unshifted dimensions must be valid too
+    if k < 0:
+        raise ValueError(f"shift {k} is negative")
     if d_a - k < 1 or d_b - k < 1:
         raise ValueError(f"shift {k} makes a component dimension non-positive")
     return multiplicity(ExcessDims(d_a - k, d_b - k))

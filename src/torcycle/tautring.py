@@ -60,6 +60,16 @@ in a vertex of Gamma splits that vertex transversally, Delta's other side
 pulled back by the free rule and glued on (``_pull_boundary_gluing``).
 Nothing is searched for and no automorphism factor enters.
 
+Forgetful maps
+--------------
+``pullback_forgetful`` sends kappa_i to kappa_i - psi_x^i and psi_p to
+psi_p - D_px.  ``pushforward_forgetful`` pushes a free monomial by the
+string and dilaton equations (Arbarello--Cornalba, J. Alg. Geom. 5, 1996):
+kappa_i^e splits into C(e, j) (pi^*kappa_i)^j psi_x^(i(e-j)), and a piece
+with psi_x^m pushes to kappa_(m-1) times the rest for m >= 2, to 2g - 2 + n
+(downstairs) times it for m = 1, and for m = 0 to the sum over q of the rest
+with psi_q lowered by one.
+
 Canonical form
 --------------
 One permutation search, ``_least_relabelings``, gives the canonical form
@@ -75,7 +85,8 @@ A term is admitted once, when it enters through a public constructor:
 ``TautClass(space, terms)``, ``ProductClass(spaces, terms)`` and the
 builders on top of them (``kappa``, ``lam``, ``psi``, ``delta_*``, ...)
 check stability, genus and markings against the ambient, canonicalize the
-generator and prune it.  Everything after that runs on the sparse kernel
+generator and prune it, all in ``_admit`` (factor by factor for a
+product).  Everything after that runs on the sparse kernel
 ``algebra._LinearCombination``, which both classes (and the lambda/kappa
 polynomials of ``chern``) share: ``+``, ``-``, scalar ``*``, equality and
 hash of admitted classes carry their canonical terms through the private
@@ -97,7 +108,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, prod
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import validated_make
@@ -213,8 +224,10 @@ class Gen(NamedTuple):
 def _norm_monomial(mon: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     acc: dict[int, int] = {}
     for i, e in mon:
-        if e < 0 or i < 0:
-            raise ValueError("negative decoration exponent/index")
+        if e < 0:
+            raise ValueError("negative decoration exponent")
+        if i < 1:
+            raise ValueError(f"decoration index {i} < 1 (kappa_0 and lambda_0 are scalars)")
         if e:
             acc[i] = acc.get(i, 0) + e
     return tuple(sorted(acc.items()))
@@ -419,6 +432,19 @@ def _prunable(gen: Gen) -> bool:
     return False
 
 
+def _admit(space: ModuliSpec, gen: Gen) -> Gen | None:
+    """The one admission of a generator on ``space``: stability, genus and
+    markings are checked, and the canonical form is returned, or None when
+    it is pruned."""
+    check_stability(gen, space.policy)
+    if gen.total_genus() != space.genus:
+        raise ValueError("generator genus does not match ambient")
+    if tuple(sorted(lab for (lab, _, _) in gen.legs)) != space.markings:
+        raise ValueError("generator markings do not match ambient")
+    cgen = canonicalize(gen)[0]
+    return None if _prunable(cgen) else cgen
+
+
 class TautClass(_LinearCombination):
     """Fraction-linear combination of canonical generators on one ambient;
     ``*`` of two classes is :func:`multiply`."""
@@ -432,15 +458,8 @@ class TautClass(_LinearCombination):
             coeff = Fraction(coeff)
             if coeff == 0:
                 continue
-            check_stability(gen, space.policy)
-            if gen.total_genus() != space.genus:
-                raise ValueError("generator genus does not match ambient")
-            if tuple(sorted(lab for (lab, _, _) in gen.legs)) != tuple(
-                sorted(space.markings)
-            ):
-                raise ValueError("generator markings do not match ambient")
-            cgen, _ = canonicalize(gen)
-            if not _prunable(cgen):
+            cgen = _admit(space, gen)
+            if cgen is not None:
                 admitted.append((1, {cgen: coeff}))
         self.terms = _accumulate(admitted)
 
@@ -872,21 +891,18 @@ def _pull_term_forgetful(up: ModuliSpec, gen: Gen, x: str) -> TautClass:
 
 
 def _pull_free_forgetful(up: ModuliSpec, gen: Gen, x: str) -> TautClass:
-    base = [(lab, 0, 0) for lab in up.markings]
-    acc = TautClass(up, {make_gen((up.genus,), (), base): Fraction(1)})
-    for (i, e) in gen.lam[0]:
-        for _ in range(e):
-            acc = _mul_poly(lam(up, i), acc)
+    """The product of a free monomial's pulled-back factors: lambda_i,
+    kappa_i - psi_x^i, and psi_p^b less the rational tail through p and x."""
+    factors = [lam(up, i) for (i, e) in gen.lam[0] for _ in range(e)]
     for (i, e) in gen.kappa[0]:
-        factor = kappa(up, i) - psi(up, x, i) if i > 0 else kappa(up, 0)
-        for _ in range(e):
-            acc = _mul_poly(factor, acc)
+        factors += [kappa(up, i) - psi(up, x, i)] * e
     for (lab, _, b) in gen.legs:
-        if b == 0 or lab == x:
-            continue
-        main = psi(up, lab, b)
-        tail = TautClass(up, {boundary_gen(up, 0, (lab, x), exps=(0, b - 1)): Fraction(1)})
-        acc = _mul_poly(main - tail, acc)
+        if b:
+            tail = boundary_gen(up, 0, (lab, x), exps=(0, b - 1))
+            factors.append(psi(up, lab, b) - TautClass(up, {tail: Fraction(1)}))
+    acc = one(up)
+    for factor in factors:
+        acc = _mul_poly(factor, acc)
     return acc
 
 
@@ -895,11 +911,11 @@ def _pull_free_forgetful(up: ModuliSpec, gen: Gen, x: str) -> TautClass:
 
 
 def pushforward_forgetful(c: TautClass, x: str) -> TautClass:
-    """Pushforward along forgetting marking x.  Free monomials are rewritten
-    via kappa_i = pull kappa_i + psi_x^i and psi_p = pull psi_p + D_px, then
-    integrated with pull.push = 0, psi_x^(a+1) -> kappa_a (kappa_0 = 2g-2+n
-    downstairs), D_px -> 1.  Graph terms push vertex-wise; rational tails
-    through x contract."""
+    """Pushforward along forgetting marking x.  Free monomials push in
+    closed form by the string and dilaton equations, pi_*psi_x^(a+1) =
+    kappa_a (kappa_0 = 2g-2+n downstairs) after kappa_i = pi^*kappa_i +
+    psi_x^i, and with no psi_x each psi_p lowered by one in turn.  Graph
+    terms push vertex-wise; rational tails through x contract."""
     down = c.space.without_marking(x)
     return TautClass._carry(down, _accumulate(
         (coeff, _push_term_forgetful(down, c.space, gen, x).terms)
@@ -921,16 +937,8 @@ def _push_term_forgetful(
     # otherwise v has genus 0 and valence 3, and it contracts: its other two
     # ends join, two edge ends into an edge, or a leg and an edge end into
     # that leg on the far vertex
-    if gen.kappa[v] or gen.lam[v]:
-        raise UnsupportedOperation("decorated rational vertex pushforward")
-    if any(e for (_, lv, e) in gen.legs if lv == v):
-        return zero(down)  # psi on the contracted 3-pointed vertex
-    far = []  # (far vertex, far exp) of the edges at v
-    for (a, b, av, aw) in gen.edges:
-        if (a == v and av) or (b == v and aw):
-            return zero(down)  # psi at the 3-pointed vertex vanishes
-        if v in (a, b):
-            far.append((b, aw) if a == v else (a, av))
+    # (admission pruned every decoration at v: degree > 3*0 - 3 + 3 = 0)
+    far = [(b, aw) if a == v else (a, av) for (a, b, av, aw) in gen.edges if v in (a, b)]
     keep = [u for u in range(gen.n_vertices()) if u != v]
     remap = {u: i for i, u in enumerate(keep)}
     edges = [(remap[a], remap[b], av, aw) for (a, b, av, aw) in gen.edges if v not in (a, b)]
@@ -949,66 +957,30 @@ def _push_term_forgetful(
 
 
 def _push_free_forgetful(down: ModuliSpec, gen: Gen, x: str) -> TautClass:
-    a_x = 0
-    psis = []
-    for (lab, _, e) in gen.legs:
-        if lab == x:
-            a_x = e
-        elif e:
-            psis.append((lab, e))
-    kaps = list(gen.kappa[0])
-    lams = list(gen.lam[0])
-
-    kap_choices = [[(i, j, e - j) for j in range(e + 1)] for (i, e) in kaps]
-    psi_choices = [[(lab, j, e - j) for j in range(e + 1)] for (lab, e) in psis]
-
+    """pi_* of a free monomial by the string and dilaton equations (see the
+    module docstring).  psi_x . D_px = 0, so for m >= 1 every psi_p is pulled
+    back; for m = 0, psi_p^b = pi^*psi_p^b + D_px pi^*psi_p^(b-1), two D's
+    never meet and pi_*D_px = 1."""
+    psi_mon = {lab: e for (lab, _, e) in gen.legs}
+    a_x = psi_mon.pop(x)
     parts = []
-    for kchoice in itertools.product(*kap_choices) if kap_choices else [()]:
-        for pchoice in itertools.product(*psi_choices) if psi_choices else [()]:
-            coeff = Fraction(1)
-            psi_x_power = a_x
-            pulled_kappa = []
-            for (i, j, rest) in kchoice:
-                coeff *= comb(j + rest, j)
-                if j:
-                    pulled_kappa.append((i, j))
-                psi_x_power += i * rest
-            pulled_psi: dict[str, int] = {}
-            d_powers: dict[str, int] = {}
-            for (lab, j, rest) in pchoice:
-                coeff *= comb(j + rest, j)
-                if j:
-                    pulled_psi[lab] = j
-                if rest:
-                    d_powers[lab] = rest
-            fiber = _integrate_fiber(
-                down, pulled_kappa, lams, pulled_psi, d_powers, psi_x_power
-            )
-            parts.append((coeff, fiber.terms))
-    return TautClass._carry(down, _accumulate(parts))
-
-
-def _integrate_fiber(down, pulled_kappa, lams, pulled_psi, d_powers, psi_x_power):
-    """pi_*( pull(monomial) . psi_x^j . prod D_p^(k_p) )."""
-    if len(d_powers) >= 2:
-        return zero(down)  # tails through x sharing x are disjoint
-    if d_powers:
-        if psi_x_power:
-            return zero(down)  # psi_x restricted to the tail vanishes
-        ((p, k),) = d_powers.items()
-        sign = Fraction((-1) ** (k - 1))
-        psi_mon = dict(pulled_psi)
-        if k - 1:
-            psi_mon[p] = psi_mon.get(p, 0) + k - 1
-        return sign * monomial(down, pulled_kappa, lams, psi_mon)
-    if psi_x_power == 0:
-        return zero(down)
-    j = psi_x_power - 1
-    if j == 0:
-        return Fraction(2 * down.genus - 2 + down.n) * monomial(
-            down, pulled_kappa, lams, pulled_psi
+    choices = [[(i, j, e) for j in range(e + 1)] for (i, e) in gen.kappa[0]]
+    for split in itertools.product(*choices):  # j of each kappa_i^e pulled back
+        coeff = prod(comb(e, j) for (_, j, e) in split)
+        pulled = [(i, j) for (i, j, _) in split]
+        m = a_x + sum(i * (e - j) for (i, j, e) in split)
+        if m >= 2:
+            pieces = [(pulled + [(m - 1, 1)], psi_mon)]
+        elif m == 1:
+            coeff *= 2 * down.genus - 2 + down.n
+            pieces = [(pulled, psi_mon)]
+        else:
+            pieces = [(pulled, {**psi_mon, q: b - 1}) for q, b in psi_mon.items() if b]
+        parts.extend(
+            (coeff, {_trivial_gen(down, kap, gen.lam[0], psis): Fraction(1)})
+            for kap, psis in pieces
         )
-    return monomial(down, list(pulled_kappa) + [(j, 1)], lams, pulled_psi)
+    return TautClass(down, _accumulate(parts)) if parts else zero(down)
 
 
 # --------------------------------------------------------------------------
@@ -1029,8 +1001,10 @@ class ProductClass(_LinearCombination):
             coeff = Fraction(coeff)
             if coeff == 0:
                 continue
-            canon = tuple(canonicalize(g)[0] for g in gens)
-            if not any(_prunable(cg) for cg in canon):
+            if len(gens) != len(self.spaces):
+                raise ValueError("a term needs one generator per factor")
+            canon = tuple(_admit(sp, g) for sp, g in zip(self.spaces, gens))
+            if None not in canon:
                 admitted.append((1, {canon: coeff}))
         self.terms = _accumulate(admitted)
 

@@ -78,6 +78,19 @@ class TestExcess:
         code, _ = run_cli("excess", "m", "--da", "2", "--db", "1", "--shift", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (("--da", "2", "--db", "2", "--shift", "-1"), "shift -1 is negative"),
+        (("--da", "0", "--db", "3", "--shift", "-1"), "component dimensions must be >= 1"),
+        (("--da", "2", "--db", "1", "--shift", "1"),
+         "shift 1 makes a component dimension non-positive"),
+    ], ids=["negative-shift", "bad-dims-negative-shift", "shift-too-large"])
+    def test_shift_errors(self, capsys, argv, message):
+        code, out = run_cli("excess", "m", *argv)
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert errors == [f"torcycle: error: {message}"]
+
     def test_oracle(self):
         code, out = run_cli("excess", "oracle", "--model", "b3")
         assert code == 0
@@ -217,6 +230,17 @@ class TestTaut:
         assert code == 2 and out == ""
         errors = [line for line in err.splitlines() if "error:" in line]
         assert errors == [f"torcycle: error: {message}"]
+        assert "Traceback" not in err
+
+
+    @pytest.mark.parametrize("graph", ["V 2; decor v0:kappa0^1", "V 2; decor v0:lambda0"])
+    def test_canon_index_zero(self, capsys, graph):
+        code, out = run_cli("taut", "canon", graph)
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert errors == ["torcycle: error: decoration index 0 < 1 "
+                          "(kappa_0 and lambda_0 are scalars)"]
         assert "Traceback" not in err
 
 

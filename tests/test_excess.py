@@ -58,6 +58,17 @@ class TestShift:
         with pytest.raises(ValueError):
             multiplicity_shifted(2, 1, 1)
 
+    @pytest.mark.parametrize("d_a, d_b, k, message", [
+        (3, 3, -1, "shift -1 is negative"),
+        (0, 3, -1, "component dimensions"),
+        (0, 3, 0, "component dimensions"),
+        (3, 0, 1, "component dimensions"),
+    ])
+    def test_invalid_input(self, d_a, d_b, k, message):
+        # before the check, (3, 3, -1) gave m(4, 4) and (0, 3, -1) gave -5
+        with pytest.raises(ValueError, match=message):
+            multiplicity_shifted(d_a, d_b, k)
+
     def test_pure_function_of_differences(self):
         for a, b, k in [(4, 5, 2), (6, 3, 1), (5, 5, 3)]:
             assert multiplicity_shifted(a, b, k) == multiplicity(

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -215,6 +216,49 @@ class TestAdmission:
             TautClass(M4, {make_gen((4,), (), [("p", 0)]): F(1)})
         with pytest.raises(ValueError, match="markings"):
             TautClass(M41, {make_gen((4,)): F(1)})
+
+    @pytest.mark.parametrize("where", ["kappa", "lam"])
+    def test_index_zero_is_not_a_generator(self, where):
+        # kappa_0 = 2g - 2 + n and lambda_0 = 1 are scalars
+        with pytest.raises(ValueError, match="kappa_0 and lambda_0 are scalars"):
+            make_gen((2,), (), [("p", 0)], **{where: {0: [(0, 1)]}})
+
+    def test_product_factor_genus_mismatch(self):
+        # the genus-2 generator on the genus-1 factor is refused as TautClass
+        # refuses it
+        spaces = [ModuliSpec(1, ("p",)), ModuliSpec(3, ("q", "y"))]
+        wrong = make_gen((2,), (), [("z", 0)])
+        right = make_gen((3,), (), [("q", 0), ("y", 0)])
+        with pytest.raises(ValueError, match="genus does not match"):
+            TautClass(spaces[0], {wrong: F(1)})
+        with pytest.raises(ValueError, match="genus does not match"):
+            ProductClass(spaces, {(wrong, right): F(1)})
+
+    def test_product_factor_marking_mismatch(self):
+        spaces = [ModuliSpec(1, ("p",)), ModuliSpec(3, ("q", "y"))]
+        with pytest.raises(ValueError, match="markings do not match"):
+            ProductClass(spaces, {(make_gen((1,), (), [("z", 0)]),
+                                   make_gen((3,), (), [("q", 0), ("y", 0)])): F(1)})
+
+    def test_product_factor_unstable(self):
+        spaces = [ModuliSpec(0, ("a", "b", "c")), M11]
+        with pytest.raises(UnstableGraphError):
+            ProductClass(spaces, {(make_gen((0, 0), [(0, 1)], [("a", 0), ("b", 1), ("c", 1)]),
+                                   make_gen((1,), (), [("p", 0)])): F(1)})
+
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_product_key_length(self, size):
+        spaces = [ModuliSpec(1, ("p",)), ModuliSpec(3, ("q", "y"))]
+        key = (make_gen((1,), (), [("p", 0)]),) * size
+        with pytest.raises(ValueError, match="one generator per factor"):
+            ProductClass(spaces, {key: F(1)})
+
+    def test_product_factor_pruned(self):
+        # psi_p^2 on M_{1,{p}} exceeds its dimension, so the term vanishes
+        spaces = [M11, ModuliSpec(3, ("q", "y"))]
+        pc = ProductClass(spaces, {(make_gen((1,), (), [("p", 0, 2)]),
+                                    make_gen((3,), (), [("q", 0), ("y", 0)])): F(1)})
+        assert pc.is_zero()
 
     @pytest.mark.parametrize("op", ["add", "sub"])
     def test_taut_ambient_mismatch(self, op):
@@ -723,6 +767,137 @@ class TestRegluing:
                 assert got == TautClass(space, {gen: F(1)})
                 checked += not got.is_zero()
         assert checked > 100
+
+
+def _push_free_by_expansion(down, gen, x):
+    """The earlier pushforward of a free monomial, kept as an oracle: every
+    kappa_i = pi^*kappa_i + psi_x^i and psi_p^b = (pi^*psi_p + D_px)^b is
+    expanded, and each piece is integrated over the fiber."""
+    a_x = 0
+    psis = []
+    for (lab, _, e) in gen.legs:
+        if lab == x:
+            a_x = e
+        elif e:
+            psis.append((lab, e))
+    kap_choices = [[(i, j, e - j) for j in range(e + 1)] for (i, e) in gen.kappa[0]]
+    psi_choices = [[(lab, j, e - j) for j in range(e + 1)] for (lab, e) in psis]
+    parts = []
+    for kchoice in itertools.product(*kap_choices):
+        for pchoice in itertools.product(*psi_choices):
+            coeff = F(1)
+            psi_x_power = a_x
+            pulled_kappa = []
+            for (i, j, rest) in kchoice:
+                coeff *= comb(j + rest, j)
+                if j:
+                    pulled_kappa.append((i, j))
+                psi_x_power += i * rest
+            pulled_psi, d_powers = {}, {}
+            for (lab, j, rest) in pchoice:
+                coeff *= comb(j + rest, j)
+                if j:
+                    pulled_psi[lab] = j
+                if rest:
+                    d_powers[lab] = rest
+            fiber = _fiber_integral(down, pulled_kappa, list(gen.lam[0]), pulled_psi,
+                                    d_powers, psi_x_power)
+            parts.append((coeff, fiber.terms))
+    return TautClass._carry(down, _accumulate(parts))
+
+
+def _fiber_integral(down, pulled_kappa, lams, pulled_psi, d_powers, psi_x_power):
+    """pi_*(pull(monomial) . psi_x^j . prod D_p^(k_p)) for the oracle."""
+    if len(d_powers) >= 2:
+        return zero(down)  # tails through x sharing x are disjoint
+    if d_powers:
+        if psi_x_power:
+            return zero(down)  # psi_x restricted to the tail vanishes
+        ((p, k),) = d_powers.items()
+        psi_mon = dict(pulled_psi)
+        if k - 1:
+            psi_mon[p] = psi_mon.get(p, 0) + k - 1
+        return F((-1) ** (k - 1)) * tr.monomial(down, pulled_kappa, lams, psi_mon)
+    if psi_x_power == 0:
+        return zero(down)
+    j = psi_x_power - 1
+    if j == 0:
+        return F(2 * down.genus - 2 + down.n) * tr.monomial(down, pulled_kappa, lams, pulled_psi)
+    return tr.monomial(down, list(pulled_kappa) + [(j, 1)], lams, pulled_psi)
+
+
+def _random_free_monomial(rng):
+    """(down, gen, "x"): a free monomial on M_{g, P + x}, g <= 4 and |P| <= 3,
+    with kappa_1..kappa_3 to exponent 1 or 2, psi exponents 0-3 and an
+    optional lambda; the degree is not capped, so many pieces are pruned."""
+    g = rng.randint(0, 4)
+    labels = ("p", "q", "r")[: 3 if g == 0 else rng.randint(1 if g == 1 else 0, 3)]
+    down = ModuliSpec(g, labels)
+    kap = [(i, rng.randint(1, 2)) for i in (1, 2, 3) if rng.random() < 0.4]
+    lm = [(rng.randint(1, g), 1)] if g and rng.random() < 0.4 else []
+    legs = [(lab, 0, rng.randint(0, 3)) for lab in labels + ("x",)]
+    return down, make_gen((g,), (), legs, {0: kap}, {0: lm}), "x"
+
+
+class TestStringDilaton:
+    """The forgetful pushforward of a free monomial by the string and dilaton
+    equations equals the psi/D expansion integrated over the fiber."""
+
+    def test_random_free_monomials_vs_expansion(self):
+        rng = random.Random(20261019)
+        nonzero = 0
+        for _ in range(1200):
+            down, gen, x = _random_free_monomial(rng)
+            got = tr._push_free_forgetful(down, gen, x)
+            assert got == _push_free_by_expansion(down, gen, x), gen_to_string(gen)
+            nonzero += not got.is_zero()
+        assert nonzero > 400
+
+    def test_leggy_trees_vs_expansion(self, monkeypatch):
+        rng = random.Random(20261021)
+        cases = []
+        while len(cases) < 150:
+            gen = _random_leggy_tree(rng)
+            if gen.legs:
+                cases.append((TautClass(_space_of(gen), {gen: F(1)}), rng.choice(gen.legs)[0]))
+        got = [pushforward_forgetful(c, x) for c, x in cases]
+        monkeypatch.setattr(tr, "_push_free_forgetful", _push_free_by_expansion)
+        assert got == [pushforward_forgetful(c, x) for c, x in cases]
+        assert sum(not g.is_zero() for g in got) > 80
+
+    def _push(self, up, kappa_mon=(), lam_mon=(), psi_mon=None):
+        gen = tr._trivial_gen(up, kappa_mon, lam_mon, psi_mon)
+        got = tr._push_free_forgetful(up.without_marking("x"), gen, "x")
+        assert got == _push_free_by_expansion(up.without_marking("x"), gen, "x")
+        return got
+
+    def test_dilaton_m_at_least_2(self):
+        # psi_x^3 pushes to kappa_2; psi_p stays pulled back
+        up = ModuliSpec(2, ("p", "x"))
+        got = self._push(up, psi_mon={"x": 3, "p": 2})
+        assert got == tr.monomial(ModuliSpec(2, ("p",)), [(2, 1)], psi_mon={"p": 2})
+        assert not got.is_zero()
+
+    def test_m_equals_1(self):
+        # psi_x pushes to kappa_0 = 2g - 2 + n = 3 on M_{2,{p}}
+        up = ModuliSpec(2, ("p", "x"))
+        got = self._push(up, lam_mon=[(1, 1)], psi_mon={"x": 1, "p": 2})
+        down = ModuliSpec(2, ("p",))
+        assert got == 3 * tr.monomial(down, (), [(1, 1)], {"p": 2})
+        assert not got.is_zero()
+
+    def test_string_two_psis(self):
+        # no psi_x: psi_p^2 psi_q pushes to psi_p psi_q + psi_p^2
+        up = ModuliSpec(2, ("p", "q", "x"))
+        down = ModuliSpec(2, ("p", "q"))
+        got = self._push(up, psi_mon={"p": 2, "q": 1})
+        assert got == (tr.monomial(down, psi_mon={"p": 1, "q": 1})
+                       + tr.monomial(down, psi_mon={"p": 2}))
+        assert len(got.terms) == 2
+
+    def test_string_no_psi_is_zero(self):
+        up = ModuliSpec(2, ("p", "x"))
+        assert self._push(up, lam_mon=[(1, 1), (2, 1)]).is_zero()
 
 
 class TestTailProducts:
