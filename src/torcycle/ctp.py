@@ -11,16 +11,17 @@ sigma assigns +, - or +- to vertices of genus >= 2 (+- exactly for genus
 available).  Two neighboring genus-1 vertices of T1 may not map to
 neighbors of T2 (such strata lie in the closure of a genus-2 merger).
 
-Stable trees are enumerated shape first.  The unlabeled trees on n vertices
-grow once per process from those on n - 1 by one leaf at every vertex, one
-kept per Aho-Hopcroft-Ullman code rooted at the centre (orderly generation
-of free trees after Wright-Richmond-Odlyzko-McKay 1986).  Each shape is
-labeled only by the stable compositions of g (genus at least 1 below
-degree 3), deduplicated by the same code with the genera as vertex
-labels, so one labeling per class reaches ``tautring.canonicalize``.  A
-stable leg-free tree on n > 1 vertices has sum_v (2 g(v) - 2 + d(v)) =
-2g - 2 with every term positive, so n <= 2g - 2 (n <= g when every genus
-is positive).
+Trees and components are built once per process and per layer (one genus,
+one vertex count; bounded memos), and a call returns the union of its
+layers.  The unlabeled trees on n vertices grow from those on n - 1 by one
+leaf at every vertex, one kept per Aho-Hopcroft-Ullman code rooted at the
+centre (orderly generation of free trees after Wright-Richmond-Odlyzko-McKay
+1986).  Each shape is labeled only by the stable compositions of g (genus at
+least 1 below degree 3), one per code with the genera as vertex labels, and
+one ``tautring._least_relabelings`` search per class gives the tree and the
+automorphisms its components read.  A stable leg-free tree on n > 1
+vertices has sum_v (2 g(v) - 2 + d(v)) = 2g - 2 with every term positive,
+so n <= 2g - 2 (n <= g when every genus is positive).
 
 Component counts are anchored against known lists at genus 2, 4 and 5
 (divisor level); counts this module produces for other inputs are new
@@ -37,7 +38,7 @@ from . import validated_make
 from .tautring import (
     Gen,
     _least_relabelings,
-    canonicalize,
+    check_stability,
     gen_to_string,
     make_gen,
     parse_gen,
@@ -101,35 +102,49 @@ def _compositions(total: int, lows: list[int]):
         yield tuple(lo + b - a - 1 for lo, a, b in zip(lows, ends, ends[1:]))
 
 
-def enumerate_stable_trees(
-    g: int, positive_only: bool = True, max_edges: int | None = None
-) -> list[Gen]:
+def _vertex_bound(g: int, positive_only: bool, max_edges: int | None) -> int:
+    """The most vertices of an enumerated tree, once the arguments pass."""
+    if g < 1:
+        raise ValueError("genus must be >= 1")
+    if max_edges is None and g > UNBOUNDED_GENUS_LIMIT:
+        raise ValueError(f"unbounded enumeration capped at genus {UNBOUNDED_GENUS_LIMIT}; "
+                         "pass max_edges")
+    if max_edges is not None and max_edges < 0:
+        raise ValueError("max_edges must be >= 0")
+    max_n = g if positive_only else max(1, 2 * g - 2)
+    return max_n if max_edges is None else min(max_n, max_edges + 1)
+
+
+@lru_cache(maxsize=64)
+def _trees_on(g: int, positive_only: bool, n: int) -> dict:
+    """The layer of canonical trees on n vertices, each mapped to its
+    automorphisms and its two edge sets (``_edge_sets``).  One
+    ``_least_relabelings`` per class gives the maps p_0..p_k onto the
+    representative; its automorphisms are p_i p_0^-1."""
+    layer = {}
+    for edges, adj, centres in _shapes(n):
+        # stability: genus 0 only at degree >= 3 (the lone genus-1
+        # vertex is admitted on purpose)
+        lows = [int(positive_only or len(a) < 3) for a in adj]
+        classes: dict = {}
+        for genera in _compositions(g, lows):
+            classes.setdefault(_code(genera, adj, centres), genera)
+        for genera in classes.values():
+            t, maps = _least_relabelings(make_gen(genera, edges))
+            back = sorted(range(n), key=maps[0].__getitem__)
+            layer[t] = ([tuple(p[v] for v in back) for p in maps], *_edge_sets(t))
+    return layer
+
+
+def enumerate_stable_trees(g: int, positive_only: bool = True,
+                           max_edges: int | None = None) -> list[Gen]:
     """Duplicate-free list of genus-labeled stable trees of total genus g,
     up to isomorphism.  ``positive_only`` excludes genus-0 vertices.  The
     one-vertex genus-1 tree is admitted at g = 1 (the moduli of a single
     unpointed genus-1 factor inside a fiber-product parametrization).
     """
-    if g < 1:
-        raise ValueError("genus must be >= 1")
-    if max_edges is None and g > UNBOUNDED_GENUS_LIMIT:
-        raise ValueError(
-            f"unbounded enumeration capped at genus {UNBOUNDED_GENUS_LIMIT}; "
-            "pass max_edges"
-        )
-    max_n = g if positive_only else max(1, 2 * g - 2)
-    if max_edges is not None:
-        max_n = min(max_n, max_edges + 1)
-    trees = []
-    for n in range(1, max_n + 1):
-        for edges, adj, centres in _shapes(n):
-            # stability: genus 0 only at degree >= 3 (the lone genus-1
-            # vertex is admitted on purpose)
-            lows = [int(positive_only or len(a) < 3) for a in adj]
-            classes: dict = {}
-            for genera in _compositions(g, lows):
-                classes.setdefault(_code(genera, adj, centres), genera)
-            trees += (canonicalize(make_gen(genera, edges))[0] for genera in classes.values())
-    return sorted(trees)
+    layers = range(1, _vertex_bound(g, positive_only, max_edges) + 1)
+    return sorted(t for n in layers for t in _trees_on(g, positive_only, n))
 
 
 # --------------------------------------------------------------------------
@@ -167,32 +182,38 @@ class Component(NamedTuple):
 
     @classmethod
     def from_string(cls, text: str) -> "Component":
-        parts = [p.strip() for p in text.split("|")]
-        data = {}
-        for p in parts:
-            tag, _, rest = p.partition(" ")
-            data[tag.rstrip(":")] = rest.strip()
+        """Parse ``to_string`` output; what is not a component raises ValueError."""
+        fields = (p.strip().partition(" ") for p in text.split("|"))
+        data = {tag.rstrip(":"): rest.strip() for tag, _, rest in fields}
         if missing := [field for field in ("T1", "T2", "nu") if field not in data]:
             raise ValueError(f"component missing field(s) {', '.join(missing)}")
-        t1 = parse_gen(data["T1"])
-        t2 = parse_gen(data["T2"])
-        nu = [0] * t1.n_vertices()
-        for item in data["nu"].split():
-            v, _, w = item.partition(">")
-            nu[int(v)] = int(w)
-        sigma: list = [None] * t1.n_vertices()
-        for item in data.get("sigma", "").split():
-            v, _, s = item.partition(":")
-            sigma[int(v)] = s
-        return canonical_component(t1, t2, tuple(nu), tuple(sigma))
+        t1, t2 = parse_gen(data["T1"]), parse_gen(data["T2"])
+        for t in (t1, t2):
+            check_stability(t, "ct")
+            if min(t.genera) < 1 or t != make_gen(t.genera, [e[:2] for e in t.edges]):
+                raise ValueError("component trees have positive genera, no legs, no decorations")
+        pairs = sorted(tuple(map(int, item.split(">"))) for item in data["nu"].split())
+        nu = tuple(w for _, w in pairs)
+        if ([v for v, _ in pairs] != list(range(len(t1.genera)))
+                or sorted(zip(t1.genera, nu)) != sorted(zip(t2.genera, itertools.count()))):
+            raise ValueError("nu must be a genus-preserving bijection of the vertices")
+        items = data.get("sigma", "").split()
+        sigma = tuple(dict(item.split(":") for item in items).get(str(v)) for v in range(len(nu)))
+        if (sorted(items) != sorted(f"{v}:{s}" for v, s in enumerate(sigma) if s)
+                or sigma not in _sign_choices(t1)):
+            raise ValueError("sigma must be +- at genus 2, + or - above, and absent below")
+        if not _elliptic_pairs_ok(_edge_sets(t1)[0], _edge_sets(t2)[1], nu):
+            raise ValueError("neighboring genus-1 vertices of T1 map to neighbors of T2")
+        return canonical_component(t1, t2, nu, sigma)
 
 
 def canonical_component(t1: Gen, t2: Gen, nu, sigma) -> Component:
     """Canonical representative under simultaneous relabeling of both
-    trees (nu and sigma ride along as vertex colors)."""
+    trees (nu and sigma ride along as vertex colors), least in tuple order:
+    sigma is None exactly below genus 2, so no None meets a sign."""
     c1, iso1 = _least_relabelings(t1)
     c2, iso2 = _least_relabelings(t2)
-    return Component(c1, c2, *min(_carried(nu, sigma, iso1, iso2), key=_nu_sigma_key))
+    return Component(c1, c2, *min(_carried(nu, sigma, iso1, iso2)))
 
 
 def _carried(nu, sigma, iso1, iso2) -> set:
@@ -210,10 +231,11 @@ def _carried(nu, sigma, iso1, iso2) -> set:
     return out
 
 
-def _nu_sigma_key(pair):
-    """Order on (nu, sigma) with None below every sign."""
-    nu, sigma = pair
-    return nu, tuple(x or "" for x in sigma)
+def _edge_sets(t: Gen) -> tuple[list, set]:
+    """The two sides of the elliptic rule: the edges of t between genus-1
+    vertices, and every edge of t in both orientations."""
+    return ([(a, b) for (a, b, _, _) in t.edges if t.genera[a] == t.genera[b] == 1],
+            {e for (a, b, _, _) in t.edges for e in ((a, b), (b, a))})
 
 
 def _elliptic_pairs_ok(elliptic1, edges2, nu) -> bool:
@@ -228,35 +250,35 @@ def enumerate_components(g: int, max_edges: int | None = None) -> list[Component
     (divisor-level scope)."""
     if g < 2:
         raise ValueError("component enumeration needs genus >= 2")
-    if max_edges is None and g >= 4:
-        max_edges = 1
-    trees = enumerate_stable_trees(g, positive_only=True, max_edges=max_edges)
-    # the trees are canonical, so their maps onto the canonical form are
-    # their automorphisms
-    autos = {t: _least_relabelings(t)[1] for t in trees}
-    elliptic = {t: [(a, b) for (a, b, _, _) in t.edges if t.genera[a] == t.genera[b] == 1]
-                for t in trees}
-    edges = {t: {e for (a, b, _, _) in t.edges for e in ((a, b), (b, a))} for t in trees}
+    bound = _vertex_bound(g, True, 1 if max_edges is None and g >= 4 else max_edges)
+    return sorted(c for n in range(1, bound + 1) for c in _components_on(g, n))
+
+
+@lru_cache(maxsize=64)
+def _components_on(g: int, n: int) -> tuple[Component, ...]:
+    """The components over the layer of trees on n vertices, sorted."""
+    layer = _trees_on(g, True, n)
     by_genera: dict = {}
-    for t in trees:
+    for t in layer:
         by_genera.setdefault(tuple(sorted(t.genera)), []).append(t)
     out = []
-    for t1 in trees:
+    for t1, (autos1, elliptic1, _) in layer.items():
         sigmas = _sign_choices(t1)
         for t2 in by_genera[tuple(sorted(t1.genera))]:
+            autos2, _, edges2 = layer[t2]
             # one least element per orbit.  The sign choices are invariant
             # under the automorphisms, so a seen (nu, sigmas[0]) means every
             # (nu, sigma) is seen; the elliptic rule is invariant too
             seen: set = set()
             for nu in _genus_preserving_bijections(t1, t2):
-                if (nu, sigmas[0]) in seen or not _elliptic_pairs_ok(elliptic[t1], edges[t2], nu):
+                if (nu, sigmas[0]) in seen or not _elliptic_pairs_ok(elliptic1, edges2, nu):
                     continue
                 for sigma in sigmas:
                     if (nu, sigma) not in seen:
-                        orbit = _carried(nu, sigma, autos[t1], autos[t2])
+                        orbit = _carried(nu, sigma, autos1, autos2)
                         seen |= orbit
-                        out.append(Component(t1, t2, *min(orbit, key=_nu_sigma_key)))
-    return sorted(out, key=lambda c: (c.t1, c.t2, *_nu_sigma_key((c.nu, c.sigma))))
+                        out.append(Component(t1, t2, *min(orbit)))
+    return tuple(sorted(out))
 
 
 def _genus_preserving_bijections(t1: Gen, t2: Gen):
@@ -283,10 +305,7 @@ def _sign_choices(t1: Gen) -> list:
 def component_dimension(comp: Component) -> int:
     """sum over T1 vertices of 3g(v) - 3 + 2 d(v) - [g(v) = 1]."""
     t1 = comp.t1
-    total = 0
-    for v, gv in enumerate(t1.genera):
-        total += 3 * gv - 3 + 2 * t1.valence(v) - (1 if gv == 1 else 0)
-    return total
+    return sum(3 * gv - 3 + 2 * t1.valence(v) - (gv == 1) for v, gv in enumerate(t1.genera))
 
 
 # --------------------------------------------------------------------------
@@ -443,18 +462,9 @@ class IntersectionStratum(NamedTuple):
 
 
 def _find_g4_components():
-    comps = enumerate_components(4, max_edges=1)
-    named = {}
-    for c in comps:
-        genera = sorted(c.t1.genera)
-        if genera == [4]:
-            named["Delta+" if c.sigma[0] == PLUS else "Delta-"] = c
-        elif genera == [1, 3]:
-            s = next(x for x in c.sigma if x)
-            named["A+" if s == PLUS else "A-"] = c
-        elif genera == [2, 2]:
-            named["B"] = c
-    return named
+    names = {"(4)[+]": "Delta+", "(4)[-]": "Delta-", "(1,3)[+]": "A+", "(1,3)[-]": "A-",
+             "(2,2)[+-+-]": "B"}
+    return {names[c.label()]: c for c in enumerate_components(4, max_edges=1)}
 
 
 def one_edge_intersections(g: int = 4) -> list[IntersectionStratum]:

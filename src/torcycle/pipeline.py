@@ -323,7 +323,7 @@ def _double_factorial(m: int) -> int:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def kappa_socle_integral(g: int, parts: tuple[int, ...]) -> Fraction:
     """Socle pairing of a kappa monomial, by the exact translation between
     kappa monomials and psi pushforwards: the psi integral equals the sum
@@ -355,7 +355,7 @@ def _set_partitions_of(items):
             yield part[:i] + [[first] + block] + part[i + 1 :]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def interior_socle_ratios(g: int) -> dict:
     """Degree-(g-2) reduction table: each kappa monomial of that degree as
     a multiple of kappa_{g-2}."""

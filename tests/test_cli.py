@@ -147,6 +147,35 @@ class TestCtp:
         assert errors == ["torcycle: error: component missing field(s) T1, T2, nu"]
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (("dim", "T1 V 2 2; E 0-1 | T2 V 2 2; E 0-1 | nu: 0>5 1>0"),
+         "nu must be a genus-preserving bijection of the vertices"),
+        (("dim", "T1 V 2 2; E 0-1 | T2 V 4 | nu: 0>0 1>0"),
+         "nu must be a genus-preserving bijection of the vertices"),
+        (("dim", "T1 V 2 2; E 0-1 | T2 V 2 2; E 0-1 | nu: 0>0 1>1 | sigma: 5:+"),
+         "sigma must be +- at genus 2, + or - above, and absent below"),
+        (("dim", "T1 V 3 | T2 V 3 | nu: 0>0 | sigma: 0:x"),
+         "sigma must be +- at genus 2, + or - above, and absent below"),
+        (("dim", "T1 V 3 | T2 V 3 | nu: 0>0 | sigma: 0:+ 0:-"),
+         "sigma must be +- at genus 2, + or - above, and absent below"),
+        (("dim", "T1 V 1 1 1; E 0-1 1-2 | T2 V 1 1 1; E 0-1 1-2 | nu: 0>0 1>1 2>2"),
+         "neighboring genus-1 vertices of T1 map to neighbors of T2"),
+        (("dim", "T1 V 0 1 1 1; E 0-1 0-2 0-3 | T2 V 0 1 1 1; E 0-1 0-2 0-3 | "
+                 "nu: 0>0 1>1 2>2 3>3"),
+         "component trees have positive genera, no legs, no decorations"),
+        (("dim", "T1 V 2 2; E 0-1 0-1 | T2 V 2 2; E 0-1 | nu: 0>0 1>1"),
+         "compact type dual graph must be a tree"),
+        (("components", "--g", "4", "--max-edges", "-1"), "max_edges must be >= 0"),
+    ], ids=["nu-out-of-range", "nu-not-bijective", "sigma-out-of-range", "sigma-unknown", "sigma-twice",
+            "elliptic-rule", "genus-0-vertex", "not-a-tree", "negative-max-edges"])
+    def test_usage_errors(self, capsys, argv, message):
+        code, out = run_cli("ctp", *argv)
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert errors == [f"torcycle: error: {message}"]
+        assert "Traceback" not in err
+
     def test_check_pairing(self):
         code, out = run_cli("ctp", "check-pairing", "g=2 L=1 R=1 b:0-0 r:0-0")
         assert code == 0

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from torcycle import ctp
 from torcycle.ctp import (
     BOTH,
     MINUS,
@@ -15,7 +16,6 @@ from torcycle.ctp import (
     _carried,
     _compositions,
     _genus_preserving_bijections,
-    _nu_sigma_key,
     _shapes,
     _sign_choices,
     check_pairing,
@@ -86,13 +86,44 @@ class TestTrees:
             codes = {least_tree_code(edges, n) for edges, _, _ in _shapes(n)}
             assert len(codes) == len(_shapes(n))
 
-    @pytest.mark.parametrize("args, misses", [((6,), 35), ((7, True, 4), 54)])
-    def test_one_canonicalize_per_tree(self, args, misses):
-        # one labeling per class reaches canonicalize: 35 and 54 misses,
-        # not the 57 and 107 stable labelings
-        canonicalize.cache_clear()
+    @pytest.mark.parametrize("args, searches", [((6,), 35), ((7, True, 4), 54)])
+    def test_one_search_per_tree(self, monkeypatch, args, searches):
+        # from cold layers one _least_relabelings per tree returned (not per
+        # stable labeling: 57 and 107), and none for the components over
+        # the same layers, which read the automorphisms from the trees
+        calls = []
+
+        def counted(gen):
+            calls.append(gen)
+            return _least_relabelings(gen)
+
+        monkeypatch.setattr(ctp, "_least_relabelings", counted)
+        clear_layers()
         trees = enumerate_stable_trees(*args)
-        assert len(trees) == canonicalize.cache_info().misses == misses
+        assert len(trees) == len(calls) == searches
+        enumerate_components(args[0], max(len(t.genera) for t in trees) - 1)
+        assert len(calls) == searches
+
+    @pytest.mark.parametrize("g", (5, 6))
+    def test_layers_in_any_order(self, g):
+        # warm layers serve a later call whatever its bound
+        clear_layers()
+        for max_edges in (*range(g), *reversed(range(g))):
+            assert enumerate_stable_trees(g, True, max_edges) == \
+                per_labeling_trees(g, True, max_edges)
+            assert enumerate_stable_trees(g, False, max_edges) == \
+                per_labeling_trees(g, False, max_edges)
+            assert enumerate_components(g, max_edges) == per_pair_components(g, max_edges)
+
+    @pytest.mark.parametrize("call", [
+        lambda: enumerate_stable_trees(3, max_edges=-1),
+        lambda: enumerate_stable_trees(3, False, -2),
+        lambda: enumerate_components(3, -1),
+        lambda: enumerate_components(9, -1),
+    ])
+    def test_negative_max_edges(self, call):
+        with pytest.raises(ValueError, match="max_edges must be >= 0"):
+            call()
 
     # unbounded with genus-0 vertices is left out: the oracle's 3g-vertex
     # sweep does not finish
@@ -102,6 +133,11 @@ class TestTrees:
     def test_vs_pruefer_oracle(self, g, positive_only, max_edges):
         assert enumerate_stable_trees(g, positive_only, max_edges) == \
             reference_stable_trees(g, positive_only, max_edges)
+
+
+def clear_layers():
+    ctp._trees_on.cache_clear()
+    ctp._components_on.cache_clear()
 
 
 def pruefer_trees(n: int) -> list[tuple[tuple[int, int], ...]]:
@@ -191,6 +227,12 @@ def elliptic_pairs_ok(t1, t2, nu):
     return True
 
 
+def nu_sigma_key(pair):
+    """Order on (nu, sigma) with None below every sign."""
+    nu, sigma = pair
+    return nu, tuple(x or "" for x in sigma)
+
+
 def per_pair_components(g, max_edges):
     """The orbit walk with the elliptic rule tested on every bijection
     before the seen orbits, and the edge sets rebuilt for every test."""
@@ -211,8 +253,8 @@ def per_pair_components(g, max_edges):
                     if (nu, sigma) not in seen:
                         orbit = _carried(nu, sigma, autos[t1], autos[t2])
                         seen |= orbit
-                        out.append(Component(t1, t2, *min(orbit, key=_nu_sigma_key)))
-    return sorted(out, key=lambda c: (c.t1, c.t2, *_nu_sigma_key((c.nu, c.sigma))))
+                        out.append(Component(t1, t2, *min(orbit, key=nu_sigma_key)))
+    return sorted(out, key=lambda c: (c.t1, c.t2, *nu_sigma_key((c.nu, c.sigma))))
 
 
 def reference_bijections(t1, t2):
@@ -324,6 +366,29 @@ class TestComponents:
             comps = enumerate_components(g, max_edges=0)
             for c in comps:
                 assert component_dimension(c) == 3 * g - 3
+
+    @pytest.mark.parametrize("g", (3, 4, 5))
+    def test_from_string_accepts_exactly_the_components(self, g):
+        # every vertex map and every sign choice (or none) at every vertex,
+        # over every pair of positive-genus trees with at most two edges:
+        # parsed exactly when it lies in the orbit of an enumerated
+        # component, and then to it
+        comps = set(enumerate_components(g, 2))
+        autos = {t: _least_relabelings(t)[1] for t in enumerate_stable_trees(g, max_edges=2)}
+        members = {(c.t1, c.t2, *pair): c for c in comps
+                   for pair in _carried(c.nu, c.sigma, autos[c.t1], autos[c.t2])}
+        for t1, t2 in itertools.product(autos, repeat=2):
+            n = len(t1.genera)
+            if len(t2.genera) != n:
+                continue
+            for nu in itertools.permutations(range(n)):
+                for sigma in itertools.product((None, PLUS, MINUS, BOTH), repeat=n):
+                    text = Component(t1, t2, nu, sigma).to_string()
+                    if (t1, t2, nu, sigma) in members:
+                        assert Component.from_string(text) == members[t1, t2, nu, sigma]
+                    else:
+                        with pytest.raises(ValueError):
+                            Component.from_string(text)
 
     def test_roundtrip_serialization(self):
         comps = enumerate_components(4, max_edges=1)

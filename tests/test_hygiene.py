@@ -24,6 +24,13 @@ dependency).
   ``tautring._least_relabelings``: ``itertools.permutations`` appears there
   and in ``ctp._genus_preserving_bijections`` (the component bijections)
   and nowhere else.
+* Every memo has a finite ``maxsize``, so none keyed by an unbounded
+  genus grows for the life of the process.  An ``lru_cache(maxsize=None)``
+  or a ``functools.cache`` is allowed only where the keys are closed (the
+  argument-free ``pipeline.t_pullback_g4`` and ``cli.build_parser``, and
+  ``algebra.bernoulli_number`` below its cap) or where each entry is built
+  from the one before, so a bound would only make the recursion recompute
+  (``ctp._shapes``).
 """
 
 import ast
@@ -227,3 +234,49 @@ def test_scan_catches_a_kappa1_call():
         "def k(c):\n    return kappa1(c)\n"
     )
     assert kappa1_sites(tree) == ["f", "C", "<module>"]
+
+
+#: (module, function) pairs allowed an unbounded memo
+UNBOUNDED_MEMOS = {("algebra.py", "bernoulli_number"), ("ctp.py", "_shapes"),
+                   ("pipeline.py", "t_pullback_g4"), ("cli.py", "build_parser")}
+
+
+def unbounded_memos(tree: ast.Module) -> list[str]:
+    """The functions decorated with ``cache`` or with ``lru_cache`` whose
+    ``maxsize`` (keyword or first argument) is None, under any alias."""
+    def unbounded(dec) -> bool:
+        name = dec.func if isinstance(dec, ast.Call) else dec
+        name = name.attr if isinstance(name, ast.Attribute) else getattr(name, "id", "")
+        if name == "cache":
+            return True
+        if name != "lru_cache" or not isinstance(dec, ast.Call):
+            return False
+        sizes = dec.args[:1] + [k.value for k in dec.keywords if k.arg == "maxsize"]
+        return any(isinstance(v, ast.Constant) and v.value is None for v in sizes)
+
+    return [node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(map(unbounded, node.decorator_list))]
+
+
+def test_memos_bounded():
+    found = {(path.name, name) for path in SRC.glob("*.py")
+             for name in unbounded_memos(ast.parse(path.read_text()))}
+    assert found <= UNBOUNDED_MEMOS, (
+        f"unbounded memo outside the allow-list; give it a maxsize: "
+        f"{sorted(found - UNBOUNDED_MEMOS)}")
+
+
+def test_scan_catches_an_unbounded_memo():
+    tree = ast.parse(
+        "import functools\nfrom functools import lru_cache, cache\n"
+        "@functools.lru_cache(maxsize=None)\ndef a(g): pass\n"
+        "@lru_cache(None)\ndef b(g): pass\n"
+        "@cache\ndef c(g): pass\n"
+        "class K:\n    @functools.cache\n    def d(self, g): pass\n"
+        "@lru_cache(maxsize=8)\ndef e(g): pass\n"
+        "@lru_cache\ndef f(g): pass\n"
+        "@functools.lru_cache(64)\ndef h(g): pass\n"
+        "@cached_property\ndef k(self): pass\n"
+    )
+    assert unbounded_memos(tree) == ["a", "b", "c", "d"]
