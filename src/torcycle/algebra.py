@@ -2,9 +2,9 @@
 series, Bernoulli polynomials, Newton-identity conversions between Chern
 characters and Chern classes, and the human renderer of classes.
 
-Rationals are plain :class:`fractions.Fraction` values: always reduced,
-positive denominator, exact arithmetic.  They serialize as ``p/q`` (or ``p``
-when the denominator is 1), which is what ``str`` already produces.
+Rationals are exact: an ``int`` when integral, a reduced
+:class:`fractions.Fraction` otherwise (:func:`_rational`).  They serialize
+as ``p/q`` (or ``p`` when integral), which is what ``str`` already produces.
 
 :func:`render_sum` is the one human rendering of a sum of monomials, and
 :func:`power` of one generator power; every pretty-printer of classes
@@ -18,7 +18,7 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import Hashable, Iterable, Mapping, Sequence
 
-Rational = Fraction
+Rational = int | Fraction
 
 #: Largest Bernoulli index computed by default.  Exceeding it is an error,
 #: never a silent truncation.
@@ -74,13 +74,19 @@ def bernoulli_polynomial(m: int, x: Rational) -> Fraction:
 # sparse linear combinations
 
 
+def _rational(x) -> Rational:
+    """x as an exact rational: an ``int`` when integral, else a Fraction."""
+    x = x if type(x) is int else Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 def _accumulate(
-    parts: Iterable[tuple[Fraction | int, Mapping[Hashable, Fraction]]],
+    parts: Iterable[tuple[Rational, Mapping[Hashable, Rational]]],
 ) -> dict:
     """Sum of ``scale * terms`` over the ``(scale, terms)`` parts, collected
-    in one dict; keys whose coefficients cancel are dropped.  Coefficients
-    are Fractions and scales Fractions or ints, so every sum is exact.  This
-    is the one place where sparse coefficients are added and scaled."""
+    in one dict; keys whose coefficients cancel are dropped.  Every sum is
+    exact: an ``int`` when integral, a Fraction otherwise.  This is the one
+    place where sparse coefficients are added and scaled."""
     acc: dict = {}
     for scale, terms in parts:
         unit = scale == 1
@@ -91,13 +97,13 @@ def _accumulate(
                 acc[key] += c
             else:
                 acc[key] = c
-    return {key: c for key, c in acc.items() if c}
+    return {key: c.numerator if c.denominator == 1 else c for key, c in acc.items() if c}
 
 
 class _LinearCombination:
-    """Sparse Fraction-linear combination ``terms = {key: coefficient}`` on
-    one ambient: the kernel shared by ``tautring.TautClass``,
-    ``tautring.ProductClass`` and ``chern.InteriorClass``.
+    """Sparse exact linear combination ``terms = {key: coefficient}`` (an ``int``
+    when integral, a Fraction otherwise) on one ambient: the kernel shared by
+    ``tautring.TautClass``, ``tautring.ProductClass`` and ``chern.InteriorClass``.
 
     It supplies sum, difference, negation, scalar multiple, equality and
     hash, all through :func:`_accumulate`.  A subclass stores ``terms``
@@ -138,7 +144,7 @@ class _LinearCombination:
         return (-1) * self
 
     def __rmul__(self, scalar):
-        parts = ((Fraction(scalar), self.terms),)
+        parts = ((_rational(scalar), self.terms),)
         return self._carry(self._ambient(), _accumulate(parts))
 
     def __mul__(self, other):
@@ -169,7 +175,7 @@ def power(name: str, e: int) -> str:
     return name + (f"^{e}" if e > 1 else "")
 
 
-def render_sum(terms: Iterable[tuple[Fraction, str]]) -> str:
+def render_sum(terms: Iterable[tuple[Rational, str]]) -> str:
     """Human rendering of a sum of ``(coefficient, monomial)`` terms, in the
     order given: an empty monomial prints as its coefficient, a coefficient
     of 1 or -1 is elided, and ``+ -`` folds to ``- ``.  The empty sum is
@@ -320,21 +326,21 @@ def chern_from_ch(ch, k: int) -> list:
     """Chern classes c_1..c_k from Chern characters via Newton's identities.
 
     ``ch`` is the sequence ch_1..ch_k; entry m is homogeneous of degree m in
-    any commutative Q-algebra (only ``+``, ``*`` and multiplication by
-    Fraction are used).  For k=3 this reproduces the closed form
+    any commutative Q-algebra (only ``+``, ``*`` and multiplication by an
+    int or a Fraction are used).  For k=3 this reproduces the closed form
     c_3 = ch_1^3/6 - ch_1 ch_2 + 2 ch_3.
     """
     entries = tuple(ch)
     if len(entries) < k:
         raise DegreeCapError(f"need ch_1..ch_{k}, got {len(entries)} entries")
     # power sums p_m = m! ch_m
-    p = [None] + [Fraction(factorial(m)) * entries[m - 1] for m in range(1, k + 1)]
+    p = [None] + [factorial(m) * entries[m - 1] for m in range(1, k + 1)]
     e: list = [None]
     for m in range(1, k + 1):
         acc = p[m]
         sign = -1
         for i in range(1, m):
-            acc = acc + Fraction(sign) * (e[i] * p[m - i])
+            acc = acc + sign * (e[i] * p[m - i])
             sign = -sign
         e.append(Fraction((-1) ** (m - 1), m) * acc)
     return e[1:]
@@ -348,10 +354,10 @@ def ch_from_chern(c, k: int) -> list:
     e = [None] + list(cs[:k])
     p: list = [None]
     for m in range(1, k + 1):
-        acc = Fraction((-1) ** (m - 1) * m) * e[m]
+        acc = (-1) ** (m - 1) * m * e[m]
         sign = 1
         for i in range(1, m):
-            acc = acc + Fraction(sign) * (e[i] * p[m - i])
+            acc = acc + sign * (e[i] * p[m - i])
             sign = -sign
         p.append(acc)
     return [Fraction(1, factorial(m)) * p[m] for m in range(1, k + 1)]

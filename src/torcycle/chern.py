@@ -33,6 +33,7 @@ from itertools import groupby
 from math import comb, factorial
 
 from .algebra import (
+    Rational,
     _accumulate,
     _LinearCombination,
     FrozenValue,
@@ -73,7 +74,7 @@ def _edge_sum(space: ModuliSpec, m: int, weight) -> TautClass:
     weight(i) psi^i psibar^j."""
     # a self edge decorates (i, j) and (j, i) alike: raw terms accumulate
     return TautClass(space, _accumulate(
-        (Fraction(weight(i), aut), {_decorate_edge(gen, (i, m - 1 - i)): Fraction(1)})
+        (Fraction(weight(i), aut), {_decorate_edge(gen, (i, m - 1 - i)): 1})
         for gen, aut in one_edge_graphs(space)
         for i in range(m)
     ))
@@ -106,7 +107,7 @@ def ch_cotangent(space: ModuliSpec, m: int) -> TautClass:
 
 def ch_tangent(space: ModuliSpec, m: int) -> TautClass:
     """ch_m of the tangent bundle: (-1)^m times the cotangent character."""
-    return Fraction((-1) ** m) * ch_cotangent(space, m)
+    return (-1) ** m * ch_cotangent(space, m)
 
 
 @lru_cache(maxsize=64)
@@ -137,7 +138,7 @@ def c1_tangent(space: ModuliSpec) -> TautClass:
 
 
 class InteriorClass(_LinearCombination):
-    """Polynomial in lambda and kappa classes.
+    """Polynomial in lambda and kappa classes, ``int`` or Fraction coefficients.
 
     A monomial is the sorted tuple of its generators ``("kappa", i)`` and
     ``("lambda", i)``, repeated by exponent: lambda_1^2 lambda_3 is
@@ -153,16 +154,16 @@ class InteriorClass(_LinearCombination):
 
     @classmethod
     def one(cls) -> "InteriorClass":
-        return cls._carry(None, {(): Fraction(1)})
+        return cls._carry(None, {(): 1})
 
     @classmethod
     def lam(cls, g: int, i: int) -> "InteriorClass":
         """lambda_i of a rank-g Hodge bundle."""
-        return cls._carry(None, {(("lambda", i),): Fraction(1)} if i <= g else {})
+        return cls._carry(None, {(("lambda", i),): 1} if i <= g else {})
 
     @classmethod
     def kappa(cls, i: int) -> "InteriorClass":
-        return cls._carry(None, {(("kappa", i),): Fraction(1)})
+        return cls._carry(None, {(("kappa", i),): 1})
 
     def _times(self, other: "InteriorClass") -> "InteriorClass":
         # for a fixed m1 the merged monomials are distinct
@@ -171,8 +172,8 @@ class InteriorClass(_LinearCombination):
             for m1, c1 in self.terms.items()
         ))
 
-    def coefficient(self, mon) -> Fraction:
-        return self.terms.get(tuple(sorted(mon)), Fraction(0))
+    def coefficient(self, mon) -> Rational:
+        return self.terms.get(tuple(sorted(mon)), 0)
 
     def reduce(self, g: int) -> "InteriorClass":
         """Normal form modulo the even power-sum relations of the rank-g
@@ -218,7 +219,7 @@ def _rewrite_square(mon, s: int, g: int) -> dict:
     out = {}
     for j in range(1, min(s, g - s) + 1):
         pair = [("lambda", s + j)] + ([("lambda", s - j)] if j < s else [])
-        out[tuple(sorted(rest + pair))] = Fraction(2 * (-1) ** (j - 1))
+        out[tuple(sorted(rest + pair))] = 2 * (-1) ** (j - 1)
     return out
 
 

@@ -216,7 +216,7 @@ def _parse_pairing(text: str) -> ctp.HalfEdgePairing:
 
 
 def _positive_float(text: str) -> float:
-    """A ``--tol`` value: at 0 or below no quadrature converges."""
+    """A ``--tol`` or ``--eps`` value; neither has a meaning at 0 or below."""
     try:
         value = float(text)
     except ValueError:
@@ -435,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--roots", type=float, nargs=6, required=True)
     q.add_argument("--tol", type=_positive_float, default=1e-10)
     q = ops.add_parser("rho4")
-    q.add_argument("--eps", type=float, default=0.05)
+    q.add_argument("--eps", type=_positive_float, default=0.05)
     q.add_argument("--tol", type=_positive_float, default=1e-10)
     q.add_argument("--report", action="store_true")
     p.set_defaults(fn=_cmd_period)

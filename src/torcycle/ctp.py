@@ -192,19 +192,29 @@ class Component(NamedTuple):
             check_stability(t, "ct")
             if min(t.genera) < 1 or t != make_gen(t.genera, [e[:2] for e in t.edges]):
                 raise ValueError("component trees have positive genera, no legs, no decorations")
-        pairs = sorted(tuple(map(int, item.split(">"))) for item in data["nu"].split())
+        pairs = sorted(_int_pair(item, ">", "nu") for item in data["nu"].split())
         nu = tuple(w for _, w in pairs)
         if ([v for v, _ in pairs] != list(range(len(t1.genera)))
                 or sorted(zip(t1.genera, nu)) != sorted(zip(t2.genera, itertools.count()))):
             raise ValueError("nu must be a genus-preserving bijection of the vertices")
         items = data.get("sigma", "").split()
-        sigma = tuple(dict(item.split(":") for item in items).get(str(v)) for v in range(len(nu)))
+        signs = dict(_int_pair(item, ":", "sigma", str) for item in items)
+        sigma = tuple(signs.get(v) for v in range(len(nu)))
         if (sorted(items) != sorted(f"{v}:{s}" for v, s in enumerate(sigma) if s)
                 or sigma not in _sign_choices(t1)):
             raise ValueError("sigma must be +- at genus 2, + or - above, and absent below")
         if not _elliptic_pairs_ok(_edge_sets(t1)[0], _edge_sets(t2)[1], nu):
             raise ValueError("neighboring genus-1 vertices of T1 map to neighbors of T2")
         return canonical_component(t1, t2, nu, sigma)
+
+
+def _int_pair(item: str, sep: str, field: str, second=int) -> tuple:
+    """(int v, second(w)) from ``item`` = ``v<sep>w``; a ValueError names it."""
+    try:
+        v, w = item.split(sep)
+        return int(v), second(w)
+    except ValueError:
+        raise ValueError(f"bad {field} token {item!r}") from None
 
 
 def canonical_component(t1: Gen, t2: Gen, nu, sigma) -> Component:

@@ -440,6 +440,8 @@ def y_taylor_by_circle(curve, eps, n=64):
     all three orders accumulated in one pass.  Aliasing from the orders
     m + jn costs at most (eps / min |r|)^n <= 2^-n relative, as every
     |r| > 2 eps: n = 64 is below rounding."""
+    if not eps > 0:
+        raise ValueError("eps must be > 0")
     if any(abs(r) <= 2 * eps for r in curve.roots):
         raise PathClearanceError("eps-circle too close to a branch point")
     s0 = s1 = s2 = 0j

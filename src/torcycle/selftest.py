@@ -145,9 +145,9 @@ def criterion_4_chern() -> CriterionResult:
         expect = (
             F(-1, 2) * kappa(M4, 2)
             + F(1, 2) * multiply(d, d)
-            + F(1, 2) * TautClass(M4, {boundary_gen(M4, 1, (), exps=(1, 0)): F(1)})
-            + F(1, 2) * TautClass(M4, {boundary_gen(M4, 1, (), exps=(0, 1)): F(1)})
-            + F(1, 2) * TautClass(M4, {boundary_gen(M4, 2, (), exps=(1, 0)): F(1)})
+            + F(1, 2) * TautClass(M4, {boundary_gen(M4, 1, (), exps=(1, 0)): 1})
+            + F(1, 2) * TautClass(M4, {boundary_gen(M4, 1, (), exps=(0, 1)): 1})
+            + F(1, 2) * TautClass(M4, {boundary_gen(M4, 2, (), exps=(1, 0)): 1})
         )
         assert c2 == expect, "closed form of c2"
         tor = chern.c1_log_cotangent_Abar4()

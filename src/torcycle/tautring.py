@@ -30,8 +30,9 @@ one-edge graph with a 2-element automorphism group is *half* the generator
 (see ``delta_B`` usage downstream), which matches how gluing maps are
 manipulated directly in the genus-4 pipelines.
 
-A ``TautClass`` is a Fraction-linear combination of canonicalized generators
-on a fixed ambient ``ModuliSpec``.  Two classes are equal iff their canonical
+A ``TautClass`` is an exact linear combination (an ``int`` coefficient when
+integral, a Fraction otherwise) of canonicalized generators on a fixed
+ambient ``ModuliSpec``.  Two classes are equal iff their canonical
 term maps coincide; no completeness of tautological relations is claimed.
 Terms whose decoration degree exceeds a vertex moduli dimension, or that
 carry a lambda_i with i above the vertex genus, are pruned (they vanish in
@@ -85,19 +86,19 @@ A term is admitted once, when it enters through a public constructor:
 ``TautClass(space, terms)``, ``ProductClass(spaces, terms)`` and the
 builders on top of them (``kappa``, ``lam``, ``psi``, ``delta_*``, ...)
 check stability, genus and markings against the ambient, canonicalize the
-generator and prune it, all in ``_admit`` (factor by factor for a
-product).  Everything after that runs on the sparse kernel
-``algebra._LinearCombination``, which both classes (and the lambda/kappa
-polynomials of ``chern``) share: ``+``, ``-``, scalar ``*``, equality and
-hash of admitted classes carry their canonical terms through the private
-``_carry`` constructors, which check nothing; adding classes on different
-ambients still raises.  A sum of many classes (a product expanded term by
-term, a pullback or pushforward summed over generators) is collected by the
-kernel's one accumulation helper ``algebra._accumulate`` into a single dict
-and wrapped by a single ``_carry`` (or, for raw generators, one admitting
-constructor), so no sum copies its partial result.  The sparse
-decorated-graph ring of admcycles (Delecroix--Schmitt--van Zelm,
-arXiv:2002.01709) follows the same design.
+generator and prune it, all in ``_admit`` (factor by factor for a product;
+memoized, so once per (space, generator) in a process).  Everything after
+that runs on the sparse kernel ``algebra._LinearCombination``, which both
+classes (and the lambda/kappa polynomials of ``chern``) share: ``+``, ``-``,
+scalar ``*``, equality and hash of admitted classes carry their canonical
+terms through the private ``_carry`` constructors, which check nothing;
+adding classes on different ambients still raises.  A sum of many classes (a
+product expanded term by term, a pullback or pushforward summed over
+generators) is collected by the kernel's one accumulation helper
+``algebra._accumulate`` into a single dict and wrapped by a single
+``_carry`` (or, for raw generators, one admitting constructor), so no sum
+copies its partial result.  The sparse decorated-graph ring of admcycles
+(Delecroix--Schmitt--van Zelm, arXiv:2002.01709) follows the same design.
 
 Unsupported pushforward/product shapes raise ``UnsupportedOperation`` instead
 of approximating.
@@ -112,7 +113,7 @@ from math import comb, prod
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import validated_make
-from .algebra import _accumulate, _LinearCombination
+from .algebra import Rational, _accumulate, _LinearCombination, _rational
 
 
 class UnsupportedOperation(ValueError):
@@ -432,10 +433,11 @@ def _prunable(gen: Gen) -> bool:
     return False
 
 
+@lru_cache(maxsize=65536)
 def _admit(space: ModuliSpec, gen: Gen) -> Gen | None:
     """The one admission of a generator on ``space``: stability, genus and
     markings are checked, and the canonical form is returned, or None when
-    it is pruned."""
+    it is pruned.  Memoized; a rejection raises, so it is never cached."""
     check_stability(gen, space.policy)
     if gen.total_genus() != space.genus:
         raise ValueError("generator genus does not match ambient")
@@ -446,25 +448,20 @@ def _admit(space: ModuliSpec, gen: Gen) -> Gen | None:
 
 
 class TautClass(_LinearCombination):
-    """Fraction-linear combination of canonical generators on one ambient;
-    ``*`` of two classes is :func:`multiply`."""
+    """Exact linear combination (``int`` or Fraction coefficients) of
+    canonical generators on one ambient; ``*`` of two classes is :func:`multiply`."""
 
     __slots__ = ("space", "terms")
 
-    def __init__(self, space: ModuliSpec, terms: Mapping[Gen, Fraction] | None = None):
+    def __init__(self, space: ModuliSpec, terms: Mapping[Gen, Rational] | None = None):
         self.space = space
-        admitted = []
-        for gen, coeff in (terms or {}).items():
-            coeff = Fraction(coeff)
-            if coeff == 0:
-                continue
-            cgen = _admit(space, gen)
-            if cgen is not None:
-                admitted.append((1, {cgen: coeff}))
-        self.terms = _accumulate(admitted)
+        self.terms = _accumulate(
+            (1, {cgen: _rational(coeff)}) for gen, coeff in (terms or {}).items()
+            if coeff and (cgen := _admit(space, gen)) is not None
+        )
 
     @classmethod
-    def _carry(cls, space: ModuliSpec, terms: dict[Gen, Fraction]) -> "TautClass":
+    def _carry(cls, space: ModuliSpec, terms: dict[Gen, Rational]) -> "TautClass":
         """Class from nonzero terms already admitted on ``space``."""
         self = cls.__new__(cls)
         self.space = space
@@ -486,9 +483,9 @@ class TautClass(_LinearCombination):
             self.space, {g: c for g, c in self.terms.items() if not g.edges}
         )
 
-    def coefficient(self, gen: Gen) -> Fraction:
+    def coefficient(self, gen: Gen) -> Rational:
         cg, _ = canonicalize(gen)
-        return self.terms.get(cg, Fraction(0))
+        return self.terms.get(cg, 0)
 
     def __str__(self):
         if not self.terms:
@@ -525,25 +522,25 @@ def _trivial_gen(
 
 
 def one(space: ModuliSpec) -> TautClass:
-    return TautClass(space, {_trivial_gen(space): Fraction(1)})
+    return TautClass(space, {_trivial_gen(space): 1})
 
 
 def kappa(space: ModuliSpec, i: int) -> TautClass:
     if i < 0:
         return zero(space)
     if i == 0:
-        return Fraction(2 * space.genus - 2 + space.n) * one(space)
-    return TautClass(space, {_trivial_gen(space, kappa_mon=[(i, 1)]): Fraction(1)})
+        return (2 * space.genus - 2 + space.n) * one(space)
+    return TautClass(space, {_trivial_gen(space, kappa_mon=[(i, 1)]): 1})
 
 
 def lam(space: ModuliSpec, i: int = 1) -> TautClass:
-    return TautClass(space, {_trivial_gen(space, lam_mon=[(i, 1)]): Fraction(1)})
+    return TautClass(space, {_trivial_gen(space, lam_mon=[(i, 1)]): 1})
 
 
 def psi(space: ModuliSpec, label: str, exp: int = 1) -> TautClass:
     if label not in space.markings:
         raise ValueError(f"no marking {label!r}")
-    return TautClass(space, {_trivial_gen(space, psi_mon={label: exp}): Fraction(1)})
+    return TautClass(space, {_trivial_gen(space, psi_mon={label: exp}): 1})
 
 
 def psi_total(space: ModuliSpec) -> TautClass:
@@ -558,9 +555,7 @@ def monomial(
     lam_mon: Iterable[tuple[int, int]] = (),
     psi_mon: Mapping[str, int] | None = None,
 ) -> TautClass:
-    return TautClass(
-        space, {_trivial_gen(space, kappa_mon, lam_mon, psi_mon): Fraction(1)}
-    )
+    return TautClass(space, {_trivial_gen(space, kappa_mon, lam_mon, psi_mon): 1})
 
 
 @lru_cache(maxsize=1024)
@@ -640,7 +635,7 @@ def delta_total(space: ModuliSpec) -> TautClass:
 
 def delta_zero_pair(space: ModuliSpec, p: str, x: str) -> TautClass:
     """Divisor of curves where markings p, x sit on a rational tail."""
-    return TautClass(space, {boundary_gen(space, 0, (p, x)): Fraction(1)})
+    return TautClass(space, {boundary_gen(space, 0, (p, x)): 1})
 
 
 # --------------------------------------------------------------------------
@@ -793,11 +788,11 @@ def _mul_term(space: ModuliSpec, a: Gen, b: Gen) -> TautClass:
     factor through the projection formula (a is pulled back along b's graph
     when both are graph terms)."""
     if a.degree() == 0:
-        return TautClass._carry(space, {b: Fraction(1)})
+        return TautClass._carry(space, {b: 1})
     if b.degree() == 0:
-        return TautClass._carry(space, {a: Fraction(1)})
+        return TautClass._carry(space, {a: 1})
     if a.is_trivial_graph() and b.is_trivial_graph():
-        return TautClass(space, {_merge_free(a, b): Fraction(1)})
+        return TautClass(space, {_merge_free(a, b): 1})
     d, gen = (b, a) if b.is_trivial_graph() else (a, b)
     return _project(space, d, gen)
 
@@ -821,10 +816,10 @@ def _project(space: ModuliSpec, d: Gen, gen: Gen) -> TautClass:
     d is pulled back, multiplied factor by factor and glued back."""
     graph = _undecorated(gen)
     factors = ProductClass.from_factors([
-        TautClass._carry(sp, {f: Fraction(1)})
+        TautClass._carry(sp, {f: 1})
         for sp, f in zip(glue_spaces(space, graph), _vertex_factors(gen))
     ])
-    pulled = pullback_gluing(TautClass._carry(space, {d: Fraction(1)}), graph)
+    pulled = pullback_gluing(TautClass._carry(space, {d: 1}), graph)
     return pushforward_gluing(space, graph, pulled * factors)
 
 
@@ -848,8 +843,8 @@ def kappa1_expand(c: TautClass) -> TautClass:
             continue
         vmon = _vertex_factors(gen)[target]
         vspec = _vertex_space(vmon, space.policy)
-        rel = Fraction(12) * lam(vspec) + psi_total(vspec) - delta_total(vspec)
-        vclass = multiply(rel, TautClass(vspec, {_strip_one_kappa1(vmon): Fraction(1)}))
+        rel = 12 * lam(vspec) + psi_total(vspec) - delta_total(vspec)
+        vclass = multiply(rel, TautClass(vspec, {_strip_one_kappa1(vmon): 1}))
         # a lone vertex is its own factor, on the ambient itself
         prod = vclass if gen.is_trivial_graph() else _expand_vertex(space, gen, target, vclass)
         parts.append((coeff, kappa1_expand(prod).terms))
@@ -899,7 +894,7 @@ def _pull_free_forgetful(up: ModuliSpec, gen: Gen, x: str) -> TautClass:
     for (lab, _, b) in gen.legs:
         if b:
             tail = boundary_gen(up, 0, (lab, x), exps=(0, b - 1))
-            factors.append(psi(up, lab, b) - TautClass(up, {tail: Fraction(1)}))
+            factors.append(psi(up, lab, b) - TautClass(up, {tail: 1}))
     acc = one(up)
     for factor in factors:
         acc = _mul_poly(factor, acc)
@@ -953,7 +948,7 @@ def _push_term_forgetful(
     kappa = {remap[u]: gen.kappa[u] for u in keep}
     lam = {remap[u]: gen.lam[u] for u in keep}
     new = make_gen([gen.genera[u] for u in keep], edges, legs, kappa, lam)
-    return TautClass(down, {new: Fraction(1)})
+    return TautClass(down, {new: 1})
 
 
 def _push_free_forgetful(down: ModuliSpec, gen: Gen, x: str) -> TautClass:
@@ -977,7 +972,7 @@ def _push_free_forgetful(down: ModuliSpec, gen: Gen, x: str) -> TautClass:
         else:
             pieces = [(pulled, {**psi_mon, q: b - 1}) for q, b in psi_mon.items() if b]
         parts.extend(
-            (coeff, {_trivial_gen(down, kap, gen.lam[0], psis): Fraction(1)})
+            (coeff, {_trivial_gen(down, kap, gen.lam[0], psis): 1})
             for kap, psis in pieces
         )
     return TautClass(down, _accumulate(parts)) if parts else zero(down)
@@ -988,25 +983,20 @@ def _push_free_forgetful(down: ModuliSpec, gen: Gen, x: str) -> TautClass:
 
 
 class ProductClass(_LinearCombination):
-    """Class on a product of moduli factors: Fraction combination of tuples
-    of per-factor generators; ``*`` multiplies factor by factor."""
+    """Class on a product of moduli factors: exact (``int`` or Fraction)
+    combination of tuples of per-factor generators; ``*`` multiplies factor by factor."""
 
     __slots__ = ("spaces", "terms")
     _MISMATCH = "factor mismatch"
 
     def __init__(self, spaces: Sequence[ModuliSpec], terms=None):
         self.spaces = tuple(spaces)
-        admitted = []
-        for gens, coeff in (terms or {}).items():
-            coeff = Fraction(coeff)
-            if coeff == 0:
-                continue
-            if len(gens) != len(self.spaces):
-                raise ValueError("a term needs one generator per factor")
-            canon = tuple(_admit(sp, g) for sp, g in zip(self.spaces, gens))
-            if None not in canon:
-                admitted.append((1, {canon: coeff}))
-        self.terms = _accumulate(admitted)
+        if any(len(gens) != len(self.spaces) for gens, coeff in (terms or {}).items() if coeff):
+            raise ValueError("a term needs one generator per factor")
+        self.terms = _accumulate(
+            (1, {canon: _rational(coeff)}) for gens, coeff in (terms or {}).items()
+            if coeff and None not in (canon := tuple(map(_admit, self.spaces, gens)))
+        )
 
     @classmethod
     def _carry(cls, spaces: Sequence[ModuliSpec], terms: dict) -> "ProductClass":
@@ -1024,10 +1014,7 @@ class ProductClass(_LinearCombination):
         # distinct factor terms give distinct tuples and nonzero products
         terms: dict = {}
         for combo in itertools.product(*(f.terms.items() for f in factors)):
-            coeff = Fraction(1)
-            for _, c in combo:
-                coeff *= c
-            terms[tuple(g for g, _ in combo)] = coeff
+            terms[tuple(g for g, _ in combo)] = _rational(prod(c for _, c in combo))
         return cls._carry([f.space for f in factors], terms)
 
     def _times(self, other: "ProductClass") -> "ProductClass":
@@ -1042,8 +1029,8 @@ class ProductClass(_LinearCombination):
                 for i, (sp, ga, gb) in enumerate(zip(spaces, ka, kb)):
                     if (i, ga, gb) not in memo:
                         memo[i, ga, gb] = _mul_poly(
-                            TautClass._carry(sp, {ga: Fraction(1)}),
-                            TautClass._carry(sp, {gb: Fraction(1)}),
+                            TautClass._carry(sp, {ga: 1}),
+                            TautClass._carry(sp, {gb: 1}),
                         )
                     factors.append(memo[i, ga, gb])
                 parts.append((va * vb, ProductClass.from_factors(factors).terms))
@@ -1057,7 +1044,7 @@ class ProductClass(_LinearCombination):
         parts = []
         for gens, coeff in self.terms.items():
             if gens[i] not in images:
-                images[gens[i]] = fn(TautClass._carry(self.spaces[i], {gens[i]: Fraction(1)}))
+                images[gens[i]] = fn(TautClass._carry(self.spaces[i], {gens[i]: 1}))
             parts.append((coeff, {
                 gens[:i] + (g2,) + gens[i + 1 :]: c2 for g2, c2 in images[gens[i]].terms.items()
             }))
@@ -1218,8 +1205,16 @@ def gen_to_string(gen: Gen) -> str:
     return "; ".join(parts)
 
 
+def _int_in(token: str, text: str) -> int:
+    """``int(text)`` for a part of ``token``; a ValueError names the token."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"bad generator token {token!r}") from None
+
+
 def parse_gen(text: str) -> Gen:
-    """Parse the ``V ...; E ...; L ...; decor ...`` format."""
+    """Parse the ``V ...; E ...; L ...; decor ...`` format; a bad token raises ValueError."""
     genera: list[int] = []
     edges: list[list[int]] = []
     legs: list[list] = []
@@ -1231,40 +1226,40 @@ def parse_gen(text: str) -> Gen:
         tag, _, rest = chunk.partition(" ")
         items = rest.split()
         if tag == "V":
-            genera = [int(t) for t in items]
+            genera = [_int_in(t, t) for t in items]
         elif tag == "E":
             for t in items:
                 a, _, b = t.partition("-")
-                edges.append([int(a), int(b), 0, 0])
+                edges.append([_int_in(t, a), _int_in(t, b), 0, 0])
         elif tag == "L":
             for t in items:
                 lab, _, v = t.partition("@")
-                legs.append([lab, int(v), 0])
+                legs.append([lab, _int_in(t, v), 0])
         elif tag == "decor":
             decor = items
         else:
             raise ValueError(f"unknown section {tag!r}")
+    if not genera:
+        raise ValueError("generator needs a V section with a vertex")
     kappa: dict[int, list] = {}
     lam_: dict[int, list] = {}
     for item in decor:
         where, _, what = item.partition(":")
         sym, _, exp = what.partition("^")
-        e = int(exp) if exp else 1
+        e = _int_in(item, exp) if exp else 1
         if where.startswith("v"):
-            v = int(where[1:])
+            v = _int_in(item, where[1:])
             if sym.startswith("kappa"):
-                kappa.setdefault(v, []).append((int(sym[5:]), e))
+                kappa.setdefault(v, []).append((_int_in(item, sym[5:]), e))
             elif sym.startswith("lambda"):
-                lam_.setdefault(v, []).append((int(sym[6:]), e))
+                lam_.setdefault(v, []).append((_int_in(item, sym[6:]), e))
             else:
                 raise ValueError(f"unknown vertex symbol {sym!r}")
         elif where.startswith("e"):
-            idx = int(where[1:-1])
-            side = where[-1]
-            if side == "a":
-                edges[idx][2] = e
-            else:
-                edges[idx][3] = e
+            idx = _int_in(item, where[1:-1])
+            if not 0 <= idx < len(edges) or where[-1] not in "ab":
+                raise ValueError(f"bad generator token {item!r}")
+            edges[idx][2 if where[-1] == "a" else 3] = e
         elif where.startswith("l"):
             lab = where[1:]
             for leg in legs:

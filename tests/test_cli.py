@@ -166,8 +166,13 @@ class TestCtp:
         (("dim", "T1 V 2 2; E 0-1 0-1 | T2 V 2 2; E 0-1 | nu: 0>0 1>1"),
          "compact type dual graph must be a tree"),
         (("components", "--g", "4", "--max-edges", "-1"), "max_edges must be >= 0"),
+        (("dim", "T1 V 2 | T2 V 2 | nu: 0>0>0"), "bad nu token '0>0>0'"),
+        (("dim", "T1 V 2 | T2 V 2 | nu: a>0"), "bad nu token 'a>0'"),
+        (("dim", "T1 V 2 | T2 V 2 | nu: 0>0 | sigma: 0:+:x"), "bad sigma token '0:+:x'"),
+        (("dim", "T1 V 2 | T2 V x | nu: 0>0"), "bad generator token 'x'"),
     ], ids=["nu-out-of-range", "nu-not-bijective", "sigma-out-of-range", "sigma-unknown", "sigma-twice",
-            "elliptic-rule", "genus-0-vertex", "not-a-tree", "negative-max-edges"])
+            "elliptic-rule", "genus-0-vertex", "not-a-tree", "negative-max-edges",
+            "nu-three-parts", "nu-not-an-int", "sigma-three-parts", "tree-token"])
     def test_usage_errors(self, capsys, argv, message):
         code, out = run_cli("ctp", *argv)
         err = capsys.readouterr().err
@@ -205,6 +210,17 @@ class TestPeriod:
                 errors = [line for line in err.splitlines() if "error:" in line]
                 assert errors == [f"torcycle period {op[0]}: error: argument --tol: "
                                   f"must be a number > 0, got {tol!r}"]
+
+    def test_non_positive_eps(self, capsys):
+        # 0 divided by zero, -1 passed, nan ran to the node cap
+        for eps in ("0", "-1", "-0.05", "nan", "abc"):
+            code, out = run_cli("period", "rho4", "--eps", eps)
+            err = capsys.readouterr().err
+            assert code == 2 and out == ""
+            errors = [line for line in err.splitlines() if "error:" in line]
+            assert errors == [f"torcycle period rho4: error: argument --eps: "
+                              f"must be a number > 0, got {eps!r}"]
+            assert "Traceback" not in err
 
     def test_no_convergence_exit_1(self, capsys):
         # below rounding no level agrees with the last: a one-line message
@@ -261,6 +277,28 @@ class TestTaut:
         assert errors == [f"torcycle: error: {message}"]
         assert "Traceback" not in err
 
+
+    @pytest.mark.parametrize("graph, message", [
+        ("", "generator needs a V section with a vertex"),
+        ("E 0-1", "generator needs a V section with a vertex"),
+        ("V 1 1; E 0-1; L x 5", "bad generator token 'x'"),
+        ("V 1 1; E 0-1; L x@1 5", "bad generator token '5'"),
+        ("V 2 a", "bad generator token 'a'"),
+        ("V 1 1; E 0-b", "bad generator token '0-b'"),
+        ("V 2; decor v0:kappa", "bad generator token 'v0:kappa'"),
+        ("V 2; decor v0:lambda1^x", "bad generator token 'v0:lambda1^x'"),
+        ("V 1 1; E 0-1; decor ex:psi", "bad generator token 'ex:psi'"),
+        ("V 1 1; E 0-1; decor e5a:psi", "bad generator token 'e5a:psi'"),
+        ("V 1 1; E 0-1; decor e0c:psi", "bad generator token 'e0c:psi'"),
+    ], ids=["empty", "no-vertex", "leg-without-vertex", "leg-bare-int", "genus", "edge-end",
+            "kappa-index", "exponent", "edge-index", "edge-out-of-range", "edge-side"])
+    def test_canon_bad_token(self, capsys, graph, message):
+        code, out = run_cli("taut", "canon", graph)
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert errors == [f"torcycle: error: {message}"]
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("graph", ["V 2; decor v0:kappa0^1", "V 2; decor v0:lambda0"])
     def test_canon_index_zero(self, capsys, graph):

@@ -24,6 +24,11 @@ dependency).
   ``tautring._least_relabelings``: ``itertools.permutations`` appears there
   and in ``ctp._genus_preserving_bijections`` (the component bijections)
   and nowhere else.
+* An integral coefficient is written as an int: no dict display or dict
+  comprehension has a value ``Fraction(<int literal>)`` (under any name
+  bound to ``Fraction``).  Accumulator seeds such as ``Fraction(0)`` in
+  ``algebra.bernoulli_number`` are not dict values and stay, since they
+  keep a later ``/`` exact.
 * Every memo has a finite ``maxsize``, so none keyed by an unbounded
   genus grows for the life of the process.  An ``lru_cache(maxsize=None)``
   or a ``functools.cache`` is allowed only where the keys are closed (the
@@ -280,3 +285,52 @@ def test_scan_catches_an_unbounded_memo():
         "@cached_property\ndef k(self): pass\n"
     )
     assert unbounded_memos(tree) == ["a", "b", "c", "d"]
+
+
+def integral_fraction_values(tree: ast.Module) -> list[int]:
+    """Lines of the dict values (displays and comprehensions) that are
+    ``Fraction`` of one int literal, called by any name bound to it."""
+    names = {"Fraction"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "fractions":
+            names |= {a.asname for a in node.names if a.name == "Fraction" and a.asname}
+        elif (isinstance(node, ast.Assign) and isinstance(node.value, ast.Name)
+                and node.value.id in names):
+            names |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+
+    def integral_fraction(node) -> bool:
+        if not isinstance(node, ast.Call) or node.keywords or len(node.args) != 1:
+            return False
+        func, (arg,) = node.func, node.args
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+        if isinstance(arg, ast.UnaryOp) and isinstance(arg.op, (ast.USub, ast.UAdd)):
+            arg = arg.operand
+        return name in names and isinstance(arg, ast.Constant) and type(arg.value) is int
+
+    values = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Dict):
+            values += node.values
+        elif isinstance(node, ast.DictComp):
+            values.append(node.value)
+    return sorted(v.lineno for v in values if integral_fraction(v))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_integral_coefficients_are_ints(path):
+    found = integral_fraction_values(ast.parse(path.read_text()))
+    assert not found, (f"{path.name} writes an integral coefficient as a Fraction "
+                       f"(write the int) on lines {found}")
+
+
+def test_scan_catches_an_integral_fraction():
+    tree = ast.parse(
+        "from fractions import Fraction\nimport fractions\nF = Fraction\n"
+        "a = {g: Fraction(1)}\n"
+        "b = {g: F(-2) for g in gs}\n"
+        "c = {g: fractions.Fraction(3), h: Fraction(1, 2), k: Fraction(n)}\n"
+        "acc = Fraction(0)\n"
+        "d = {g: 1, h: Fraction(1, aut), k: 2 * Fraction(1)}\n"
+        "e = {g: Fraction(2.0), h: Fraction('1'), k: Fraction(True)}\n"
+    )
+    assert integral_fraction_values(tree) == [4, 5, 6]

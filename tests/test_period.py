@@ -350,6 +350,13 @@ class TestKernel:
         for a, b in zip(got, curve.y_taylor0()):
             assert abs(a - b) <= 1e-13 * abs(b)
 
+    @pytest.mark.parametrize("eps", [0.0, -1.0, -0.05, math.nan])
+    def test_circle_needs_positive_radius(self, eps):
+        # a zero radius divides by zero, a negative one is a circle of radius
+        # |eps| that skips the clearance check, and nan never converges
+        with pytest.raises(ValueError, match="eps must be > 0"):
+            P.y_taylor_by_circle(BASE_CURVE_1, eps)
+
     def test_radius_independence(self):
         c1 = cauchy_kernel_coeffs(BASE_CURVE_1, eps=0.05)
         c2 = cauchy_kernel_coeffs(BASE_CURVE_1, eps=0.1)

@@ -373,6 +373,34 @@ class TestAbar4:
         assert rep.pic_conclusion == "16*lambda1 - 2*D"
 
 
+class TestExactCoefficients:
+    """The headline classes hold ints where a coefficient is integral and
+    Fractions elsewhere: no float and no Fraction n/1."""
+
+    @staticmethod
+    def check(c):
+        for x in c.terms.values():
+            assert type(x) is int or (type(x) is F and x.denominator > 1), (x, c)
+
+    def test_genus4_ledger(self):
+        final, ledger = t_pullback_g4()
+        for c in (final, ledger.total(), *(e.value for e in ledger.entries)):
+            self.check(c)
+        assert all(type(e.multiplicity) in (int, F) for e in ledger.entries)
+
+    def test_genus5(self):
+        final, rep = t_pullback_g5()
+        for c in (final, *rep.ch_moduli, *rep.ch_abelian, *rep.ch_abelian_display,
+                  *rep.ch_normal, rep.two_c3, rep.hyperelliptic):
+            self.check(c)
+
+    def test_abar4(self):
+        curve_side, rep = t_pushforward_Abar4()
+        self.check(curve_side)
+        # int / int would be a float
+        assert type(rep.delta_irr_coeff_in_c1) in (int, F) and rep.delta_irr_coeff_in_c1 == 2
+
+
 class TestDimensions:
     def test_values(self):
         assert torelli_dimension(4)[0] == 8

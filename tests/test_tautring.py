@@ -323,6 +323,75 @@ class TestKernelLaws:
         assert s * pc + t * pc == (s + t) * pc
 
 
+def _normalized(c) -> bool:
+    """Every coefficient of c is an int, or a Fraction that is not integral:
+    no float and no Fraction n/1."""
+    return all(type(x) is int or (type(x) is F and x.denominator > 1) for x in c.terms.values())
+
+
+def _as_fractions(c):
+    """c with every coefficient a Fraction, past the normalizing
+    constructors: the input of the Fraction-only reference computation."""
+    return type(c)._carry(c._ambient(), {k: F(x) for k, x in c.terms.items()})
+
+
+EXACT_SPACES = [M4, ModuliSpec(2, ("p", "q"))]
+#: ints, proper fractions, and Fractions that are integers (2/1, -3/1)
+MIXED_SCALARS = [0, 1, -1, 2, F(2), F(-3), F(-1, 2), F(1, 3), F(-5, 6), F(4, 3)]
+
+
+class TestExactCoefficients:
+    """Integral coefficients are ints and the others Fractions, through sums,
+    scalar multiples and products; the numbers are those of the same
+    computation with every input coefficient a Fraction."""
+
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_int_when_integral(self, data):
+        space = data.draw(st.sampled_from(EXACT_SPACES))
+        divisors = [lam(space), kappa(space, 1), delta_total(space)]
+        divisors += [psi(space, m) for m in space.markings]
+        divisors += [TautClass(space, {cg: 1}) for cg, _ in one_edge_graphs(space)]
+        basis = _span_basis(space)
+        scalars = st.sampled_from(MIXED_SCALARS)
+        d = _combine(space, divisors, data.draw(st.lists(scalars, min_size=len(divisors),
+                                                         max_size=len(divisors))))
+        a = _combine(space, basis, data.draw(st.lists(scalars, min_size=len(basis),
+                                                      max_size=len(basis))))
+        s, t = data.draw(scalars), data.draw(scalars)
+
+        def compute(a, d, s, t):
+            pc = ProductClass.from_factors([d, a])
+            return [a + d, a - s * d, s * a, d * t, -a, multiply(d, a), multiply(d, d),
+                    multiply(s * d, t * a), pc, t * pc - pc,
+                    ProductClass.from_factors([d, d]) * ProductClass.from_factors([s * d, d])]
+
+        fast = compute(a, d, s, t)
+        slow = compute(_as_fractions(a), _as_fractions(d), F(s), F(t))
+        for got, want in zip(fast, slow):
+            assert _normalized(got), got.terms
+            assert got == want
+
+    def test_constructors_and_builders(self):
+        for space in EXACT_SPACES:
+            bare = tr._trivial_gen(space)
+            for c in (*_span_basis(space), delta_total(space), kappa(space, 0),
+                      TautClass(space, {bare: F(6, 3)}), TautClass(space, {bare: 2.5})):
+                assert _normalized(c), c.terms
+            spaces = glue_spaces(space, boundary_gen(space, 1, ()))
+            pc = ProductClass(spaces, {tuple(map(tr._trivial_gen, spaces)): F(6, 3)})
+            assert list(pc.terms.values()) == [2] and _normalized(pc)
+
+    def test_rejection_is_not_memoized(self):
+        # an unstable generator raises on every admission, not only the first
+        unstable = make_gen((0, 4), [(0, 1)])
+        for _ in range(2):
+            with pytest.raises(UnstableGraphError, match="vertex 0"):
+                tr._admit(M4, unstable)
+        ok = make_gen((4,))
+        assert tr._admit(M4, ok) is tr._admit(M4, ok)
+
+
 class TestOneEdgeGraphs:
     def test_genus4_closed(self):
         gens = one_edge_graphs(M4)
