@@ -105,12 +105,12 @@ class _LinearCombination:
     when integral, a Fraction otherwise) on one ambient: the kernel shared by
     ``tautring.TautClass``, ``tautring.ProductClass`` and ``chern.InteriorClass``.
 
-    It supplies sum, difference, negation, scalar multiple, equality and
-    hash, all through :func:`_accumulate`.  A subclass stores ``terms``
-    (admitted keys, no zero coefficient), reports its ambient through
-    ``_ambient`` (``None`` by default), rebuilds an instance from such terms
-    with ``_carry(ambient, terms)`` and multiplies two instances in
-    ``_times``.  Sums of many classes belong in one ``_accumulate`` call
+    It supplies sum, difference, scalar multiple (``(-1) * x`` negates),
+    equality and hash, all through :func:`_accumulate`.  A subclass stores
+    ``terms`` (admitted keys, no zero coefficient), reports its ambient
+    through ``_ambient`` (``None`` by default), rebuilds an instance from
+    such terms with ``_carry(ambient, terms)`` and multiplies two instances
+    in ``_times``.  Sums of many classes belong in one ``_accumulate`` call
     followed by one ``_carry``, not in a chain of ``+``.
     """
 
@@ -139,9 +139,6 @@ class _LinearCombination:
     def __sub__(self, other):
         parts = ((1, self.terms), (-1, other.terms))
         return self._carry(self._common(other), _accumulate(parts))
-
-    def __neg__(self):
-        return (-1) * self
 
     def __rmul__(self, scalar):
         parts = ((_rational(scalar), self.terms),)
@@ -260,10 +257,6 @@ class TruncatedSeries(FrozenValue):
         if self.cap != other.cap:
             raise CapMismatchError(f"cap mismatch: {self.cap} != {other.cap}")
 
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check(other)
-        return TruncatedSeries(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
             self._check(other)
@@ -295,18 +288,6 @@ class TruncatedSeries(FrozenValue):
                 acc += self.coeffs[i] * out[k - i]
             out[k] = -acc / c0
         return TruncatedSeries(tuple(out))
-
-    def __pow__(self, n: int) -> "TruncatedSeries":
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = TruncatedSeries.one(self.cap)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def coefficient(self, k: int) -> Fraction:
         if k > self.cap:

@@ -33,7 +33,6 @@ from itertools import groupby
 from math import comb, factorial
 
 from .algebra import (
-    Rational,
     _accumulate,
     _LinearCombination,
     FrozenValue,
@@ -171,9 +170,6 @@ class InteriorClass(_LinearCombination):
             (c1, {tuple(sorted(m1 + m2)): c2 for m2, c2 in other.terms.items()})
             for m1, c1 in self.terms.items()
         ))
-
-    def coefficient(self, mon) -> Rational:
-        return self.terms.get(tuple(sorted(mon)), 0)
 
     def reduce(self, g: int) -> "InteriorClass":
         """Normal form modulo the even power-sum relations of the rank-g

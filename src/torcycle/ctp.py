@@ -37,6 +37,7 @@ from typing import NamedTuple
 from . import validated_make
 from .tautring import (
     Gen,
+    _class_bijections,
     _least_relabelings,
     check_stability,
     gen_to_string,
@@ -168,10 +169,6 @@ class Component(NamedTuple):
         signs = "".join(s for s in self.sigma if s) or ""
         return f"({shape})" + (f"[{signs}]" if signs else "")
 
-    def swap(self) -> "Component":
-        inv = tuple(sorted(range(len(self.nu)), key=self.nu.__getitem__))
-        return canonical_component(self.t2, self.t1, inv, tuple(self.sigma[v] for v in inv))
-
     def to_string(self) -> str:
         nu = " ".join(f"{v}>{w}" for v, w in enumerate(self.nu))
         sig = " ".join(f"{v}:{s}" for v, s in enumerate(self.sigma) if s is not None)
@@ -297,13 +294,8 @@ def _genus_preserving_bijections(t1: Gen, t2: Gen):
     by_genus: dict[int, list[int]] = {}
     for w, gw in enumerate(t2.genera):
         by_genus.setdefault(gw, []).append(w)
-    sources = [[v for v, gv in enumerate(t1.genera) if gv == gw] for gw in by_genus]
-    nu = [0] * len(t1.genera)
-    for images in itertools.product(*map(itertools.permutations, by_genus.values())):
-        for vs, ws in zip(sources, images):
-            for v, w in zip(vs, ws):
-                nu[v] = w
-        yield tuple(nu)
+    return _class_bijections([([v for v, gv in enumerate(t1.genera) if gv == gw], ws)
+                              for gw, ws in by_genus.items()])
 
 
 def _sign_choices(t1: Gen) -> list:

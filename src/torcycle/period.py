@@ -27,7 +27,7 @@ Quadrature.  Two independent deterministic routes, both by a nested
 trapezoid rule, which converges exponentially for analytic periodic
 integrands (Trefethen-Weideman, SIAM Rev. 56, 2014): on closed contours at
 t = 2^-18 + k/n, an offset that keeps every node of every level up to
-nmax = 65536 off the real-axis crossings; on branch-point segments at
+65536 nodes off the real-axis crossings; on branch-point segments at
 theta = k pi/n with both ends, after x = m - h cos(theta) (nested
 Gauss-Chebyshev-Lobatto, Waldvogel, BIT 2006).  There Y's two endpoint
 roots are taken analytically as -i h sin(theta), and the integrand is
@@ -151,13 +151,12 @@ BASE_CURVE_2 = HyperellipticCurve((1, 2, 3, 4, 5, 7))
 class EllipseContour(NamedTuple):
     """Closed contour crossing the real axis exactly at x = left and
     x = right, traversed counterclockwise starting at the right crossing.
-    ``upper_sign`` is the sheet sign on the upper arc (the value of Y there
-    is upper_sign * Y_up)."""
+    Y is Y_up on the upper arc; on the lower arc it is flipped when Yref
+    jumps at the crossings."""
 
     left: float
     right: float
     height: float
-    upper_sign: int = +1
     label: str = ""
 
     @property
@@ -167,26 +166,6 @@ class EllipseContour(NamedTuple):
     @property
     def halfwidth(self) -> float:
         return (self.right - self.left) / 2
-
-    def point(self, t) -> complex:
-        ang = 2 * math.pi * t
-        return complex(self.center + self.halfwidth * math.cos(ang),
-                       self.height * math.sin(ang))
-
-    def derivative(self, t) -> complex:
-        ang = 2 * math.pi * t
-        return 2 * math.pi * complex(-self.halfwidth * math.sin(ang),
-                                     self.height * math.cos(ang))
-
-    def lower_sign(self, curve: HyperellipticCurve) -> int:
-        """The sheet sign on the lower arc: the upper one, flipped when Yref
-        jumps at the crossings."""
-        return self.upper_sign * (-1 if curve.axis_flip(self.left) else 1)
-
-    def sheet_sign(self, curve: HyperellipticCurve, t) -> int:
-        """Sign s(t) with Y(t) = s(t) * Y_up(z(t)): constant on each half
-        arc, flipping at crossings where Yref jumps."""
-        return self.upper_sign if t % 1.0 < 0.5 else self.lower_sign(curve)
 
     def check(self, curve: HyperellipticCurve) -> None:
         # closure: the two crossings must flip consistently
@@ -220,10 +199,10 @@ def standard_contours(curve: HyperellipticCurve) -> MappingProxyType:
     c2 = (r[2] + r[3]) / 2
     c3 = (r[4] + r[5]) / 2
     contours = {
-        "A1": EllipseContour(left_out, m12, 0.55 * (m12 - left_out) / 2, +1, "A1"),
-        "A2": EllipseContour(m12, m34, 0.55 * (m34 - m12) / 2, +1, "A2"),
-        "B1": EllipseContour(c1, c3, 0.40 * (c3 - c1) / 2, +1, "B1"),
-        "B2": EllipseContour(c2, c3, 0.55 * (c3 - c2) / 2, +1, "B2"),
+        "A1": EllipseContour(left_out, m12, 0.55 * (m12 - left_out) / 2, "A1"),
+        "A2": EllipseContour(m12, m34, 0.55 * (m34 - m12) / 2, "A2"),
+        "B1": EllipseContour(c1, c3, 0.40 * (c3 - c1) / 2, "B1"),
+        "B2": EllipseContour(c2, c3, 0.55 * (c3 - c2) / 2, "B2"),
     }
     for c in contours.values():
         c.check(curve)
@@ -236,7 +215,7 @@ def standard_contours(curve: HyperellipticCurve) -> MappingProxyType:
 
 #: Offset of the contour nodes t = NODE_OFFSET + k/n: t is 0 or 1/2, a
 #: real-axis crossing where the sheet sign jumps, only when 2^18 divides n,
-#: so no node of a level up to nmax = 65536 lies on one.
+#: so no node of a level up to ``CONTOUR_NODES[1]`` = 65536 lies on one.
 NODE_OFFSET = 1 / 262144
 
 
@@ -251,13 +230,13 @@ def _level_rows(curve, path, n, odd):
     rows = []
     if isinstance(path, EllipseContour):
         c, w, h = path.center, path.halfwidth, path.height
-        upper, lower = path.upper_sign, path.lower_sign(curve)
+        lower = -1 if curve.axis_flip(path.left) else 1
         for k in range(1, n, 2) if odd else range(n):
             t = NODE_OFFSET + k / n
             ang = 2 * math.pi * t
             cos, sin = math.cos(ang), math.sin(ang)
             z = complex(c + w * cos, h * sin)
-            sign = upper if t < 0.5 else lower
+            sign = 1 if t < 0.5 else lower
             rows.append((z, sign * curve.y_upper(z), 2 * math.pi * complex(-w * sin, h * cos) / n))
         return tuple(rows)
     a, b = path
@@ -271,13 +250,6 @@ def _level_rows(curve, path, n, odd):
             y *= cmath.sqrt(x - r)
         rows.append((x, y, math.pi / n / (2 if k in (0, n) else 1)))
     return tuple(rows)
-
-
-def y_on_path(
-    curve: HyperellipticCurve, contour: EllipseContour, samples: int = 256
-) -> list[tuple[complex, complex]]:
-    """Branch-consistent samples (z, Y) along the contour."""
-    return [(z, y) for z, y, _ in _level_rows(curve, contour, samples, False)]
 
 
 def _doubling(fn, curve, path, what, tol, n0, nmax):
@@ -297,24 +269,25 @@ def _doubling(fn, curve, path, what, tol, n0, nmax):
     raise QuadratureError(f"{what}: no convergence at {nmax} nodes")
 
 
-def contour_integrate(fn, curve, contour, tol=1e-10, n0=64, nmax=65536):
+#: (first, most) nodes of the nested rule on a contour and on a segment
+CONTOUR_NODES = (64, 65536)
+SEGMENT_NODES = (48, 3072)
+
+
+def contour_integrate(fn, curve, contour, tol=1e-10):
     """Trapezoid integral of fn(z, Y) dz over the closed contour, doubling
     nodes until two refinements agree within tol (relative).  fn is called
     once per node with Python numbers z and Y."""
-    return _doubling(fn, curve, contour, f"contour {contour.label}", tol, n0, nmax)
+    return _doubling(fn, curve, contour, f"contour {contour.label}", tol, *CONTOUR_NODES)
 
 
-def gauss_segment(fn, curve, a, b, n):
+def segment_integrate(fn, curve, a, b, tol=1e-10):
     """Integral of fn(x, Y_up(x)) dx over the root-to-root segment [a, b]
-    by the (n + 1)-point Gauss-Chebyshev-Lobatto rule: the trapezoid rule
-    in theta with both ends.  fn must be g(x) / Y (see the module notes)."""
-    return sum(fn(x, y) * w for x, y, w in _level_rows(curve, (a, b), n, False))
-
-
-def segment_integrate(fn, curve, a, b, tol=1e-10, n0=48, nmax=3072):
-    """``gauss_segment`` over the segment [a, b], doubling the order like
-    ``contour_integrate`` and reading the same nested rows."""
-    return _doubling(fn, curve, (a, b), f"segment [{a},{b}]", tol, n0, nmax)
+    by nested Gauss-Chebyshev-Lobatto rules (the trapezoid rule in theta
+    with both ends), doubling the order like ``contour_integrate`` and
+    reading the same nested rows.  fn must be g(x) / Y (see the module
+    notes)."""
+    return _doubling(fn, curve, (a, b), f"segment [{a},{b}]", tol, *SEGMENT_NODES)
 
 
 # --------------------------------------------------------------------------
@@ -433,17 +406,22 @@ class KernelCoefficients(NamedTuple):
     residual: float
 
 
-def y_taylor_by_circle(curve, eps, n=64):
+#: Trapezoid nodes on the eps-circle of ``y_taylor_by_circle``.
+CIRCLE_NODES = 64
+
+
+def y_taylor_by_circle(curve, eps):
     """Taylor coefficients of the upper branch at 0 from the eps-circle
     (trapezoid; the circle crosses the axis outside every cut, so the sheet
     is constant on it): the order-m coefficient is the mean of Y / z^m,
     all three orders accumulated in one pass.  Aliasing from the orders
     m + jn costs at most (eps / min |r|)^n <= 2^-n relative, as every
-    |r| > 2 eps: n = 64 is below rounding."""
+    |r| > 2 eps: n = CIRCLE_NODES = 64 is below rounding."""
     if not eps > 0:
         raise ValueError("eps must be > 0")
     if any(abs(r) <= 2 * eps for r in curve.roots):
         raise PathClearanceError("eps-circle too close to a branch point")
+    n = CIRCLE_NODES
     s0 = s1 = s2 = 0j
     for k in range(n):
         z = eps * cmath.exp(2j * math.pi * ((k + 0.5) / n))
@@ -465,7 +443,14 @@ def cauchy_kernel_coeffs(
     the pure 1/(2 (z - z1)) part has zero A-periods (the contours do not
     enclose the base point), so each order is a 2x2 solve against the
     A-period matrix with right side from the expanded y1/(2(z-z1)) term.
+    That assumption is checked: the A1 loop, the leftmost contour, must
+    cross the axis at least ``BRANCH_CLEARANCE`` right of 0, or
+    PathClearanceError is raised.
     """
+    left = standard_contours(curve)["A1"].left
+    if not left >= BRANCH_CLEARANCE:
+        raise PathClearanceError(
+            f"A1 loop crosses the axis at {left}, not {BRANCH_CLEARANCE} right of the base point")
     alpha = (
         y_taylor_by_circle(curve, eps) if eps is not None else curve.y_taylor0()
     )
@@ -525,16 +510,11 @@ def _G(curve, i, eps, tol, rule):
     return tau_factor * val, abs(tau_factor) * err
 
 
-def compute_D(curve2: HyperellipticCurve, tol=1e-10, sheet: int = +1):
+def compute_D(curve2: HyperellipticCurve, tol=1e-10):
     """The two constants from the second-order term of the glued
     differentials: (a Y'(0) - b)/Y(0) and (c Y'(0) - d)/Y(0) with the
-    normalized-basis constants of the second curve and its upper branch.
-
-    ``sheet`` = -1 normalizes the basis against the opposite branch while
-    keeping the node coordinate fixed; the constants then flip sign."""
+    normalized-basis constants of the second curve and its upper branch."""
     nb = normalized_basis(curve2, tol)
-    if sheet == -1:
-        nb = NormalizedBasis(-nb.a, -nb.b, -nb.c, -nb.d, nb.residual)
     y0, y1, _ = curve2.y_taylor0()
     if abs(y0) < 1e-12:
         raise ZeroDivisionError("Y(0) below the numerical floor")
@@ -547,10 +527,13 @@ def compute_D(curve2: HyperellipticCurve, tol=1e-10, sheet: int = +1):
 # the certificate
 
 
+#: The certificate passes when |rho4| exceeds this many quadrature errors.
+CERTIFICATE_MARGIN = 10.0
+
+
 class PeriodConfig(NamedTuple):
     eps: float = 0.05
     tol: float = 1e-10
-    margin: float = 10.0
     curve1: HyperellipticCurve = BASE_CURVE_1
     curve2: HyperellipticCurve = BASE_CURVE_2
 
@@ -558,12 +541,11 @@ class PeriodConfig(NamedTuple):
 class Rho4Certificate(NamedTuple):
     value: complex
     quadrature_error: float
-    margin: float
     table: tuple[tuple[str, complex], ...] = ()
 
     @property
     def passed(self) -> bool:
-        return abs(self.value) > self.margin * self.quadrature_error
+        return abs(self.value) > CERTIFICATE_MARGIN * self.quadrature_error
 
 
 def rho4(config: PeriodConfig = PeriodConfig()) -> Rho4Certificate:
@@ -594,4 +576,4 @@ def rho4(config: PeriodConfig = PeriodConfig()) -> Rho4Certificate:
         ("h2", kc.h[2]), ("k2", kc.k[2]),
         ("G1", G1), ("G2", G2), ("D1", D1), ("D2", D2),
     )
-    return Rho4Certificate(value, err, config.margin, table)
+    return Rho4Certificate(value, err, table)

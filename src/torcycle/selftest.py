@@ -322,10 +322,10 @@ CRITERIA = (
 )
 
 
-def run_all(out=print) -> list[CriterionResult]:
+def run_all() -> list[CriterionResult]:
     results = []
     for fn in CRITERIA:
         res = fn()
-        out(res.line())
+        print(res.line())
         results.append(res)
     return results

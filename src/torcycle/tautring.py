@@ -73,9 +73,10 @@ with psi_q lowered by one.
 
 Canonical form
 --------------
-One permutation search, ``_least_relabelings``, gives the canonical form
-of a generator (its least relabeling, a ``Gen`` being a ``NamedTuple``
-ordered as its fields) and every vertex map onto it.
+``_least_relabelings`` gives the canonical form of a generator (its least
+relabeling, a ``Gen`` being a ``NamedTuple`` ordered as its fields) and
+every vertex map onto it, searching the one generator of class-respecting
+bijections, ``_class_bijections``, that ``ctp`` pairs trees with too.
 ``canonicalize`` returns the form and |Aut| (the number of maps times the
 edge-level symmetries of ``_halfedge_factor``); ``ctp`` takes tree
 isomorphisms and automorphisms from the same search.
@@ -342,9 +343,21 @@ def _halfedge_factor(gen: Gen) -> int:
     return factor
 
 
+def _class_bijections(classes: Sequence[tuple[Sequence[int], Sequence[int]]]):
+    """The one permutation search.  ``classes`` lists (sources, targets)
+    pairs of equal length; yields, as tuples indexed by source, every map
+    sending each class's sources bijectively onto its targets, in the order
+    of ``itertools.product`` over the classes' permutations."""
+    m = [0] * sum(len(sources) for sources, _ in classes)
+    for images in itertools.product(*(itertools.permutations(ts) for _, ts in classes)):
+        for (sources, _), ims in zip(classes, images):
+            for v, w in zip(sources, ims):
+                m[v] = w
+        yield tuple(m)
+
+
 def _least_relabelings(gen: Gen) -> tuple[Gen, list[tuple[int, ...]]]:
-    """The one permutation search: the least relabeling of gen and every
-    vertex map reaching it.
+    """The least relabeling of gen and every vertex map reaching it.
 
     Vertices are grouped by (genus, half-edge decorations, leg data, vertex
     decorations, neighbor data); the least encoding over the permutations
@@ -373,33 +386,20 @@ def _least_relabelings(gen: Gen) -> tuple[Gen, list[tuple[int, ...]]]:
     groups: dict = {}
     for v in range(nv):
         groups.setdefault(inv[v], []).append(v)
-    ordered = sorted(groups.items(), key=lambda kv: kv[0])
-    perm = [0] * nv
-    plan = []
+    classes = []
     next_index = 0
-    for _, vs in ordered:
-        plan.append((vs, list(range(next_index, next_index + len(vs)))))
+    for _, vs in sorted(groups.items(), key=lambda kv: kv[0]):
+        classes.append((vs, range(next_index, next_index + len(vs))))
         next_index += len(vs)
 
     best: Gen | None = None
     maps: list[tuple[int, ...]] = []
-
-    def rec(gi: int):
-        nonlocal best, maps
-        if gi == len(plan):
-            cand = _apply_perm(gen, perm)
-            if best is None or cand < best:
-                best, maps = cand, [tuple(perm)]
-            elif cand == best:
-                maps.append(tuple(perm))
-            return
-        vs, idxs = plan[gi]
-        for assignment in itertools.permutations(idxs):
-            for v, i in zip(vs, assignment):
-                perm[v] = i
-            rec(gi + 1)
-
-    rec(0)
+    for perm in _class_bijections(classes):
+        cand = _apply_perm(gen, perm)
+        if best is None or cand < best:
+            best, maps = cand, [perm]
+        elif cand == best:
+            maps.append(perm)
     assert best is not None
     return best, maps
 
@@ -412,10 +412,6 @@ def canonicalize(gen: Gen) -> tuple[Gen, int]:
     representative times the edge-level symmetries fixing every vertex."""
     best, maps = _least_relabelings(gen)
     return best, len(maps) * _halfedge_factor(best)
-
-
-def aut_order(gen: Gen) -> int:
-    return canonicalize(gen)[1]
 
 
 # --------------------------------------------------------------------------
@@ -473,9 +469,6 @@ class TautClass(_LinearCombination):
 
     def _times(self, other: "TautClass") -> "TautClass":
         return multiply(self, other)
-
-    def degrees(self) -> set[int]:
-        return {g.degree() for g in self.terms}
 
     def interior(self) -> "TautClass":
         """Drop all boundary terms (excision to the open moduli space)."""
@@ -547,15 +540,6 @@ def psi_total(space: ModuliSpec) -> TautClass:
     return TautClass._carry(
         space, _accumulate((1, psi(space, m).terms) for m in space.markings)
     )
-
-
-def monomial(
-    space: ModuliSpec,
-    kappa_mon: Iterable[tuple[int, int]] = (),
-    lam_mon: Iterable[tuple[int, int]] = (),
-    psi_mon: Mapping[str, int] | None = None,
-) -> TautClass:
-    return TautClass(space, {_trivial_gen(space, kappa_mon, lam_mon, psi_mon): 1})
 
 
 @lru_cache(maxsize=1024)
@@ -631,11 +615,6 @@ def delta_total(space: ModuliSpec) -> TautClass:
     return TautClass(
         space, {cg: Fraction(1, aut) for cg, aut in one_edge_graphs(space)}
     )
-
-
-def delta_zero_pair(space: ModuliSpec, p: str, x: str) -> TautClass:
-    """Divisor of curves where markings p, x sit on a rational tail."""
-    return TautClass(space, {boundary_gen(space, 0, (p, x)): 1})
 
 
 # --------------------------------------------------------------------------
@@ -1249,6 +1228,8 @@ def parse_gen(text: str) -> Gen:
         e = _int_in(item, exp) if exp else 1
         if where.startswith("v"):
             v = _int_in(item, where[1:])
+            if not 0 <= v < len(genera):
+                raise ValueError(f"bad generator token {item!r}")
             if sym.startswith("kappa"):
                 kappa.setdefault(v, []).append((_int_in(item, sym[5:]), e))
             elif sym.startswith("lambda"):
@@ -1261,10 +1242,11 @@ def parse_gen(text: str) -> Gen:
                 raise ValueError(f"bad generator token {item!r}")
             edges[idx][2 if where[-1] == "a" else 3] = e
         elif where.startswith("l"):
-            lab = where[1:]
-            for leg in legs:
-                if leg[0] == lab:
-                    leg[2] = e
+            named = [leg for leg in legs if leg[0] == where[1:]]
+            if not named:
+                raise ValueError(f"bad generator token {item!r}")
+            for leg in named:
+                leg[2] = e
         else:
             raise ValueError(f"unknown decor target {where!r}")
     return make_gen(

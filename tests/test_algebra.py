@@ -66,7 +66,8 @@ class TestSeries:
         assert a * b == TruncatedSeries.from_list([1, 0, -1], 2)
 
     def test_cube_of_degree_two(self):
-        cube = TruncatedSeries.from_list([1, 2], 3) ** 3
+        series = TruncatedSeries.from_list([1, 2], 3)
+        cube = series * series * series
         assert cube == TruncatedSeries.from_list([1, 6, 12, 8], 3)
         assert cube * cube == TruncatedSeries.from_list(
             [1, 12, 60, 160], 3
@@ -87,7 +88,8 @@ class TestSeries:
 
     def test_inv_binomial(self):
         # (1+H)^-3 = sum C(-3,k) H^k = 1 - 3H + 6H^2 - 10H^3
-        cube = TruncatedSeries.from_list([1, 1], 3) ** 3
+        series = TruncatedSeries.from_list([1, 1], 3)
+        cube = series * series * series
         assert cube.inverse() == TruncatedSeries.from_list([1, -3, 6, -10], 3)
 
     def test_inv_identity(self):

@@ -165,7 +165,7 @@ class TestAbelianSide:
                 red = ch_tangent_Ag(g, m, reduced=True)
                 assert (raw - red).reduce(g).is_zero()
                 if m % 2 == 0:
-                    assert red.coefficient((("lambda", 1),) * m) == 0
+                    assert red.terms.get((("lambda", 1),) * m, 0) == 0
 
     def test_squarefree_normal_form(self):
         g = 6
@@ -223,7 +223,7 @@ class TestPolynomialLaws:
         assert InteriorClass._carry(None, _accumulate((k, x.terms) for k, x in parts)) == fold
         assert a + b == b + a
         assert (a + b) + c == a + (b + c)
-        assert (a - a).is_zero() and (-a + a).is_zero()
+        assert (a - a).is_zero() and ((-1) * a + a).is_zero()
         assert s * (a + b) == s * a + s * b
         assert (s + t) * a == s * a + t * a
 

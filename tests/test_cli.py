@@ -290,8 +290,12 @@ class TestTaut:
         ("V 1 1; E 0-1; decor ex:psi", "bad generator token 'ex:psi'"),
         ("V 1 1; E 0-1; decor e5a:psi", "bad generator token 'e5a:psi'"),
         ("V 1 1; E 0-1; decor e0c:psi", "bad generator token 'e0c:psi'"),
+        ("V 1 1; E 0-1; decor v7:kappa1", "bad generator token 'v7:kappa1'"),
+        ("V 1 1; E 0-1; decor v-1:lambda1", "bad generator token 'v-1:lambda1'"),
+        ("V 1 1; E 0-1; decor lq:psi", "bad generator token 'lq:psi'"),
     ], ids=["empty", "no-vertex", "leg-without-vertex", "leg-bare-int", "genus", "edge-end",
-            "kappa-index", "exponent", "edge-index", "edge-out-of-range", "edge-side"])
+            "kappa-index", "exponent", "edge-index", "edge-out-of-range", "edge-side",
+            "vertex-out-of-range", "vertex-negative", "leg-missing"])
     def test_canon_bad_token(self, capsys, graph, message):
         code, out = run_cli("taut", "canon", graph)
         err = capsys.readouterr().err

@@ -21,14 +21,17 @@ dependency).
   the two places that return kappa_1 expanded by design
   (``chern.chern_tangent_moduli`` and ``cli._cmd_taut``).
 * There is one permutation search over graph vertices,
-  ``tautring._least_relabelings``: ``itertools.permutations`` appears there
-  and in ``ctp._genus_preserving_bijections`` (the component bijections)
-  and nowhere else.
+  ``tautring._class_bijections``: ``itertools.permutations`` appears there
+  and nowhere else.  The canonical form and the component bijections of
+  ``ctp`` both draw on it.
 * An integral coefficient is written as an int: no dict display or dict
   comprehension has a value ``Fraction(<int literal>)`` (under any name
   bound to ``Fraction``).  Accumulator seeds such as ``Fraction(0)`` in
   ``algebra.bernoulli_number`` are not dict values and stay, since they
   keep a later ``/`` exact.
+* Every function of the package is reached by a command, a report script
+  or a benchmark job: ``scripts/reach_scan.py`` lists none outside its
+  allow-list of value-protocol dunders.
 * Every memo has a finite ``maxsize``, so none keyed by an unbounded
   genus grows for the life of the process.  An ``lru_cache(maxsize=None)``
   or a ``functools.cache`` is allowed only where the keys are closed (the
@@ -40,11 +43,13 @@ dependency).
 
 import ast
 import pathlib
+import subprocess
 import sys
 
 import pytest
 
-SRC = pathlib.Path(__file__).parent.parent / "src" / "torcycle"
+ROOT = pathlib.Path(__file__).parent.parent
+SRC = ROOT / "src" / "torcycle"
 
 
 def imported_names(tree: ast.Module) -> set[str]:
@@ -166,8 +171,7 @@ def test_scan_catches_a_slot_label():
 
 
 #: (module, top-level function) pairs allowed to reach itertools.permutations
-PERMUTATION_SITES = {("tautring.py", "_least_relabelings"),
-                     ("ctp.py", "_genus_preserving_bijections")}
+PERMUTATION_SITES = {("tautring.py", "_class_bijections")}
 
 
 def permutation_sites(tree: ast.Module) -> list[str]:
@@ -188,7 +192,7 @@ def test_one_permutation_search():
     found = {(path.name, site) for path in SRC.glob("*.py")
              for site in permutation_sites(ast.parse(path.read_text()))}
     assert found <= PERMUTATION_SITES, (
-        f"permutation search outside tautring._least_relabelings: "
+        f"permutation search outside tautring._class_bijections: "
         f"{sorted(found - PERMUTATION_SITES)}")
 
 
@@ -334,3 +338,11 @@ def test_scan_catches_an_integral_fraction():
         "e = {g: Fraction(2.0), h: Fraction('1'), k: Fraction(True)}\n"
     )
     assert integral_fraction_values(tree) == [4, 5, 6]
+
+
+def test_src_reached():
+    # a fresh interpreter: memos warmed by other tests would hide calls
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "reach_scan.py")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "", f"functions no entry point reaches:\n{proc.stdout}"

@@ -24,7 +24,6 @@ from torcycle.period import (
     period_matrix,
     rho4,
     standard_contours,
-    y_on_path,
 )
 
 
@@ -50,15 +49,20 @@ class TestCurve:
         assert abs(num - y1) < 1e-5
 
 
+def y_on_path(curve, contour, samples):
+    """Branch-consistent samples (z, Y) along the contour."""
+    return [(z, y) for z, y, _ in P._level_rows(curve, contour, samples, False)]
+
+
 class TestSheetTracking:
     def test_monodromy_one_root(self):
-        loop = EllipseContour(0.5, 1.5, 0.2, +1, "one-root")
+        loop = EllipseContour(0.5, 1.5, 0.2, "one-root")
         ys = y_on_path(BASE_CURVE_1, loop, 128)
         # continuation around a single branch point negates Y
         assert abs(ys[0][1] + ys[-1][1]) < 0.1 * abs(ys[0][1])
 
     def test_monodromy_two_roots(self):
-        loop = EllipseContour(0.5, 2.5, 0.4, +1, "two-root")
+        loop = EllipseContour(0.5, 2.5, 0.4, "two-root")
         ys = y_on_path(BASE_CURVE_1, loop, 128)
         assert abs(ys[0][1] - ys[-1][1]) < 0.1 * abs(ys[0][1])
 
@@ -108,9 +112,11 @@ def ref_derivative(c, t):
 
 
 def ref_sheet_sign(c, curve, t):
+    """Sign s(t) with Y(t) = s(t) * Y_up(z(t)): +1 on the upper arc, on the
+    lower arc flipped when Yref jumps at the crossings."""
     if t % 1.0 < 0.5:
-        return c.upper_sign
-    return c.upper_sign * (-1 if curve.axis_flip(c.left) else 1)
+        return 1
+    return -1 if curve.axis_flip(c.left) else 1
 
 
 def close(a, b, rtol=1e-13):
@@ -118,19 +124,16 @@ def close(a, b, rtol=1e-13):
 
 
 class TestArrayEvaluation:
-    """The node rows of a refinement level (``_level_rows``) and the scalar
-    maps they are built from agree with a node-by-node cmath reference, and
-    every value is a Python number."""
+    """The node rows of a refinement level (``_level_rows``) agree with a
+    node-by-node cmath reference, and every value is a Python number."""
 
     # inside the cuts (f < 0), outside them, off the axis, and on the axis
     # approached from below (-0.0 imaginary part)
     REAL = [1.5, 3.5, 5.5, 0.0, 2.5, 4.5, 7.0, -1.0, 1.0 + 1e-6]
     COMPLEX = [1.5 + 0.3j, 2.5 - 0.2j, 5.9 + 1e-9j, complex(1.5, -0.0),
                complex(3.5, -0.0), complex(2.5, -0.0), complex(-1.0, -0.0)]
-    TS = [0.0, 0.1, 0.25, 0.49, 0.5, 0.75, 0.999, 1.2, -0.3]
-    #: the standard contours (B1 and B2 flip on the lower arc, A1 and A2 do
-    #: not) and a lower-sheet loop
-    CONTOURS = (*standard_contours(BASE_CURVE_1).values(), EllipseContour(-0.3, 0.3, 0.3, -1))
+    #: the standard contours: B1 and B2 flip on the lower arc, A1 and A2 do not
+    CONTOURS = tuple(standard_contours(BASE_CURVE_1).values())
 
     @pytest.mark.parametrize("curve", [BASE_CURVE_1, BASE_CURVE_2])
     @pytest.mark.parametrize("points", [REAL, COMPLEX])
@@ -139,16 +142,6 @@ class TestArrayEvaluation:
             y = curve.y_upper(z)
             assert type(y) is complex
             assert close(y, ref_y_upper(curve, z)), z
-
-    def test_contour_maps(self):
-        for c in self.CONTOURS:
-            for t in self.TS:
-                z, dz, s = c.point(t), c.derivative(t), c.sheet_sign(BASE_CURVE_1, t)
-                assert type(z) is complex and type(dz) is complex
-                assert type(s) is int
-                assert close(z, ref_point(c, t))
-                assert close(dz, ref_derivative(c, t))
-                assert s == ref_sheet_sign(c, BASE_CURVE_1, t)
 
     @pytest.mark.parametrize("n", [16, 64])
     def test_level_rows(self, n):
@@ -160,9 +153,10 @@ class TestArrayEvaluation:
                 assert type(rows) is tuple and len(rows) == len(ks)
                 for k, (z, y, dz) in zip(ks, rows):
                     t = P.NODE_OFFSET + k / level
-                    assert z == c.point(t)
-                    assert dz == c.derivative(t) / level
-                    assert y == c.sheet_sign(curve, t) * curve.y_upper(z)
+                    assert type(z) is complex and type(y) is complex
+                    assert z == ref_point(c, t)
+                    assert dz == ref_derivative(c, t) / level
+                    assert y == ref_sheet_sign(c, curve, t) * curve.y_upper(z)
 
     @pytest.mark.parametrize("n", [16, 64])
     def test_segment_rows(self, n):
@@ -180,10 +174,6 @@ class TestArrayEvaluation:
                     assert w == math.pi / level / (2 if k in (0, level) else 1)
                     if 0 < k < level:
                         assert close(y * h * math.sin(theta), curve.y_upper(x), 1e-12)
-
-    def test_y_on_path_python_pairs(self):
-        ys = y_on_path(BASE_CURVE_1, standard_contours(BASE_CURVE_1)["B1"], 16)
-        assert all(type(z) is complex and type(y) is complex for z, y in ys)
 
 
 class TestPythonTypes:
@@ -229,6 +219,13 @@ def legendre_segment(fn, curve, a, b, n):
     return total
 
 
+def gauss_segment(fn, curve, a, b, n):
+    """Integral of fn(x, Y_up(x)) dx over the root segment [a, b] by the
+    (n + 1)-point Gauss-Chebyshev-Lobatto rule: one level of the nested
+    segment rows."""
+    return sum(fn(x, y) * w for x, y, w in P._level_rows(curve, (a, b), n, False))
+
+
 #: the uneven curve of the period goldens: short cut 2 and short gaps
 UNEVEN_CURVE = HyperellipticCurve((0.5, 0.7, 1.9, 2.05, 3, 4.4))
 
@@ -241,21 +238,21 @@ class TestQuadrature:
         for a, b in segments:
             for p in (0, 1, -1, -3):
                 fn = P._power_integrand(p)
-                got = P.gauss_segment(fn, curve, r[a], r[b], 48)
+                got = gauss_segment(fn, curve, r[a], r[b], 48)
                 want = legendre_segment(fn, curve, a, b, 48)
                 assert type(got) is complex
                 assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (a, b, p)
 
     def test_residue_theorem(self):
         # dz/z around the unit-ish circle: 2 pi i (counterclockwise)
-        circle = EllipseContour(-0.3, 0.3, 0.3, +1, "unit")
+        circle = EllipseContour(-0.3, 0.3, 0.3, "unit")
         curve = HyperellipticCurve((5, 6, 7, 8, 9, 10))  # far away
         val, err = contour_integrate(lambda z, y: 1.0 / z, curve, circle, 1e-12)
         assert abs(val - 2j * math.pi) < 1e-12
         assert err < 1e-10
 
     def test_exact_differential(self):
-        circle = EllipseContour(-0.3, 0.3, 0.3, +1, "unit")
+        circle = EllipseContour(-0.3, 0.3, 0.3, "unit")
         curve = HyperellipticCurve((5, 6, 7, 8, 9, 10))
         val, _ = contour_integrate(lambda z, y: z, curve, circle, 1e-12)
         assert abs(val) < 1e-12
@@ -282,7 +279,7 @@ class TestPeriodMatrix:
         # perturb the contour heights by 20 percent
         base = standard_contours(BASE_CURVE_1)
         fat = {
-            k: EllipseContour(c.left, c.right, 1.2 * c.height, c.upper_sign, k)
+            k: EllipseContour(c.left, c.right, 1.2 * c.height, k)
             for k, c in base.items()
         }
         nb = normalized_basis(BASE_CURVE_1)
@@ -357,6 +354,30 @@ class TestKernel:
         with pytest.raises(ValueError, match="eps must be > 0"):
             P.y_taylor_by_circle(BASE_CURVE_1, eps)
 
+    def test_base_point_enclosed(self):
+        # this A1 loop crosses the axis at -1.0665, around the pole of
+        # z^-1 / Y at the base point: its contour period differs from the
+        # segment period by the clockwise residue -2 pi i / Y_up(0), so the
+        # kernel coefficients refuse the curve
+        curve = HyperellipticCurve((0.5, 3.633, 7.355, 11.341, 16.057, 19.769))
+        assert standard_contours(curve)["A1"].left < 0
+        fn = P._power_integrand(-1)
+        contour, _ = P._cycle_integral(curve, "A1", fn, 1e-10)
+        segments, _ = P.segment_period(curve, "A1", fn)
+        assert abs(contour - segments + 2j * math.pi / curve.y_upper(0.0)) < 1e-15
+        with pytest.raises(PathClearanceError, match="A1 loop"):
+            cauchy_kernel_coeffs(curve)
+
+    @pytest.mark.parametrize("r1, clear", [(2.999, False), (2.996, True)])
+    def test_base_point_clearance(self, r1, clear):
+        # A1 crosses at 1.5 r0 - r1 / 2: 5e-4 and 2e-3 right of the base point
+        curve = HyperellipticCurve((1, r1, 4, 5, 6, 7))
+        if clear:
+            assert cauchy_kernel_coeffs(curve).residual < 1e-8
+        else:
+            with pytest.raises(PathClearanceError, match="A1 loop"):
+                cauchy_kernel_coeffs(curve)
+
     def test_radius_independence(self):
         c1 = cauchy_kernel_coeffs(BASE_CURVE_1, eps=0.05)
         c2 = cauchy_kernel_coeffs(BASE_CURVE_1, eps=0.1)
@@ -379,8 +400,8 @@ class TestG:
         n = 600
         contour = standard_contours(curve)["B1"]
         for t in (0.1, 0.3, 0.6, 0.85):
-            z = contour.point(t)
-            y = contour.sheet_sign(curve, t) * curve.y_upper(z)
+            z = ref_point(contour, t)
+            y = ref_sheet_sign(contour, curve, t) * curve.y_upper(z)
             total = 0j
             for k in range(n):
                 s = (k + 0.5) / n
@@ -417,14 +438,6 @@ class TestD:
         (d1, _), nb = compute_D(BASE_CURVE_2)
         y0, y1, _ = BASE_CURVE_2.y_taylor0()
         assert abs(d1 * y0 - (nb.a * y1 - nb.b)) < 1e-9
-
-    def test_sheet_covariance(self):
-        # normalizing the basis against the opposite branch negates
-        # (a, b, c, d) and hence both constants
-        (d1, d2), _ = compute_D(BASE_CURVE_2, sheet=+1)
-        (f1, f2), _ = compute_D(BASE_CURVE_2, sheet=-1)
-        assert abs(f1 + d1) < 1e-9
-        assert abs(f2 + d2) < 1e-9
 
 
 class TestRho4:

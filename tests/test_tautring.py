@@ -14,12 +14,10 @@ from torcycle.tautring import (
     ProductClass,
     TautClass,
     UnstableGraphError,
-    aut_order,
     boundary_gen,
     canonicalize,
     delta_sep,
     delta_total,
-    delta_zero_pair,
     gen_to_string,
     glue_spaces,
     kappa,
@@ -39,6 +37,22 @@ from torcycle.tautring import (
 )
 
 F = Fraction
+
+
+def aut_order(gen):
+    """|Aut| of a generator, decorations and half-edges included."""
+    return canonicalize(gen)[1]
+
+
+def monomial(space, kappa_mon=(), lam_mon=(), psi_mon=None):
+    """The interior monomial kappa^a lambda^b psi^c on ``space``."""
+    return TautClass(space, {tr._trivial_gen(space, kappa_mon, lam_mon, psi_mon): 1})
+
+
+def delta_zero_pair(space, p, x):
+    """Divisor of curves where markings p, x sit on a rational tail."""
+    return TautClass(space, {boundary_gen(space, 0, (p, x)): 1})
+
 
 M4 = ModuliSpec(4, ())
 M41 = ModuliSpec(4, ("p",))
@@ -315,7 +329,7 @@ class TestKernelLaws:
         assert TautClass._carry(space, _accumulate((k, x.terms) for k, x in parts)) == fold
         assert a + b == b + a
         assert (a + b) + c == a + (b + c)
-        assert (a - a).is_zero() and (-a + a).is_zero()
+        assert (a - a).is_zero() and ((-1) * a + a).is_zero()
         assert s * (a + b) == s * a + s * b
         assert (s + t) * a == s * a + t * a
         pc = ProductClass.from_factors([a, b])
@@ -362,7 +376,7 @@ class TestExactCoefficients:
 
         def compute(a, d, s, t):
             pc = ProductClass.from_factors([d, a])
-            return [a + d, a - s * d, s * a, d * t, -a, multiply(d, a), multiply(d, d),
+            return [a + d, a - s * d, s * a, d * t, (-1) * a, multiply(d, a), multiply(d, d),
                     multiply(s * d, t * a), pc, t * pc - pc,
                     ProductClass.from_factors([d, d]) * ProductClass.from_factors([s * d, d])]
 
@@ -452,7 +466,7 @@ class TestMultiply:
         d = delta_total(M4)
         c = kappa(M4, 2) + multiply(lam(M4), lam(M4))
         prod = multiply(d, c)
-        assert prod.degrees() <= {3}
+        assert {gen.degree() for gen in prod.terms} <= {3}
 
     def test_excess_on_B(self):
         # [B,1]^2 = xi_*(2(-psi-psibar)) on the (2,2) graph
@@ -577,7 +591,7 @@ class TestTable1Gluing:
         space = ModuliSpec(g, markings)
         graph = boundary_gen(space, g1, ())
         single = pullback_gluing(kappa(space, 1), graph)
-        cubed = pullback_gluing(tr.monomial(space, [(1, 3)]), graph)
+        cubed = pullback_gluing(monomial(space, [(1, 3)]), graph)
         assert cubed == single * single * single
         assert not cubed.is_zero()
 
@@ -680,7 +694,7 @@ class TestForgetful:
         # kappa_1^2 = (pi^*kappa_1 + psi_x)^2 upstairs: the cross term's
         # binomial 2 gives 2 * (2g-2+n) kappa_1, psi_x^2 gives kappa_1
         space_up = M41.with_extra_marking("x")
-        out = pushforward_forgetful(tr.monomial(space_up, [(1, 2)]), "x")
+        out = pushforward_forgetful(monomial(space_up, [(1, 2)]), "x")
         assert out == 15 * kappa(M41, 1)
 
     def test_push_delta_row(self):
@@ -722,7 +736,7 @@ class TestForgetful:
             "marking on tail": TautClass(M41, {boundary_gen(M41, 1, ("p",)): F(1)}),
             "psi square": psi(M41, "p", 2),
             "kappa3": kappa(M41, 3),
-            "mixed": tr.monomial(M41, [(2, 1)], [(1, 1)]),
+            "mixed": monomial(M41, [(2, 1)], [(1, 1)]),
         }
 
     def test_push_pull_vanishes(self):
@@ -886,13 +900,13 @@ def _fiber_integral(down, pulled_kappa, lams, pulled_psi, d_powers, psi_x_power)
         psi_mon = dict(pulled_psi)
         if k - 1:
             psi_mon[p] = psi_mon.get(p, 0) + k - 1
-        return F((-1) ** (k - 1)) * tr.monomial(down, pulled_kappa, lams, psi_mon)
+        return F((-1) ** (k - 1)) * monomial(down, pulled_kappa, lams, psi_mon)
     if psi_x_power == 0:
         return zero(down)
     j = psi_x_power - 1
     if j == 0:
-        return F(2 * down.genus - 2 + down.n) * tr.monomial(down, pulled_kappa, lams, pulled_psi)
-    return tr.monomial(down, list(pulled_kappa) + [(j, 1)], lams, pulled_psi)
+        return F(2 * down.genus - 2 + down.n) * monomial(down, pulled_kappa, lams, pulled_psi)
+    return monomial(down, list(pulled_kappa) + [(j, 1)], lams, pulled_psi)
 
 
 def _random_free_monomial(rng):
@@ -944,7 +958,7 @@ class TestStringDilaton:
         # psi_x^3 pushes to kappa_2; psi_p stays pulled back
         up = ModuliSpec(2, ("p", "x"))
         got = self._push(up, psi_mon={"x": 3, "p": 2})
-        assert got == tr.monomial(ModuliSpec(2, ("p",)), [(2, 1)], psi_mon={"p": 2})
+        assert got == monomial(ModuliSpec(2, ("p",)), [(2, 1)], psi_mon={"p": 2})
         assert not got.is_zero()
 
     def test_m_equals_1(self):
@@ -952,7 +966,7 @@ class TestStringDilaton:
         up = ModuliSpec(2, ("p", "x"))
         got = self._push(up, lam_mon=[(1, 1)], psi_mon={"x": 1, "p": 2})
         down = ModuliSpec(2, ("p",))
-        assert got == 3 * tr.monomial(down, (), [(1, 1)], {"p": 2})
+        assert got == 3 * monomial(down, (), [(1, 1)], {"p": 2})
         assert not got.is_zero()
 
     def test_string_two_psis(self):
@@ -960,8 +974,8 @@ class TestStringDilaton:
         up = ModuliSpec(2, ("p", "q", "x"))
         down = ModuliSpec(2, ("p", "q"))
         got = self._push(up, psi_mon={"p": 2, "q": 1})
-        assert got == (tr.monomial(down, psi_mon={"p": 1, "q": 1})
-                       + tr.monomial(down, psi_mon={"p": 2}))
+        assert got == (monomial(down, psi_mon={"p": 1, "q": 1})
+                       + monomial(down, psi_mon={"p": 2}))
         assert len(got.terms) == 2
 
     def test_string_no_psi_is_zero(self):
@@ -992,7 +1006,7 @@ class TestStableSeparating:
     def test_two_psi_forgetful_pullback(self):
         # (psi_p - D_px)(psi_q - D_qx): the two tails through x are disjoint
         pulled = [
-            pullback_forgetful(tr.monomial(ModuliSpec(2, ("p", "q"), policy),
+            pullback_forgetful(monomial(ModuliSpec(2, ("p", "q"), policy),
                                            psi_mon={"p": 1, "q": 1}), "x")
             for policy in ("ct", "stable")
         ]
