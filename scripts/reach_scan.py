@@ -23,6 +23,7 @@ process would hide calls):
 
 import ast
 import contextlib
+import inspect
 import io
 import os
 import pathlib
@@ -97,7 +98,8 @@ def defined_functions() -> dict[tuple[str, int, str], str]:
         while stack:
             code = stack.pop()
             stack += [c for c in code.co_consts if hasattr(c, "co_code")]
-            if code.co_flags & 2 and not code.co_name.startswith("<"):  # CO_NEWLOCALS
+            # a function body, not a class body, module, lambda or comprehension
+            if code.co_flags & inspect.CO_NEWLOCALS and not code.co_name.startswith("<"):
                 key = (code.co_filename, code.co_firstlineno, code.co_qualname)
                 found[key] = f"{path.stem}.{code.co_qualname}"
     return found
