@@ -175,6 +175,10 @@ class TestArrayEvaluation:
                     if 0 < k < level:
                         assert close(y * h * math.sin(theta), curve.y_upper(x), 1e-12)
 
+    def test_y_on_path_python_pairs(self):
+        ys = y_on_path(BASE_CURVE_1, standard_contours(BASE_CURVE_1)["B1"], 16)
+        assert all(type(z) is complex and type(y) is complex for z, y in ys)
+
 
 class TestPythonTypes:
     """Every value the module returns is a Python complex or float (an
