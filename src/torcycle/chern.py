@@ -21,8 +21,9 @@ the vanishing of even power sums of the Hodge bundle, with the square-free
 lambda monomials as the normal-form basis.
 
 Both sides meet in ``InteriorClass``, the polynomial ring in lambda and
-kappa classes: the abelian characters are lambda polynomials, and the
-genus-5 pipeline restricts curve-side classes to it.
+kappa classes: the abelian characters are lambda polynomials, and on the
+interior of M_g the curve-side character is the kappa term alone
+(:func:`ch_tangent_interior`).
 """
 
 from __future__ import annotations
@@ -79,11 +80,16 @@ def _edge_sum(space: ModuliSpec, m: int, weight) -> TautClass:
     ))
 
 
-def ch_log_cotangent(space: ModuliSpec, m: int) -> TautClass:
-    """Degree-m Chern character of the log cotangent bundle."""
+def _kappa_coefficient(m: int) -> Fraction:
+    """B_{m+1}(2)/(m+1)!, the kappa_m coefficient of ch_m(log cotangent)."""
     if m < 1:
         raise ValueError("degree must be >= 1")
-    ck = bernoulli_polynomial(m + 1, 2) / factorial(m + 1)
+    return bernoulli_polynomial(m + 1, 2) / factorial(m + 1)
+
+
+def ch_log_cotangent(space: ModuliSpec, m: int) -> TautClass:
+    """Degree-m Chern character of the log cotangent bundle."""
+    ck = _kappa_coefficient(m)
     cp = bernoulli_polynomial(m + 1, 1) / factorial(m + 1)
     parts = [(ck, kappa(space, m).terms)]
     parts += [(-cp, psi(space, lab, m).terms) for lab in space.markings]
@@ -119,6 +125,8 @@ def chern_tangent_moduli(space: ModuliSpec, k: int) -> tuple[TautClass, ...]:
     command and ``selftest`` only; k = 3 works only on the interior.  Memoized
     per (space, k): every caller shares the tuple.
     """
+    if k < 1:
+        raise ValueError("degree must be >= 1")
     if k > 3:
         raise UnsupportedOperation("Chern classes beyond degree 3 not needed")
     from .tautring import kappa1_expand
@@ -197,6 +205,14 @@ class InteriorClass(_LinearCombination):
         return render_sum((c, body(mon)) for mon, c in sorted(self.terms.items()))
 
     __repr__ = __str__
+
+
+def ch_tangent_interior(g: int, m: int) -> InteriorClass:
+    """ch_m of the tangent bundle of M_g on the interior, where every
+    boundary term of :func:`ch_tangent` vanishes: (-1)^m B_{m+1}(2)/(m+1)!
+    kappa_m, with kappa_1 written as 12 lambda_1."""
+    base = 12 * InteriorClass.lam(g, 1) if m == 1 else InteriorClass.kappa(m)
+    return (-1) ** m * _kappa_coefficient(m) * base
 
 
 def _first_lambda_square(mon) -> int | None:

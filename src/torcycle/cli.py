@@ -196,23 +196,22 @@ def _cmd_ctp(args, cfg: RunConfig) -> int:
 
 def _parse_pairing(text: str) -> ctp.HalfEdgePairing:
     """Format: ``g=G L=m R=n b:i-j b:i-j r:i-j``."""
-    genus = left = right = None
-    blue, red = [], []
+    sizes, blue, red = {}, [], []
     for tok in text.split():
-        if tok.startswith("g="):
-            genus = int(tok[2:])
-        elif tok.startswith("L="):
-            left = int(tok[2:])
-        elif tok.startswith("R="):
-            right = int(tok[2:])
-        elif tok.startswith(("b:", "r:")):
-            i, _, j = tok[2:].partition("-")
-            (blue if tok[0] == "b" else red).append((int(i), int(j)))
-        else:
-            raise ValueError(f"bad pairing token {tok!r}")
-    if genus is None or left is None or right is None:
+        key, value = tok[:2], tok[2:]
+        try:
+            if key in ("g=", "L=", "R="):
+                sizes[key[0]] = int(value)
+            elif key in ("b:", "r:"):
+                i, _, j = value.partition("-")
+                (blue if key == "b:" else red).append((int(i), int(j)))
+            else:
+                raise ValueError
+        except ValueError:
+            raise ValueError(f"bad pairing token {tok!r}") from None
+    if len(sizes) < 3:
         raise ValueError("pairing needs g=, L=, R=")
-    return ctp.HalfEdgePairing(genus, left, right, tuple(blue), tuple(red))
+    return ctp.HalfEdgePairing(sizes["g"], sizes["L"], sizes["R"], tuple(blue), tuple(red))
 
 
 def _positive_float(text: str) -> float:
@@ -224,6 +223,13 @@ def _positive_float(text: str) -> float:
     if not value > 0:
         raise argparse.ArgumentTypeError(f"must be a number > 0, got {text!r}")
     return value
+
+
+def _count(text: str) -> int:
+    """A ``--n`` value, a number of markings: decimal digits only."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return int(text)
 
 
 def _fmt_complex(z: complex, err: float | None = None) -> str:
@@ -391,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chern", help="Chern characters/classes of tangent bundles")
     p.add_argument("--space", choices=("mbar", "mct", "ag"), required=True)
     p.add_argument("--g", type=int, required=True)
-    p.add_argument("--n", type=int, default=0)
+    p.add_argument("--n", type=_count, default=0)
     p.add_argument("--deg", type=int, required=True)
     p.add_argument("--what", choices=("ch", "c"), default="ch")
     p.set_defaults(fn=_cmd_chern)
@@ -400,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     ops = p.add_subparsers(dest="op", required=True)
     q = ops.add_parser("kappa1", help="expand kappa_1 in the divisor basis")
     q.add_argument("--g", type=int, required=True)
-    q.add_argument("--n", type=int, default=0)
+    q.add_argument("--n", type=_count, default=0)
     q = ops.add_parser("canon", help="canonicalize a decorated graph")
     q.add_argument("graph")
     p.set_defaults(fn=_cmd_taut)

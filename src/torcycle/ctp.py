@@ -334,6 +334,8 @@ class HalfEdgePairing(_HalfEdgePairingFields):
     _make = validated_make
 
     def __new__(cls, genus: int, left: int, right: int, blue=(), red=()):
+        if min(genus, left, right) < 0:
+            raise MalformedPairingError("genus, left and right must be >= 0")
         for (color, edges) in (("blue", blue), ("red", red)):
             seen_l: set[int] = set()
             seen_r: set[int] = set()

@@ -5,9 +5,10 @@
   multiplicity-weighted intersection and nonreduced loci; everything
   cancels to 16 lambda_1.  A push-pull forms only the terms its push
   keeps: the fundamental class pushes to zero along a forgetful map.
-* genus 5: the interior restriction; the normal-bundle Chern characters
-  live in the interior ring spanned by lambda and kappa classes, degree 3
-  collapses onto kappa_3, and the hyperelliptic locus enters with
+* genus 5: the interior restriction, from closed forms with no boundary
+  class: the characters are Bernoulli multiples of kappas and lambdas,
+  Mumford's formula writes lambdas in kappas, degree 3 collapses onto
+  kappa_3 by the socle pairing, and the hyperelliptic locus enters with
   multiplicity -20.
 * the rank <= 1 toroidal extension in genus 4: bookkeeping of the
   irreducible boundary contributions gives 16 lambda_1 - 2 delta_irr on the
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 from typing import NamedTuple
 
 from . import chern, ctp, excess
@@ -49,7 +50,6 @@ from .tautring import (
 
 M4 = ModuliSpec(4, ())
 M4_STABLE = ModuliSpec(4, (), "stable")
-M5 = ModuliSpec(5, ())
 
 
 class PipelineMismatch(AssertionError):
@@ -269,30 +269,29 @@ def t_pullback_g4() -> tuple[TautClass, ContributionLedger]:
 
 
 # --------------------------------------------------------------------------
-# the interior ring for genus 5
+# the interior ring: lambda classes in kappa, and the socle reduction
 
 
-def taut_to_interior(c: TautClass) -> InteriorClass:
-    """Interior restriction of a boundary-free class in kappa and lambda
-    monomials, with kappa_1 rewritten as 12 lambda_1."""
-    genus = c.space.genus
-    parts = []
-    for g, coeff in c.interior().terms.items():
-        if any(e for (_, _, e) in g.legs):
-            raise ValueError("interior conversion expects unpointed classes")
-        factor = InteriorClass.one()
-        for (i, e) in g.kappa[0]:
-            base = 12 * InteriorClass.lam(genus, 1) if i == 1 else InteriorClass.kappa(i)
-            for _ in range(e):
-                factor = factor * base
-        for (i, e) in g.lam[0]:
-            for _ in range(e):
-                factor = factor * InteriorClass.lam(genus, i)
-        parts.append((coeff, factor.terms))
-    return InteriorClass._carry(None, _accumulate(parts))
+def interior_lambdas(g: int, k: int) -> list[InteriorClass]:
+    """lambda_1..lambda_k of the Hodge bundle on M_g as kappa polynomials:
+    Newton's identities applied to Mumford's ch_m(E) = B_{m+1}/(m+1)!
+    kappa_m, which vanishes for even m since B_3 = B_5 = ... = 0."""
+    if k > g:
+        raise ValueError(f"the rank-{g} Hodge bundle has no lambda_{k}")
+    ch = [bernoulli_number(m + 1) / factorial(m + 1) * InteriorClass.kappa(m)
+          for m in range(1, k + 1)]
+    return chern_from_ch(ch, k)
 
 
-# -- the socle evaluation used to collapse degree 3 onto kappa_3 ------------
+def _in_kappas(c: InteriorClass, lambdas) -> InteriorClass:
+    """``c`` with each lambda_i replaced by ``lambdas[i - 1]``."""
+    def factor(name, i):
+        return lambdas[i - 1] if name == "lambda" else InteriorClass.kappa(i)
+
+    return InteriorClass._carry(None, _accumulate(
+        (coeff, prod((factor(*gen) for gen in mon), start=InteriorClass.one()).terms)
+        for mon, coeff in c.terms.items()
+    ))
 
 
 def psi_socle_integral(g: int, exponents: tuple[int, ...]) -> Fraction:
@@ -309,39 +308,21 @@ def psi_socle_integral(g: int, exponents: tuple[int, ...]) -> Fraction:
     if sum(exponents) != g - 2 + n:
         raise ValueError("wrong total degree for the socle pairing")
     num = factorial(2 * g + n - 3) * abs(bernoulli_number(2 * g))
-    den = Fraction(2 ** (2 * g - 1)) * factorial(2 * g)
-    for d in exponents:
-        den *= _double_factorial(2 * d - 1)
-    return Fraction(num) / den
+    odd = prod(prod(range(2 * d - 1, 0, -2)) for d in exponents)
+    return num / (2 ** (2 * g - 1) * factorial(2 * g) * odd)
 
 
-def _double_factorial(m: int) -> int:
-    out = 1
-    while m > 1:
-        out *= m
-        m -= 2
-    return out
-
-
-@lru_cache(maxsize=256)
 def kappa_socle_integral(g: int, parts: tuple[int, ...]) -> Fraction:
-    """Socle pairing of a kappa monomial, by the exact translation between
-    kappa monomials and psi pushforwards: the psi integral equals the sum
-    over set partitions of the index multiset of (block size - 1)! times
-    the merged kappa integral; invert recursively."""
-    parts = tuple(sorted(parts))
-    psi_val = psi_socle_integral(g, tuple(a + 1 for a in parts))
-    correction = Fraction(0)
-    for partition in _set_partitions_of(list(range(len(parts)))):
-        if all(len(block) == 1 for block in partition):
-            continue
-        weight = Fraction(1)
-        merged = []
-        for block in partition:
-            weight *= factorial(len(block) - 1)
-            merged.append(sum(parts[i] for i in block))
-        correction += weight * kappa_socle_integral(g, tuple(sorted(merged)))
-    return psi_val - correction
+    """Socle pairing of kappa_{a_1} ... kappa_{a_n}: the sum over set
+    partitions P of the n indices of (-1)^(n - |P|) times the psi integral
+    with one point per block, whose exponent is the block's index sum + 1
+    (the inverse of pi_* of a psi monomial as a sum over permutations of
+    kappa products, one kappa per cycle)."""
+    return sum(
+        (-1) ** (len(parts) - len(blocks))
+        * psi_socle_integral(g, tuple(sum(parts[i] for i in b) + 1 for b in blocks))
+        for blocks in _set_partitions_of(list(range(len(parts))))
+    )
 
 
 def _set_partitions_of(items):
@@ -360,15 +341,10 @@ def interior_socle_ratios(g: int) -> dict:
     """Degree-(g-2) reduction table: each kappa monomial of that degree as
     a multiple of kappa_{g-2}."""
     base = kappa_socle_integral(g, (g - 2,))
-    out = {}
-    for parts in _partitions(g - 2):
-        out[parts] = kappa_socle_integral(g, parts) / base
-    return out
+    return {p: kappa_socle_integral(g, p) / base for p in _partitions(g - 2, g - 2)}
 
 
-def _partitions(n: int, mx: int | None = None):
-    if mx is None:
-        mx = n
+def _partitions(n: int, mx: int):
     if n == 0:
         yield ()
         return
@@ -377,39 +353,20 @@ def _partitions(n: int, mx: int | None = None):
             yield (k,) + rest
 
 
-def reduce_interior_degree3_genus5(c: InteriorClass) -> InteriorClass:
-    """Collapse a degree-3 interior class on the genus-5 moduli onto
-    kappa_3: lambda classes are converted through the Hodge-bundle Chern
-    characters (even ones vanish; the odd ones are Bernoulli multiples of
-    odd kappas), then kappa monomials through the socle ratios."""
-    # lambda -> kappa on the interior:
-    #   l1 = k1/12, l2 = l1^2/2, l3 = l1^3/6 - k3/360
-    l1 = InteriorClass.lam(5, 1)
-    k3 = InteriorClass.kappa(3)
-    subs = {
-        ("lambda", 1): l1,
-        ("lambda", 2): Fraction(1, 2) * (l1 * l1),
-        ("lambda", 3): Fraction(1, 6) * (l1 * l1 * l1) - Fraction(1, 360) * k3,
-        ("kappa", 2): InteriorClass.kappa(2),
-        ("kappa", 3): k3,
-    }
-    parts = []
-    for mon, coeff in c.terms.items():
-        if sum(i for _, i in mon) != 3:
-            raise ValueError("reduction defined for homogeneous degree 3")
-        factor = InteriorClass.one()
-        for gen in mon:
-            factor = factor * subs[gen]
-        parts.append((coeff, factor.terms))
-    # now a polynomial in l1, k2, k3; rewrite l1 = k1/12 and collapse the
-    # kappa monomials by the socle ratios
-    ratios = interior_socle_ratios(5)
-    total = Fraction(0)
-    for mon, coeff in _accumulate(parts).items():
-        scale = Fraction(1, 12 ** mon.count(("lambda", 1)))
-        key = tuple(sorted((i for _, i in mon), reverse=True))
-        total += coeff * scale * ratios[key]
-    return total * k3
+def reduce_to_socle(c: InteriorClass, g: int) -> InteriorClass:
+    """A homogeneous degree-(g-2) class on M_g as its multiple of
+    kappa_{g-2}: R^{g-2}(M_g) is one-dimensional and paired against
+    lambda_g lambda_{g-1} (Faber 1999), so lambdas go to kappa polynomials
+    (:func:`interior_lambdas`), then each kappa monomial to its socle
+    ratio."""
+    if any(sum(i for _, i in mon) != g - 2 for mon in c.terms):
+        raise ValueError(f"reduction defined for homogeneous degree {g - 2}")
+    ratios = interior_socle_ratios(g)
+    total = sum(
+        coeff * ratios[tuple(sorted((i for _, i in mon), reverse=True))]
+        for mon, coeff in _in_kappas(c, interior_lambdas(g, g - 2)).terms.items()
+    )
+    return total * InteriorClass.kappa(g - 2)
 
 
 # --------------------------------------------------------------------------
@@ -438,15 +395,10 @@ def t_pullback_g5() -> tuple[InteriorClass, Genus5Report]:
     """Interior restriction of the genus-5 pullback: twice the third Chern
     class of the Torelli normal class plus the multiplicity-weighted
     hyperelliptic locus."""
-    ch_m = tuple(
-        taut_to_interior(chern.ch_tangent(M5, m).interior()) for m in (1, 2, 3)
-    )
-    expected_m = (
-        -13 * InteriorClass.lam(5, 1),
-        Fraction(1, 2) * InteriorClass.kappa(2),
-        Fraction(-119, 720) * InteriorClass.kappa(3),
-    )
-    if ch_m != expected_m:
+    kappa = InteriorClass.kappa
+    ch_m = tuple(chern.ch_tangent_interior(5, m) for m in (1, 2, 3))
+    if ch_m != (-13 * InteriorClass.lam(5, 1), Fraction(1, 2) * kappa(2),
+                Fraction(-119, 720) * kappa(3)):
         raise PipelineMismatch(f"moduli characters {ch_m}")
 
     ch_a = tuple(chern.ch_tangent_Ag(5, m) for m in (1, 2, 3))
@@ -454,18 +406,15 @@ def t_pullback_g5() -> tuple[InteriorClass, Genus5Report]:
     ch_n = tuple(a - m_ for a, m_ in zip(ch_a, ch_m))
 
     c3 = chern_from_ch(list(ch_n), 3)[2]
-    two_c3 = reduce_interior_degree3_genus5(Fraction(2) * c3)
-    if two_c3 != Fraction(454, 15) * InteriorClass.kappa(3):
+    two_c3 = reduce_to_socle(2 * c3, 5)
+    if two_c3 != Fraction(454, 15) * kappa(3):
         raise PipelineMismatch(f"2 c3(N) = {two_c3}")
 
     m = excess.multiplicity(excess.ExcessDims(3, 3))
     final = two_c3 + Fraction(m) * HYPERELLIPTIC_G5
-    if final != Fraction(48, 5) * InteriorClass.kappa(3):
+    if final != Fraction(48, 5) * kappa(3):
         raise PipelineMismatch(f"final class {final}")
-    report = Genus5Report(
-        ch_m, ch_a, ch_a_display, ch_n, two_c3, m, HYPERELLIPTIC_G5, final
-    )
-    return final, report
+    return final, Genus5Report(ch_m, ch_a, ch_a_display, ch_n, two_c3, m, HYPERELLIPTIC_G5, final)
 
 
 # --------------------------------------------------------------------------

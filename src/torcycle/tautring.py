@@ -470,12 +470,6 @@ class TautClass(_LinearCombination):
     def _times(self, other: "TautClass") -> "TautClass":
         return multiply(self, other)
 
-    def interior(self) -> "TautClass":
-        """Drop all boundary terms (excision to the open moduli space)."""
-        return TautClass._carry(
-            self.space, {g: c for g, c in self.terms.items() if not g.edges}
-        )
-
     def coefficient(self, gen: Gen) -> Rational:
         cg, _ = canonicalize(gen)
         return self.terms.get(cg, 0)

@@ -15,6 +15,7 @@ from torcycle.chern import (
     ch_structure_sheaves,
     ch_tangent,
     ch_tangent_Ag,
+    ch_tangent_interior,
     chern_tangent_moduli,
 )
 from torcycle.tautring import (
@@ -126,13 +127,37 @@ class TestTangentChernClasses:
         assert coeff == F(-1, 2)
         assert coeff != F(-1, 3)
 
+    @staticmethod
+    def boundary_free(c: TautClass) -> dict:
+        return {g: coeff for g, coeff in c.terms.items() if not g.edges}
+
     def test_ch2_interior(self):
         space = ModuliSpec(5, ())
-        assert ch_tangent(space, 2).interior() == F(1, 2) * kappa(space, 2)
+        assert self.boundary_free(ch_tangent(space, 2)) == (F(1, 2) * kappa(space, 2)).terms
+        assert ch_tangent_interior(5, 2) == F(1, 2) * InteriorClass.kappa(2)
 
     def test_ch3_interior(self):
         space = ModuliSpec(5, ())
-        assert ch_tangent(space, 3).interior() == F(-119, 720) * kappa(space, 3)
+        assert self.boundary_free(ch_tangent(space, 3)) == (F(-119, 720) * kappa(space, 3)).terms
+        assert ch_tangent_interior(5, 3) == F(-119, 720) * InteriorClass.kappa(3)
+
+    @pytest.mark.parametrize("g", [2, 3, 4, 5, 6])
+    def test_interior_closed_form(self, g):
+        # the closed form is the boundary-free part of the full character,
+        # with kappa_1 written as 12 lambda_1
+        space = ModuliSpec(g, ())
+        for m in (1, 2, 3):
+            (gen, coeff), = self.boundary_free(ch_tangent(space, m)).items()
+            assert gen == next(iter(kappa(space, m).terms))
+            base = 12 * InteriorClass.lam(g, 1) if m == 1 else InteriorClass.kappa(m)
+            assert ch_tangent_interior(g, m) == coeff * base
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_degree_below_one(self, k):
+        space = ModuliSpec(2, ())
+        for build in (chern_tangent_moduli, ch_tangent, ch_tangent_interior):
+            with pytest.raises(ValueError, match="degree must be >= 1"):
+                build(2 if build is ch_tangent_interior else space, k)
 
 
 class TestAbelianSide:

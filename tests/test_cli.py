@@ -119,6 +119,32 @@ class TestChern:
         assert "unsupported operation" in err and "compact type" in err
         assert "usage:" not in err
 
+    @pytest.mark.parametrize("deg", ["0", "-1"])
+    def test_degree_below_one(self, capsys, deg):
+        # the Chern classes of degree < 1 used to raise IndexError
+        code, out = run_cli("chern", "--space", "mct", "--g", "2", "--deg", deg,
+                            "--what", "c")
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert errors == ["torcycle: error: degree must be >= 1"]
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("prog, argv, n", [
+        ("chern", ("--space", "mct", "--g", "2", "--deg", "1"), "-1"),
+        ("taut kappa1", ("--g", "2"), "-1"),
+        ("taut kappa1", ("--g", "2"), "x"),
+    ], ids=["chern-negative", "kappa1-negative", "kappa1-not-an-int"])
+    def test_marking_count(self, capsys, prog, argv, n):
+        # a negative --n used to run as n = 0
+        code, out = run_cli(*prog.split(), *argv, "--n", n)
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert errors == [f"torcycle {prog}: error: argument --n: "
+                          f"must be an integer >= 0, got {n!r}"]
+        assert "usage:" in err and "Traceback" not in err
+
     def test_ag(self):
         code, out = run_cli("chern", "--space", "ag", "--g", "5", "--deg", "2")
         assert code == 0
@@ -170,9 +196,16 @@ class TestCtp:
         (("dim", "T1 V 2 | T2 V 2 | nu: a>0"), "bad nu token 'a>0'"),
         (("dim", "T1 V 2 | T2 V 2 | nu: 0>0 | sigma: 0:+:x"), "bad sigma token '0:+:x'"),
         (("dim", "T1 V 2 | T2 V x | nu: 0>0"), "bad generator token 'x'"),
+        (("check-pairing", "g=x L=1 R=1"), "bad pairing token 'g=x'"),
+        (("check-pairing", "g=2 L=1 R=1 b:0"), "bad pairing token 'b:0'"),
+        (("check-pairing", "g=2 L=1 R=1 q:0-0"), "bad pairing token 'q:0-0'"),
+        (("check-pairing", "g=2 L=-1 R=1"), "genus, left and right must be >= 0"),
+        (("check-pairing", "g=-5 L=1 R=1"), "genus, left and right must be >= 0"),
     ], ids=["nu-out-of-range", "nu-not-bijective", "sigma-out-of-range", "sigma-unknown", "sigma-twice",
             "elliptic-rule", "genus-0-vertex", "not-a-tree", "negative-max-edges",
-            "nu-three-parts", "nu-not-an-int", "sigma-three-parts", "tree-token"])
+            "nu-three-parts", "nu-not-an-int", "sigma-three-parts", "tree-token",
+            "pairing-genus-not-an-int", "pairing-edge-end", "pairing-unknown-token",
+            "pairing-negative-left", "pairing-negative-genus"])
     def test_usage_errors(self, capsys, argv, message):
         code, out = run_cli("ctp", *argv)
         err = capsys.readouterr().err

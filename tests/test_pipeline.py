@@ -1,6 +1,10 @@
 import time
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
+from math import factorial
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,15 +14,15 @@ from torcycle.pipeline import (
     M4,
     M4_STABLE,
     InteriorClass,
+    interior_lambdas,
     interior_socle_ratios,
     kappa_socle_integral,
     psi_socle_integral,
-    reduce_interior_degree3_genus5,
+    reduce_to_socle,
     rename_marking,
     t_pullback_g4,
     t_pullback_g5,
     t_pushforward_Abar4,
-    taut_to_interior,
     torelli_dimension,
 )
 from torcycle.tautring import (
@@ -85,6 +89,61 @@ def full_a_contribution():
     return pipeline._push(n_class, *p1)
 
 
+@lru_cache(maxsize=256)
+def kappa_socle_recursive(g: int, parts: tuple[int, ...]) -> Fraction:
+    """Oracle for the closed form: the psi integral equals the sum over set
+    partitions of the index multiset of (block size - 1)! times the merged
+    kappa integral; inverted recursively."""
+    parts = tuple(sorted(parts))
+    correction = Fraction(0)
+    for partition in pipeline._set_partitions_of(list(range(len(parts)))):
+        if all(len(block) == 1 for block in partition):
+            continue
+        weight = Fraction(1)
+        merged = []
+        for block in partition:
+            weight *= factorial(len(block) - 1)
+            merged.append(sum(parts[i] for i in block))
+        correction += weight * kappa_socle_recursive(g, tuple(sorted(merged)))
+    return psi_socle_integral(g, tuple(a + 1 for a in parts)) - correction
+
+
+def reduce_degree3_genus5_table(c: InteriorClass) -> InteriorClass:
+    """Oracle for ``reduce_to_socle(c, 5)``: the literal genus-5 table
+    l1 = k1/12, l2 = l1^2/2, l3 = l1^3/6 - k3/360, then the socle ratios of
+    the recursion.  It has no entry for kappa_1 and raises KeyError on it."""
+    l1 = InteriorClass.lam(5, 1)
+    k3 = InteriorClass.kappa(3)
+    subs = {
+        ("lambda", 1): l1,
+        ("lambda", 2): F(1, 2) * (l1 * l1),
+        ("lambda", 3): F(1, 6) * (l1 * l1 * l1) - F(1, 360) * k3,
+        ("kappa", 2): InteriorClass.kappa(2),
+        ("kappa", 3): k3,
+    }
+    total = F(0)
+    for mon, coeff in c.terms.items():
+        factor = InteriorClass.one()
+        for gen in mon:
+            factor = factor * subs[gen]
+        for fmon, fc in factor.terms.items():
+            scale = F(1, 12 ** fmon.count(("lambda", 1)))
+            key = tuple(sorted((i for _, i in fmon), reverse=True))
+            ratio = kappa_socle_recursive(5, key) / kappa_socle_recursive(5, (3,))
+            total += coeff * fc * scale * ratio
+    return total * k3
+
+
+def monomials(n: int, names=("kappa", "lambda")) -> list[InteriorClass]:
+    """Every monomial of degree n in the classes named, one class each."""
+    mons = {
+        tuple(sorted(zip(colors, parts)))
+        for parts in pipeline._partitions(n, n)
+        for colors in product(names, repeat=len(parts))
+    }
+    return [InteriorClass._carry(None, {mon: 1}) for mon in sorted(mons)]
+
+
 class TestSocle:
     def test_psi_formula_small_case(self):
         # genus 1, one marking: the top lambda integral 1/24
@@ -116,10 +175,93 @@ class TestSocle:
         # lambda_1^3 = kappa_3/6 on the genus-5 interior
         l1 = InteriorClass.lam(5, 1)
         c = l1 * l1 * l1
-        assert reduce_interior_degree3_genus5(c) == F(1, 6) * InteriorClass.kappa(3)
+        assert reduce_to_socle(c, 5) == F(1, 6) * InteriorClass.kappa(3)
         # lambda_3 = kappa_3/40
         c = InteriorClass.lam(5, 3)
-        assert reduce_interior_degree3_genus5(c) == F(1, 40) * InteriorClass.kappa(3)
+        assert reduce_to_socle(c, 5) == F(1, 40) * InteriorClass.kappa(3)
+
+    @pytest.mark.parametrize("g", range(3, 9))
+    def test_closed_form_matches_recursion(self, g):
+        for parts in pipeline._partitions(g - 2, g - 2):
+            assert kappa_socle_integral(g, parts) == kappa_socle_recursive(g, parts), parts
+
+    def test_genus5_matches_table(self):
+        # the table covers the five degree-3 monomials without kappa_1
+        checked = 0
+        for c in monomials(3):
+            if ("kappa", 1) in next(iter(c.terms)):
+                with pytest.raises(KeyError):
+                    reduce_degree3_genus5_table(c)
+            else:
+                assert reduce_to_socle(c, 5) == reduce_degree3_genus5_table(c), c
+                checked += 1
+        assert checked == 5
+
+    @pytest.mark.parametrize("mon, ratio", [
+        ((("kappa", 1), ("kappa", 1), ("kappa", 1)), 288),
+        ((("kappa", 1), ("kappa", 2)), 20),
+        ((("kappa", 1), ("lambda", 1), ("lambda", 1)), 2),
+        ((("kappa", 1), ("kappa", 1), ("lambda", 1)), 24),
+        ((("kappa", 1), ("lambda", 2)), 1),
+    ], ids=["k1^3", "k1k2", "k1l1^2", "k1^2l1", "k1l2"])
+    def test_kappa1_monomials(self, mon, ratio):
+        # the old genus-5 table raised KeyError on each of these; kappa_1 =
+        # 12 lambda_1 gives the same ratio through the lambda table
+        c = InteriorClass._carry(None, {mon: 1})
+        assert reduce_to_socle(c, 5) == ratio * InteriorClass.kappa(3)
+        twelve_l1 = {("kappa", 1): 12 * InteriorClass.lam(5, 1)}
+        as_lambdas = InteriorClass.one()
+        for gen in mon:
+            as_lambdas = as_lambdas * twelve_l1.get(gen, InteriorClass._carry(None, {(gen,): 1}))
+        assert reduce_degree3_genus5_table(as_lambdas) == ratio * InteriorClass.kappa(3)
+
+    def test_kappa1_squared_genus4(self):
+        k1 = InteriorClass.kappa(1)
+        assert reduce_to_socle(k1 * k1, 4) == F(32, 3) * InteriorClass.kappa(2)
+
+    @pytest.mark.parametrize("g", range(3, 9))
+    def test_every_monomial_reduces(self, g):
+        # pure kappa monomials are the recursion's ratios; every monomial,
+        # kappa_1 and lambdas included, lands on a multiple of kappa_{g-2}
+        base = kappa_socle_recursive(g, (g - 2,))
+        for c in monomials(g - 2):
+            red = reduce_to_socle(c, g)
+            assert set(red.terms) <= {(("kappa", g - 2),)}, c
+            (mon,) = c.terms
+            if all(name == "kappa" for name, _ in mon):
+                ratio = kappa_socle_recursive(g, tuple(i for _, i in mon)) / base
+                assert red == ratio * InteriorClass.kappa(g - 2), c
+
+    def test_wrong_degree(self):
+        with pytest.raises(ValueError, match="homogeneous degree 3"):
+            reduce_to_socle(InteriorClass.kappa(2), 5)
+
+
+class TestInteriorLambdas:
+    def test_genus5_table(self):
+        # the literal table the genus-5 reduction used to carry
+        k1, k3 = InteriorClass.kappa(1), InteriorClass.kappa(3)
+        l1 = F(1, 12) * k1
+        assert interior_lambdas(5, 3) == [l1, F(1, 2) * (l1 * l1),
+                                          F(1, 6) * (l1 * l1 * l1) - F(1, 360) * k3]
+
+    def test_beyond_rank(self):
+        with pytest.raises(ValueError, match="no lambda_4"):
+            interior_lambdas(3, 4)
+
+    @pytest.mark.parametrize("g", range(2, 8))
+    def test_even_characters_vanish(self, g):
+        # Mumford's even-character vanishing on the kappa side agrees with the
+        # square rewrite of InteriorClass.reduce on the abelian side, on every
+        # lambda monomial of degree <= g
+        lambdas = interior_lambdas(g, g)
+        checked = 0
+        for n in range(g + 1):
+            for p in monomials(n, ("lambda",)):
+                reduced = p.reduce(g)
+                assert pipeline._in_kappas(p, lambdas) == pipeline._in_kappas(reduced, lambdas), p
+                checked += 1
+        assert checked == sum(len(list(pipeline._partitions(n, n))) for n in range(g + 1))
 
 
 class TestGenus4:
@@ -138,8 +280,7 @@ class TestGenus4:
 
     def test_delta_terms_cancel(self):
         final, ledger = t_pullback_g4()
-        boundary = final - final.interior()
-        assert boundary.is_zero()
+        assert final.terms and all(not g.edges for g in final.terms)
 
     def test_computed_once(self):
         # abar4 reuses the genus-4 result instead of rerunning it
@@ -358,6 +499,18 @@ class TestGenus5:
         t_pullback_g5()
         assert time.time() - t0 < 1.0
 
+    def test_forms_no_boundary_class(self, monkeypatch):
+        # the interior characters are closed forms: neither the full tangent
+        # character nor a one-edge boundary graph is reached
+        def refuse(*args):
+            raise AssertionError("boundary machinery reached")
+
+        monkeypatch.setattr(chern, "ch_tangent", refuse)
+        monkeypatch.setattr(chern, "one_edge_graphs", refuse)
+        monkeypatch.setattr(tr, "one_edge_graphs", refuse)
+        final, _ = t_pullback_g5()
+        assert final == F(48, 5) * InteriorClass.kappa(3)
+
 
 class TestAbar4:
     def test_curve_side(self):
@@ -423,5 +576,7 @@ class TestRename:
 
 class TestInteriorConversion:
     def test_kappa1_is_12_lambda1(self):
-        space = ModuliSpec(5, ())
-        assert taut_to_interior(kappa(space, 1)) == 12 * InteriorClass.lam(5, 1)
+        # ch_1(T) = -13/12 kappa_1, shown with kappa_1 = 12 lambda_1
+        for g in range(2, 8):
+            assert chern.ch_tangent_interior(g, 1) == -13 * InteriorClass.lam(g, 1)
+        assert interior_lambdas(5, 1) == [F(1, 12) * InteriorClass.kappa(1)]

@@ -88,11 +88,18 @@ def test_run_config_read_only():
      "half-edge index out of range"),
     (lambda: HalfEdgePairing(2, 2, 2, red=((0, 0), (0, 1))), MalformedPairingError,
      "vertex with two red edges"),
+    (lambda: HalfEdgePairing(-5, 1, 1), MalformedPairingError,
+     "genus, left and right must be >= 0"),
+    (lambda: HalfEdgePairing(2, -1, 1), MalformedPairingError,
+     "genus, left and right must be >= 0"),
+    (lambda: HalfEdgePairing(2, 1, -1), MalformedPairingError,
+     "genus, left and right must be >= 0"),
     (lambda: ExcessDims(0, 3), ValueError, "component dimensions must be >= 1"),
     (lambda: TruncatedSeries(()), ValueError,
      "series needs at least the constant coefficient"),
 ], ids=["duplicate", "unstable", "policy", "six-roots", "increasing", "range",
-        "two-red", "dims", "empty-series"])
+        "two-red", "negative-genus", "negative-left", "negative-right", "dims",
+        "empty-series"])
 def test_validation(build, error, message):
     with pytest.raises(error) as info:
         build()
@@ -110,13 +117,18 @@ def test_validation(build, error, message):
      "vertex with two blue edges"),
     (lambda: HalfEdgePairing._make((2, 2, 2, ((0, 2),), ())), MalformedPairingError,
      "half-edge index out of range"),
+    (lambda: HalfEdgePairing(2, 1, 1)._replace(genus=-1), MalformedPairingError,
+     "genus, left and right must be >= 0"),
+    (lambda: HalfEdgePairing._make((2, 1, -1)), MalformedPairingError,
+     "genus, left and right must be >= 0"),
     (lambda: ModuliSpec(2, ("b", "a"))._replace(markings=("x", "x")), ValueError,
      "duplicate marking labels"),
     (lambda: ModuliSpec._make((1, ("p",), "open")), ValueError, "unknown policy 'open'"),
     (lambda: ExcessDims(2, 3)._replace(d_A=0), ValueError, "component dimensions must be >= 1"),
     (lambda: ExcessDims._make((1, 0)), ValueError, "component dimensions must be >= 1"),
 ], ids=["curve-replace-count", "curve-replace-order", "curve-make", "pairing-replace",
-        "pairing-make", "spec-replace", "spec-make", "dims-replace", "dims-make"])
+        "pairing-make", "pairing-replace-genus", "pairing-make-right", "spec-replace",
+        "spec-make", "dims-replace", "dims-make"])
 def test_replace_and_make_validate(build, error, message):
     # _replace and _make build through the constructor, so they check too
     test_validation(build, error, message)
