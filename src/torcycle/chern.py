@@ -242,6 +242,8 @@ def ch_tangent_Ag(g: int, m: int, reduced: bool = False) -> InteriorClass:
     Raw form is the plain symmetric-function expansion; the reduced form
     applies the even-power-sum vanishing.
     """
+    if g < 1:
+        raise ValueError("genus must be >= 1")
     if m < 0:
         raise ValueError("degree must be >= 0")
     if m == 0:

@@ -7,7 +7,8 @@ records; the human mode pretty-prints classes.  Exit status: 0 on success,
 does not converge (a one-line message), 2 on usage errors, 3
 when the request needs a shape outside the implemented calculus
 (``UnsupportedOperation``; a one-line message naming the shape goes to
-stderr).  Configuration is flags-only for reproducibility.
+stderr).  Configuration is flags-only for reproducibility.  A process
+builds only the parsers of the commands it parses (``build_parser``).
 """
 
 from __future__ import annotations
@@ -382,89 +383,103 @@ def _cmd_selftest(args, cfg: RunConfig) -> int:
 # parser
 
 
+def _arg(*flags, **options):
+    """One ``add_argument`` call, as data."""
+    return flags, options
+
+
+def _node(help=None, *arguments, fn=None, ops=None):
+    """A subcommand or operation as data: the help line the parent lists,
+    its arguments, its handler, and its own operations by name."""
+    return help, arguments, fn, ops
+
+
+def _fill(parser, arguments, fn, ops, dest):
+    """Give ``parser`` a node's arguments, operations and handler."""
+    for flags, options in arguments:
+        parser.add_argument(*flags, **options)
+    if ops:
+        sub = parser.add_subparsers(dest=dest, required=True, action=_LazySubparsers)
+        for name, node in ops.items():
+            sub.add_node(name, node)
+    if fn:
+        parser.set_defaults(fn=fn)
+
+
+class _LazySubparsers(argparse._SubParsersAction):
+    """Subparsers whose name map holds each choice's node until
+    ``parse_args`` selects it, and then the parser built from it.  Names
+    and help lines are there from the start, so every help, usage and
+    error text reads as with parsers built up front."""
+
+    def add_node(self, name, node):
+        """``add_parser`` for a node, with the parser left unbuilt."""
+        if node[0] is not None:
+            self._choices_actions.append(self._ChoicesPseudoAction(name, (), node[0]))
+        self._name_parser_map[name] = node
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        name = values[0]  # a listed choice: argparse checks that first
+        node = self._name_parser_map[name]
+        if isinstance(node, tuple):
+            built = self._name_parser_map[name] = self._parser_class(
+                prog=f"{self._prog_prefix} {name}")
+            _fill(built, *node[1:], dest="op")
+        super().__call__(parser, namespace, values, option_string)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by every later
-    ``main`` call in the process.  Each ``parse_args`` returns a fresh
-    namespace, so no parsed option carries over between calls."""
+    ``main`` call in the process.  It lists every subcommand and operation
+    with its help line, and builds each one's own parser the first time a
+    command selects it.  Each ``parse_args`` returns a fresh namespace, so
+    no parsed option carries over between calls."""
     top = argparse.ArgumentParser(
-        prog="torcycle",
-        description="exact and numerical Torelli-cycle computations",
-    )
-    top.add_argument("--machine", action="store_true", help="line-oriented output")
-    sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("chern", help="Chern characters/classes of tangent bundles")
-    p.add_argument("--space", choices=("mbar", "mct", "ag"), required=True)
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--n", type=_count, default=0)
-    p.add_argument("--deg", type=int, required=True)
-    p.add_argument("--what", choices=("ch", "c"), default="ch")
-    p.set_defaults(fn=_cmd_chern)
-
-    p = sub.add_parser("taut", help="tautological class utilities")
-    ops = p.add_subparsers(dest="op", required=True)
-    q = ops.add_parser("kappa1", help="expand kappa_1 in the divisor basis")
-    q.add_argument("--g", type=int, required=True)
-    q.add_argument("--n", type=_count, default=0)
-    q = ops.add_parser("canon", help="canonicalize a decorated graph")
-    q.add_argument("graph")
-    p.set_defaults(fn=_cmd_taut)
-
-    p = sub.add_parser("excess", help="excess intersection multiplicities")
-    ops = p.add_subparsers(dest="op", required=True)
-    q = ops.add_parser("m", help="the multiplicity m(d_A, d_B)")
-    q.add_argument("--da", type=int, required=True)
-    q.add_argument("--db", type=int, required=True)
-    q.add_argument("--shift", type=int, default=0)
-    q = ops.add_parser("oracle", help="local-model oracle value")
-    q.add_argument("--model", choices=tuple(excess.BUILTIN_MODELS), required=True)
-    ops.add_parser("residual", help="residual intersection decomposition")
-    p.set_defaults(fn=_cmd_excess)
-
-    p = sub.add_parser("ctp", help="fiber-product combinatorics")
-    ops = p.add_subparsers(dest="op", required=True)
-    q = ops.add_parser("components")
-    q.add_argument("--g", type=int, required=True)
-    q.add_argument("--max-edges", type=int, default=None, dest="max_edges")
-    q = ops.add_parser("dim")
-    q.add_argument("component")
-    q = ops.add_parser("check-pairing")
-    q.add_argument("pairing")
-    q = ops.add_parser("intersections")
-    q.add_argument("--g", type=int, default=4)
-    p.set_defaults(fn=_cmd_ctp)
-
-    p = sub.add_parser("period", help="period integrals and the certificate")
-    ops = p.add_subparsers(dest="op", required=True)
-    q = ops.add_parser("tau")
-    q.add_argument("--roots", type=float, nargs=6, required=True)
-    q.add_argument("--tol", type=_positive_float, default=1e-10)
-    q = ops.add_parser("rho4")
-    q.add_argument("--eps", type=_positive_float, default=0.05)
-    q.add_argument("--tol", type=_positive_float, default=1e-10)
-    q.add_argument("--report", action="store_true")
-    p.set_defaults(fn=_cmd_period)
-
-    p = sub.add_parser("torelli", help="headline cycle classes")
-    ops = p.add_subparsers(dest="op", required=True)
-    q = ops.add_parser("g4")
-    q.add_argument("--ledger", action="store_true")
-    q.add_argument("--explain", action="store_true")
-    q = ops.add_parser("g5")
-    q.add_argument("--explain", action="store_true")
-    q = ops.add_parser("abar4")
-    q.add_argument("--explain", action="store_true")
-    q = ops.add_parser("dim")
-    q.add_argument("--g", type=int, required=True)
-    p.set_defaults(fn=_cmd_torelli)
-
-    p = sub.add_parser("constants", help="reference constants table")
-    p.set_defaults(fn=_cmd_constants)
-
-    p = sub.add_parser("selftest", help="run the acceptance suite")
-    p.set_defaults(fn=_cmd_selftest)
-
+        prog="torcycle", description="exact and numerical Torelli-cycle computations")
+    g = _arg("--g", type=int, required=True)
+    n = _arg("--n", type=_count, default=0)
+    tol = _arg("--tol", type=_positive_float, default=1e-10)
+    explain = _arg("--explain", action="store_true")
+    _fill(top, [_arg("--machine", action="store_true", help="line-oriented output")], None, {
+        "chern": _node(
+            "Chern characters/classes of tangent bundles",
+            _arg("--space", choices=("mbar", "mct", "ag"), required=True), g, n,
+            _arg("--deg", type=int, required=True),
+            _arg("--what", choices=("ch", "c"), default="ch"), fn=_cmd_chern),
+        "taut": _node("tautological class utilities", fn=_cmd_taut, ops={
+            "kappa1": _node("expand kappa_1 in the divisor basis", g, n),
+            "canon": _node("canonicalize a decorated graph", _arg("graph")),
+        }),
+        "excess": _node("excess intersection multiplicities", fn=_cmd_excess, ops={
+            "m": _node("the multiplicity m(d_A, d_B)", _arg("--da", type=int, required=True),
+                       _arg("--db", type=int, required=True),
+                       _arg("--shift", type=int, default=0)),
+            "oracle": _node("local-model oracle value", _arg(
+                "--model", choices=tuple(excess.BUILTIN_MODELS), required=True)),
+            "residual": _node("residual intersection decomposition"),
+        }),
+        "ctp": _node("fiber-product combinatorics", fn=_cmd_ctp, ops={
+            "components": _node(None, g, _arg("--max-edges", type=int, default=None,
+                                              dest="max_edges")),
+            "dim": _node(None, _arg("component")),
+            "check-pairing": _node(None, _arg("pairing")),
+            "intersections": _node(None, _arg("--g", type=int, default=4)),
+        }),
+        "period": _node("period integrals and the certificate", fn=_cmd_period, ops={
+            "tau": _node(None, _arg("--roots", type=float, nargs=6, required=True), tol),
+            "rho4": _node(None, _arg("--eps", type=_positive_float, default=0.05), tol,
+                          _arg("--report", action="store_true")),
+        }),
+        "torelli": _node("headline cycle classes", fn=_cmd_torelli, ops={
+            "g4": _node(None, _arg("--ledger", action="store_true"), explain),
+            "g5": _node(None, explain),
+            "abar4": _node(None, explain),
+            "dim": _node(None, g),
+        }),
+        "constants": _node("reference constants table", fn=_cmd_constants),
+        "selftest": _node("run the acceptance suite", fn=_cmd_selftest),
+    }, dest="command")
     return top
 
 

@@ -192,6 +192,14 @@ class TestAbelianSide:
                 if m % 2 == 0:
                     assert red.terms.get((("lambda", 1),) * m, 0) == 0
 
+    @pytest.mark.parametrize("g", [0, -1])
+    def test_genus_below_one(self, g):
+        # degree 0 used to return g(g+1)/2 before any genus check
+        for m in (0, 1, 2):
+            for reduced in (False, True):
+                with pytest.raises(ValueError, match="genus must be >= 1"):
+                    ch_tangent_Ag(g, m, reduced=reduced)
+
     def test_squarefree_normal_form(self):
         g = 6
         l1, l2, l3, l4 = (InteriorClass.lam(g, i) for i in (1, 2, 3, 4))

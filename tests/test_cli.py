@@ -1,3 +1,4 @@
+import argparse
 import io
 import contextlib
 import os
@@ -7,8 +8,11 @@ import sys
 
 import pytest
 
-from torcycle import pipeline, selftest
-from torcycle.cli import main
+from torcycle import excess, pipeline, selftest
+from torcycle.cli import (
+    _cmd_chern, _cmd_constants, _cmd_ctp, _cmd_excess, _cmd_period, _cmd_selftest, _cmd_taut,
+    _cmd_torelli, _count, _positive_float, build_parser, main,
+)
 
 SRC = pathlib.Path(__file__).parent.parent / "src"
 
@@ -149,6 +153,17 @@ class TestChern:
         code, out = run_cli("chern", "--space", "ag", "--g", "5", "--deg", "2")
         assert code == 0
         assert "reduced" in out and "lambda2" in out
+
+    @pytest.mark.parametrize("g, deg", [("0", "0"), ("-1", "0"), ("0", "1")],
+                             ids=["g0-deg0", "negative-deg0", "g0-deg1"])
+    def test_ag_genus_below_one(self, capsys, g, deg):
+        # degree 0 used to print g(g+1)/2 and exit 0 for any genus
+        code, out = run_cli("chern", "--space", "ag", "--g", g, "--deg", deg)
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert errors == ["torcycle: error: genus must be >= 1"]
+        assert "Traceback" not in err
 
 
 class TestCtp:
@@ -365,3 +380,194 @@ class TestImport:
     def test_selftest_command(self, monkeypatch):
         monkeypatch.setattr(selftest, "run_all", lambda: [])
         assert run_cli("selftest") == (0, "")
+
+
+def eager_parser() -> argparse.ArgumentParser:
+    """Oracle: the parser as it was built before subparsers were built
+    lazily, every one of its 24 ``ArgumentParser``s up front.  The body is
+    the old ``build_parser`` verbatim."""
+    top = argparse.ArgumentParser(
+        prog="torcycle",
+        description="exact and numerical Torelli-cycle computations",
+    )
+    top.add_argument("--machine", action="store_true", help="line-oriented output")
+    sub = top.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("chern", help="Chern characters/classes of tangent bundles")
+    p.add_argument("--space", choices=("mbar", "mct", "ag"), required=True)
+    p.add_argument("--g", type=int, required=True)
+    p.add_argument("--n", type=_count, default=0)
+    p.add_argument("--deg", type=int, required=True)
+    p.add_argument("--what", choices=("ch", "c"), default="ch")
+    p.set_defaults(fn=_cmd_chern)
+
+    p = sub.add_parser("taut", help="tautological class utilities")
+    ops = p.add_subparsers(dest="op", required=True)
+    q = ops.add_parser("kappa1", help="expand kappa_1 in the divisor basis")
+    q.add_argument("--g", type=int, required=True)
+    q.add_argument("--n", type=_count, default=0)
+    q = ops.add_parser("canon", help="canonicalize a decorated graph")
+    q.add_argument("graph")
+    p.set_defaults(fn=_cmd_taut)
+
+    p = sub.add_parser("excess", help="excess intersection multiplicities")
+    ops = p.add_subparsers(dest="op", required=True)
+    q = ops.add_parser("m", help="the multiplicity m(d_A, d_B)")
+    q.add_argument("--da", type=int, required=True)
+    q.add_argument("--db", type=int, required=True)
+    q.add_argument("--shift", type=int, default=0)
+    q = ops.add_parser("oracle", help="local-model oracle value")
+    q.add_argument("--model", choices=tuple(excess.BUILTIN_MODELS), required=True)
+    ops.add_parser("residual", help="residual intersection decomposition")
+    p.set_defaults(fn=_cmd_excess)
+
+    p = sub.add_parser("ctp", help="fiber-product combinatorics")
+    ops = p.add_subparsers(dest="op", required=True)
+    q = ops.add_parser("components")
+    q.add_argument("--g", type=int, required=True)
+    q.add_argument("--max-edges", type=int, default=None, dest="max_edges")
+    q = ops.add_parser("dim")
+    q.add_argument("component")
+    q = ops.add_parser("check-pairing")
+    q.add_argument("pairing")
+    q = ops.add_parser("intersections")
+    q.add_argument("--g", type=int, default=4)
+    p.set_defaults(fn=_cmd_ctp)
+
+    p = sub.add_parser("period", help="period integrals and the certificate")
+    ops = p.add_subparsers(dest="op", required=True)
+    q = ops.add_parser("tau")
+    q.add_argument("--roots", type=float, nargs=6, required=True)
+    q.add_argument("--tol", type=_positive_float, default=1e-10)
+    q = ops.add_parser("rho4")
+    q.add_argument("--eps", type=_positive_float, default=0.05)
+    q.add_argument("--tol", type=_positive_float, default=1e-10)
+    q.add_argument("--report", action="store_true")
+    p.set_defaults(fn=_cmd_period)
+
+    p = sub.add_parser("torelli", help="headline cycle classes")
+    ops = p.add_subparsers(dest="op", required=True)
+    q = ops.add_parser("g4")
+    q.add_argument("--ledger", action="store_true")
+    q.add_argument("--explain", action="store_true")
+    q = ops.add_parser("g5")
+    q.add_argument("--explain", action="store_true")
+    q = ops.add_parser("abar4")
+    q.add_argument("--explain", action="store_true")
+    q = ops.add_parser("dim")
+    q.add_argument("--g", type=int, required=True)
+    p.set_defaults(fn=_cmd_torelli)
+
+    p = sub.add_parser("constants", help="reference constants table")
+    p.set_defaults(fn=_cmd_constants)
+
+    p = sub.add_parser("selftest", help="run the acceptance suite")
+    p.set_defaults(fn=_cmd_selftest)
+
+    return top
+
+
+#: every subcommand with its operations: 24 parsers with the top one
+COMMANDS = {
+    "chern": (), "taut": ("kappa1", "canon"), "excess": ("m", "oracle", "residual"),
+    "ctp": ("components", "dim", "check-pairing", "intersections"), "period": ("tau", "rho4"),
+    "torelli": ("g4", "g5", "abar4", "dim"), "constants": (), "selftest": (),
+}
+HELP_ARGV = [[], *([c] for c in COMMANDS), *([c, op] for c in COMMANDS for op in COMMANDS[c])]
+
+#: the six headline commands of the benchmark
+HEADLINE_ARGV = [
+    ["--machine", "torelli", "g4", "--ledger"],
+    ["--machine", "torelli", "g5"],
+    ["--machine", "torelli", "abar4"],
+    ["--machine", "excess", "m", "--da", "1", "--db", "1"],
+    ["--machine", "excess", "m", "--da", "2", "--db", "1"],
+    ["--machine", "excess", "m", "--da", "3", "--db", "3"],
+]
+
+
+def parse_exit(parser, argv):
+    """``parser.parse_args(argv)``: its namespace, or its exit code."""
+    try:
+        return vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+def constructed(monkeypatch, argvs, build=build_parser) -> list[str]:
+    """The prog of every ``ArgumentParser`` built while ``build()`` makes
+    a parser and it parses ``argvs``."""
+    progs = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        progs.append(self.prog)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(argparse.ArgumentParser, "__init__", counting)
+        parser = build()
+        for argv in argvs:
+            parser.parse_args(argv)
+    return progs
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", HELP_ARGV, ids=lambda a: " ".join(["torcycle", *a]))
+    def test_help_matches_eager(self, monkeypatch, capsys, argv):
+        # the parser that --help reaches, with its usage line
+        def seen(parser):
+            shown = []
+            monkeypatch.setattr(argparse.ArgumentParser, "print_help", lambda self, file=None:
+                                shown.append((self.prog, self.format_help(), self.format_usage())))
+            assert parse_exit(parser, [*argv, "--help"]) == 0
+            return shown
+
+        expect = seen(eager_parser())
+        assert seen(build_parser()) == expect
+        assert len(expect) == 1 and expect[0][0] == " ".join(["torcycle", *argv])
+        assert capsys.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("argv", [
+        [], ["frobnicate"], ["taut"], ["excess"], ["ctp"], ["period"], ["torelli"],
+        ["torelli", "g6"], ["torelli", "g4", "--bogus"], ["--bogus", "constants"],
+        ["period", "rho4", "--tol", "0"],
+        ["chern", "--space", "mct", "--g", "2", "--deg", "1", "--n", "-1"],
+        ["torelli", "dim"], ["chern", "--space", "ag", "--deg", "1"],
+    ], ids=lambda a: " ".join(a) or "no-command")
+    def test_usage_errors_match_eager(self, capsys, argv):
+        assert parse_exit(eager_parser(), argv) == 2
+        expect = capsys.readouterr()
+        assert "error:" in expect.err
+        assert parse_exit(build_parser(), argv) == 2
+        assert capsys.readouterr() == expect
+
+    @pytest.mark.parametrize("argv", [
+        *HEADLINE_ARGV, ["chern", "--space", "mct", "--g", "3", "--deg", "2"],
+        ["taut", "kappa1", "--g", "2"], ["ctp", "components", "--g", "4"],
+        ["ctp", "intersections"], ["period", "rho4", "--report"],
+        ["period", "tau", "--roots", "1", "2", "3", "4", "5", "6"],
+        ["torelli", "g4", "--explain"], ["constants"], ["selftest"],
+    ], ids=lambda a: " ".join(a))
+    def test_namespace_matches_eager(self, argv):
+        assert parse_exit(build_parser(), argv) == parse_exit(eager_parser(), argv)
+
+    def test_help_reaches_every_parser(self, monkeypatch):
+        # the eager oracle builds all 24, and HELP_ARGV names each of them
+        progs = constructed(monkeypatch, HEADLINE_ARGV, build=eager_parser)
+        assert sorted(progs) == sorted(" ".join(["torcycle", *a]) for a in HELP_ARGV)
+
+    def test_headline_builds_seven(self, monkeypatch):
+        build_parser.cache_clear()
+        assert sorted(constructed(monkeypatch, HEADLINE_ARGV)) == [
+            "torcycle", "torcycle excess", "torcycle excess m", "torcycle torelli",
+            "torcycle torelli abar4", "torcycle torelli g4", "torcycle torelli g5"]
+        # a process that repeats a command builds nothing more
+        assert constructed(monkeypatch, HEADLINE_ARGV) == []
+
+    def test_first_command_builds_its_chain(self, monkeypatch):
+        build_parser.cache_clear()
+        argv = ["torelli", "g4", "--ledger"]
+        assert constructed(monkeypatch, [argv]) == [
+            "torcycle", "torcycle torelli", "torcycle torelli g4"]
+        assert constructed(monkeypatch, [argv, argv]) == []

@@ -35,8 +35,9 @@ dependency).
 * Every memo has a finite ``maxsize``, so none keyed by an unbounded
   genus grows for the life of the process.  An ``lru_cache(maxsize=None)``
   or a ``functools.cache`` is allowed only where the keys are closed (the
-  argument-free ``pipeline.t_pullback_g4`` and ``cli.build_parser``, and
-  ``algebra.bernoulli_number`` below its cap) or where each entry is built
+  argument-free ``pipeline.t_pullback_g4`` and ``cli.build_parser``, whose
+  parser grows to at most the CLI's 24 parsers as commands select them,
+  and ``algebra.bernoulli_number`` below its cap) or where each entry is built
   from the one before, so a bound would only make the recursion recompute
   (``ctp._shapes``).
 """
