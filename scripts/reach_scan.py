@@ -14,7 +14,9 @@ Under ``sys.setprofile``, in this process, it runs:
 
 It then prints, one ``module.qualname`` a line, each function (a ``def``,
 nested ones included) of ``src/torcycle`` whose code none of them entered,
-except those in ``ALLOWED``.  Empty output means every function is reached.
+except those in ``ALLOWED``, and then each ``ALLOWED`` entry that names
+no function of the package, so the allow-list cannot go stale.  Empty
+output means every function is reached and every allowance is in use.
 Run it from anywhere, in a fresh interpreter (memos warmed earlier in the
 process would hide calls):
 
@@ -46,10 +48,6 @@ PERFBENCH_SESSIONS = 3
 
 #: Value-protocol dunders the entry points need not reach, each with its reason.
 ALLOWED = {
-    "algebra.FrozenValue.__hash__": "equal values hash equal; no command keys a dict by one",
-    "algebra.FrozenValue.__reduce__": "copy and pickle rebuild through __init__, not setattr",
-    "algebra.FrozenValue.__repr__": "shows the fields when a value is printed while debugging",
-    "algebra.FrozenValue.__setattr__": "refuses writes (also __delattr__); nothing writes",
     "algebra._LinearCombination.__hash__": "__eq__ is defined, so equal classes must hash equal",
 }
 
@@ -121,9 +119,12 @@ def main() -> int:
     finally:
         sys.setprofile(None)
     reached = {(c.co_filename, c.co_firstlineno, c.co_qualname) for c in entered.values()}
-    for key, name in sorted(defined_functions().items(), key=lambda kv: kv[1]):
+    defined = defined_functions()
+    for key, name in sorted(defined.items(), key=lambda kv: kv[1]):
         if key not in reached and name not in ALLOWED:
             print(name)
+    for name in sorted(ALLOWED.keys() - defined.values()):
+        print(f"{name} (allowed, but no such function)")
     return 0
 
 

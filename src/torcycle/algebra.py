@@ -1,6 +1,6 @@
-"""Exact rational arithmetic, sparse linear combinations, truncated power
-series, Bernoulli polynomials, Newton-identity conversions between Chern
-characters and Chern classes, and the human renderer of classes.
+"""Exact rational arithmetic, sparse linear combinations, Bernoulli
+polynomials, Newton-identity conversions between Chern characters and Chern
+classes, and the human renderer of classes.
 
 Rationals are exact: an ``int`` when integral, a reduced
 :class:`fractions.Fraction` otherwise (:func:`_rational`).  They serialize
@@ -9,6 +9,10 @@ as ``p/q`` (or ``p`` when integral), which is what ``str`` already produces.
 :func:`render_sum` is the one human rendering of a sum of monomials, and
 :func:`power` of one generator power; every pretty-printer of classes
 (``cli.pretty_class``, ``chern.InteriorClass``) goes through them.
+
+Newton's identities (:func:`chern_from_ch`) are the one route from Chern
+roots to Chern classes: ``chern``, ``pipeline`` and the local models of
+``excess`` all hand them characters, ch_m = p_m/m! of the roots' power sums.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping
 
 Rational = int | Fraction
 
@@ -27,14 +31,6 @@ BERNOULLI_CAP = 32
 
 class DegreeCapError(ValueError):
     """A degree/index exceeded its configured cap."""
-
-
-class CapMismatchError(ValueError):
-    """Two truncated series with different caps were combined."""
-
-
-class NonInvertibleError(ZeroDivisionError):
-    """Multiplicative inverse of a series with zero constant term."""
 
 
 @lru_cache(maxsize=None)
@@ -191,116 +187,7 @@ def render_sum(terms: Iterable[tuple[Rational, str]]) -> str:
 
 
 # --------------------------------------------------------------------------
-# truncated power series
-
-
-class FrozenValue:
-    """Immutable algebraic value: read-only slots, equal and hashed by the
-    tuple of its fields.  No tuple, so ``x + y`` or ``2 * x`` reaches the
-    class's own operators or raises ``TypeError``."""
-
-    __slots__ = ()
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, f) for f in self.__slots__)
-
-    def __setattr__(self, name, *value):
-        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):
-        # copy and pickle rebuild through __init__, never through setattr
-        return type(self), self._values()
-
-    def __eq__(self, other):
-        same = other.__class__ is self.__class__
-        return self._values() == other._values() if same else NotImplemented
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
-        return f"{type(self).__name__}({args})"
-
-
-class TruncatedSeries(FrozenValue):
-    """Univariate power series over Fraction, truncated at a fixed degree.
-
-    ``coeffs[i]`` is the coefficient of H^i; ``len(coeffs) == cap + 1``.
-    Operations never read beyond the cap.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: tuple[Fraction, ...]):
-        if not coeffs:
-            raise ValueError("series needs at least the constant coefficient")
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in coeffs))
-
-    @property
-    def cap(self) -> int:
-        return len(self.coeffs) - 1
-
-    @classmethod
-    def from_list(cls, values: Sequence, cap: int) -> "TruncatedSeries":
-        vals = [Fraction(v) for v in values[: cap + 1]]
-        vals += [Fraction(0)] * (cap + 1 - len(vals))
-        return cls(tuple(vals))
-
-    @classmethod
-    def one(cls, cap: int) -> "TruncatedSeries":
-        return cls.from_list([1], cap)
-
-    def _check(self, other: "TruncatedSeries"):
-        if self.cap != other.cap:
-            raise CapMismatchError(f"cap mismatch: {self.cap} != {other.cap}")
-
-    def __mul__(self, other):
-        if isinstance(other, TruncatedSeries):
-            self._check(other)
-            n = self.cap
-            out = [Fraction(0)] * (n + 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j in range(n + 1 - i):
-                    b = other.coeffs[j]
-                    if b:
-                        out[i + j] += a * b
-            return TruncatedSeries(tuple(out))
-        return TruncatedSeries(tuple(Fraction(other) * c for c in self.coeffs))
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "TruncatedSeries":
-        """Series inverse; requires a nonzero constant term."""
-        c0 = self.coeffs[0]
-        if c0 == 0:
-            raise NonInvertibleError("constant term is zero")
-        n = self.cap
-        out = [Fraction(0)] * (n + 1)
-        out[0] = 1 / c0
-        for k in range(1, n + 1):
-            acc = Fraction(0)
-            for i in range(1, k + 1):
-                acc += self.coeffs[i] * out[k - i]
-            out[k] = -acc / c0
-        return TruncatedSeries(tuple(out))
-
-    def coefficient(self, k: int) -> Fraction:
-        if k > self.cap:
-            raise DegreeCapError(f"coefficient {k} beyond cap {self.cap}")
-        return self.coeffs[k]
-
-
-def line_bundle_series(degrees: Sequence[int], cap: int) -> TruncatedSeries:
-    """Total Chern series prod_i (1 + d_i H) of a sum of line bundles."""
-    out = TruncatedSeries.one(cap)
-    for d in degrees:
-        out = out * TruncatedSeries.from_list([1, d], cap)
-    return out
+# Chern characters and Chern classes
 
 
 def chern_from_ch(ch, k: int) -> list:

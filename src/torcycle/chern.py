@@ -20,6 +20,10 @@ expanded through power sums into lambda classes.  The reduced form applies
 the vanishing of even power sums of the Hodge bundle, with the square-free
 lambda monomials as the normal-form basis.
 
+Chern classes come from characters through Newton's identities
+(``algebra.chern_from_ch``).  The genus-4 toroidal enlargement enters only
+through its log cotangent c_1, pulled back to a curve-side ``TautClass``.
+
 Both sides meet in ``InteriorClass``, the polynomial ring in lambda and
 kappa classes: the abelian characters are lambda polynomials, and on the
 interior of M_g the curve-side character is the kappa term alone
@@ -36,7 +40,6 @@ from math import comb, factorial
 from .algebra import (
     _accumulate,
     _LinearCombination,
-    FrozenValue,
     bernoulli_polynomial,
     ch_from_chern,
     chern_from_ch,
@@ -268,30 +271,10 @@ def ch_tangent_Ag(g: int, m: int, reduced: bool = False) -> InteriorClass:
     return out.reduce(g) if reduced else out
 
 
-class ToroidalDivisorClass(FrozenValue):
-    """Formal class a lambda_1 + b D on a rank-one toroidal enlargement of
-    the abelian moduli: D is the (irreducible) boundary divisor symbol,
-    pulling back to the irreducible boundary class on the curve side."""
-
-    __slots__ = ("lambda1", "boundary")
-
-    def __init__(self, lambda1: Fraction, boundary: Fraction):
-        object.__setattr__(self, "lambda1", lambda1)
-        object.__setattr__(self, "boundary", boundary)
-
-    def __neg__(self):
-        return ToroidalDivisorClass(-self.lambda1, -self.boundary)
-
-    def pullback_to_curves(self, space: ModuliSpec) -> TautClass:
-        if space.policy != "stable":
-            raise UnsupportedOperation("pullback needs the stable policy")
-        return Fraction(self.lambda1) * lam(space) + Fraction(self.boundary) * delta_irr(space)
-
-
-def c1_log_cotangent_Abar4() -> ToroidalDivisorClass:
+def c1_log_cotangent_Abar4(space: ModuliSpec) -> TautClass:
     """First Chern class of the log cotangent bundle on the rank <= 1
-    toroidal enlargement in genus 4: c_1(Sym^2 E) + [D] combine to
-    5 lambda_1 - D."""
-    # c_1(Sym^2 E) for rank 4 is (g+1) lambda_1 = 5 lambda_1; the boundary
-    # sequence subtracts D
-    return ToroidalDivisorClass(Fraction(5), Fraction(-1))
+    toroidal enlargement in genus 4, pulled back to the curve side:
+    c_1(Sym^2 E) = (g+1) lambda_1 = 5 lambda_1 for rank 4, and the boundary
+    sequence subtracts the boundary divisor D, which pulls back to
+    delta_irr.  Stable policy only (``delta_irr`` refuses the others)."""
+    return 5 * lam(space) - delta_irr(space)

@@ -3,6 +3,15 @@ point, the projective-space local-model oracle that certifies it, the
 combinatorial identity used in its derivation, and the fixed residual
 intersection model that pins the +1 coefficients of the nonreduced loci.
 
+Both models read Chern classes of virtual split bundles
+sum O(a_i) - sum O(b_j) on projective space, through Newton's identities
+(``algebra.chern_from_ch``) on the characters
+ch_m = (sum a_i^m - sum b_j^m)/m! in powers of the hyperplane class H.  The
+oracle takes c_k of the quotient N/N_sub of a local model; the residual
+model splits c_3(O(2)^3) on P^3 into a divisor part, read as
+c_2(O(2)^3 - O(1)), and a residual point.  Neither shares code with
+:func:`multiplicity`.
+
 The multiplicity m(d_A, d_B) corrects the intersection class X.V when the
 fiber product has two components A, B of dimensions d_A, d_B meeting
 transversely at a point.  It depends only on those dimensions.
@@ -16,11 +25,11 @@ true; :func:`binomial_identity_check` verifies it exhaustively.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 from typing import NamedTuple
 
 from . import validated_make
-from .algebra import TruncatedSeries, line_bundle_series
+from .algebra import chern_from_ch
 
 
 class _ExcessDimsFields(NamedTuple):
@@ -90,19 +99,26 @@ def multiplicity_shifted(d_a: int, d_b: int, k: int) -> int:
     return multiplicity(ExcessDims(d_a - k, d_b - k))
 
 
-def chern_quotient_degree(model: LocalModel, sub: str, k: int) -> Fraction:
-    """Degree of c_k(N/N_sub) on the model, via a truncated-series quotient.
+def _split_chern(plus, minus, k: int) -> Fraction:
+    """c_k of the virtual bundle sum O(a) - sum O(b) over a in ``plus`` and
+    b in ``minus`` on projective space, as a multiple of H^k."""
+    if k < 0:
+        raise ValueError(f"degree {k} is negative")
+    if k == 0:
+        return Fraction(1)
+    ch = [Fraction(sum(a**m for a in plus) - sum(b**m for b in minus), factorial(m))
+          for m in range(1, k + 1)]
+    return chern_from_ch(ch, k)[-1]
 
-    The quotient total Chern series prod(1+a_i H)/prod(1+b_j H) is expanded
-    to the ambient degree; H^ambient is the point class.
-    """
+
+def chern_quotient_degree(model: LocalModel, sub: str, k: int) -> Fraction:
+    """Degree of c_k(N/N_sub) on the model: c_k of the virtual bundle
+    N - N_sub, whose total Chern class is prod(1+a_i H)/prod(1+b_j H);
+    H^ambient is the point class."""
     if k > model.ambient:
         raise ValueError("degree beyond the ambient dimension")
     degrees = {"A": model.sub_a, "B": model.sub_b}[sub]
-    cap = model.ambient
-    num = line_bundle_series(model.bundle, cap)
-    den = line_bundle_series(degrees, cap)
-    return (num * den.inverse()).coefficient(k)
+    return _split_chern(model.bundle, degrees, k)
 
 
 def oracle_multiplicity(model: LocalModel) -> int:
@@ -144,17 +160,15 @@ def verify_residual_model() -> tuple[int, Fraction, Fraction]:
     residual part certifies the +1 multiplicities of the two nonreduced loci
     in the genus-4 fiber product.
     """
-    cap = 3
-    c_bundle = line_bundle_series((2, 2, 2), cap)
-    total = c_bundle.coefficient(3)
+    bundle = (2, 2, 2)
+    total = _split_chern(bundle, (), 3)
 
-    # divisor part: {c(E) . s(D, P^3)}_0 with s(D, P^3) = H/(1+H)
-    hyperplane = TruncatedSeries.from_list([0, 1], cap)
-    inv_normal = TruncatedSeries.from_list([1, 1], cap).inverse()
-    divisor_part = (c_bundle * hyperplane * inv_normal).coefficient(3)
+    # divisor part: {c(E) . s(D, P^3)}_0 with s(D, P^3) = H/(1+H), and
+    # c(E) H/(1+H) = H c(E - O(D)): the H^2 coefficient of c(E - O(1))
+    divisor_part = _split_chern(bundle, (1,), 2)
 
     # residual part: {c(E) c(O(D))^{-1} . [R]}_0 on the point R
-    residual_part = (c_bundle * inv_normal).coefficient(0)
+    residual_part = _split_chern(bundle, (1,), 0)
 
     if total.denominator != 1:
         raise ValueError("non-integral total")

@@ -104,6 +104,8 @@ class HyperellipticCurve(_HyperellipticCurveFields):
         if len(roots) != 6:
             raise ValueError("exactly six branch points")
         rs = tuple(float(r) for r in roots)
+        if not all(map(math.isfinite, rs)):
+            raise ValueError("branch points must be finite")
         if any(rs[i] >= rs[i + 1] for i in range(5)):
             raise ValueError("branch points must be strictly increasing")
         return super().__new__(cls, rs)

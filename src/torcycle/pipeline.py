@@ -444,7 +444,7 @@ def t_pushforward_Abar4() -> tuple[TautClass, Abar4Report]:
     irr_gen = next(iter(dirr.terms))
     coeff_in_c1 = Fraction(c1_stable.terms[irr_gen]) / dirr.terms[irr_gen]
 
-    pulled_tangent = (-chern.c1_log_cotangent_Abar4()).pullback_to_curves(M4_STABLE)
+    pulled_tangent = -1 * chern.c1_log_cotangent_Abar4(M4_STABLE)
     diag_stable = pulled_tangent - c1_stable
 
     interior16, _ = t_pullback_g4()

@@ -1190,7 +1190,7 @@ def parse_gen(text: str) -> Gen:
     """Parse the ``V ...; E ...; L ...; decor ...`` format; a bad token raises ValueError."""
     genera: list[int] = []
     edges: list[list[int]] = []
-    legs: list[list] = []
+    legs: dict[str, list] = {}
     decor: list[str] = []
     for chunk in text.split(";"):
         chunk = chunk.strip()
@@ -1207,7 +1207,9 @@ def parse_gen(text: str) -> Gen:
         elif tag == "L":
             for t in items:
                 lab, _, v = t.partition("@")
-                legs.append([lab, _int_in(t, v), 0])
+                if lab in legs:
+                    raise ValueError(f"duplicate leg label {lab!r}")
+                legs[lab] = [lab, _int_in(t, v), 0]
         elif tag == "decor":
             decor = items
         else:
@@ -1236,13 +1238,11 @@ def parse_gen(text: str) -> Gen:
                 raise ValueError(f"bad generator token {item!r}")
             edges[idx][2 if where[-1] == "a" else 3] = e
         elif where.startswith("l"):
-            named = [leg for leg in legs if leg[0] == where[1:]]
-            if not named:
+            if where[1:] not in legs:
                 raise ValueError(f"bad generator token {item!r}")
-            for leg in named:
-                leg[2] = e
+            legs[where[1:]][2] = e
         else:
             raise ValueError(f"unknown decor target {where!r}")
     return make_gen(
-        genera, [tuple(e) for e in edges], [tuple(l) for l in legs], kappa, lam_
+        genera, [tuple(e) for e in edges], [tuple(l) for l in legs.values()], kappa, lam_
     )

@@ -277,17 +277,22 @@ class TestPolynomialLaws:
 
 
 class TestToroidal:
+    """The log cotangent c_1 of the genus-4 toroidal enlargement, pulled
+    back to the curve side: 5 lambda_1 - delta_irr."""
+
     def test_value(self):
-        c = c1_log_cotangent_Abar4()
-        assert (c.lambda1, c.boundary) == (F(5), F(-1))
+        space = ModuliSpec(4, (), "stable")
+        c = c1_log_cotangent_Abar4(space)
+        irr = next(iter(tr.delta_irr(space).terms))
+        assert c.terms == {next(iter(lam(space).terms)): 5, irr: F(-1, 2)}
 
     def test_pullback(self):
         space = ModuliSpec(4, (), "stable")
-        pulled = c1_log_cotangent_Abar4().pullback_to_curves(space)
-        from torcycle.tautring import delta_irr
-
-        assert pulled == 5 * lam(space) - delta_irr(space)
+        assert c1_log_cotangent_Abar4(space) == 5 * lam(space) - tr.delta_irr(space)
+        with pytest.raises(tr.UnsupportedOperation):
+            c1_log_cotangent_Abar4(ModuliSpec(4, ()))
 
     def test_tangent_negation(self):
-        c = -c1_log_cotangent_Abar4()
-        assert (c.lambda1, c.boundary) == (F(-5), F(1))
+        space = ModuliSpec(4, (), "stable")
+        c = -1 * c1_log_cotangent_Abar4(space)
+        assert c == tr.delta_irr(space) - 5 * lam(space)

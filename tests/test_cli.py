@@ -259,6 +259,18 @@ class TestPeriod:
                 assert errors == [f"torcycle period {op[0]}: error: argument --tol: "
                                   f"must be a number > 0, got {tol!r}"]
 
+    @pytest.mark.parametrize("roots", [("nan", "2", "3", "4", "5", "6"),
+                                       ("1", "2", "3", "4", "5", "inf")], ids=["nan", "inf"])
+    def test_non_finite_roots(self, capsys, roots):
+        # nan and inf passed the order check and failed later as
+        # "contour B1: inconsistent sheet closure"
+        code, out = run_cli("period", "tau", "--roots", *roots)
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert errors == ["torcycle: error: branch points must be finite"]
+        assert "Traceback" not in err
+
     def test_non_positive_eps(self, capsys):
         # 0 divided by zero, -1 passed, nan ran to the node cap
         for eps in ("0", "-1", "-0.05", "nan", "abc"):
@@ -341,9 +353,12 @@ class TestTaut:
         ("V 1 1; E 0-1; decor v7:kappa1", "bad generator token 'v7:kappa1'"),
         ("V 1 1; E 0-1; decor v-1:lambda1", "bad generator token 'v-1:lambda1'"),
         ("V 1 1; E 0-1; decor lq:psi", "bad generator token 'lq:psi'"),
+        ("V 1 1; E 0-1; L a@0 a@1", "duplicate leg label 'a'"),
+        ("V 1 1; E 0-1; L a@0; L b@1 a@1; decor la:psi^2", "duplicate leg label 'a'"),
     ], ids=["empty", "no-vertex", "leg-without-vertex", "leg-bare-int", "genus", "edge-end",
             "kappa-index", "exponent", "edge-index", "edge-out-of-range", "edge-side",
-            "vertex-out-of-range", "vertex-negative", "leg-missing"])
+            "vertex-out-of-range", "vertex-negative", "leg-missing", "leg-duplicate",
+            "leg-duplicate-sections"])
     def test_canon_bad_token(self, capsys, graph, message):
         code, out = run_cli("taut", "canon", graph)
         err = capsys.readouterr().err

@@ -3,12 +3,13 @@ from itertools import product
 from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from torcycle.excess import (
     BUILTIN_MODELS,
     ExcessDims,
+    LocalModel,
     binomial_identity_check,
     chern_quotient_degree,
     multiplicity,
@@ -16,6 +17,45 @@ from torcycle.excess import (
     oracle_multiplicity,
     verify_residual_model,
 )
+
+
+# Reference oracle for chern_quotient_degree, independent of Newton's
+# identities: truncated power series in H as lists, multiplied and
+# inverted term by term.
+
+def series_mul(a, b):
+    out = [Fraction(0)] * len(a)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b[: len(a) - i]):
+            out[i + j] += x * y
+    return out
+
+
+def series_inverse(a):
+    out = [1 / Fraction(a[0])]
+    for k in range(1, len(a)):
+        out.append(-sum(a[i] * out[k - i] for i in range(1, k + 1)) / a[0])
+    return out
+
+
+def line_bundles(degrees, cap):
+    """prod_i (1 + d_i H), truncated at H^cap."""
+    out = [Fraction(1)] + [Fraction(0)] * cap
+    for d in degrees:
+        out = series_mul(out, [1, d])
+    return out
+
+
+def reference_quotient_degree(model, sub, k):
+    den = line_bundles({"A": model.sub_a, "B": model.sub_b}[sub], model.ambient)
+    return series_mul(line_bundles(model.bundle, model.ambient), series_inverse(den))[k]
+
+
+@st.composite
+def split_models(draw):
+    ambient = draw(st.integers(1, 6))
+    degrees = st.lists(st.integers(-3, 3), max_size=ambient).map(tuple)
+    return LocalModel(ambient, draw(degrees), draw(degrees), draw(degrees), ExcessDims(1, 1))
 
 
 class TestMultiplicity:
@@ -91,6 +131,23 @@ class TestOracle:
         full = m.__class__(m.ambient, m.bundle, m.bundle, m.bundle, m.dims)
         for k in range(1, 4):
             assert chern_quotient_degree(full, "A", k) == 0
+
+    @given(split_models(), st.sampled_from("AB"))
+    @example(BUILTIN_MODELS["b2"], "A")
+    def test_quotient_matches_series_reference(self, model, sub):
+        for k in range(model.ambient + 1):
+            assert chern_quotient_degree(model, sub, k) == reference_quotient_degree(
+                model, sub, k
+            )
+
+    @pytest.mark.parametrize("k, message", [
+        (-1, "degree -1 is negative"),
+        (7, "degree beyond the ambient dimension"),
+    ], ids=["negative", "beyond-ambient"])
+    def test_degree_out_of_range(self, k, message):
+        # before the check, k = -1 read the last coefficient: 4 on b2
+        with pytest.raises(ValueError, match=message):
+            chern_quotient_degree(BUILTIN_MODELS["b2"], "A", k)
 
     def test_oracle_values(self):
         assert oracle_multiplicity(BUILTIN_MODELS["b2"]) == -20

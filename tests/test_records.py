@@ -1,8 +1,7 @@
 """The records keep their value semantics: validation and normalization at
 construction, read-only fields, hashing by the field tuple, tuple order
-for ``ModuliSpec``, ``Name(field=value, ...)`` reprs, per-instance memos on
-``HalfEdgePairing``, and operators on the algebraic values that never fall
-back to tuple concatenation or repetition."""
+for ``ModuliSpec``, ``Name(field=value, ...)`` reprs and per-instance memos
+on ``HalfEdgePairing``."""
 
 import copy
 import pickle
@@ -11,8 +10,6 @@ from fractions import Fraction
 import pytest
 
 from torcycle import cli, ctp, excess, period, pipeline, selftest
-from torcycle.algebra import TruncatedSeries
-from torcycle.chern import ToroidalDivisorClass
 from torcycle.ctp import HalfEdgePairing, MalformedPairingError, PairingVerdict
 from torcycle.excess import ExcessDims
 from torcycle.period import BASE_CURVE_1, HyperellipticCurve
@@ -28,8 +25,6 @@ def field_names(record) -> tuple[str, ...]:
 
 #: a builder of one instance of every immutable record of the package
 FROZEN_RECORDS = {
-    "TruncatedSeries": lambda: TruncatedSeries((1, 2)),
-    "ToroidalDivisorClass": lambda: ToroidalDivisorClass(F(5), F(-1)),
     "ModuliSpec": lambda: ModuliSpec(2, ("p",)),
     "Gen": lambda: make_gen((2,), legs=(("p", 0, 1),)),
     "Component": lambda: ctp.enumerate_components(4, max_edges=1)[0],
@@ -84,6 +79,10 @@ def test_run_config_read_only():
     (lambda: HyperellipticCurve((1, 2, 3)), ValueError, "exactly six branch points"),
     (lambda: HyperellipticCurve((1, 1, 2, 3, 4, 5)), ValueError,
      "branch points must be strictly increasing"),
+    (lambda: HyperellipticCurve((float("nan"), 2, 3, 4, 5, 6)), ValueError,
+     "branch points must be finite"),
+    (lambda: HyperellipticCurve((1, 2, 3, 4, 5, float("inf"))), ValueError,
+     "branch points must be finite"),
     (lambda: HalfEdgePairing(2, 2, 2, blue=((0, 2),)), MalformedPairingError,
      "half-edge index out of range"),
     (lambda: HalfEdgePairing(2, 2, 2, red=((0, 0), (0, 1))), MalformedPairingError,
@@ -95,11 +94,8 @@ def test_run_config_read_only():
     (lambda: HalfEdgePairing(2, 1, -1), MalformedPairingError,
      "genus, left and right must be >= 0"),
     (lambda: ExcessDims(0, 3), ValueError, "component dimensions must be >= 1"),
-    (lambda: TruncatedSeries(()), ValueError,
-     "series needs at least the constant coefficient"),
-], ids=["duplicate", "unstable", "policy", "six-roots", "increasing", "range",
-        "two-red", "negative-genus", "negative-left", "negative-right", "dims",
-        "empty-series"])
+], ids=["duplicate", "unstable", "policy", "six-roots", "increasing", "nan-root", "inf-root",
+        "range", "two-red", "negative-genus", "negative-left", "negative-right", "dims"])
 def test_validation(build, error, message):
     with pytest.raises(error) as info:
         build()
@@ -154,9 +150,6 @@ def test_normalization():
     curve = HyperellipticCurve([1, 2, 3, 4, 5, F(13, 2)])
     assert curve.roots == (1.0, 2.0, 3.0, 4.0, 5.0, 6.5)
     assert all(type(r) is float for r in curve.roots)
-    series = TruncatedSeries((1, 0.5))
-    assert series.coeffs == (F(1), F(1, 2))
-    assert all(type(c) is Fraction for c in series.coeffs)
 
 
 def test_hash_is_field_tuple_hash():
@@ -165,9 +158,6 @@ def test_hash_is_field_tuple_hash():
     assert gen == Gen(gen.genera, gen.edges, gen.legs, gen.kappa, gen.lam)
     space = ModuliSpec(3, ("x",), "stable")
     assert hash(space) == hash((3, ("x",), "stable"))
-    series = TruncatedSeries((1, 2))
-    assert hash(series) == hash(((F(1), F(2)),))
-    assert hash(ToroidalDivisorClass(F(5), F(-1))) == hash((F(5), F(-1)))
 
 
 def test_moduli_spec_order():
@@ -181,9 +171,6 @@ def test_moduli_spec_order():
 def test_reprs():
     assert repr(ModuliSpec(2, ("p",))) == "ModuliSpec(genus=2, markings=('p',), policy='ct')"
     assert repr(ExcessDims(1, 2)) == "ExcessDims(d_A=1, d_B=2)"
-    assert repr(TruncatedSeries((1,))) == "TruncatedSeries(coeffs=(Fraction(1, 1),))"
-    assert (repr(ToroidalDivisorClass(F(5), F(-1)))
-            == "ToroidalDivisorClass(lambda1=Fraction(5, 1), boundary=Fraction(-1, 1))")
     assert repr(PairingVerdict(True)) == "PairingVerdict(ok=True, reason='')"
 
 
@@ -213,22 +200,3 @@ def test_pairing_memos_once_per_instance(monkeypatch):
 def test_verdict_truth():
     assert not PairingVerdict(False, "cycle of length 3")
     assert PairingVerdict(True)
-
-
-def test_series_operators():
-    series = TruncatedSeries((1, 2, 3))
-    assert 2 * series == series * 2 == TruncatedSeries((2, 4, 6))
-    with pytest.raises(TypeError):
-        series + (1,)
-    with pytest.raises(TypeError):
-        len(series)
-    assert series != (series.coeffs,)
-
-
-def test_toroidal_class_operators():
-    tdc = ToroidalDivisorClass(F(5), F(-1))
-    assert -tdc == ToroidalDivisorClass(F(-5), F(1))
-    with pytest.raises(TypeError):
-        tdc + tdc
-    with pytest.raises(TypeError):
-        2 * tdc
