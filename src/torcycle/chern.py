@@ -1,18 +1,19 @@
 """Chern characters and Chern classes of the (log) tangent bundles of
 moduli of curves and of moduli of principally polarized abelian varieties.
 
-Curve side: the degree-m character of the log cotangent bundle is
+Curve side: the degree-m character of the tangent bundle is one sum over
+the one-edge boundary graphs (compact type omits the self-edge graph),
 
-    B_{m+1}(2)/(m+1)! kappa_m
-      - B_{m+1}(1)/(m+1)! sum_i psi_i^m
-      + B_{m+1}(1)/(m+1)! sum_Gamma 1/|Aut| xi_* sum_{i+j=m-1} psi^i (-psibar)^j
+    (-1)^m [c_k kappa_m - c_p sum_i psi_i^m
+            + sum_Gamma 1/|Aut| xi_* sum_{i+j=m-1} w_i psi^i psibar^j],
+    c_k = B_{m+1}(2)/(m+1)!,  c_p = B_{m+1}(1)/(m+1)!,
+    w_i = c_p (-1)^j - C(m-1, i)/m!.
 
-summed over one-edge boundary graphs (compact type omits the self-edge
-graph).  The boundary sum carries a plus sign: that is the sign forced by
-the classical first Chern class 2 delta - 13 lambda_1 - sum psi of the
-tangent bundle and by the kappa_2 coefficient -1/2 in degree 2.  The
-structure-sheaf correction from the boundary inclusions is the inverse Todd
-expansion xi_*((psi+psibar)^(m-1)/m!).
+The one-pass weight w_i holds both boundary pieces of the cotangent
+character: c_p (-1)^j from the log cotangent bundle, its sign forced by the
+classical c_1 = 2 delta - 13 lambda_1 - sum psi and by the kappa_2
+coefficient -1/2, less C(m-1, i)/m!, the inverse Todd expansion
+xi_*((psi+psibar)^(m-1)/m!) of the boundary structure sheaves.
 
 Abelian side: the tangent bundle is the second symmetric power of the dual
 Hodge bundle, with Chern roots -a_i - a_j for i <= j; characters are
@@ -47,7 +48,6 @@ from .algebra import (
     render_sum,
 )
 from .tautring import (
-    Gen,
     ModuliSpec,
     TautClass,
     UnsupportedOperation,
@@ -56,31 +56,11 @@ from .tautring import (
     lam,
     one_edge_graphs,
     psi,
-    zero,
 )
 
 
 # --------------------------------------------------------------------------
 # curve side
-
-
-def _decorate_edge(gen: Gen, exps: tuple[int, int]) -> Gen:
-    (a, b, av, aw) = gen.edges[0]
-    e2 = (a, b, av + exps[0], aw + exps[1])
-    if (e2[1], e2[3]) < (e2[0], e2[2]):
-        e2 = (e2[1], e2[0], e2[3], e2[2])
-    return Gen(gen.genera, (e2,), gen.legs, gen.kappa, gen.lam)
-
-
-def _edge_sum(space: ModuliSpec, m: int, weight) -> TautClass:
-    """sum over one-edge graphs Gamma of 1/|Aut Gamma| xi_* sum_{i+j=m-1}
-    weight(i) psi^i psibar^j."""
-    # a self edge decorates (i, j) and (j, i) alike: raw terms accumulate
-    return TautClass(space, _accumulate(
-        (Fraction(weight(i), aut), {_decorate_edge(gen, (i, m - 1 - i)): 1})
-        for gen, aut in one_edge_graphs(space)
-        for i in range(m)
-    ))
 
 
 def _kappa_coefficient(m: int) -> Fraction:
@@ -90,32 +70,23 @@ def _kappa_coefficient(m: int) -> Fraction:
     return bernoulli_polynomial(m + 1, 2) / factorial(m + 1)
 
 
-def ch_log_cotangent(space: ModuliSpec, m: int) -> TautClass:
-    """Degree-m Chern character of the log cotangent bundle."""
+def ch_tangent(space: ModuliSpec, m: int) -> TautClass:
+    """ch_m of the tangent bundle, one pass over the one-edge graphs (see
+    the module docstring)."""
     ck = _kappa_coefficient(m)
     cp = bernoulli_polynomial(m + 1, 1) / factorial(m + 1)
+    weights = [cp * (-1) ** (m - 1 - i) - Fraction(comb(m - 1, i), factorial(m))
+               for i in range(m)]
     parts = [(ck, kappa(space, m).terms)]
     parts += [(-cp, psi(space, lab, m).terms) for lab in space.markings]
-    if cp != 0:
-        parts.append((cp, _edge_sum(space, m, lambda i: (-1) ** (m - 1 - i)).terms))
-    return TautClass._carry(space, _accumulate(parts))
-
-
-def ch_structure_sheaves(space: ModuliSpec, m: int) -> TautClass:
-    """Degree-m character of the sum of boundary structure sheaves: the
-    inverse Todd correction to the log sequence."""
-    if m < 1:
-        return zero(space)
-    return Fraction(1, factorial(m)) * _edge_sum(space, m, lambda i: comb(m - 1, i))
-
-
-def ch_cotangent(space: ModuliSpec, m: int) -> TautClass:
-    return ch_log_cotangent(space, m) - ch_structure_sheaves(space, m)
-
-
-def ch_tangent(space: ModuliSpec, m: int) -> TautClass:
-    """ch_m of the tangent bundle: (-1)^m times the cotangent character."""
-    return (-1) ** m * ch_cotangent(space, m)
+    # admission orients each decorated edge; a self edge decorates (i, j)
+    # and (j, i) alike, so raw terms accumulate
+    parts += [
+        (w / aut, {gen._replace(edges=(gen.edges[0][:2] + (i, m - 1 - i),)): 1})
+        for gen, aut in one_edge_graphs(space)
+        for i, w in enumerate(weights)
+    ]
+    return (-1) ** m * TautClass(space, _accumulate(parts))
 
 
 @lru_cache(maxsize=64)

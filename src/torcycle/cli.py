@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 from typing import NamedTuple
 
@@ -196,10 +197,12 @@ def _cmd_ctp(args, cfg: RunConfig) -> int:
 
 
 def _parse_pairing(text: str) -> ctp.HalfEdgePairing:
-    """Format: ``g=G L=m R=n b:i-j b:i-j r:i-j``."""
+    """Format: ``g=G L=m R=n b:i-j b:i-j r:i-j``; each size key once."""
     sizes, blue, red = {}, [], []
     for tok in text.split():
         key, value = tok[:2], tok[2:]
+        if key in ("g=", "L=", "R=") and key[0] in sizes:
+            raise ValueError(f"repeated pairing key {key!r}")
         try:
             if key in ("g=", "L=", "R="):
                 sizes[key[0]] = int(value)
@@ -396,6 +399,8 @@ def _node(help=None, *arguments, fn=None, ops=None):
 
 def _fill(parser, arguments, fn, ops, dest):
     """Give ``parser`` a node's arguments, operations and handler."""
+    # read -1e3 as a number, not an option, as CPython 3.13 does (3.11: -1, -.5)
+    parser._negative_number_matcher = re.compile(r"-\.?\d")
     for flags, options in arguments:
         parser.add_argument(*flags, **options)
     if ops:

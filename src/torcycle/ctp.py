@@ -180,10 +180,16 @@ class Component(NamedTuple):
     @classmethod
     def from_string(cls, text: str) -> "Component":
         """Parse ``to_string`` output; what is not a component raises ValueError."""
-        fields = (p.strip().partition(" ") for p in text.split("|"))
-        data = {tag.rstrip(":"): rest.strip() for tag, _, rest in fields}
+        data: dict[str, str] = {}
+        for field in text.split("|"):
+            tag, _, rest = field.strip().partition(" ")
+            if (tag := tag.rstrip(":")) in data:
+                raise ValueError(f"repeated component field {tag!r}")
+            data[tag] = rest.strip()
         if missing := [field for field in ("T1", "T2", "nu") if field not in data]:
             raise ValueError(f"component missing field(s) {', '.join(missing)}")
+        if unknown := sorted(set(data) - {"T1", "T2", "nu", "sigma"}):
+            raise ValueError(f"unknown component field(s) {', '.join(map(repr, unknown))}")
         t1, t2 = parse_gen(data["T1"]), parse_gen(data["T2"])
         for t in (t1, t2):
             check_stability(t, "ct")

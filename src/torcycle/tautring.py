@@ -63,13 +63,17 @@ Nothing is searched for and no automorphism factor enters.
 
 Forgetful maps
 --------------
-``pullback_forgetful`` sends kappa_i to kappa_i - psi_x^i and psi_p to
-psi_p - D_px.  ``pushforward_forgetful`` pushes a free monomial by the
-string and dilaton equations (Arbarello--Cornalba, J. Alg. Geom. 5, 1996):
-kappa_i^e splits into C(e, j) (pi^*kappa_i)^j psi_x^(i(e-j)), and a piece
-with psi_x^m pushes to kappa_(m-1) times the rest for m >= 2, to 2g - 2 + n
-(downstairs) times it for m = 1, and for m = 0 to the sum over q of the rest
-with psi_q lowered by one.
+Both directions take a free monomial in closed form (Arbarello--Cornalba,
+J. Alg. Geom. 5, 1996), through one binomial split of kappa_i^e into
+C(e, j) (pi^*kappa_i)^j psi_x^(i(e-j)) (``_kappa_splits``).
+``pullback_forgetful`` writes pi^*kappa_i = kappa_i - psi_x^i and
+(pi^*psi_p)^b = psi_p^b - D_px psi^(b-1), the psi at the tail's node on its
+genus-g side; D_px meets no psi_x, psi_p or D_qx, so each p with b_p >= 1
+adds one rational tail that carries the rest of the monomial on its genus-g
+vertex.  ``pushforward_forgetful`` is the string and dilaton equations: a
+piece with psi_x^m pushes to kappa_(m-1) times the rest for m >= 2, to
+2g - 2 + n (downstairs) times it for m = 1, and for m = 0 to the sum over q
+of the rest with psi_q lowered by one.
 
 Canonical form
 --------------
@@ -541,66 +545,53 @@ def one_edge_graphs(space: ModuliSpec) -> tuple[tuple[Gen, int], ...]:
     """All one-edge boundary graph types of the ambient, as (canonical
     generator, automorphism order).  Compact type omits the self-edge
     graph."""
-    found: dict[Gen, int] = {}
     g, P = space.genus, space.markings
-    for g1 in range(g + 1):
-        g2 = g - g1
-        for r in range(len(P) + 1):
-            for S in itertools.combinations(P, r):
-                Sc = tuple(m for m in P if m not in S)
-                if g1 == 0 and len(S) + 1 < 3:
-                    continue
-                if g2 == 0 and len(Sc) + 1 < 3:
-                    continue
-                gen = make_gen(
-                    (g1, g2),
-                    [(0, 1)],
-                    [(m, 0) for m in S] + [(m, 1) for m in Sc],
-                )
-                cg, aut = canonicalize(gen)
-                found[cg] = aut
-    if space.policy == "stable" and space.genus >= 1:
-        if not (space.genus - 1 == 0 and len(P) + 2 < 3):
-            gen = make_gen((g - 1,), [(0, 0)], [(m, 0) for m in P])
-            cg, aut = canonicalize(gen)
-            found[cg] = aut
-    return tuple(sorted(found.items()))
+    gens = [
+        boundary_gen(space, g1, S)
+        for g1 in range(g + 1)
+        for r in range(len(P) + 1)
+        for S in itertools.combinations(P, r)
+        if (g1 > 0 or r >= 2) and (g1 < g or len(P) - r >= 2)  # both vertices stable
+    ]
+    if space.policy == "stable" and g >= 1:
+        gens.append(_irreducible_gen(space))
+    return tuple(sorted(dict(map(canonicalize, gens)).items()))
 
 
 def boundary_gen(
-    space: ModuliSpec,
-    g1: int,
-    markings_on_first: Sequence[str],
-    exps: tuple[int, int] = (0, 0),
+    space: ModuliSpec, g1: int, markings_on_first: Sequence[str], exps: tuple[int, int] = (0, 0)
 ) -> Gen:
     """One-edge separating generator: genus-g1 vertex carrying the listed
     markings joined to the complementary vertex; ``exps`` are the psi
     exponents at the (first, second) half edge."""
-    S = tuple(str(m) for m in markings_on_first)
-    Sc = tuple(m for m in space.markings if m not in S)
-    return make_gen(
-        (g1, space.genus - g1),
-        [(0, 1, exps[0], exps[1])],
-        [(m, 0) for m in S] + [(m, 1) for m in Sc],
-    )
+    S = [str(m) for m in markings_on_first]
+    legs = [(m, 0) for m in S] + [(m, 1) for m in space.markings if m not in S]
+    return make_gen((g1, space.genus - g1), [(0, 1, *exps)], legs)
+
+
+def _irreducible_gen(space: ModuliSpec) -> Gen:
+    """One-edge nonseparating generator: a self edge at genus g - 1."""
+    return make_gen((space.genus - 1,), [(0, 0)], [(m, 0) for m in space.markings])
+
+
+def _divisor(space: ModuliSpec, gen: Gen) -> TautClass:
+    """The divisor of an undecorated one-edge generator: (1/|Aut|) x it."""
+    cg, aut = canonicalize(gen)
+    return TautClass(space, {cg: Fraction(1, aut)})
 
 
 def delta_sep(
     space: ModuliSpec, g1: int, markings_on_first: Sequence[str] = ()
 ) -> TautClass:
-    """Class of one separating boundary divisor: (1/|Aut|) x generator."""
-    gen = boundary_gen(space, g1, markings_on_first)
-    cg, aut = canonicalize(gen)
-    return TautClass(space, {cg: Fraction(1, aut)})
+    """Class of one separating boundary divisor."""
+    return _divisor(space, boundary_gen(space, g1, markings_on_first))
 
 
 def delta_irr(space: ModuliSpec) -> TautClass:
     """Irreducible (self-edge) boundary divisor class; stable policy only."""
     if space.policy != "stable":
         raise UnsupportedOperation("delta_irr lives on the stable policy")
-    gen = make_gen((space.genus - 1,), [(0, 0)], [(m, 0) for m in space.markings])
-    cg, aut = canonicalize(gen)
-    return TautClass(space, {cg: Fraction(1, aut)})
+    return _divisor(space, _irreducible_gen(space))
 
 
 def delta_total(space: ModuliSpec) -> TautClass:
@@ -832,74 +823,69 @@ def _strip_one_kappa1(gen: Gen) -> Gen:
 
 
 # --------------------------------------------------------------------------
-# forgetful pullback
+# forgetful maps
 
 
 def pullback_forgetful(c: TautClass, x: str) -> TautClass:
-    """Pullback along the map forgetting a new marking x: lambda untouched,
-    kappa_i -> kappa_i - psi_x^i, psi_p -> psi_p - D_px, one-edge generators
-    distribute x over vertices with rational-tail corrections on decorated
-    half edges."""
+    """Pullback along the map forgetting a new marking x: free monomials in
+    closed form, graph terms vertex by vertex (x on each vertex in turn)."""
     up = c.space.with_extra_marking(x)
-    return TautClass._carry(up, _accumulate(
-        (coeff, _pull_term_forgetful(up, gen, x).terms)
-        for gen, coeff in c.terms.items()
-    ))
-
-
-def _pull_term_forgetful(up: ModuliSpec, gen: Gen, x: str) -> TautClass:
-    if gen.is_trivial_graph():
-        return _pull_free_forgetful(up, gen, x)
     parts = []
-    for v, vmon in enumerate(_vertex_factors(gen)):
-        vspec = _vertex_space(vmon, up.policy)
-        vclass = _pull_free_forgetful(vspec.with_extra_marking(x), vmon, x)
-        parts.append((1, _expand_vertex(up, gen, v, vclass).terms))
+    for gen, coeff in c.terms.items():
+        if gen.is_trivial_graph():
+            parts.append((coeff, _pull_free_forgetful(up, gen, x).terms))
+            continue
+        for v, vmon in enumerate(_vertex_factors(gen)):
+            vspec = _vertex_space(vmon, up.policy).with_extra_marking(x)
+            pulled = _pull_free_forgetful(vspec, vmon, x)
+            parts.append((coeff, _expand_vertex(up, gen, v, pulled).terms))
     return TautClass._carry(up, _accumulate(parts))
 
 
+def _kappa_splits(kappa_mon):
+    """Each term of prod_i (kappa_i + psi_x^i)^e: (prod C(e, j), the kappa
+    monomial prod kappa_i^j, the psi_x exponent sum i(e - j), the number
+    sum e - j of psi_x^i factors)."""
+    choices = [[(i, j, e) for j in range(e + 1)] for (i, e) in kappa_mon]
+    for split in itertools.product(*choices):
+        yield (prod(comb(e, j) for (_, j, e) in split), [(i, j) for (i, j, _) in split],
+               sum(i * (e - j) for (i, j, e) in split), sum(e - j for (_, j, e) in split))
+
+
 def _pull_free_forgetful(up: ModuliSpec, gen: Gen, x: str) -> TautClass:
-    """The product of a free monomial's pulled-back factors: lambda_i,
-    kappa_i - psi_x^i, and psi_p^b less the rational tail through p and x."""
-    factors = [lam(up, i) for (i, e) in gen.lam[0] for _ in range(e)]
-    for (i, e) in gen.kappa[0]:
-        factors += [kappa(up, i) - psi(up, x, i)] * e
-    for (lab, _, b) in gen.legs:
+    """pi^* of a free monomial in closed form (see the module docstring);
+    lambda rides along."""
+    psi_mon = {lab: e for (lab, _, e) in gen.legs}
+    parts = [
+        ((-1) ** k * c, {_trivial_gen(up, kap, gen.lam[0], {**psi_mon, x: m}): 1})
+        for c, kap, m, k in _kappa_splits(gen.kappa[0])
+    ]
+    for p, b in psi_mon.items():
         if b:
-            tail = boundary_gen(up, 0, (lab, x), exps=(0, b - 1))
-            factors.append(psi(up, lab, b) - TautClass(up, {tail: 1}))
-    acc = one(up)
-    for factor in factors:
-        acc = _mul_poly(factor, acc)
-    return acc
-
-
-# --------------------------------------------------------------------------
-# forgetful pushforward
+            rest = [(q, 1, e) for q, e in psi_mon.items() if q != p]
+            tail = make_gen((0, up.genus), [(0, 1, 0, b - 1)], [(p, 0), (x, 0)] + rest,
+                            {1: gen.kappa[0]}, {1: gen.lam[0]})
+            parts.append((-1, {tail: 1}))
+    return TautClass(up, _accumulate(parts))
 
 
 def pushforward_forgetful(c: TautClass, x: str) -> TautClass:
-    """Pushforward along forgetting marking x.  Free monomials push in
-    closed form by the string and dilaton equations, pi_*psi_x^(a+1) =
-    kappa_a (kappa_0 = 2g-2+n downstairs) after kappa_i = pi^*kappa_i +
-    psi_x^i, and with no psi_x each psi_p lowered by one in turn.  Graph
-    terms push vertex-wise; rational tails through x contract."""
+    """Pushforward along forgetting marking x: free monomials in closed form,
+    graph terms vertex-wise, and rational tails through x contract."""
     down = c.space.without_marking(x)
     return TautClass._carry(down, _accumulate(
-        (coeff, _push_term_forgetful(down, c.space, gen, x).terms)
+        (coeff, _push_term_forgetful(down, gen, x).terms)
         for gen, coeff in c.terms.items()
     ))
 
 
-def _push_term_forgetful(
-    down: ModuliSpec, up: ModuliSpec, gen: Gen, x: str
-) -> TautClass:
+def _push_term_forgetful(down: ModuliSpec, gen: Gen, x: str) -> TautClass:
     if gen.is_trivial_graph():
         return _push_free_forgetful(down, gen, x)
     v = gen.leg_vertex(x)
     if 2 * gen.genera[v] - 2 + (gen.valence(v) - 1) > 0:
         vmon = _vertex_factors(gen)[v]
-        vspec = _vertex_space(vmon, up.policy)
+        vspec = _vertex_space(vmon, down.policy)
         pushed = _push_free_forgetful(vspec.without_marking(x), vmon, x)
         return _expand_vertex(down, gen, v, pushed)  # x leaves with the factor
     # otherwise v has genus 0 and valence 3, and it contracts: its other two
@@ -932,11 +918,8 @@ def _push_free_forgetful(down: ModuliSpec, gen: Gen, x: str) -> TautClass:
     psi_mon = {lab: e for (lab, _, e) in gen.legs}
     a_x = psi_mon.pop(x)
     parts = []
-    choices = [[(i, j, e) for j in range(e + 1)] for (i, e) in gen.kappa[0]]
-    for split in itertools.product(*choices):  # j of each kappa_i^e pulled back
-        coeff = prod(comb(e, j) for (_, j, e) in split)
-        pulled = [(i, j) for (i, j, _) in split]
-        m = a_x + sum(i * (e - j) for (i, j, e) in split)
+    for coeff, pulled, m, _ in _kappa_splits(gen.kappa[0]):
+        m += a_x
         if m >= 2:
             pieces = [(pulled + [(m - 1, 1)], psi_mon)]
         elif m == 1:
@@ -944,10 +927,7 @@ def _push_free_forgetful(down: ModuliSpec, gen: Gen, x: str) -> TautClass:
             pieces = [(pulled, psi_mon)]
         else:
             pieces = [(pulled, {**psi_mon, q: b - 1}) for q, b in psi_mon.items() if b]
-        parts.extend(
-            (coeff, {_trivial_gen(down, kap, gen.lam[0], psis): 1})
-            for kap, psis in pieces
-        )
+        parts += [(coeff, {_trivial_gen(down, kap, gen.lam[0], psis): 1}) for kap, psis in pieces]
     return TautClass(down, _accumulate(parts)) if parts else zero(down)
 
 
@@ -1132,12 +1112,9 @@ def _pull_boundary_gluing(spaces, graph: Gen, gen: Gen) -> ProductClass:
                 continue
             split = boundary_gen(spaces[v], h, sorted(L))
             (_, sa), (_, sb) = _halfedge_slots(split)
-            edge = make_gen(
-                (g_m, graph.genera[u]), [(0, 1)],
-                [(lab, 0) for lab in (legs[v] - L) | {r}] + [(lab, 1) for lab in legs[u]],
-            )
-            (_, ea), (_, eb) = _halfedge_slots(edge)
             merged = _vertex_space(rest, spaces[v].policy)
+            edge = boundary_gen(merged, g_m, sorted((legs[v] - L) | {r}))
+            (_, ea), (_, eb) = _halfedge_slots(edge)
             pulled = _pull_free_gluing(glue_spaces(merged, edge), edge, rest)
             tail = _relabel(f, {s: sa})
             for (m, w), c in pulled.terms.items():
@@ -1187,17 +1164,22 @@ def _int_in(token: str, text: str) -> int:
 
 
 def parse_gen(text: str) -> Gen:
-    """Parse the ``V ...; E ...; L ...; decor ...`` format; a bad token raises ValueError."""
+    """Parse the ``V ...; E ...; L ...; decor ...`` format (``E`` and ``L``
+    add up); a bad token, a repeated section or psi target raises ValueError."""
     genera: list[int] = []
     edges: list[list[int]] = []
     legs: dict[str, list] = {}
     decor: list[str] = []
+    seen: set[str] = set()
     for chunk in text.split(";"):
         chunk = chunk.strip()
         if not chunk:
             continue
         tag, _, rest = chunk.partition(" ")
         items = rest.split()
+        if tag in ("V", "decor") and tag in seen:
+            raise ValueError(f"repeated section {tag!r}")
+        seen.add(tag)
         if tag == "V":
             genera = [_int_in(t, t) for t in items]
         elif tag == "E":
@@ -1222,6 +1204,11 @@ def parse_gen(text: str) -> Gen:
         where, _, what = item.partition(":")
         sym, _, exp = what.partition("^")
         e = _int_in(item, exp) if exp else 1
+        if where[:1] in ("e", "l"):  # a psi target: once, to a power >= 0
+            if where in seen or sym != "psi" or e < 0:
+                raise ValueError(f"repeated decoration target {where!r}" if where in seen
+                                 else f"bad generator token {item!r}")
+            seen.add(where)
         if where.startswith("v"):
             v = _int_in(item, where[1:])
             if not 0 <= v < len(genera):

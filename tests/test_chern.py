@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 
@@ -6,13 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torcycle import tautring as tr
-from torcycle.algebra import _accumulate, ch_from_chern, chern_from_ch
+from torcycle.algebra import _accumulate, bernoulli_polynomial, ch_from_chern, chern_from_ch
 from torcycle.chern import (
     InteriorClass,
     c1_log_cotangent_Abar4,
     c1_tangent,
-    ch_log_cotangent,
-    ch_structure_sheaves,
     ch_tangent,
     ch_tangent_Ag,
     ch_tangent_interior,
@@ -26,7 +25,9 @@ from torcycle.tautring import (
     kappa,
     kappa1_expand,
     lam,
+    make_gen,
     multiply,
+    one_edge_graphs,
     psi,
     psi_total,
 )
@@ -40,7 +41,40 @@ def expected_c1(space):
     return 2 * delta_total(space) - 13 * lam(space) - psi_total(space)
 
 
+# The two boundary sums that ch_tangent joins into one edge weight, kept
+# as a reference: ch_m(T) = (-1)^m (log cotangent - structure sheaves).
+
+def edge_sum(space, m, weight):
+    """sum over one-edge graphs of 1/|Aut| xi_* sum_{i+j=m-1} weight(i) psi^i psibar^j."""
+    return TautClass(space, _accumulate(
+        (F(weight(i), aut), {make_gen(gen.genera, [gen.edges[0][:2] + (i, m - 1 - i)],
+                                      gen.legs): 1})
+        for gen, aut in one_edge_graphs(space) for i in range(m)))
+
+
+def ch_log_cotangent(space, m):
+    """Degree-m character of the log cotangent bundle."""
+    ck = bernoulli_polynomial(m + 1, 2) / factorial(m + 1)
+    cp = bernoulli_polynomial(m + 1, 1) / factorial(m + 1)
+    psis = TautClass(space, _accumulate((1, psi(space, lab, m).terms) for lab in space.markings))
+    return ck * kappa(space, m) - cp * psis + cp * edge_sum(space, m, lambda i: (-1) ** (m - 1 - i))
+
+
+def ch_structure_sheaves(space, m):
+    """Degree-m character of the sum of boundary structure sheaves: the
+    inverse Todd correction to the log sequence."""
+    if m < 1:
+        return tr.zero(space)
+    return F(1, factorial(m)) * edge_sum(space, m, lambda i: comb(m - 1, i))
+
+
+def ch_tangent_by_two_sums(space, m):
+    return (-1) ** m * (ch_log_cotangent(space, m) - ch_structure_sheaves(space, m))
+
+
 class TestLogCotangent:
+    """The reference sums above, pinned at known values."""
+
     def test_kappa_coefficient_m1(self):
         c = ch_log_cotangent(M4, 1)
         assert c.coefficient(tr._trivial_gen(M4, kappa_mon=[(1, 1)])) == F(13, 12)
@@ -101,6 +135,17 @@ class TestTangentChernClasses:
             -1 * (ch_log_cotangent(space, 1) - ch_structure_sheaves(space, 1))
         )
         assert route1 == route2
+
+    @given(st.integers(0, 4), st.integers(0, 3), st.integers(1, 4),
+           st.sampled_from(("ct", "stable")))
+    @settings(max_examples=60, deadline=None)
+    def test_one_edge_sum_matches_two_sums(self, g, n, m, policy):
+        # the one-pass weight w_i against the log cotangent and structure
+        # sheaf sums it replaced
+        if 2 * g - 2 + n <= 0:
+            n = 3 - 2 * g
+        space = ModuliSpec(g, tuple(f"m{i}" for i in range(n)), policy)
+        assert ch_tangent(space, m) == ch_tangent_by_two_sums(space, m)
 
     def test_c2_genus4_closed_form(self):
         cs = chern_tangent_moduli(M4, 2)

@@ -216,11 +216,17 @@ class TestCtp:
         (("check-pairing", "g=2 L=1 R=1 q:0-0"), "bad pairing token 'q:0-0'"),
         (("check-pairing", "g=2 L=-1 R=1"), "genus, left and right must be >= 0"),
         (("check-pairing", "g=-5 L=1 R=1"), "genus, left and right must be >= 0"),
+        (("check-pairing", "g=2 L=1 R=1 g=3"), "repeated pairing key 'g='"),
+        (("dim", "T1 V 2 2; E 0-1 | T2 V 2 2; E 0-1 | nu: 0>0 1>1 | sigma: 0:+- 1:+- "
+                 "| nu: 0>1 1>0"), "repeated component field 'nu'"),
+        (("dim", "T1 V 3 | T2 V 3 | nu: 0>0 | sigma: 0:+ | bogus: 1"),
+         "unknown component field(s) 'bogus'"),
     ], ids=["nu-out-of-range", "nu-not-bijective", "sigma-out-of-range", "sigma-unknown", "sigma-twice",
             "elliptic-rule", "genus-0-vertex", "not-a-tree", "negative-max-edges",
             "nu-three-parts", "nu-not-an-int", "sigma-three-parts", "tree-token",
             "pairing-genus-not-an-int", "pairing-edge-end", "pairing-unknown-token",
-            "pairing-negative-left", "pairing-negative-genus"])
+            "pairing-negative-left", "pairing-negative-genus", "pairing-genus-twice",
+            "nu-twice", "unknown-field"])
     def test_usage_errors(self, capsys, argv, message):
         code, out = run_cli("ctp", *argv)
         err = capsys.readouterr().err
@@ -270,6 +276,12 @@ class TestPeriod:
         errors = [line for line in err.splitlines() if "error:" in line]
         assert errors == ["torcycle: error: branch points must be finite"]
         assert "Traceback" not in err
+
+    def test_negative_root_in_exponent_form(self):
+        # argparse on Python 3.11 read -1e3 as an option
+        assert run_cli("period", "tau", "--roots", "-1e3", "2", "3", "4", "5", "6") == run_cli(
+            "period", "tau", "--roots", "-1000", "2", "3", "4", "5", "6")
+        assert run_cli("period", "tau", "--roots", "-1e3", "2", "3", "4", "5", "6")[0] == 0
 
     def test_non_positive_eps(self, capsys):
         # 0 divided by zero, -1 passed, nan ran to the node cap
@@ -355,10 +367,19 @@ class TestTaut:
         ("V 1 1; E 0-1; decor lq:psi", "bad generator token 'lq:psi'"),
         ("V 1 1; E 0-1; L a@0 a@1", "duplicate leg label 'a'"),
         ("V 1 1; E 0-1; L a@0; L b@1 a@1; decor la:psi^2", "duplicate leg label 'a'"),
+        ("V 1; V 2", "repeated section 'V'"),
+        ("V 1 1; E 0-1; decor v0:kappa1; decor v1:kappa1", "repeated section 'decor'"),
+        ("V 1 1; E 0-1; L a@0; decor la:psi la:psi^2", "repeated decoration target 'la'"),
+        ("V 1 1; E 0-1; decor e0a:psi e0a:psi", "repeated decoration target 'e0a'"),
+        ("V 1 1; E 0-1; decor e0a:psi^-1", "bad generator token 'e0a:psi^-1'"),
+        ("V 1 1; E 0-1; L a@0; decor la:psi^-2", "bad generator token 'la:psi^-2'"),
+        ("V 1 1; E 0-1; decor e0a:kappa2", "bad generator token 'e0a:kappa2'"),
     ], ids=["empty", "no-vertex", "leg-without-vertex", "leg-bare-int", "genus", "edge-end",
             "kappa-index", "exponent", "edge-index", "edge-out-of-range", "edge-side",
             "vertex-out-of-range", "vertex-negative", "leg-missing", "leg-duplicate",
-            "leg-duplicate-sections"])
+            "leg-duplicate-sections", "vertex-section-twice", "decor-section-twice",
+            "leg-psi-twice", "edge-psi-twice", "edge-psi-negative", "leg-psi-negative",
+            "edge-not-psi"])
     def test_canon_bad_token(self, capsys, graph, message):
         code, out = run_cli("taut", "canon", graph)
         err = capsys.readouterr().err

@@ -29,6 +29,12 @@ dependency).
   bound to ``Fraction``).  Accumulator seeds such as ``Fraction(0)`` in
   ``algebra.bernoulli_number`` are not dict values and stay, since they
   keep a later ``/`` exact.
+* The closed forms stay closed: ``chern.ch_tangent`` and the free-monomial
+  forgetful pull and push (``tautring._pull_free_forgetful``,
+  ``_push_free_forgetful``) reach none of the product machinery
+  (``multiply``, ``_mul_poly``, ``_project``, ``pullback_gluing``,
+  ``pushforward_gluing``), followed through every top-level function of
+  the package they name.
 * Every function of the package is reached by a command, a report script
   or a benchmark job: ``scripts/reach_scan.py`` lists none outside its
   allow-list of value-protocol dunders.
@@ -339,6 +345,57 @@ def test_scan_catches_an_integral_fraction():
         "e = {g: Fraction(2.0), h: Fraction('1'), k: Fraction(True)}\n"
     )
     assert integral_fraction_values(tree) == [4, 5, 6]
+
+
+#: (module, function) pairs written in closed form, and what none may reach
+CLOSED_FORMS = [("chern.py", "ch_tangent"), ("tautring.py", "_pull_free_forgetful"),
+                ("tautring.py", "_push_free_forgetful")]
+PRODUCT_MACHINERY = {"multiply", "_mul_poly", "_project", "pullback_gluing", "pushforward_gluing"}
+
+
+def product_reach(trees: dict[str, ast.Module], start: tuple[str, str]) -> set[str]:
+    """The product machinery that ``start`` names, directly or through the
+    top-level functions it names (by name, in any module; class bodies are
+    not followed)."""
+    functions: dict[str, list] = {}
+    for tree in trees.values():
+        for top in tree.body:
+            if isinstance(top, ast.FunctionDef):
+                functions.setdefault(top.name, []).append(top)
+    todo = [next(top for top in trees[start[0]].body
+                 if isinstance(top, ast.FunctionDef) and top.name == start[1])]
+    seen = {start[1]}
+    while todo:
+        for node in ast.walk(todo.pop()):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            else:
+                continue
+            if name not in seen:
+                seen.add(name)
+                todo += functions.get(name, [])
+    return (seen - {start[1]}) & PRODUCT_MACHINERY
+
+
+@pytest.mark.parametrize("start", CLOSED_FORMS, ids=lambda s: s[1])
+def test_closed_forms_reach_no_products(start):
+    trees = {path.name: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+    assert not product_reach(trees, start), (
+        f"{start[1]} reaches the product machinery: {sorted(product_reach(trees, start))}")
+
+
+def test_scan_catches_a_product_call():
+    trees = {"m.py": ast.parse(
+        "def closed(c):\n    return helper(c) + push(c)\n"
+        "def helper(c):\n    return tr._mul_poly(c, c)\n"
+        "push = None\n"
+        "def other(c):\n    return multiply(c, c)\n"
+        "class K:\n    def helper(self, c):\n        return pullback_gluing(c)\n"
+    )}
+    assert product_reach(trees, ("m.py", "closed")) == {"_mul_poly"}
+    assert product_reach(trees, ("m.py", "other")) == {"multiply"}
 
 
 def test_src_reached():

@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 from math import comb
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -655,7 +656,66 @@ class TestBoundaryPullback:
             pullback_gluing(dB, graph) * pullback_gluing(dB, graph))
 
 
+def _pull_free_by_products(up, gen, x):
+    """The earlier forgetful pullback of a free monomial, kept as an oracle:
+    the product, by ``_mul_poly``, of its pulled-back factors lambda_i,
+    kappa_i - psi_x^i, and psi_p^b less the rational tail through p and x."""
+    factors = [lam(up, i) for (i, e) in gen.lam[0] for _ in range(e)]
+    for (i, e) in gen.kappa[0]:
+        factors += [kappa(up, i) - psi(up, x, i)] * e
+    for (lab, _, b) in gen.legs:
+        if b:
+            tail = boundary_gen(up, 0, (lab, x), exps=(0, b - 1))
+            factors.append(psi(up, lab, b) - TautClass(up, {tail: 1}))
+    acc = one(up)
+    for factor in factors:
+        acc = tr._mul_poly(factor, acc)
+    return acc
+
+
+@st.composite
+def pullback_cases(draw):
+    """A free monomial (psi exponents up to 3) or a decorated one-edge class
+    on M_{g,n}, g <= 4 and n <= 3, on either policy."""
+    g = draw(st.integers(0, 4))
+    n = draw(st.integers(3 if g == 0 else 1 if g == 1 else 0, 3))
+    space = ModuliSpec(g, ("p", "q", "r")[:n], draw(st.sampled_from(("ct", "stable"))))
+    graphs = one_edge_graphs(space)
+    if graphs and draw(st.booleans()):
+        gen, _ = draw(st.sampled_from(graphs))
+        (a, b, _, _), = gen.edges
+        edge = (a, b, draw(st.integers(0, 1)), draw(st.integers(0, 1)))
+        legs = [(lab, v, draw(st.integers(0, 2))) for (lab, v, _) in gen.legs]
+        kap = {draw(st.integers(0, gen.n_vertices() - 1)): [(draw(st.integers(1, 2)), 1)]}
+        return TautClass(space, {make_gen(gen.genera, [edge], legs, kap): 1})
+    kap = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 2)), max_size=2))
+    lm = [(draw(st.integers(1, g)), 1)] if g and draw(st.booleans()) else []
+    psis = {lab: draw(st.integers(0, 3)) for lab in space.markings}
+    return TautClass(space, {tr._trivial_gen(space, kap, lm, psis): 1})
+
+
 class TestForgetful:
+    @given(pullback_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_pull_closed_form_matches_products(self, c):
+        # the closed form against the factor-by-factor product it replaced
+        got = pullback_forgetful(c, "x")
+        with mock.patch.object(tr, "_pull_free_forgetful", _pull_free_by_products):
+            assert got == pullback_forgetful(c, "x")
+
+    def test_pull_closed_form_random_monomials(self):
+        rng = random.Random(20261020)
+        nonzero = 0
+        for _ in range(200):
+            down, gen, x = _random_free_monomial(rng)
+            gen = tr._trivial_gen(down, gen.kappa[0], gen.lam[0],
+                                  {lab: e for (lab, _, e) in gen.legs if lab != x})
+            up = down.with_extra_marking(x)
+            got = tr._pull_free_forgetful(up, gen, x)
+            assert got == _pull_free_by_products(up, gen, x), gen_to_string(gen)
+            nonzero += not got.is_zero()
+        assert nonzero > 60
+
     def test_pull_kappa(self):
         up = pullback_forgetful(kappa(M41.without_marking("p").with_extra_marking("p"), 2), "x")
         space_up = M41.with_extra_marking("x")
