@@ -222,8 +222,6 @@ def ch_tangent_Ag(g: int, m: int, reduced: bool = False) -> InteriorClass:
         raise ValueError("degree must be >= 0")
     if m == 0:
         return Fraction(g * (g + 1), 2) * InteriorClass.one()
-    if m > 2 * g:
-        raise ValueError(f"degree {m} beyond the 2g cap")
     # power sums p_k = k! ch_k of the Hodge bundle, whose Chern classes are
     # the lambdas
     ch = ch_from_chern([InteriorClass.lam(g, i) for i in range(1, m + 1)], m)

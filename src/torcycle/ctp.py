@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property, lru_cache
+from types import MappingProxyType
 from typing import NamedTuple
 
 from . import validated_make
@@ -117,7 +118,7 @@ def _vertex_bound(g: int, positive_only: bool, max_edges: int | None) -> int:
 
 
 @lru_cache(maxsize=64)
-def _trees_on(g: int, positive_only: bool, n: int) -> dict:
+def _trees_on(g: int, positive_only: bool, n: int) -> MappingProxyType:
     """The layer of canonical trees on n vertices, each mapped to its
     automorphisms and its two edge sets (``_edge_sets``).  One
     ``_least_relabelings`` per class gives the maps p_0..p_k onto the
@@ -133,8 +134,8 @@ def _trees_on(g: int, positive_only: bool, n: int) -> dict:
         for genera in classes.values():
             t, maps = _least_relabelings(make_gen(genera, edges))
             back = sorted(range(n), key=maps[0].__getitem__)
-            layer[t] = ([tuple(p[v] for v in back) for p in maps], *_edge_sets(t))
-    return layer
+            layer[t] = (tuple(tuple(p[v] for v in back) for p in maps), *_edge_sets(t))
+    return MappingProxyType(layer)
 
 
 def enumerate_stable_trees(g: int, positive_only: bool = True,
@@ -244,11 +245,11 @@ def _carried(nu, sigma, iso1, iso2) -> set:
     return out
 
 
-def _edge_sets(t: Gen) -> tuple[list, set]:
+def _edge_sets(t: Gen) -> tuple[tuple, frozenset]:
     """The two sides of the elliptic rule: the edges of t between genus-1
     vertices, and every edge of t in both orientations."""
-    return ([(a, b) for (a, b, _, _) in t.edges if t.genera[a] == t.genera[b] == 1],
-            {e for (a, b, _, _) in t.edges for e in ((a, b), (b, a))})
+    return (tuple((a, b) for (a, b, _, _) in t.edges if t.genera[a] == t.genera[b] == 1),
+            frozenset(e for (a, b, _, _) in t.edges for e in ((a, b), (b, a))))
 
 
 def _elliptic_pairs_ok(elliptic1, edges2, nu) -> bool:

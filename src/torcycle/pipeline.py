@@ -24,6 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
+from types import MappingProxyType
 from typing import NamedTuple
 
 from . import chern, ctp, excess
@@ -337,11 +338,12 @@ def _set_partitions_of(items):
 
 
 @lru_cache(maxsize=16)
-def interior_socle_ratios(g: int) -> dict:
+def interior_socle_ratios(g: int) -> MappingProxyType:
     """Degree-(g-2) reduction table: each kappa monomial of that degree as
     a multiple of kappa_{g-2}."""
     base = kappa_socle_integral(g, (g - 2,))
-    return {p: kappa_socle_integral(g, p) / base for p in _partitions(g - 2, g - 2)}
+    return MappingProxyType(
+        {p: kappa_socle_integral(g, p) / base for p in _partitions(g - 2, g - 2)})
 
 
 def _partitions(n: int, mx: int):

@@ -23,7 +23,9 @@ routine that wires generators along graph edges, glues them back.  Every
 vertex-local operation (forgetful pull and push on graph terms, vertex
 kappa_1 expansion) replaces one factor and re-glues (``_expand_vertex``);
 the gluing pushforward glues a factor per vertex.  ``_relabel`` is the one
-leg rename.
+leg rename.  A generator's anatomy (degree, valences, slots, vertex
+factors and their spaces, the undecorated graph) is a bounded memo that
+returns an immutable value, so each is dissected once per process.
 
 No automorphism factor is baked in: the boundary divisor class of a
 one-edge graph with a 2-element automorphism group is *half* the generator
@@ -80,7 +82,11 @@ Canonical form
 ``_least_relabelings`` gives the canonical form of a generator (its least
 relabeling, a ``Gen`` being a ``NamedTuple`` ordered as its fields) and
 every vertex map onto it, searching the one generator of class-respecting
-bijections, ``_class_bijections``, that ``ctp`` pairs trees with too.
+bijections, ``_class_bijections``, that ``ctp`` pairs trees with too.  The
+vertex classes are read in one pass over legs and edges (genus, half-edge
+psi exponents, legs, kappa, lambda, and the same of the neighbours); the
+class order fixes genera, kappa and lambda, so candidates compare as
+(sorted edges, sorted legs) and only the winner is built as a ``Gen``.
 ``canonicalize`` returns the form and |Aut| (the number of maps times the
 edge-level symmetries of ``_halfedge_factor``); ``ctp`` takes tree
 isomorphisms and automorphisms from the same search.
@@ -187,6 +193,7 @@ class Gen(NamedTuple):
     kappa: tuple[tuple[tuple[int, int], ...], ...]
     lam: tuple[tuple[tuple[int, int], ...], ...]
 
+    @lru_cache(maxsize=65536)
     def degree(self) -> int:
         d = len(self.edges)
         d += sum(av + aw for (_, _, av, aw) in self.edges)
@@ -198,6 +205,7 @@ class Gen(NamedTuple):
     def n_vertices(self) -> int:
         return len(self.genera)
 
+    @lru_cache(maxsize=65536)
     def valence(self, v: int) -> int:
         ends = sum((e[0] == v) + (e[1] == v) for e in self.edges)
         return ends + sum(1 for (_, lv, _) in self.legs if lv == v)
@@ -364,48 +372,52 @@ def _least_relabelings(gen: Gen) -> tuple[Gen, list[tuple[int, ...]]]:
     """The least relabeling of gen and every vertex map reaching it.
 
     Vertices are grouped by (genus, half-edge decorations, leg data, vertex
-    decorations, neighbor data); the least encoding over the permutations
-    within groups wins.  An isomorphism onto the winner keeps the groups,
-    so the search visits every map onto it.
+    decorations, neighbor data), read in one pass over legs and edges; the
+    least encoding over the permutations within groups wins.  The group
+    order fixes genera, kappa and lambda, so candidates compare as (sorted
+    edges, sorted legs), and the winning ``Gen`` is built once.  An
+    isomorphism onto the winner keeps the groups, so the search visits
+    every map onto it.
     """
     nv = gen.n_vertices()
-    base = []
-    for v in range(nv):
-        legs_v = tuple(sorted((lab, e) for (lab, lv, e) in gen.legs if lv == v))
-        ends = []
-        for (a, b, av, aw) in gen.edges:
-            if a == v:
-                ends.append(av)
-            if b == v:
-                ends.append(aw)
-        base.append(
-            (gen.genera[v], tuple(sorted(ends)), legs_v, gen.kappa[v], gen.lam[v])
-        )
-    adj: dict[int, list[int]] = {v: [] for v in range(nv)}
-    for (a, b, _, _) in gen.edges:
+    ends: list[list[int]] = [[] for _ in range(nv)]
+    legs: list[list[tuple[str, int]]] = [[] for _ in range(nv)]
+    adj: list[list[int]] = [[] for _ in range(nv)]
+    for (lab, v, e) in gen.legs:
+        legs[v].append((lab, e))
+    for (a, b, av, aw) in gen.edges:
+        ends[a].append(av)
+        ends[b].append(aw)
         adj[a].append(b)
         adj[b].append(a)
-    inv = [(base[v], tuple(sorted(base[u] for u in adj[v]))) for v in range(nv)]
-
+    base = [(g, tuple(sorted(ends[v])), tuple(sorted(legs[v])), gen.kappa[v], gen.lam[v])
+            for v, g in enumerate(gen.genera)]
     groups: dict = {}
     for v in range(nv):
-        groups.setdefault(inv[v], []).append(v)
+        groups.setdefault((base[v], tuple(sorted(base[u] for u in adj[v]))), []).append(v)
     classes = []
     next_index = 0
-    for _, vs in sorted(groups.items(), key=lambda kv: kv[0]):
+    for _, vs in sorted(groups.items()):  # keys differ, so lists never compare
         classes.append((vs, range(next_index, next_index + len(vs))))
         next_index += len(vs)
 
-    best: Gen | None = None
+    best: tuple[list, list] | None = None
     maps: list[tuple[int, ...]] = []
     for perm in _class_bijections(classes):
-        cand = _apply_perm(gen, perm)
+        edges = []
+        for (v, w, av, aw) in gen.edges:
+            p, q = perm[v], perm[w]
+            edges.append((p, q, av, aw) if (p, av) <= (q, aw) else (q, p, aw, av))
+        edges.sort()
+        cand = (edges, sorted([(lab, perm[v], e) for (lab, v, e) in gen.legs]))
         if best is None or cand < best:
             best, maps = cand, [perm]
         elif cand == best:
             maps.append(perm)
     assert best is not None
-    return best, maps
+    order = sorted(range(nv), key=maps[0].__getitem__)
+    return Gen(tuple(gen.genera[v] for v in order), tuple(best[0]), tuple(best[1]),
+               tuple(gen.kappa[v] for v in order), tuple(gen.lam[v] for v in order)), maps
 
 
 @lru_cache(maxsize=200000)
@@ -606,7 +618,8 @@ def delta_total(space: ModuliSpec) -> TautClass:
 # vertex factors and the one wiring routine
 
 
-def _halfedge_slots(graph: Gen) -> list[tuple[int, str]]:
+@lru_cache(maxsize=4096)
+def _halfedge_slots(graph: Gen) -> tuple[tuple[int, str], ...]:
     """``(vertex, slot label)`` of every half edge, edge by edge (a end, then
     b end): the marking each edge end becomes on its vertex factor.  The
     prefix is ``__e`` behind as many more underscores as it takes for no
@@ -615,14 +628,12 @@ def _halfedge_slots(graph: Gen) -> list[tuple[int, str]]:
     prefix = "__e"
     while any(lab.startswith(prefix) for (lab, _, _) in graph.legs):
         prefix = "_" + prefix
-    slots = []
-    for i, (a, b, _, _) in enumerate(graph.edges):
-        slots.append((a, f"{prefix}{i}a"))
-        slots.append((b, f"{prefix}{i}b"))
-    return slots
+    return tuple(slot for i, (a, b, _, _) in enumerate(graph.edges)
+                 for slot in ((a, f"{prefix}{i}a"), (b, f"{prefix}{i}b")))
 
 
-def _vertex_factors(gen: Gen) -> list[Gen]:
+@lru_cache(maxsize=4096)
+def _vertex_factors(gen: Gen) -> tuple[Gen, ...]:
     """The decoration at each vertex v as a trivial-graph generator on v's
     moduli, whose markings are v's legs and the slots of its half edges (the
     half-edge psi exponents sit on the slots)."""
@@ -632,12 +643,13 @@ def _vertex_factors(gen: Gen) -> list[Gen]:
     ends = [e for (_, _, av, aw) in gen.edges for e in (av, aw)]
     for (v, lab), e in zip(_halfedge_slots(gen), ends):
         legs[v].append((lab, 0, e))
-    return [
+    return tuple(
         Gen((g,), (), tuple(sorted(lv)), (kv,), (mv,))
         for g, lv, kv, mv in zip(gen.genera, legs, gen.kappa, gen.lam)
-    ]
+    )
 
 
+@lru_cache(maxsize=4096)
 def _vertex_space(factor: Gen, policy: str) -> ModuliSpec:
     """The moduli of a vertex factor: its genus, with its legs as markings."""
     return ModuliSpec(factor.genera[0], tuple(lab for (lab, _, _) in factor.legs), policy)
@@ -690,11 +702,12 @@ def _expand_vertex(
     # distinct vertex terms can glue to one raw generator (a self edge at v
     # swaps its slots), so the raw terms are accumulated
     return TautClass(space, _accumulate(
-        (1, {_assemble_glued(graph, factors[:v] + [sgen] + factors[v + 1 :]): coeff})
+        (1, {_assemble_glued(graph, (*factors[:v], sgen, *factors[v + 1 :])): coeff})
         for sgen, coeff in vertex_class.terms.items()
     ))
 
 
+@lru_cache(maxsize=4096)
 def _undecorated(gen: Gen) -> Gen:
     """gen's graph without decorations, edges in gen's order (so the two
     share their half-edge slots)."""
@@ -879,6 +892,7 @@ def pushforward_forgetful(c: TautClass, x: str) -> TautClass:
     ))
 
 
+@lru_cache(maxsize=4096)
 def _push_term_forgetful(down: ModuliSpec, gen: Gen, x: str) -> TautClass:
     if gen.is_trivial_graph():
         return _push_free_forgetful(down, gen, x)
@@ -1005,10 +1019,9 @@ class ProductClass(_LinearCombination):
         return ProductClass._carry(spaces, _accumulate(parts))
 
 
-def glue_spaces(space: ModuliSpec, graph: Gen) -> list[ModuliSpec]:
-    return [
-        _vertex_space(factor, space.policy) for factor in _vertex_factors(graph)
-    ]
+@lru_cache(maxsize=4096)
+def glue_spaces(space: ModuliSpec, graph: Gen) -> tuple[ModuliSpec, ...]:
+    return tuple(_vertex_space(factor, space.policy) for factor in _vertex_factors(graph))
 
 
 def pushforward_gluing(space: ModuliSpec, graph: Gen, pc: ProductClass) -> TautClass:
@@ -1016,7 +1029,7 @@ def pushforward_gluing(space: ModuliSpec, graph: Gen, pc: ProductClass) -> TautC
     automorphism factor is applied; callers building delta-type sums supply
     1/|Aut| themselves."""
     expected = glue_spaces(space, graph)
-    if list(pc.spaces) != expected:
+    if pc.spaces != expected:
         raise ValueError("product factors do not match the gluing graph")
     return TautClass(space, _accumulate(
         (1, {_assemble_glued(graph, gens): coeff}) for gens, coeff in pc.terms.items()
@@ -1165,7 +1178,8 @@ def _int_in(token: str, text: str) -> int:
 
 def parse_gen(text: str) -> Gen:
     """Parse the ``V ...; E ...; L ...; decor ...`` format (``E`` and ``L``
-    add up); a bad token, a repeated section or psi target raises ValueError."""
+    add up); a bad token (an empty leg label among them), a repeated section
+    or psi target raises ValueError."""
     genera: list[int] = []
     edges: list[list[int]] = []
     legs: dict[str, list] = {}
@@ -1189,6 +1203,8 @@ def parse_gen(text: str) -> Gen:
         elif tag == "L":
             for t in items:
                 lab, _, v = t.partition("@")
+                if not lab:
+                    raise ValueError(f"bad generator token {t!r}")
                 if lab in legs:
                     raise ValueError(f"duplicate leg label {lab!r}")
                 legs[lab] = [lab, _int_in(t, v), 0]

@@ -237,6 +237,18 @@ class TestAbelianSide:
                 if m % 2 == 0:
                     assert red.terms.get((("lambda", 1),) * m, 0) == 0
 
+    @pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
+    def test_top_chern_class_is_euler_class(self, g):
+        # Gauss-Bonnet on the compact dual LG(g, 2g), whose Euler
+        # characteristic is 2^g: c_N(T) = (-1)^N 2^g lambda_1...lambda_g,
+        # N = g(g+1)/2, in the reduced ring (N exceeds 2g from g = 4 on)
+        n = g * (g + 1) // 2
+        chs = [ch_tangent_Ag(g, m, reduced=True) for m in range(1, n + 1)]
+        euler = InteriorClass.one()
+        for i in range(1, g + 1):
+            euler = euler * InteriorClass.lam(g, i)
+        assert chern_from_ch(chs, n)[n - 1].reduce(g) == (-1) ** n * 2**g * euler
+
     @pytest.mark.parametrize("g", [0, -1])
     def test_genus_below_one(self, g):
         # degree 0 used to return g(g+1)/2 before any genus check

@@ -374,12 +374,13 @@ class TestTaut:
         ("V 1 1; E 0-1; decor e0a:psi^-1", "bad generator token 'e0a:psi^-1'"),
         ("V 1 1; E 0-1; L a@0; decor la:psi^-2", "bad generator token 'la:psi^-2'"),
         ("V 1 1; E 0-1; decor e0a:kappa2", "bad generator token 'e0a:kappa2'"),
+        ("V 1 1; E 0-1; L @0", "bad generator token '@0'"),
     ], ids=["empty", "no-vertex", "leg-without-vertex", "leg-bare-int", "genus", "edge-end",
             "kappa-index", "exponent", "edge-index", "edge-out-of-range", "edge-side",
             "vertex-out-of-range", "vertex-negative", "leg-missing", "leg-duplicate",
             "leg-duplicate-sections", "vertex-section-twice", "decor-section-twice",
             "leg-psi-twice", "edge-psi-twice", "edge-psi-negative", "leg-psi-negative",
-            "edge-not-psi"])
+            "edge-not-psi", "leg-empty-label"])
     def test_canon_bad_token(self, capsys, graph, message):
         code, out = run_cli("taut", "canon", graph)
         err = capsys.readouterr().err

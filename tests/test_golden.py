@@ -87,6 +87,9 @@ GOLDEN = {
     "taut_kappa1_g2_n1": ["taut", "kappa1", "--g", "2", "--n", "1"],
     "taut_kappa1_g3_n2": ["taut", "kappa1", "--g", "3", "--n", "2"],
     "taut_kappa1_g4": ["taut", "kappa1", "--g", "4"],
+    # a degree above 2g; the abelian side prints both characters whatever
+    # ``--what`` asks
+    "chern_ag_g4_deg10_c": ["chern", "--space", "ag", "--g", "4", "--deg", "10", "--what", "c"],
     "taut_canon_sep": ["taut", "canon", "V 2 2; E 0-1"],
     "taut_canon_chain": ["taut", "canon", "V 1 1 1; E 0-1 0-2"],
     "taut_canon_decorated": [

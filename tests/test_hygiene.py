@@ -46,6 +46,10 @@ dependency).
   and ``algebra.bernoulli_number`` below its cap) or where each entry is built
   from the one before, so a bound would only make the recursion recompute
   (``ctp._shapes``).
+* No memo is annotated to return a ``list``, ``dict`` or ``set`` (bare,
+  subscripted, in a union or as a string), since every caller shares the
+  one cached value: a memo returns a tuple, a frozenset or a
+  ``MappingProxyType``.
 """
 
 import ast
@@ -257,12 +261,18 @@ UNBOUNDED_MEMOS = {("algebra.py", "bernoulli_number"), ("ctp.py", "_shapes"),
                    ("pipeline.py", "t_pullback_g4"), ("cli.py", "build_parser")}
 
 
+def last_name(node) -> str:
+    """The last name of a name, an attribute or a call of either:
+    ``lru_cache`` for ``functools.lru_cache(64)``, ``Dict`` for ``typing.Dict``."""
+    node = node.func if isinstance(node, ast.Call) else node
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
+
+
 def unbounded_memos(tree: ast.Module) -> list[str]:
     """The functions decorated with ``cache`` or with ``lru_cache`` whose
     ``maxsize`` (keyword or first argument) is None, under any alias."""
     def unbounded(dec) -> bool:
-        name = dec.func if isinstance(dec, ast.Call) else dec
-        name = name.attr if isinstance(name, ast.Attribute) else getattr(name, "id", "")
+        name = last_name(dec)
         if name == "cache":
             return True
         if name != "lru_cache" or not isinstance(dec, ast.Call):
@@ -296,6 +306,52 @@ def test_scan_catches_an_unbounded_memo():
         "@cached_property\ndef k(self): pass\n"
     )
     assert unbounded_memos(tree) == ["a", "b", "c", "d"]
+
+
+MUTABLE_RETURNS = {"list", "dict", "set", "List", "Dict", "Set"}
+
+
+def mutable_annotation(node) -> bool:
+    """Whether a return annotation names a list, dict or set."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        node = ast.parse(node.value, mode="eval").body
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
+        return mutable_annotation(node.left) or mutable_annotation(node.right)
+    if isinstance(node, ast.Subscript):
+        node = node.value
+    return last_name(node) in MUTABLE_RETURNS
+
+
+def mutable_memos(tree: ast.Module) -> list[str]:
+    """The functions decorated with ``cache`` or ``lru_cache`` whose return
+    annotation is a list, dict or set."""
+    return [node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(last_name(d) in ("cache", "lru_cache") for d in node.decorator_list)
+            and node.returns is not None and mutable_annotation(node.returns)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_memos_return_immutable(path):
+    found = mutable_memos(ast.parse(path.read_text()))
+    assert not found, (f"{path.name}: memos {found} return a shared mutable value; "
+                       f"return a tuple, frozenset or MappingProxyType")
+
+
+def test_scan_catches_a_mutable_memo():
+    tree = ast.parse(
+        "import functools, typing\nfrom functools import lru_cache, cache\n"
+        "@lru_cache(maxsize=8)\ndef a(g) -> dict: pass\n"
+        "@functools.lru_cache(64)\ndef b(g) -> list[int]: pass\n"
+        "@cache\ndef c(g) -> 'set[str]': pass\n"
+        "class K:\n    @lru_cache(maxsize=8)\n    def d(self) -> typing.Dict[str, int]: pass\n"
+        "@lru_cache(maxsize=8)\ndef e(g) -> dict | None: pass\n"
+        "@lru_cache(maxsize=8)\ndef f(g) -> tuple[list, ...]: pass\n"
+        "@lru_cache(maxsize=8)\ndef h(g) -> MappingProxyType: pass\n"
+        "@lru_cache(maxsize=8)\ndef k(g): pass\n"
+        "def m(g) -> dict: pass\n"
+    )
+    assert sorted(mutable_memos(tree)) == ["a", "b", "c", "d", "e"]
 
 
 def integral_fraction_values(tree: ast.Module) -> list[int]:

@@ -1,11 +1,14 @@
 import cmath
 import io
+import itertools
 import math
 import pathlib
 import runpy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torcycle import period as P
 from torcycle.period import (
@@ -607,3 +610,86 @@ class TestScan:
         assert runpy.run_path(str(path))["scan"](5, out=out) == 28820
         lines = out.getvalue().splitlines()
         assert len(lines) == 11 and lines[-1] == "nodes_built\t28820"
+
+
+# --------------------------------------------------------------------------
+# Thomae's formula: an outside check of the value of tau
+
+
+#: the ten even characteristics [a; b], a and b in {0, 1/2}^2 with 4 a.b even
+EVEN_CHARACTERISTICS = [(a, b) for a in itertools.product((0, 0.5), repeat=2)
+                        for b in itertools.product((0, 0.5), repeat=2)
+                        if (4 * (a[0] * b[0] + a[1] * b[1])) % 2 == 0]
+
+#: largest residual accepted; the curves below reach 2e-14, and a relative
+#: error of 1e-9 in one entry of tau gives about 5e-10
+THOMAE_TOL = 1e-12
+
+
+def theta_fourth_powers(tau):
+    """|theta[a; b](0, tau)|^4 for the ten even characteristics, in stdlib
+    cmath.  The sum over n in Z^2 stops where exp(-pi lmin |n|^2) falls
+    below 1e-16, lmin the least eigenvalue of Im tau."""
+    t11, t12, t22 = tau[0][0], tau[0][1] + tau[1][0], tau[1][1]
+    a, b, c = t11.imag, t12.imag / 2, t22.imag
+    lmin = (a + c) / 2 - math.hypot((a - c) / 2, b)
+    n = math.ceil(math.sqrt(37 / (math.pi * lmin)))
+    out = []
+    for (a1, a2), (b1, b2) in EVEN_CHARACTERISTICS:
+        total = 0j
+        for x, y in itertools.product(range(-n, n + 1), repeat=2):
+            x, y = x + a1, y + a2
+            total += cmath.exp(1j * math.pi * (t11 * x * x + t12 * x * y + t22 * y * y
+                                               + 2 * (b1 * x + b2 * y)))
+        out.append(abs(total) ** 4)
+    return out
+
+
+def thomae_residual(tau, roots):
+    """Thomae (1870; Mumford, Tata Lectures on Theta II, IIIa.8): for each
+    split of the six branch points into triples S and T, an even theta
+    constant has theta^4 = c * (+-) prod_{i<j in S} (e_i - e_j) prod_{i<j in
+    T} (e_i - e_j).  The multiset of the ten |theta|^4, scaled by its
+    largest, does not depend on which characteristic goes with which split,
+    so it checks tau whatever its homology basis.  Returns the largest
+    difference of the two sorted, scaled multisets."""
+    thetas = sorted(theta_fourth_powers(tau))
+    splits = sorted(
+        math.prod(abs(roots[i] - roots[j]) for part in (s, set(range(6)) - set(s))
+                  for i, j in itertools.combinations(sorted(part), 2))
+        for s in itertools.combinations(range(6), 3) if 0 in s)
+    return max(abs(t / thetas[-1] - p / splits[-1]) for t, p in zip(thetas, splits))
+
+
+def scan_curves():
+    path = pathlib.Path(__file__).parent.parent / "scripts" / "period_scan.py"
+    return [roots for roots, _ in runpy.run_path(str(path))["random_curves"](5, 40)]
+
+
+class TestThomae:
+    def test_even_characteristics(self):
+        assert len(EVEN_CHARACTERISTICS) == 10
+
+    @pytest.mark.parametrize("curve", [BASE_CURVE_1, BASE_CURVE_2])
+    def test_base_curves(self, curve):
+        assert thomae_residual(period_matrix(curve)[0], curve.roots) < THOMAE_TOL
+
+    def test_scan_curves(self):
+        for roots in scan_curves():
+            tau, _ = period_matrix(HyperellipticCurve(roots))
+            assert thomae_residual(tau, roots) < THOMAE_TOL, roots
+
+    @given(st.floats(-5, 5), st.lists(st.floats(0.05, 5), min_size=5, max_size=5))
+    @settings(max_examples=60, deadline=None)
+    def test_random_sextics(self, start, gaps):
+        roots = list(itertools.accumulate(gaps, initial=start))
+        tau, _ = period_matrix(HyperellipticCurve(roots))
+        assert thomae_residual(tau, roots) < THOMAE_TOL
+
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    def test_detects_a_planted_error(self, entry):
+        # one entry of tau off by a relative 1e-9 fails the check
+        tau = [row[:] for row in period_matrix(BASE_CURVE_1)[0]]
+        i, j = entry
+        tau[i][j] *= 1 + 1e-9
+        assert thomae_residual(tau, BASE_CURVE_1.roots) > 100 * THOMAE_TOL

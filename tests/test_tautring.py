@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torcycle import ctp
 from torcycle import tautring as tr
 from torcycle.algebra import _accumulate
 from torcycle.tautring import (
@@ -121,9 +122,70 @@ class TestCanonicalize:
 
 
 def _isomorphisms_by_scan(a, b):
-    """Reference oracle: every order of a's vertices, kept when it gives b."""
-    return [list(p) for p in itertools.permutations(range(a.n_vertices()))
-            if tr._apply_perm(a, list(p)) == b]
+    """Reference oracle: every order of a's vertices, kept when it gives b.
+    Orders grow vertex by vertex in ``itertools.permutations`` order, and
+    one is cut as soon as a placed vertex, or the edges between placed
+    vertices, disagree with b; every kept order meets both conditions, so
+    the list is that of the scan over all n! orders."""
+    def local(g, v):
+        return (g.genera[v], g.kappa[v], g.lam[v],
+                sorted((lab, e) for (lab, w, e) in g.legs if w == v))
+
+    def between(g, v, u):
+        return sorted([(x, y) for (p, q, x, y) in g.edges if (p, q) == (v, u)]
+                      + [(y, x) for (p, q, x, y) in g.edges if (q, p) == (v, u)])
+
+    n, found = a.n_vertices(), []
+
+    def grow(p):
+        v = len(p)
+        if v == n:
+            if tr._apply_perm(a, p) == b:
+                found.append(list(p))
+            return
+        for w in range(n):
+            if w in p or local(a, v) != local(b, w):
+                continue
+            p.append(w)
+            if all(between(a, v, u) == between(b, w, p[u]) for u in range(v + 1)):
+                grow(p)
+            p.pop()
+
+    if n == b.n_vertices():
+        grow([])
+    return found
+
+
+def _least_relabelings_by_whole_gens(gen):
+    """The search as first written, kept as the oracle of the map order:
+    vertex invariants read vertex by vertex, every candidate built as a
+    whole ``Gen`` and compared as one."""
+    nv = gen.n_vertices()
+    base = []
+    for v in range(nv):
+        legs_v = tuple(sorted((lab, e) for (lab, lv, e) in gen.legs if lv == v))
+        ends = [av for (a, _, av, _) in gen.edges if a == v]
+        ends += [aw for (_, b, _, aw) in gen.edges if b == v]
+        base.append((gen.genera[v], tuple(sorted(ends)), legs_v, gen.kappa[v], gen.lam[v]))
+    adj = {v: [] for v in range(nv)}
+    for (a, b, _, _) in gen.edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    groups = {}
+    for v in range(nv):
+        groups.setdefault((base[v], tuple(sorted(base[u] for u in adj[v]))), []).append(v)
+    classes, start = [], 0
+    for _, vs in sorted(groups.items(), key=lambda kv: kv[0]):
+        classes.append((vs, range(start, start + len(vs))))
+        start += len(vs)
+    best, maps = None, []
+    for perm in tr._class_bijections(classes):
+        cand = tr._apply_perm(gen, perm)
+        if best is None or cand < best:
+            best, maps = cand, [perm]
+        elif cand == best:
+            maps.append(perm)
+    return best, maps
 
 
 def _random_decorated_tree(rng):
@@ -139,10 +201,12 @@ def _random_decorated_tree(rng):
 class TestOneSearch:
     """canonicalize and |Aut| come from one search, which finds every vertex
     map onto the canonical form; the deleted scan over every vertex order is
-    the oracle."""
+    the oracle, and the search as first written fixes the order of the
+    maps."""
 
     def check(self, a, b):
         c, maps = tr._least_relabelings(a)
+        assert (c, maps) == _least_relabelings_by_whole_gens(a)
         assert len(set(maps)) == len(maps)
         assert set(maps) == {tuple(m) for m in _isomorphisms_by_scan(a, c)}
         assert (tr._least_relabelings(b)[0] == c) == bool(_isomorphisms_by_scan(a, b))
@@ -174,6 +238,34 @@ class TestOneSearch:
             for perm in itertools.permutations(range(g.n_vertices())):
                 self.check(g, tr._apply_perm(g, list(perm)))
         assert aut_order(make_gen((1, 1), [(0, 0), (1, 1), (0, 1)])) == 8
+
+    def test_pruned_scan_is_the_full_scan(self):
+        rng = random.Random(20261021)
+        trees = [_random_decorated_tree(rng) for _ in range(40)]
+        loops = (make_gen((1, 1), [(0, 0), (1, 1), (0, 1)]),
+                 make_gen((1, 1, 1), [(0, 1, 1, 0), (1, 2), (2, 2)]))
+        pairs = list(zip(trees, trees[1:]))
+        pairs += [(a, tr._apply_perm(a, rng.sample(range(a.n_vertices()), a.n_vertices())))
+                  for a in trees]
+        pairs += [(g, tr._apply_perm(g, list(perm)))
+                  for g in loops for perm in itertools.permutations(range(g.n_vertices()))]
+        for a, b in pairs:
+            full = [list(p) for p in itertools.permutations(range(a.n_vertices()))
+                    if tr._apply_perm(a, list(p)) == b]
+            assert _isomorphisms_by_scan(a, b) == full
+
+    @pytest.mark.parametrize("positive_only", [True, False])
+    def test_census_trees(self, positive_only):
+        # every tree of the census layers g <= 6 (up to 10 vertices),
+        # relabeled, comes back as itself with every map onto it
+        rng = random.Random(20261020)
+        for g in range(1, 7):
+            for t in ctp.enumerate_stable_trees(g, positive_only):
+                perm = list(range(t.n_vertices()))
+                rng.shuffle(perm)
+                a = tr._apply_perm(t, perm)
+                assert tr._least_relabelings(a)[0] == t
+                self.check(a, t)
 
 
 class TestStability:
@@ -913,6 +1005,54 @@ class TestRegluing:
                 assert got == TautClass(space, {gen: F(1)})
                 checked += not got.is_zero()
         assert checked > 100
+
+
+@st.composite
+def anatomy_cases(draw):
+    """(generator, policy): a random decorated compact-type tree with legs
+    or, on the stable policy, the same with a self edge added."""
+    gen = _random_leggy_tree(random.Random(draw(st.integers(0, 2**32))))
+    if draw(st.booleans()):
+        return gen, "ct"
+    loop = (draw(st.integers(0, gen.n_vertices() - 1)),) * 2 + (draw(st.integers(0, 1)), 0)
+    return make_gen(gen.genera, gen.edges + (loop,), gen.legs, dict(enumerate(gen.kappa)),
+                    dict(enumerate(gen.lam))), "stable"
+
+
+class TestAnatomyMemos:
+    """A generator's anatomy is memoized: each memo returns an immutable
+    value equal to what its undecorated function computes, and the same
+    object again on a repeated call."""
+
+    def check(self, memo, *args):
+        got = memo(*args)
+        assert got == memo.__wrapped__(*args)
+        assert memo(*args) is got
+        return got
+
+    @given(anatomy_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_structural_memos(self, case):
+        gen, policy = case
+        space = _space_of(gen, policy)
+        assert isinstance(self.check(tr.Gen.degree, gen), int)
+        for v in range(gen.n_vertices()):
+            assert isinstance(self.check(tr.Gen.valence, gen, v), int)
+        for memo in (tr._halfedge_slots, tr._vertex_factors, tr._undecorated):
+            assert isinstance(self.check(memo, gen), tuple)
+        for factor in tr._vertex_factors(gen):
+            assert isinstance(self.check(tr._vertex_space, factor, policy), tuple)
+        assert isinstance(self.check(tr.glue_spaces, space, tr._undecorated(gen)), tuple)
+
+    @given(anatomy_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_push_term_memo(self, case):
+        gen, policy = case
+        space = _space_of(gen, policy)
+        for cgen in TautClass(space, {gen: 1}).terms:
+            for (x, _, _) in cgen.legs:
+                if 2 * space.genus - 3 + space.n > 0:
+                    self.check(tr._push_term_forgetful, space.without_marking(x), cgen, x)
 
 
 def _push_free_by_expansion(down, gen, x):
