@@ -15,8 +15,6 @@ roots to Chern classes: ``chern``, ``pipeline`` and the local models of
 ``excess`` all hand them characters, ch_m = p_m/m! of the roots' power sums.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial

@@ -31,8 +31,6 @@ interior of M_g the curve-side character is the kappa term alone
 (:func:`ch_tangent_interior`).
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
@@ -238,6 +236,18 @@ def ch_tangent_Ag(g: int, m: int, reduced: bool = False) -> InteriorClass:
     parts.append((scale * 2**m, P(m).terms))
     out = InteriorClass._carry(None, _accumulate(parts))
     return out.reduce(g) if reduced else out
+
+
+def chern_tangent_Ag(g: int, k: int, reduced: bool = False) -> InteriorClass:
+    """c_k of the tangent bundle of the moduli of ppav's of dimension g,
+    from ch_1..ch_k by Newton's identities; the reduced form reduces the
+    characters and then their products."""
+    if g < 1:
+        raise ValueError("genus must be >= 1")
+    if k < 1:
+        raise ValueError("degree must be >= 1")
+    c = chern_from_ch([ch_tangent_Ag(g, m, reduced) for m in range(1, k + 1)], k)[k - 1]
+    return c.reduce(g) if reduced else c
 
 
 def c1_log_cotangent_Abar4(space: ModuliSpec) -> TautClass:

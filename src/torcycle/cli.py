@@ -9,9 +9,10 @@ when the request needs a shape outside the implemented calculus
 (``UnsupportedOperation``; a one-line message naming the shape goes to
 stderr).  Configuration is flags-only for reproducibility.  A process
 builds only the parsers of the commands it parses (``build_parser``).
+The commands that read text, ``taut canon``, ``ctp dim`` and ``ctp
+check-pairing``, import the text grammars (``grammar``) when they run, and
+``selftest`` imports its suite.
 """
-
-from __future__ import annotations
 
 import argparse
 import functools
@@ -31,7 +32,6 @@ from .tautring import (
     gen_to_string,
     kappa,
     kappa1_expand,
-    parse_gen,
 )
 
 
@@ -107,10 +107,9 @@ def _print_class(cfg: RunConfig, key: str, c: TautClass):
 
 def _cmd_chern(args, cfg: RunConfig) -> int:
     if args.space == "ag":
-        raw = chern.ch_tangent_Ag(args.g, args.deg)
-        red = chern.ch_tangent_Ag(args.g, args.deg, reduced=True)
-        _emit(cfg, f"ch{args.deg}(T, abelian, raw)", raw)
-        _emit(cfg, f"ch{args.deg}(T, abelian, reduced)", red)
+        fn = chern.ch_tangent_Ag if args.what == "ch" else chern.chern_tangent_Ag
+        for form, reduced in (("raw", False), ("reduced", True)):
+            _emit(cfg, f"{args.what}{args.deg}(T, abelian, {form})", fn(args.g, args.deg, reduced))
         return 0
     policy = "stable" if args.space == "mbar" else "ct"
     space = ModuliSpec(args.g, tuple(f"m{i}" for i in range(args.n)), policy)
@@ -128,6 +127,8 @@ def _cmd_taut(args, cfg: RunConfig) -> int:
         _print_class(cfg, "kappa1", kappa1_expand(kappa(space, 1)))
         return 0
     if args.op == "canon":
+        from .grammar import parse_gen  # compiled only by the commands that read text
+
         gen = parse_gen(args.graph)
         check_stability(gen, "stable")  # canon accepts self edges
         cg, aut = canonicalize(gen)
@@ -175,11 +176,14 @@ def _cmd_ctp(args, cfg: RunConfig) -> int:
         _emit(cfg, "count", len(comps))
         return 0
     if args.op == "dim":
-        comp = ctp.Component.from_string(args.component)
-        print(ctp.component_dimension(comp))
+        from .grammar import parse_component
+
+        print(ctp.component_dimension(parse_component(args.component)))
         return 0
     if args.op == "check-pairing":
-        p = _parse_pairing(args.pairing)
+        from .grammar import parse_pairing
+
+        p = parse_pairing(args.pairing)
         verdict = ctp.check_pairing(p)
         _emit(cfg, "admissible", str(bool(verdict)).lower())
         if not verdict:
@@ -194,28 +198,6 @@ def _cmd_ctp(args, cfg: RunConfig) -> int:
             print(row if cfg.machine else row.replace("\t", "  "))
         return 0
     raise AssertionError(args.op)
-
-
-def _parse_pairing(text: str) -> ctp.HalfEdgePairing:
-    """Format: ``g=G L=m R=n b:i-j b:i-j r:i-j``; each size key once."""
-    sizes, blue, red = {}, [], []
-    for tok in text.split():
-        key, value = tok[:2], tok[2:]
-        if key in ("g=", "L=", "R=") and key[0] in sizes:
-            raise ValueError(f"repeated pairing key {key!r}")
-        try:
-            if key in ("g=", "L=", "R="):
-                sizes[key[0]] = int(value)
-            elif key in ("b:", "r:"):
-                i, _, j = value.partition("-")
-                (blue if key == "b:" else red).append((int(i), int(j)))
-            else:
-                raise ValueError
-        except ValueError:
-            raise ValueError(f"bad pairing token {tok!r}") from None
-    if len(sizes) < 3:
-        raise ValueError("pairing needs g=, L=, R=")
-    return ctp.HalfEdgePairing(sizes["g"], sizes["L"], sizes["R"], tuple(blue), tuple(red))
 
 
 def _positive_float(text: str) -> float:

@@ -28,8 +28,6 @@ Component counts are anchored against known lists at genus 2, 4 and 5
 data, not cross-checked against an external source.
 """
 
-from __future__ import annotations
-
 import itertools
 from functools import cached_property, lru_cache
 from types import MappingProxyType
@@ -40,10 +38,8 @@ from .tautring import (
     Gen,
     _class_bijections,
     _least_relabelings,
-    check_stability,
     gen_to_string,
     make_gen,
-    parse_gen,
 )
 
 PLUS, MINUS, BOTH = "+", "-", "+-"
@@ -171,54 +167,13 @@ class Component(NamedTuple):
         return f"({shape})" + (f"[{signs}]" if signs else "")
 
     def to_string(self) -> str:
+        """The text form that ``grammar.parse_component`` reads back."""
         nu = " ".join(f"{v}>{w}" for v, w in enumerate(self.nu))
         sig = " ".join(f"{v}:{s}" for v, s in enumerate(self.sigma) if s is not None)
         return (
             f"T1 {gen_to_string(self.t1)} | T2 {gen_to_string(self.t2)} | "
             f"nu: {nu} | sigma: {sig}"
         )
-
-    @classmethod
-    def from_string(cls, text: str) -> "Component":
-        """Parse ``to_string`` output; what is not a component raises ValueError."""
-        data: dict[str, str] = {}
-        for field in text.split("|"):
-            tag, _, rest = field.strip().partition(" ")
-            if (tag := tag.rstrip(":")) in data:
-                raise ValueError(f"repeated component field {tag!r}")
-            data[tag] = rest.strip()
-        if missing := [field for field in ("T1", "T2", "nu") if field not in data]:
-            raise ValueError(f"component missing field(s) {', '.join(missing)}")
-        if unknown := sorted(set(data) - {"T1", "T2", "nu", "sigma"}):
-            raise ValueError(f"unknown component field(s) {', '.join(map(repr, unknown))}")
-        t1, t2 = parse_gen(data["T1"]), parse_gen(data["T2"])
-        for t in (t1, t2):
-            check_stability(t, "ct")
-            if min(t.genera) < 1 or t != make_gen(t.genera, [e[:2] for e in t.edges]):
-                raise ValueError("component trees have positive genera, no legs, no decorations")
-        pairs = sorted(_int_pair(item, ">", "nu") for item in data["nu"].split())
-        nu = tuple(w for _, w in pairs)
-        if ([v for v, _ in pairs] != list(range(len(t1.genera)))
-                or sorted(zip(t1.genera, nu)) != sorted(zip(t2.genera, itertools.count()))):
-            raise ValueError("nu must be a genus-preserving bijection of the vertices")
-        items = data.get("sigma", "").split()
-        signs = dict(_int_pair(item, ":", "sigma", str) for item in items)
-        sigma = tuple(signs.get(v) for v in range(len(nu)))
-        if (sorted(items) != sorted(f"{v}:{s}" for v, s in enumerate(sigma) if s)
-                or sigma not in _sign_choices(t1)):
-            raise ValueError("sigma must be +- at genus 2, + or - above, and absent below")
-        if not _elliptic_pairs_ok(_edge_sets(t1)[0], _edge_sets(t2)[1], nu):
-            raise ValueError("neighboring genus-1 vertices of T1 map to neighbors of T2")
-        return canonical_component(t1, t2, nu, sigma)
-
-
-def _int_pair(item: str, sep: str, field: str, second=int) -> tuple:
-    """(int v, second(w)) from ``item`` = ``v<sep>w``; a ValueError names it."""
-    try:
-        v, w = item.split(sep)
-        return int(v), second(w)
-    except ValueError:
-        raise ValueError(f"bad {field} token {item!r}") from None
 
 
 def canonical_component(t1: Gen, t2: Gen, nu, sigma) -> Component:
@@ -369,7 +324,7 @@ class HalfEdgePairing(_HalfEdgePairingFields):
 
     # computed once per pairing; the frozen fields never change them
     @cached_property
-    def _verdict(self) -> PairingVerdict:
+    def _verdict(self) -> "PairingVerdict":
         return check_pairing(self)
 
     @cached_property

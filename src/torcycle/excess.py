@@ -22,8 +22,6 @@ sum_j C(d,j) C(j,k) = (2^(d-k)-1) C(d,k): the effective range is j = k..d-1
 true; :func:`binomial_identity_check` verifies it exhaustively.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from math import comb, factorial
 from typing import NamedTuple

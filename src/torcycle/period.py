@@ -63,8 +63,6 @@ shares them.  A failure (a clearance check, an invalid argument) is not
 cached: it re-raises.
 """
 
-from __future__ import annotations
-
 import cmath
 import functools
 import math

@@ -19,8 +19,6 @@ literal is the hyperelliptic locus class in genus 5 (tagged as such in the
 constants table).
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
@@ -469,15 +467,20 @@ def t_pushforward_Abar4() -> tuple[TautClass, Abar4Report]:
 
 
 def torelli_dimension(g: int) -> tuple[Fraction, str]:
-    """Expected dimension (-g^2 + 11 g - 12)/2 of the pullback cycle, with
-    the vanishing verdict for large genus."""
+    """Expected dimension (-g^2 + 11 g - 12)/2 of the pullback cycle on
+    M^ct_g, with its vanishing verdict.  One bound decides a nonnegative
+    dimension: R^k(M^ct_g) = 0 for k > 2g - 3 (Graber-Vakil, Duke 2005),
+    applied to the codimension (g - 2)(g - 3)/2, which holds for a
+    tautological class."""
     if g < 2:
         raise ValueError("genus must be >= 2")
     dim = Fraction(-g * g + 11 * g - 12, 2)
+    codim = (g - 2) * (g - 3) // 2
     if dim < 0:
         verdict = "vanishes (negative dimension)"
-    elif g == 8:
-        verdict = "vanishes (known interior socle bound, not recomputed here)"
+    elif codim > 2 * g - 3:
+        verdict = (f"vanishes on M^ct_g (codimension {codim} > 2g-3 = {2 * g - 3}, R^k = 0 "
+                   "for k > 2g-3 by Graber-Vakil; assumes a tautological class)")
     else:
         verdict = "possibly nonzero"
     return dim, verdict

@@ -3,8 +3,6 @@ result record with a pass flag, wall time, and a short detail string.
 ``run_all`` prints one line per criterion; the test suite asserts the same
 records, so the command-line gate and pytest exercise identical code."""
 
-from __future__ import annotations
-
 import random
 import time
 from fractions import Fraction

@@ -115,8 +115,6 @@ Unsupported pushforward/product shapes raise ``UnsupportedOperation`` instead
 of approximating.
 """
 
-from __future__ import annotations
-
 import itertools
 from fractions import Fraction
 from functools import lru_cache
@@ -1166,86 +1164,3 @@ def gen_to_string(gen: Gen) -> str:
     if decor:
         parts.append("decor " + " ".join(decor))
     return "; ".join(parts)
-
-
-def _int_in(token: str, text: str) -> int:
-    """``int(text)`` for a part of ``token``; a ValueError names the token."""
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"bad generator token {token!r}") from None
-
-
-def parse_gen(text: str) -> Gen:
-    """Parse the ``V ...; E ...; L ...; decor ...`` format (``E`` and ``L``
-    add up); a bad token (an empty leg label among them), a repeated section
-    or psi target raises ValueError."""
-    genera: list[int] = []
-    edges: list[list[int]] = []
-    legs: dict[str, list] = {}
-    decor: list[str] = []
-    seen: set[str] = set()
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        tag, _, rest = chunk.partition(" ")
-        items = rest.split()
-        if tag in ("V", "decor") and tag in seen:
-            raise ValueError(f"repeated section {tag!r}")
-        seen.add(tag)
-        if tag == "V":
-            genera = [_int_in(t, t) for t in items]
-        elif tag == "E":
-            for t in items:
-                a, _, b = t.partition("-")
-                edges.append([_int_in(t, a), _int_in(t, b), 0, 0])
-        elif tag == "L":
-            for t in items:
-                lab, _, v = t.partition("@")
-                if not lab:
-                    raise ValueError(f"bad generator token {t!r}")
-                if lab in legs:
-                    raise ValueError(f"duplicate leg label {lab!r}")
-                legs[lab] = [lab, _int_in(t, v), 0]
-        elif tag == "decor":
-            decor = items
-        else:
-            raise ValueError(f"unknown section {tag!r}")
-    if not genera:
-        raise ValueError("generator needs a V section with a vertex")
-    kappa: dict[int, list] = {}
-    lam_: dict[int, list] = {}
-    for item in decor:
-        where, _, what = item.partition(":")
-        sym, _, exp = what.partition("^")
-        e = _int_in(item, exp) if exp else 1
-        if where[:1] in ("e", "l"):  # a psi target: once, to a power >= 0
-            if where in seen or sym != "psi" or e < 0:
-                raise ValueError(f"repeated decoration target {where!r}" if where in seen
-                                 else f"bad generator token {item!r}")
-            seen.add(where)
-        if where.startswith("v"):
-            v = _int_in(item, where[1:])
-            if not 0 <= v < len(genera):
-                raise ValueError(f"bad generator token {item!r}")
-            if sym.startswith("kappa"):
-                kappa.setdefault(v, []).append((_int_in(item, sym[5:]), e))
-            elif sym.startswith("lambda"):
-                lam_.setdefault(v, []).append((_int_in(item, sym[6:]), e))
-            else:
-                raise ValueError(f"unknown vertex symbol {sym!r}")
-        elif where.startswith("e"):
-            idx = _int_in(item, where[1:-1])
-            if not 0 <= idx < len(edges) or where[-1] not in "ab":
-                raise ValueError(f"bad generator token {item!r}")
-            edges[idx][2 if where[-1] == "a" else 3] = e
-        elif where.startswith("l"):
-            if where[1:] not in legs:
-                raise ValueError(f"bad generator token {item!r}")
-            legs[where[1:]][2] = e
-        else:
-            raise ValueError(f"unknown decor target {where!r}")
-    return make_gen(
-        genera, [tuple(e) for e in edges], [tuple(l) for l in legs.values()], kappa, lam_
-    )

@@ -1,5 +1,6 @@
+import itertools
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import pytest
 
@@ -274,6 +275,73 @@ class TestAbelianSide:
         assert str(-1 * l5) == "-lambda5"
         assert str(3 * l1 * l1 - l5 + InteriorClass.one()) == "1 + 3*lambda1^2 - lambda5"
         assert str(0 * l1) == "0"
+
+
+# Atiyah-Bott localization on the compact dual LG(g, 2g), an oracle for the
+# reduced abelian ring that never rewrites a square: a torus with integer
+# weights t_i fixes 2^g Lagrangian subspaces, one per sign vector eps.  At
+# each one the Hodge bundle has roots eps_i t_i and the tangent space the
+# weights -(eps_i t_i + eps_j t_j), i <= j; a top-degree class integrates to
+# the sum over the fixed points of its value over the product of those
+# weights.
+
+
+def elementary(xs, k: int) -> int:
+    """The k-th elementary symmetric function of ``xs``."""
+    e = [1] + [0] * k
+    for x in xs:
+        for j in range(k, 0, -1):
+            e[j] += e[j - 1] * x
+    return e[k]
+
+
+def localize(g: int, weights, integrand) -> Fraction:
+    """Sum over the fixed points of integrand(Hodge roots, tangent weights)
+    divided by the product of the tangent weights."""
+    total = Fraction(0)
+    for eps in itertools.product((1, -1), repeat=g):
+        roots = [e * t for e, t in zip(eps, weights)]
+        tangent = [-(roots[i] + roots[j]) for i in range(g) for j in range(i, g)]
+        total += Fraction(integrand(roots, tangent), prod(tangent))
+    return total
+
+
+def partitions(n: int, most: int | None = None):
+    """Partitions of n into parts of at most ``most``, largest part first."""
+    if n == 0:
+        yield ()
+    for k in range(min(n, most or n), 0, -1):
+        for rest in partitions(n - k, k):
+            yield (k, *rest)
+
+
+class TestLocalization:
+    @pytest.mark.parametrize("g, count", [(1, 1), (2, 3), (3, 11), (4, 42)])
+    def test_chern_numbers(self, g, count):
+        # every Chern number c_{k_1}...c_{k_r}(T), sum k_i = N = g(g+1)/2:
+        # the reduced product of the program's Chern classes is a multiple of
+        # lambda_1...lambda_g, and that multiple of the integral of
+        # lambda_1...lambda_g is the localized Chern number, at two weight
+        # vectors (a top-degree sum does not depend on the weights)
+        n = g * (g + 1) // 2
+        chs = [ch_tangent_Ag(g, m, reduced=True) for m in range(1, n + 1)]
+        cs = chern_from_ch(chs, n)
+        top = tuple(("lambda", i) for i in range(1, g + 1))  # lambda_1...lambda_g
+        ks = list(partitions(n))
+        assert len(ks) == count
+        for weights in (range(1, g + 1), (2, 3, 5, 7)[:g]):
+            lam_top = localize(g, weights, lambda r, w: prod(elementary(r, i)
+                                                             for i in range(1, g + 1)))
+            assert lam_top == (-1) ** n
+            assert localize(g, weights, lambda r, w: prod(w)) == 2**g  # chi(LG(g, 2g))
+            for k in ks:
+                c = InteriorClass.one()
+                for part in k:
+                    c = (c * cs[part - 1]).reduce(g)
+                assert set(c.terms) <= {top}
+                number = localize(g, weights, lambda r, w: prod(elementary(w, part)
+                                                                for part in k))
+                assert c.terms.get(top, 0) * lam_top == number, k
 
 
 #: lambda classes of a rank-4 Hodge bundle, and kappa classes

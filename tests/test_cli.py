@@ -154,6 +154,27 @@ class TestChern:
         assert code == 0
         assert "reduced" in out and "lambda2" in out
 
+    def test_ag_chern_classes(self):
+        # --what c used to print the characters; Gauss-Bonnet on the compact
+        # dual LG(4, 8): the reduced top class c_10 is 16 lambda1...lambda4
+        argv = ("--machine", "chern", "--space", "ag", "--g", "4", "--deg", "10")
+        code, out = run_cli(*argv, "--what", "c")
+        assert code == 0
+        assert out.splitlines()[1] == "c10(T, abelian, reduced)\t16*lambda1*lambda2*lambda3*lambda4"
+        assert run_cli(*argv, "--what", "ch") != (code, out)
+
+    @pytest.mark.parametrize("g, deg, message", [
+        ("3", "0", "degree must be >= 1"), ("3", "-1", "degree must be >= 1"),
+        ("0", "0", "genus must be >= 1"), ("0", "1", "genus must be >= 1"),
+    ], ids=["deg0", "negative-deg", "g0-deg0", "g0-deg1"])
+    def test_ag_chern_class_out_of_range(self, capsys, g, deg, message):
+        code, out = run_cli("chern", "--space", "ag", "--g", g, "--deg", deg, "--what", "c")
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert errors == [f"torcycle: error: {message}"]
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("g, deg", [("0", "0"), ("-1", "0"), ("0", "1")],
                              ids=["g0-deg0", "negative-deg0", "g0-deg1"])
     def test_ag_genus_below_one(self, capsys, g, deg):
@@ -402,17 +423,19 @@ class TestTaut:
 
 class TestImport:
     def test_selftest_not_loaded(self):
-        # selftest is compiled only by the command that runs it; period
-        # stays part of the import, and it needs no numpy.  The records
-        # generate no code, so neither dataclasses nor the inspect it pulls
-        # in is loaded
+        # selftest and the text grammars are compiled only by the commands
+        # that run them; period stays part of the import, and it needs no
+        # numpy.  A typing.NamedTuple record evals one namedtuple __new__
+        # and nothing else (its annotations are evaluated types, not
+        # strings to compile), so neither dataclasses, which execs fresh
+        # source per class, nor the inspect it pulls in is loaded
         code = ("import sys, torcycle.cli; "
-                "print(*(m in sys.modules for m in ('torcycle.selftest', "
+                "print(*(m in sys.modules for m in ('torcycle.selftest', 'torcycle.grammar', "
                 "'torcycle.period', 'numpy', 'dataclasses', 'inspect')))")
         path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               check=True, env=dict(os.environ, PYTHONPATH=path))
-        assert proc.stdout.split() == ["False", "True", "False", "False", "False"]
+        assert proc.stdout.split() == ["False", "False", "True", "False", "False", "False"]
 
     def test_selftest_command(self, monkeypatch):
         monkeypatch.setattr(selftest, "run_all", lambda: [])

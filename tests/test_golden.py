@@ -58,9 +58,11 @@ GOLDEN = {
     "torelli_g4_ledger_explain": ["torelli", "g4", "--ledger", "--explain"],
     "torelli_g5_explain": ["torelli", "g5", "--explain"],
     "torelli_abar4_explain": ["torelli", "abar4", "--explain"],
-    # the three verdicts: possibly nonzero, socle bound, negative dimension
+    # the three verdicts: possibly nonzero, the Graber-Vakil bound on
+    # M^ct_g (g = 8, 9), negative dimension
     "torelli_dim_g4": ["torelli", "dim", "--g", "4"],
     "torelli_dim_g8": ["torelli", "dim", "--g", "8"],
+    "torelli_dim_g9": ["torelli", "dim", "--g", "9"],
     "torelli_dim_g10": ["torelli", "dim", "--g", "10"],
     "excess_m_1_1": ["excess", "m", "--da", "1", "--db", "1"],
     "excess_m_2_1": ["excess", "m", "--da", "2", "--db", "1"],
@@ -87,8 +89,7 @@ GOLDEN = {
     "taut_kappa1_g2_n1": ["taut", "kappa1", "--g", "2", "--n", "1"],
     "taut_kappa1_g3_n2": ["taut", "kappa1", "--g", "3", "--n", "2"],
     "taut_kappa1_g4": ["taut", "kappa1", "--g", "4"],
-    # a degree above 2g; the abelian side prints both characters whatever
-    # ``--what`` asks
+    # a degree above 2g: the top Chern class, raw and reduced
     "chern_ag_g4_deg10_c": ["chern", "--space", "ag", "--g", "4", "--deg", "10", "--what", "c"],
     "taut_canon_sep": ["taut", "canon", "V 2 2; E 0-1"],
     "taut_canon_chain": ["taut", "canon", "V 1 1 1; E 0-1 0-2"],

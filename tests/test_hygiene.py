@@ -8,9 +8,13 @@ dependency).
   function-level ones included, names a module of
   ``sys.stdlib_module_names`` or of ``torcycle`` (numpy is a test extra).
 * No module imports ``dataclasses``, function-level imports included: the
-  records are ``typing.NamedTuple`` classes or slotted values, which
-  generate no code at import (``dataclasses`` execs fresh source for every
-  class and pulls in ``inspect``).
+  records are ``typing.NamedTuple`` classes or slotted values.  A
+  ``NamedTuple`` class evals one ``namedtuple`` ``__new__`` at import;
+  ``dataclasses`` execs fresh source for several methods of every class
+  and pulls in ``inspect``.
+* No module has ``from __future__ import annotations``: under it every
+  field annotation of a ``NamedTuple`` is a string that ``typing`` compiles
+  at import, one ``compile()`` per field.
 * The human rendering rules live in ``algebra.render_sum`` alone: no other
   module has a string constant containing the ``+ -`` fold.
 * The half-edge slot labels (``__e{i}a``/``__e{i}b``) are spelled out in
@@ -135,6 +139,28 @@ def test_scan_catches_a_dataclasses_import():
                  "def f():\n    from dataclasses import field\n"):
         assert imported_modules(ast.parse(code)) == {"dataclasses"}
     assert imported_modules(ast.parse("from . import dataclasses\n")) == set()
+
+
+def future_annotations(tree: ast.Module) -> bool:
+    """Whether ``tree`` has ``from __future__ import annotations``."""
+    return any(isinstance(node, ast.ImportFrom) and node.module == "__future__"
+               and any(a.name == "annotations" for a in node.names) for node in tree.body)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_annotations_evaluated(path):
+    assert not future_annotations(ast.parse(path.read_text())), (
+        f"{path.name} defers its annotations, so typing compiles every NamedTuple "
+        f"field annotation at import")
+
+
+def test_scan_catches_a_future_annotations_import():
+    for code in ("from __future__ import annotations\n",
+                 '"""doc"""\nfrom __future__ import division, annotations\n'):
+        assert future_annotations(ast.parse(code))
+    for code in ("from __future__ import division\n", "from .annotations import x\n",
+                 "x: 'int' = 1\n"):
+        assert not future_annotations(ast.parse(code))
 
 
 def fold_strings(tree: ast.Module) -> list[str]:

@@ -565,6 +565,20 @@ class TestDimensions:
         assert "vanishes" in torelli_dimension(12)[1]
         assert "vanishes" not in torelli_dimension(4)[1]
 
+    def test_one_bound(self):
+        # R^k(M^ct_g) = 0 for k > 2g - 3 decides every nonnegative dimension:
+        # g = 8 and 9 vanish, g <= 7 stay open; the verdict names the space
+        # and the tautological assumption
+        for g in range(2, 13):
+            dim, verdict = torelli_dimension(g)
+            codim = (g - 2) * (g - 3) // 2
+            assert dim == 3 * g - 3 - codim
+            assert verdict.startswith("vanishes") == (dim < 0 or codim > 2 * g - 3)
+        for g in (8, 9):
+            verdict = torelli_dimension(g)[1]
+            assert "M^ct_g" in verdict and "tautological" in verdict
+        assert [g for g in range(2, 10) if "vanishes" in torelli_dimension(g)[1]] == [8, 9]
+
 
 class TestRename:
     def test_roundtrip(self):

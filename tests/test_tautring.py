@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from torcycle import ctp
 from torcycle import tautring as tr
 from torcycle.algebra import _accumulate
+from torcycle.grammar import parse_gen
 from torcycle.tautring import (
     ModuliSpec,
     ProductClass,
@@ -29,7 +30,6 @@ from torcycle.tautring import (
     multiply,
     one,
     one_edge_graphs,
-    parse_gen,
     psi,
     pullback_forgetful,
     pullback_gluing,
