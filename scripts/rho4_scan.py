@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Stability scan of the nonvanishing certificate: the computed value
-across inner-circle radii and quadrature tolerances, plus the two
-independent quadrature routes for the double integrals."""
+across inner-circle radii and quadrature tolerances, with |rho4| over its
+error (the segment rule's a-priori bound, carried through), plus the two
+independent quadrature routes for the double integrals: the production
+segment rule and the ellipse contours that cross-check it."""
 
 import sys
 

@@ -16,6 +16,7 @@ check-pairing``, import the text grammars (``grammar``) when they run, and
 
 import argparse
 import functools
+import os
 import re
 import sys
 from typing import NamedTuple
@@ -481,6 +482,9 @@ def main(argv=None) -> int:
         return 1
     except period.QuadratureError as exc:
         print(f"torcycle {args.command}: quadrature did not converge: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:  # stdout closed early (``| head``): quiet the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except UnsupportedOperation as exc:
         msg = " ".join(str(exc).split())

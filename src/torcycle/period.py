@@ -2,65 +2,48 @@
 nonvanishing certificate for the second-order period expansion coefficient.
 
 Geometry.  A curve Y^2 = prod (x - r_i) with six real increasing branch
-points carries branch cuts [r0,r1], [r2,r3], [r4,r5] (where the sextic is
-negative).  The homology basis:
+points has cuts [r0,r1], [r2,r3], [r4,r5] (where the sextic is negative).
+A1, A2 are clockwise loops around cuts 1 and 2; B1 (B2) crosses the real
+axis inside cut 1 (2) and cut 3, its upper arc on the upper branch.  So B1
+meets only A1 and B2 only A2: the basis is symplectic, and the tests
+assert that tau is symmetric with positive definite imaginary part.
 
-* A1, A2: clockwise loops around the first and second cut;
-* B1: a closed contour crossing the real axis inside cut 1 and inside cut
-  3 (upper arc on the upper branch, return arc on the other branch);
-* B2: the same between cut 2 and cut 3.
+Branch tracking.  Yref(z) = prod principal-sqrt(z - r_i) is continuous on
+each open half plane and changes sign across the real axis exactly where
+an odd number of branch points lies to the right, so the sheets along an
+ellipse crossing the axis at two known points are exact.  The upper branch
+is Y(0) = +sqrt(f(0)) continued through the closed upper half plane: Y_up
+= -Yref there.
 
-With these crossings B1 meets only A1 and B2 only A2, so the basis is
-symplectic; the computed period matrix is symmetric with positive definite
-imaginary part, which the tests assert rather than assume.
-
-Branch tracking.  The reference value Yref(z) = prod principal-sqrt(z-r_i)
-is continuous on each open half plane; analytic continuation along a path
-only changes sign when the path crosses the real axis at a point with an
-odd number of branch points to its right (exactly the cut criterion for
-real branch points).  Contours are ellipses crossing the axis at two known
-points, so the sheet bookkeeping is exact, not heuristic.  The "upper
-branch" is fixed by Y(0) = +sqrt(f(0)) continued along paths in the closed
-upper half plane, giving Y_up(z) = -Yref(z) there.
-
-Quadrature.  Two independent deterministic routes, both by a nested
-trapezoid rule, which converges exponentially for analytic periodic
-integrands (Trefethen-Weideman, SIAM Rev. 56, 2014): on closed contours at
-t = 2^-18 + k/n, an offset that keeps every node of every level up to
-65536 nodes off the real-axis crossings; on branch-point segments at
-theta = k pi/n with both ends, after x = m - h cos(theta) (nested
-Gauss-Chebyshev-Lobatto, Waldvogel, BIT 2006).  There Y's two endpoint
-roots are taken analytically as -i h sin(theta), and the integrand is
-called with Y / (h sin(theta)), which absorbs dx and is finite at the
-ends: every integrand in the module is g(z) / Y, homogeneous of degree -1
-in Y, and must stay so.  Level 2n adds only the odd nodes, T_2n = (T_n +
-M_n) / 2 with M_n the midpoint sum, so an integral converged at N nodes
-builds and integrates N.  Integrands are called once per node with Python
-numbers; the module needs only math and cmath (importing numpy cost every
-process about 0.12 s and 10 MB), and every value returned is a Python
-complex or float, so ``--machine`` output prints plain reprs.  Segment
-decompositions of the cycle integrals:
-
-    A1(cw):  integral = +2 int_{r0}^{r1} g/Y_up dx   (odd integrands)
-    B1(ccw): integral = -2 [int over the f>0 gaps between the crossings]
-
-The clearance check is exact: the squared distance from a real branch
-point to an ellipse is a quadratic in cos(angle), minimized in closed form.
-
-Error estimates come from node doubling; everything is bitwise
+Quadrature.  Production integrates over branch-point segments: a nested
+trapezoid rule in theta = k pi/n with both ends, x = m - h cos(theta)
+(nested Gauss-Chebyshev-Lobatto, Waldvogel, BIT 2006).  Y's endpoint
+roots are taken as -i h sin(theta), and the integrand is called with Y /
+(h sin(theta)), which absorbs dx: every integrand in the module is g(z) /
+Y, g a Laurent polynomial with powers -3 to 1, and must stay so.  A
+segment integral stops at the first level whose error, an a-priori
+truncation bound plus modelled rounding, is within tol, and returns it:
+the rule is half the periodic trapezoid rule of 2n nodes, which errs by at
+most 4 pi M / (rho^2n - 1) for an integrand bounded by M on the strip |Im
+theta| < log(rho) (Trefethen-Weideman, SIAM Rev. 56, 2014, Thm 3.2), the
+image of the Bernstein ellipse of parameter rho around the segment.  Closed contours at t = 2^-18 + k/n (no node of a
+level up to 65536 nodes on a real-axis crossing), doubled until two levels
+agree, are the second route; only ``compute_G(rule="contour")`` takes it,
+as the independent check the benchmark's G job compares with segments.
+Level 2n adds only the odd nodes, so an integral converged at N nodes
+evaluates N, once each with Python numbers.  The module needs only math
+and cmath (numpy cost every process about 0.12 s and 10 MB), and returns
+Python complex or float values, so ``--machine`` prints plain reprs.
+Clockwise cycles are twice their segment integrals: A1 over [r0, r1], B1
+over the f > 0 gaps between its crossings.  Everything is bitwise
 deterministic for fixed configuration.
 
-Memoization.  Each curve's contours are built and checked once; the rows
-(z, Y, weight) each level adds on a contour or segment once, shared by
-every integrand on the path (the five A-period powers, the basis and G
-integrands on a B-cycle); its A-periods of z^p dz/Y (p = 0, 1, -1, -2, -3)
-once per (curve, tol); the kernel coefficients once per (curve, tol, eps),
-and G_i once per (curve, i, eps, tol, rule), so ``rho4`` and a caller of
-``compute_G`` share one B_i integral.  The memos are bounded LRU caches,
-since a scan may visit any number of curves, and return immutable values
-(a read-only mapping, tuples, immutable records), since every caller
-shares them.  A failure (a clearance check, an invalid argument) is not
-cached: it re-raises.
+Memoization.  Built once: a curve's contours; the rows (z, Y, weight) a
+level adds on a path, shared by its integrands; a segment level's error
+bounds; A-periods per (curve, tol); kernel coefficients per (curve, tol,
+eps); G_i per (curve, i, eps, tol, rule), so ``rho4`` and ``compute_G``
+share one B_i integral.  The memos are bounded LRU caches of immutable
+values.  A failure (a clearance check, a bad argument) is not cached.
 """
 
 import cmath
@@ -82,6 +65,8 @@ class PathClearanceError(ValueError):
 
 #: minimum allowed distance between any path point and a branch point
 BRANCH_CLEARANCE = 1e-3
+#: unit roundoff of IEEE double precision
+UNIT_ROUNDOFF = 2.0**-53
 
 
 # --------------------------------------------------------------------------
@@ -111,10 +96,9 @@ class HyperellipticCurve(_HyperellipticCurveFields):
     def y_ref(self, z) -> complex:
         """Product of principal square roots; continuous off the real axis.
         For real x < r the root of x - r is i sqrt(r - x)."""
-        out = 1 + 0j
-        for r in self.roots:
-            out *= cmath.sqrt(z - r)
-        return out
+        (r0, r1, r2, r3, r4, r5), sqrt = self.roots, cmath.sqrt
+        return (sqrt(z - r0) * sqrt(z - r1) * sqrt(z - r2)
+                * sqrt(z - r3) * sqrt(z - r4) * sqrt(z - r5))
 
     def y_upper(self, z) -> complex:
         """The upper branch: +sqrt(f(0)) at the base point, continued
@@ -192,12 +176,8 @@ def standard_contours(curve: HyperellipticCurve) -> MappingProxyType:
     """A1, A2 around cuts 1, 2 (crossings in the f > 0 gaps); B1 through
     cuts 1 and 3; B2 through cuts 2 and 3."""
     r = curve.roots
-    left_out = r[0] - (r[1] - r[0]) / 2
-    m12 = (r[1] + r[2]) / 2
-    m34 = (r[3] + r[4]) / 2
-    c1 = (r[0] + r[1]) / 2
-    c2 = (r[2] + r[3]) / 2
-    c3 = (r[4] + r[5]) / 2
+    left_out, m12, m34 = r[0] - (r[1] - r[0]) / 2, (r[1] + r[2]) / 2, (r[3] + r[4]) / 2
+    c1, c2, c3 = (r[0] + r[1]) / 2, (r[2] + r[3]) / 2, (r[4] + r[5]) / 2
     contours = {
         "A1": EllipseContour(left_out, m12, 0.55 * (m12 - left_out) / 2, "A1"),
         "A2": EllipseContour(m12, m34, 0.55 * (m34 - m12) / 2, "A2"),
@@ -241,30 +221,29 @@ def _level_rows(curve, path, n, odd):
         return tuple(rows)
     a, b = path
     m, h = (a + b) / 2, (b - a) / 2
-    others = [r for r in curve.roots if r not in path]
+    r0, r1, r2, r3 = (r for r in curve.roots if r not in path)
+    sqrt = cmath.sqrt
     for k in range(1, n, 2) if odd else range(n + 1):
         x = m - h * math.cos(k * math.pi / n)
         # Y_up = -sqrt(x - a) sqrt(x - b) prod(others) = -i h sin(theta) prod(others)
-        y = -1j
-        for r in others:
-            y *= cmath.sqrt(x - r)
+        y = -1j * sqrt(x - r0) * sqrt(x - r1) * sqrt(x - r2) * sqrt(x - r3)
         rows.append((x, y, math.pi / n / (2 if k in (0, n) else 1)))
     return tuple(rows)
 
 
-def _doubling(fn, curve, path, what, tol, n0, nmax):
-    """(value, error) of the nested trapezoid rule on ``path``: start at n0
-    nodes and double, integrating only the rows each level adds (a running
-    sum, T_2n = T_n / 2 + those rows), until two levels agree within tol
-    relative to max(|value|, 1), failing past nmax nodes."""
-    prev = sum(fn(z, y) * w for z, y, w in _level_rows(curve, path, n0, False))
-    n = 2 * n0
+def _nested(fn, curve, path, what, tol, nodes, bound=None):
+    """(value, error) of the nested trapezoid rule on ``path`` at levels
+    nodes[0], twice that, ... up to nodes[1], each adding its new rows (T_2n
+    = T_n / 2 + those), until the error, bound(n) or else the change from
+    the level before, is within tol relative to max(|value|, 1)."""
+    (n, nmax), value = nodes, None
     while n <= nmax:
-        cur = prev / 2 + sum(fn(z, y) * w for z, y, w in _level_rows(curve, path, n, True))
-        err = abs(cur - prev)
-        if err <= tol * max(abs(cur), 1.0):
-            return cur, err
-        prev = cur
+        prev, odd = value, value is not None
+        rows = _level_rows(curve, path, n, odd)
+        value = (prev / 2 if odd else 0) + sum([fn(z, y) * w for z, y, w in rows])
+        err = bound(n) if bound else abs(value - prev) if odd else math.inf
+        if err <= tol * max(abs(value), 1.0):
+            return value, err
         n *= 2
     raise QuadratureError(f"{what}: no convergence at {nmax} nodes")
 
@@ -278,16 +257,70 @@ def contour_integrate(fn, curve, contour, tol=1e-10):
     """Trapezoid integral of fn(z, Y) dz over the closed contour, doubling
     nodes until two refinements agree within tol (relative).  fn is called
     once per node with Python numbers z and Y."""
-    return _doubling(fn, curve, contour, f"contour {contour.label}", tol, *CONTOUR_NODES)
+    return _nested(fn, curve, contour, f"contour {contour.label}", tol, CONTOUR_NODES)
 
 
-def segment_integrate(fn, curve, a, b, tol=1e-10):
-    """Integral of fn(x, Y_up(x)) dx over the root-to-root segment [a, b]
-    by nested Gauss-Chebyshev-Lobatto rules (the trapezoid rule in theta
-    with both ends), doubling the order like ``contour_integrate`` and
-    reading the same nested rows.  fn must be g(x) / Y (see the module
-    notes)."""
-    return _doubling(fn, curve, (a, b), f"segment [{a},{b}]", tol, *SEGMENT_NODES)
+def segment_integrate(fn, curve, a, b, tol=1e-10, laurent=None):
+    """Integral of fn(x, Y_up(x)) dx, fn = g(x) / Y, over the root segment
+    [a, b] by nested Gauss-Chebyshev-Lobatto rules.  Given ``laurent``, the
+    pairs (p, c_p) of g = sum c_p x^p, it returns the first level whose
+    bound is within tol, with that bound; else it doubles like contours."""
+    what = f"segment [{a},{b}]"
+    if laurent and min(p for p, _ in laurent) < 0 and max(a, -b, 0.0) < BRANCH_CLEARANCE:
+        raise PathClearanceError(f"{what} within clearance of the base point")
+
+    def bound(n):
+        bounds = _segment_bounds(curve, a, b, n)
+        return sum(abs(c) * bounds[p] for p, c in laurent)
+
+    return _nested(fn, curve, (a, b), what, tol, SEGMENT_NODES, laurent and bound)
+
+
+def _hull(A, B, C, D):  # max of (l A + (1 - l) B) C^l D^(1 - l), 0 <= l <= 1: log-concave
+    v = (B - A) / math.log(C / D) if C != D else A
+    if not min(A, B) < v < max(A, B):
+        return max(A * C, B * D)
+    lam = (v - B) / (A - B)
+    return v * C**lam * D ** (1 - lam)
+
+
+@functools.lru_cache(maxsize=128)
+def _segment_bounds(curve, a, b, n):
+    """{p: e_p}, e_p bounding |T_n - I| for x^p / Y on the root segment [a,
+    b] (p < 0 only clear of the base point): the module's bound at log(rho)
+    = its limit less k / 2n, k = 1/2 at a branch point, -p at the base
+    point, whichever is nearest.  |x - r| >= |Re x - r| (a vertex is nearest
+    r, as in ``EllipseContour.check``), q = prod_r |Re x - r|^(-1/2) and
+    |x|^p q for p <= 0 are log-convex, and ``_hull`` bounds |x| q.  Rounding,
+    modelled, adds u pi M_0 (n + 1 + kappa) / sqrt(n + 1), M_0 that bound on
+    [a, b]: the worst case of summing n + 1 terms each within kappa u, kappa
+    = 24 plus k (4 (|m| + h) / d + 3 pi h / sqrt(d (d + 2 h))) per
+    singularity of order k at distance d (node moves), over sqrt(n + 1) as
+    independent errors add (Higham, Accuracy and Stability, 2002, 2.8)."""
+    m, h = (a + b) / 2, (b - a) / 2
+    r0, r1, r2, r3 = others = [r for r in curve.roots if r not in (a, b)]
+
+    def sup(d, p):  # of |x^p / prod (x - r)^(1/2)| on the ellipse of real semi-axis d
+        ends = (m - d, 0.0, m + d) if p == 1 and abs(m) < d else (m - d, m + d)
+        qs = [abs((t - r0) * (t - r1) * (t - r2) * (t - r3)) ** -0.5 for t in ends]
+        if p <= 0:
+            return max(abs(t) ** p * q for t, q in zip(ends, qs))
+        sizes = [abs(t) + math.sqrt(d * d - h * h) for t in ends]  # |x| <= |Re x| + |Im x|
+        return max(map(_hull, sizes, sizes[1:], qs, qs[1:]))
+
+    def shift(d):  # relative move of the integrand per order of a singularity d away
+        return 4 * (abs(m) + h) / d + 3 * math.pi * h / math.sqrt(d * (d + 2 * h))
+
+    branch = min(abs(r - m) for r in others)
+    cond = 24 + sum(shift(abs(r - m) - h) / 2 for r in others)
+    bounds = {}
+    for p in range(-3 if max(a, -b, 0.0) >= BRANCH_CLEARANCE else 0, 2):
+        reach, k = (abs(m), -p) if p < 0 and abs(m) < branch else (branch, 0.5)
+        alpha = max(math.acosh(reach / h) - k / (2 * n), math.acosh(reach / h) / 2)
+        trunc = 2 * math.pi * sup(h * math.cosh(alpha), p) / math.expm1(min(2 * n * alpha, 700))
+        kappa = cond - (p * shift(abs(m) - h) if p < 0 else 0) + n + 1
+        bounds[p] = trunc + UNIT_ROUNDOFF * math.pi * sup(h, p) * kappa / math.sqrt(n + 1)
+    return MappingProxyType(bounds)
 
 
 # --------------------------------------------------------------------------
@@ -295,11 +328,9 @@ def segment_integrate(fn, curve, a, b, tol=1e-10):
 
 
 def _cycle_integral(curve, name, fn, tol):
-    """All cycles are traversed clockwise (the ellipses are parameterized
-    counterclockwise, hence the global sign): the A-loops run clockwise
-    around their cuts and the upper arcs of the B-contours run from the
-    lower cut to cut 3.  This orientation renders tau symmetric with
-    positive definite imaginary part."""
+    """Contour period of a clockwise cycle (the ellipses run counterclockwise,
+    hence the sign): the orientation that makes tau symmetric with positive
+    definite imaginary part, as the segment decompositions also take."""
     val, err = contour_integrate(fn, curve, standard_contours(curve)[name], tol)
     return -val, err
 
@@ -316,7 +347,8 @@ def _power_integrand(p):
 def _a_periods(curve, tol, powers):
     """M[i][j] = integral over A_i of z^p dz/Y for p = powers[j], as tuples."""
     return tuple(
-        tuple(_cycle_integral(curve, name, _power_integrand(p), tol)[0] for p in powers)
+        tuple(segment_period(curve, name, _power_integrand(p), tol, ((p, 1.0),))[0]
+              for p in powers)
         for name in ("A1", "A2")
     )
 
@@ -348,12 +380,8 @@ def normalized_basis(curve: HyperellipticCurve, tol=1e-10) -> NormalizedBasis:
     a, b = _solve2(M, (1.0, 0.0))
     c, d = _solve2(M, (0.0, 1.0))
     # duality residual, re-evaluated
-    res = 0.0
-    for i in range(2):
-        for (al, be, target) in ((a, b, 1.0 if i == 0 else 0.0),
-                                 (c, d, 1.0 if i == 1 else 0.0)):
-            val = al * M[i][0] + be * M[i][1]
-            res = max(res, abs(val - target))
+    res = max(abs(al * M[i][0] + be * M[i][1] - (i == j))
+              for i in range(2) for j, (al, be) in enumerate(((a, b), (c, d))))
     basis = NormalizedBasis(a, b, c, d, res)
     if abs(basis.det()) < 1e-12:
         raise ZeroDivisionError("degenerate normalized basis")
@@ -363,18 +391,13 @@ def normalized_basis(curve: HyperellipticCurve, tol=1e-10) -> NormalizedBasis:
 def period_matrix(curve: HyperellipticCurve, tol=1e-10):
     """tau[i][j] = integral over B_i of v_j, A-normalized."""
     nb = normalized_basis(curve, tol)
-    tau = [[0j, 0j], [0j, 0j]]
-    err = 0.0
-    for i, name in enumerate(("B1", "B2")):
-        for j, (al, be) in enumerate(((nb.a, nb.b), (nb.c, nb.d))):
-            fn = (lambda A, B: (lambda z, y: (A + B * z) / y))(al, be)
-            v, e = _cycle_integral(curve, name, fn, tol)
-            tau[i][j] = v
-            err = max(err, e)
-    return tau, err
+    cells = [[segment_period(curve, name, (lambda A, B: lambda z, y: (A + B * z) / y)(al, be), tol,
+                             ((0, al), (1, be))) for al, be in ((nb.a, nb.b), (nb.c, nb.d))]
+             for name in ("B1", "B2")]
+    return [[v for v, _ in row] for row in cells], max(e for row in cells for _, e in row)
 
 
-# segment decompositions (the independent quadrature route) -----------------
+# segment decompositions (the production quadrature route) -----------------
 
 
 #: Root-index pairs (a, b) of the segments [r_a, r_b] of each cycle: its
@@ -383,11 +406,11 @@ def period_matrix(curve: HyperellipticCurve, tol=1e-10):
 SEGMENT_ROOTS = {"A1": ((0, 1),), "A2": ((2, 3),), "B1": ((1, 2), (3, 4)), "B2": ((3, 4),)}
 
 
-def segment_period(curve, name, fn, tol=1e-10):
-    """Clockwise period of an odd integrand over cycle ``name``: twice the
-    sum of its segment integrals, added in table order."""
+def segment_period(curve, name, fn, tol=1e-10, laurent=None):
+    """Clockwise period of an odd integrand over cycle ``name``: twice the sum
+    of its segment integrals (``laurent`` as there), in table order."""
     r = curve.roots
-    vals, errs = zip(*(segment_integrate(fn, curve, r[a], r[b], tol)
+    vals, errs = zip(*(segment_integrate(fn, curve, r[a], r[b], tol, laurent)
                        for a, b in SEGMENT_ROOTS[name]))
     return 2 * sum(vals[1:], vals[0]), 2 * sum(errs[1:], errs[0])
 
@@ -440,7 +463,7 @@ def cauchy_kernel_coeffs(
     argument around 0.  Memoized per (curve, tol, eps).
 
     The kernel is (y1 + y) dz / (2 (z - z1) y) + h(z1) dz/y + k(z1) z dz/y;
-    the pure 1/(2 (z - z1)) part has zero A-periods (the contours do not
+    the pure 1/(2 (z - z1)) part has zero A-periods (the A-loops do not
     enclose the base point), so each order is a 2x2 solve against the
     A-period matrix with right side from the expanded y1/(2(z-z1)) term.
     That assumption is checked: the A1 loop, the leftmost contour, must
@@ -457,16 +480,9 @@ def cauchy_kernel_coeffs(
     M = _a_periods(curve, tol, (0, 1))
     # inverse power A-periods: P[i][k - 1] = integral over A_i of z^-k dz/Y
     P = _a_periods(curve, tol, (-1, -2, -3))
-    hs = []
-    ks = []
-    residual = 0.0
+    hs, ks, residual = [], [], 0.0
     for order in range(3):
-        rhs = []
-        for i in range(2):
-            acc = 0j
-            for j in range(order + 1):
-                acc += alpha[j] * P[i][order - j]
-            rhs.append(-acc / 2)
+        rhs = [-sum(alpha[j] * P[i][order - j] for j in range(order + 1)) / 2 for i in range(2)]
         h, k = _solve2(M, rhs)
         hs.append(h)
         ks.append(k)
@@ -488,11 +504,17 @@ def g_integrand(kc: KernelCoefficients):
     return fn
 
 
+def _g_laurent(kc: KernelCoefficients):
+    """The pairs (p, c_p) with g_integrand(kc) = sum c_p z^p / Y."""
+    return (*((p, a / 2) for p, a in zip((-3, -2, -1), kc.alpha)), (0, kc.h[2]), (1, kc.k[2]))
+
+
 def compute_G(curve: HyperellipticCurve, i: int, eps: float | None = 0.05,
-              tol: float = 1e-10, rule: str = "contour"):
+              tol: float = 1e-10, rule: str = "segments"):
     """G_i: the B_i integral of 2 pi i times the z1^2 coefficient of the
     kernel (inner circle radius ``eps``, or the exact Y-Taylor data when
-    None).  ``rule`` picks the quadrature route."""
+    None), by the "segments" (production, bounded error) or "contour" rule
+    (the independent check, a doubling estimate)."""
     if i not in (1, 2):
         raise ValueError("cycle index is 1 or 2")
     if rule not in ("contour", "segments"):
@@ -503,9 +525,9 @@ def compute_G(curve: HyperellipticCurve, i: int, eps: float | None = 0.05,
 @functools.lru_cache(maxsize=64)
 def _G(curve, i, eps, tol, rule):
     """compute_G on validated arguments, memoized on all five of them."""
-    fn = g_integrand(cauchy_kernel_coeffs(curve, tol, eps))
-    integrate = _cycle_integral if rule == "contour" else segment_period
-    val, err = integrate(curve, f"B{i}", fn, tol)
+    kc = cauchy_kernel_coeffs(curve, tol, eps)
+    at = (curve, f"B{i}", g_integrand(kc), tol)
+    val, err = _cycle_integral(*at) if rule == "contour" else segment_period(*at, _g_laurent(kc))
     tau_factor = 2j * math.pi
     return tau_factor * val, abs(tau_factor) * err
 
@@ -567,8 +589,10 @@ def rho4(config: PeriodConfig = PeriodConfig()) -> Rho4Certificate:
     value = -left * right
 
     e_left = abs(nb1.c) * e1 + abs(nb1.a) * e2 + abs(left) * nb1.residual
-    e_right = abs(right) * (nb2.residual + kc.residual + 1e-15)
-    err = abs(right) * e_left + abs(left) * e_right + 1e-15
+    e_right = abs(right) * (nb2.residual + kc.residual)
+    # rounding: left and right within 4 u of L and R, -left right within 11 u of L R
+    L, R = abs(nb1.c * G1) + abs(nb1.a * G2), abs(nb2.c * D1) + abs(nb2.a * D2)
+    err = abs(right) * e_left + abs(left) * e_right + 11 * UNIT_ROUNDOFF * L * R
 
     table = (
         ("a", nb1.a), ("b", nb1.b), ("c", nb1.c), ("d", nb1.d),

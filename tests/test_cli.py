@@ -316,12 +316,26 @@ class TestPeriod:
             assert "Traceback" not in err
 
     def test_no_convergence_exit_1(self, capsys):
-        # below rounding no level agrees with the last: a one-line message
+        # below rounding no level's error bound is within tol: a one-line message
         code, out = run_cli("period", "rho4", "--tol", "1e-300")
         err = capsys.readouterr().err
         assert code == 1 and out == ""
         assert err == ("torcycle period: quadrature did not converge: "
-                       "contour A1: no convergence at 65536 nodes\n")
+                       "segment [1.0,2.0]: no convergence at 3072 nodes\n")
+
+    def test_stdout_closed_early(self):
+        # `torcycle --machine period rho4 --report | head -5`, with the reader
+        # gone before the first line: exit 1 and no traceback.  -u makes the
+        # print itself write, as a long output or PYTHONUNBUFFERED does
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-u", "-m", "torcycle.cli", "--machine", "period", "rho4",
+             "--report"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=path))
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 1 and err == b""
 
     def test_machine_stability(self):
         _, out1 = run_cli("--machine", "period", "rho4", "--tol", "1e-8")

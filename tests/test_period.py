@@ -272,6 +272,135 @@ class TestQuadrature:
             assert abs(v1 - v2) <= 1e-8 * max(1.0, abs(v1)), name
 
 
+def bound_cases(curve):
+    """(fn, laurent) pairs to check the segment bound on: z^p for p = -3 ..
+    1, the tau basis differentials and, where the kernel exists, the G
+    integrand, whose Laurent pairs are checked against it on the way."""
+    cases = [(P._power_integrand(p), ((p, 1.0),)) for p in range(-3, 2)]
+    nb = normalized_basis(curve)
+    cases += [((lambda A, B: lambda z, y: (A + B * z) / y)(A, B), ((0, A), (1, B)))
+              for A, B in ((nb.a, nb.b), (nb.c, nb.d))]
+    try:
+        kc = cauchy_kernel_coeffs(curve)
+    except PathClearanceError:
+        return cases
+    fn, laurent = P.g_integrand(kc), P._g_laurent(kc)
+    for z in (0.7 + 0.2j, -1.3 + 0.5j, 2.9 - 1.1j):
+        y = curve.y_upper(z)
+        want = sum(c * z**p for p, c in laurent) / y
+        assert abs(fn(z, y) - want) <= 1e-13 * sum(abs(c * z**p / y) for p, c in laurent)
+    return cases + [(fn, laurent)]
+
+
+def reference_segment(fn, curve, a, b, n):
+    """Level n of the segment rule summed with math.fsum, so that the
+    reference adds no summation error of its own."""
+    terms = [fn(x, y) * w for x, y, w in P._level_rows(curve, (a, b), n, False)]
+    return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+
+
+def check_segment_bounds(curve):
+    """On every segment of ``SEGMENT_ROOTS``, at n = 48 and 96: the error
+    bound of level n is at least |T_n - T_8n|, for each integrand of
+    ``bound_cases`` (negative powers only off the base point)."""
+    r = curve.roots
+    cases = bound_cases(curve)
+    for i, j in sorted({seg for segs in P.SEGMENT_ROOTS.values() for seg in segs}):
+        a, b = r[i], r[j]
+        for n in (48, 96):
+            bounds = P._segment_bounds(curve, a, b, n)
+            for fn, laurent in cases:
+                if any(p not in bounds for p, _ in laurent):
+                    continue
+                bound = sum(abs(c) * bounds[p] for p, c in laurent)
+                ref = reference_segment(fn, curve, a, b, 8 * n)
+                err = abs(gauss_segment(fn, curve, a, b, n) - ref)
+                assert err <= bound, (curve.roots, (i, j), n, laurent, err, bound)
+
+
+class TestSegmentBound:
+    """The segment rule's a-priori error bound (Trefethen-Weideman on the
+    Bernstein ellipse, plus rounding) holds against a level eight times
+    finer."""
+
+    @pytest.mark.parametrize("curve", [BASE_CURVE_1, BASE_CURVE_2])
+    def test_base_curves(self, curve):
+        check_segment_bounds(curve)
+
+    def test_scan_curves(self):
+        for roots in scan_curves():
+            check_segment_bounds(HyperellipticCurve(roots))
+
+    @given(st.floats(-5, 5), st.lists(st.floats(0.05, 5), min_size=5, max_size=5))
+    @settings(max_examples=60, deadline=None)
+    def test_random_sextics(self, start, gaps):
+        check_segment_bounds(HyperellipticCurve(list(itertools.accumulate(gaps, initial=start))))
+
+    def test_tol_decides_the_work(self):
+        # a cut of length 2.85 next to a gap of 0.05: tol 1e-4 stops at 48
+        # intervals, 1e-12 needs more; both stay within their bounds
+        curve = HyperellipticCurve((0.5, 3.35, 3.4, 4.0, 5.0, 6.0))
+        levels = {}
+        for tol in (1e-4, 1e-12):
+            calls = []
+
+            def fn(x, y):
+                calls.append(x)
+                return 1.0 / y
+
+            value, err = P.segment_integrate(fn, curve, 0.5, 3.35, tol, ((0, 1.0),))
+            assert err <= tol * max(abs(value), 1.0)
+            levels[tol] = len(calls) - 1
+        assert levels[1e-4] == 48 < levels[1e-12]
+
+
+class ContourReached(Exception):
+    pass
+
+
+class TestProductionRoute:
+    def test_contours_only_behind_the_contour_rule(self, monkeypatch):
+        # with contour quadrature refused and every memo empty, the period
+        # matrix, the normalized basis, D and the default certificate still
+        # compute; only the contour rule of G reaches the contours
+        def refuse(*args, **kwargs):
+            raise ContourReached
+
+        for memo in (P.standard_contours, P._a_periods, P.cauchy_kernel_coeffs, P._G,
+                     P._level_rows, P._segment_bounds):
+            memo.cache_clear()
+        monkeypatch.setattr(P, "contour_integrate", refuse)
+        period_matrix(BASE_CURVE_1)
+        normalized_basis(BASE_CURVE_2)
+        compute_D(BASE_CURVE_2)
+        assert rho4().passed
+        assert compute_G(BASE_CURVE_1, 1) == compute_G(BASE_CURVE_1, 1, rule="segments")
+        with pytest.raises(ContourReached):
+            compute_G(BASE_CURVE_1, 1, rule="contour")
+
+    @pytest.mark.parametrize("r0", [-1.0, 0.0, 5e-4])
+    def test_base_point_on_segment(self, r0):
+        # a negative power on a segment that contains, touches or comes
+        # within clearance of the base point: refused at the boundary
+        # before any evaluation, every time (nothing cached)
+        curve = HyperellipticCurve((r0, 1, 2, 3, 4, 5))
+        calls = []
+
+        def fn(x, y):
+            calls.append(x)
+            return 1.0 / (x * y)
+
+        for _ in range(2):
+            with pytest.raises(PathClearanceError, match="base point"):
+                P.segment_integrate(fn, curve, r0, 1.0, 1e-10, ((-1, 1.0), (0, 0.5)))
+            with pytest.raises(PathClearanceError, match="base point"):
+                P.segment_period(curve, "A1", fn, 1e-10, ((-1, 1.0),))
+        assert calls == []
+        # without a pole at 0 the same segment integrates
+        value, err = P.segment_integrate(lambda x, y: 1.0 / y, curve, r0, 1.0, 1e-10, ((0, 1.0),))
+        assert err <= 1e-10 * max(abs(value), 1.0)
+
+
 class TestPeriodMatrix:
     @pytest.mark.parametrize("curve", [BASE_CURVE_1, BASE_CURVE_2])
     def test_riemann_relations(self, curve):
@@ -369,7 +498,8 @@ class TestKernel:
         curve = HyperellipticCurve((0.5, 3.633, 7.355, 11.341, 16.057, 19.769))
         assert standard_contours(curve)["A1"].left < 0
         fn = P._power_integrand(-1)
-        contour, _ = P._cycle_integral(curve, "A1", fn, 1e-10)
+        # the cycle runs clockwise, the ellipse counterclockwise
+        contour = -contour_integrate(fn, curve, standard_contours(curve)["A1"], 1e-10)[0]
         segments, _ = P.segment_period(curve, "A1", fn)
         assert abs(contour - segments + 2j * math.pi / curve.y_upper(0.0)) < 1e-15
         with pytest.raises(PathClearanceError, match="A1 loop"):
@@ -488,29 +618,30 @@ class TestMemo:
         # a curve pair no other test uses, so the counts start cold
         curve = HyperellipticCurve((1.0, 2.1, 3.05, 4.2, 5.1, 6.3))
         curve2 = HyperellipticCurve((1.0, 2.1, 3.05, 4.2, 5.1, 7.2))
-        counts = {"integrals": 0, "checks": 0}
-        integrate, check = P.contour_integrate, EllipseContour.check
+        counts = {"segments": 0, "contours": 0, "checks": 0}
+        segment, contour, check = P.segment_integrate, P.contour_integrate, EllipseContour.check
 
-        def counted_integrate(*args, **kwargs):
-            counts["integrals"] += 1
-            return integrate(*args, **kwargs)
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
 
-        def counted_check(contour, c):
-            counts["checks"] += 1
-            return check(contour, c)
-
-        monkeypatch.setattr(P, "contour_integrate", counted_integrate)
-        monkeypatch.setattr(EllipseContour, "check", counted_check)
+        monkeypatch.setattr(P, "segment_integrate", counted("segments", segment))
+        monkeypatch.setattr(P, "contour_integrate", counted("contours", contour))
+        monkeypatch.setattr(EllipseContour, "check", counted("checks", check))
         period_matrix(curve)
         rho4(PeriodConfig(curve1=curve, curve2=curve2))
         for i in (1, 2):
             for rule in ("contour", "segments"):
                 compute_G(curve, i, rule=rule)
-        # 10 + 4 A-periods, 4 B-periods of tau, and G_1 and G_2 once each,
-        # shared by rho4 and compute_G (70 integrals and 72 checks when
-        # nothing was shared)
-        assert counts["integrals"] == 20
-        assert counts["checks"] == 8
+        # segment integrals: 2 + 2 A-periods of 1 and z on the cuts of each
+        # curve, 2 x 3 for the B-periods of tau (B1 has two segments, B2
+        # one), 3 x 2 inverse-power A-periods, and 2 + 1 for G_1 and G_2,
+        # shared by rho4 and compute_G; two contour integrals, for the
+        # contour-rule G_i, on the contours of the first curve, built and
+        # checked once for the kernel's A1-loop check
+        assert counts == {"segments": 23, "contours": 2, "checks": 4}
 
     def test_immutable(self):
         contours = standard_contours(BASE_CURVE_1)
@@ -523,18 +654,19 @@ class TestMemo:
 
     def test_clearance_failure_not_cached(self):
         # the cut-1/cut-2 gap is 1.5e-3, so the A-contour crossing in it
-        # lies within clearance of both branch points
+        # lies within clearance of both branch points; the kernel
+        # coefficients build the contours for their A1-loop check
         curve = HyperellipticCurve((1, 2, 2.0015, 3, 4, 5))
         for _ in range(2):
             with pytest.raises(PathClearanceError):
                 standard_contours(curve)
         with pytest.raises(PathClearanceError):
-            period_matrix(curve)
+            cauchy_kernel_coeffs(curve)
 
     def test_levels_built_once(self, monkeypatch):
-        # two curves whose contour and segment levels outnumber a 32-level
-        # cache, so a smaller cache rebuilds their A-levels for the
-        # inverse-power A-periods
+        # two curves whose segment levels and contour-rule G levels
+        # outnumber a 32-level cache, so a smaller cache rebuilds their
+        # segment levels between the tau and the inverse-power A-periods
         curves = [(0.92, 1.77, 1.86, 1.91, 4.68, 4.81), (0.82, 0.9, 2.47, 4.44, 7.06, 7.12)]
         for memo in (P.standard_contours, P._a_periods, P.cauchy_kernel_coeffs, P._G,
                      P._level_rows):
@@ -553,7 +685,8 @@ class TestMemo:
             rho4(PeriodConfig(tol=1e-11, curve1=curve,
                               curve2=HyperellipticCurve(roots[:5] + (roots[5] + 1,))))
             for i in (1, 2):
-                compute_G(curve, i, tol=1e-11, rule="segments")
+                for rule in ("contour", "segments"):
+                    compute_G(curve, i, tol=1e-11, rule=rule)
         assert rows.cache_info().misses == len(levels) > 32
 
     def test_nodes_built_once_per_integral(self, monkeypatch):
@@ -607,9 +740,9 @@ class TestScan:
         # nested quadrature builds from empty memos, pinned
         path = pathlib.Path(__file__).parent.parent / "scripts" / "period_scan.py"
         out = io.StringIO()
-        assert runpy.run_path(str(path))["scan"](5, out=out) == 28820
+        assert runpy.run_path(str(path))["scan"](5, out=out) == 15612
         lines = out.getvalue().splitlines()
-        assert len(lines) == 11 and lines[-1] == "nodes_built\t28820"
+        assert len(lines) == 11 and lines[-1] == "nodes_built\t15612"
 
 
 # --------------------------------------------------------------------------
