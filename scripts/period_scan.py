@@ -33,7 +33,7 @@ MEMOS = (period.standard_contours, period._a_periods, period.cauchy_kernel_coeff
 def random_curves(seed: int, count: int):
     """``count`` pairs (roots, roots2): roots2 moves the last branch point
     right by 0.5 to 1.5.  The first root sits 0.4 to 0.8 right of half the
-    first gap, so the A1 loop stays clear of the base point and the eps-circle."""
+    first gap, so the cuts stay clear of the base point and the eps-circle."""
     rng = random.Random(seed)
     lo, hi = math.log(GAPS[0]), math.log(GAPS[1])
     for _ in range(count):

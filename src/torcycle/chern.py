@@ -48,7 +48,6 @@ from .algebra import (
 from .tautring import (
     ModuliSpec,
     TautClass,
-    UnsupportedOperation,
     delta_irr,
     kappa,
     lam,
@@ -92,15 +91,13 @@ def chern_tangent_moduli(space: ModuliSpec, k: int) -> tuple[TautClass, ...]:
     """Chern classes c_1..c_k of the tangent bundle, exact.
 
     Degree 1 is returned in the lambda/psi/delta basis (kappa_1 expanded).
-    Products beyond the implemented boundary calculus raise.  The divisor
-    pipelines need k = 1 with boundary terms; k = 2 serves the ``chern``
-    command and ``selftest`` only; k = 3 works only on the interior.  Memoized
-    per (space, k): every caller shares the tuple.
+    Any degree is tried: the products of Newton's identities decide, and one
+    beyond the implemented boundary calculus raises UnsupportedOperation
+    with its own limit.  Memoized per (space, k): every caller shares the
+    tuple.
     """
     if k < 1:
         raise ValueError("degree must be >= 1")
-    if k > 3:
-        raise UnsupportedOperation("Chern classes beyond degree 3 not needed")
     from .tautring import kappa1_expand
 
     ch = [ch_tangent(space, m) for m in range(1, k + 1)]

@@ -476,7 +476,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     cfg = RunConfig(machine=args.machine, explain=getattr(args, "explain", False))
     try:
-        return args.fn(args, cfg)
+        code = args.fn(args, cfg)
+        sys.stdout.flush()  # a short output is written here, not at exit
+        return code
     except pipeline.PipelineMismatch as exc:
         print(f"mismatch: {exc}", file=sys.stderr)
         return 1

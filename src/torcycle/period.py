@@ -15,27 +15,31 @@ ellipse crossing the axis at two known points are exact.  The upper branch
 is Y(0) = +sqrt(f(0)) continued through the closed upper half plane: Y_up
 = -Yref there.
 
-Quadrature.  Production integrates over branch-point segments: a nested
-trapezoid rule in theta = k pi/n with both ends, x = m - h cos(theta)
-(nested Gauss-Chebyshev-Lobatto, Waldvogel, BIT 2006).  Y's endpoint
-roots are taken as -i h sin(theta), and the integrand is called with Y /
-(h sin(theta)), which absorbs dx: every integrand in the module is g(z) /
-Y, g a Laurent polynomial with powers -3 to 1, and must stay so.  A
-segment integral stops at the first level whose error, an a-priori
-truncation bound plus modelled rounding, is within tol, and returns it:
-the rule is half the periodic trapezoid rule of 2n nodes, which errs by at
-most 4 pi M / (rho^2n - 1) for an integrand bounded by M on the strip |Im
-theta| < log(rho) (Trefethen-Weideman, SIAM Rev. 56, 2014, Thm 3.2), the
-image of the Bernstein ellipse of parameter rho around the segment.  Closed contours at t = 2^-18 + k/n (no node of a
-level up to 65536 nodes on a real-axis crossing), doubled until two levels
-agree, are the second route; only ``compute_G(rule="contour")`` takes it,
-as the independent check the benchmark's G job compares with segments.
-Level 2n adds only the odd nodes, so an integral converged at N nodes
-evaluates N, once each with Python numbers.  The module needs only math
-and cmath (numpy cost every process about 0.12 s and 10 MB), and returns
-Python complex or float values, so ``--machine`` prints plain reprs.
-Clockwise cycles are twice their segment integrals: A1 over [r0, r1], B1
-over the f > 0 gaps between its crossings.  Everything is bitwise
+Quadrature.  Every integrand is g(z) dz / Y, g a Laurent polynomial with
+powers -3 to 1, and is given once: as the pairs (p, c_p) of g = sum c_p
+z^p, which ``laurent_integrand`` evaluates at the nodes and
+``_segment_bounds`` bounds.  Production integrates over branch-point
+segments: a nested trapezoid rule in theta = k pi/n with both ends, x = m -
+h cos(theta) (nested Gauss-Chebyshev-Lobatto, Waldvogel, BIT 2006).  Y's
+endpoint roots are taken as -i h sin(theta), and the integrand is called
+with Y / (h sin(theta)), which absorbs dx.  A segment integral stops at
+the first level whose error, an a-priori truncation bound plus modelled
+rounding, is within tol, and returns it: the rule is half the periodic
+trapezoid rule of 2n nodes, which errs by at most 4 pi M / (rho^2n - 1)
+for an integrand bounded by M on the strip |Im theta| < log(rho)
+(Trefethen-Weideman, SIAM Rev. 56, 2014, Thm 3.2), the image of the
+Bernstein ellipse of parameter rho around the segment.  Clockwise cycles
+are twice their segment integrals: an A-cycle over its cut, B1 over the f
+> 0 gaps between its crossings, so no loop has to keep clear of the base
+point; a negative power on a segment within clearance of it is refused.
+Closed contours at t = 2^-18 + k/n (no node of a level up to 65536 nodes
+on a real-axis crossing), doubled until two levels agree, are the second
+route; only ``compute_G(rule="contour")`` takes it, as the independent
+check the benchmark's G job compares with segments.  Level 2n adds only
+the odd nodes, so an integral converged at N nodes evaluates N, once each
+with Python numbers.  The module needs only math and cmath (numpy cost
+every process about 0.12 s and 10 MB), and returns Python complex or
+float values, so ``--machine`` prints plain reprs.  Everything is bitwise
 deterministic for fixed configuration.
 
 Memoization.  Built once: a curve's contours; the rows (z, Y, weight) a
@@ -60,7 +64,7 @@ class QuadratureError(RuntimeError):
 
 
 class PathClearanceError(ValueError):
-    """A path runs too close to a branch point."""
+    """A path runs too close to a branch point or to the base point."""
 
 
 #: minimum allowed distance between any path point and a branch point
@@ -260,20 +264,31 @@ def contour_integrate(fn, curve, contour, tol=1e-10):
     return _nested(fn, curve, contour, f"contour {contour.label}", tol, CONTOUR_NODES)
 
 
-def segment_integrate(fn, curve, a, b, tol=1e-10, laurent=None):
-    """Integral of fn(x, Y_up(x)) dx, fn = g(x) / Y, over the root segment
-    [a, b] by nested Gauss-Chebyshev-Lobatto rules.  Given ``laurent``, the
-    pairs (p, c_p) of g = sum c_p x^p, it returns the first level whose
-    bound is within tol, with that bound; else it doubles like contours."""
+def segment_integrate(fn, curve, a, b, tol, laurent):
+    """Integral of fn(x, Y_up(x)) dx over the root segment [a, b] by nested
+    Gauss-Chebyshev-Lobatto rules, fn = ``laurent_integrand(laurent)``: the
+    first level whose bound is within tol, with that bound."""
     what = f"segment [{a},{b}]"
-    if laurent and min(p for p, _ in laurent) < 0 and max(a, -b, 0.0) < BRANCH_CLEARANCE:
+    if min(p for p, _ in laurent) < 0 and max(a, -b, 0.0) < BRANCH_CLEARANCE:
         raise PathClearanceError(f"{what} within clearance of the base point")
 
     def bound(n):
         bounds = _segment_bounds(curve, a, b, n)
         return sum(abs(c) * bounds[p] for p, c in laurent)
 
-    return _nested(fn, curve, (a, b), what, tol, SEGMENT_NODES, laurent and bound)
+    return _nested(fn, curve, (a, b), what, tol, SEGMENT_NODES, bound)
+
+
+def laurent_integrand(laurent):
+    """The node evaluator fn(z, Y) = g(z) / Y of g = sum c_p z^p, for the
+    pairs (p, c_p): the one description of every period integrand."""
+    def fn(z, y):
+        g = 0
+        for p, c in laurent:
+            g += c * z**p
+        return g / y
+
+    return fn
 
 
 def _hull(A, B, C, D):  # max of (l A + (1 - l) B) C^l D^(1 - l), 0 <= l <= 1: log-concave
@@ -327,39 +342,22 @@ def _segment_bounds(curve, a, b, n):
 # periods and the normalized basis
 
 
-def _cycle_integral(curve, name, fn, tol):
+def _cycle_integral(curve, name, laurent, tol):
     """Contour period of a clockwise cycle (the ellipses run counterclockwise,
     hence the sign): the orientation that makes tau symmetric with positive
     definite imaginary part, as the segment decompositions also take."""
-    val, err = contour_integrate(fn, curve, standard_contours(curve)[name], tol)
+    contour = standard_contours(curve)[name]
+    val, err = contour_integrate(laurent_integrand(laurent), curve, contour, tol)
     return -val, err
-
-
-def _power_integrand(p):
-    """z^p / Y.  A negative power is evaluated as 1 / (z^-p Y): z**p / y
-    rounds differently, and the certificate's last digits would move."""
-    if p >= 0:
-        return lambda z, y: z**p / y
-    return lambda z, y: 1.0 / (z**-p * y)
 
 
 @functools.lru_cache(maxsize=64)
 def _a_periods(curve, tol, powers):
     """M[i][j] = integral over A_i of z^p dz/Y for p = powers[j], as tuples."""
     return tuple(
-        tuple(segment_period(curve, name, _power_integrand(p), tol, ((p, 1.0),))[0]
-              for p in powers)
+        tuple(segment_period(curve, name, ((p, 1.0),), tol)[0] for p in powers)
         for name in ("A1", "A2")
     )
-
-
-def _solve2(M, rhs):
-    det = M[0][0] * M[1][1] - M[0][1] * M[1][0]
-    if abs(det) < 1e-14:
-        raise ZeroDivisionError("singular A-period matrix")
-    x0 = (rhs[0] * M[1][1] - rhs[1] * M[0][1]) / det
-    x1 = (M[0][0] * rhs[1] - M[1][0] * rhs[0]) / det
-    return x0, x1
 
 
 class NormalizedBasis(NamedTuple):
@@ -376,9 +374,12 @@ class NormalizedBasis(NamedTuple):
 
 
 def normalized_basis(curve: HyperellipticCurve, tol=1e-10) -> NormalizedBasis:
-    M = _a_periods(curve, tol, (0, 1))
-    a, b = _solve2(M, (1.0, 0.0))
-    c, d = _solve2(M, (0.0, 1.0))
+    """(a, b) and (c, d) are the columns of M^-1, M the A-periods of 1 and z."""
+    (m00, m01), (m10, m11) = M = _a_periods(curve, tol, (0, 1))
+    det = m00 * m11 - m01 * m10
+    if abs(det) < 1e-14:
+        raise ZeroDivisionError("singular A-period matrix")
+    a, b, c, d = m11 / det, -m10 / det, -m01 / det, m00 / det
     # duality residual, re-evaluated
     res = max(abs(al * M[i][0] + be * M[i][1] - (i == j))
               for i in range(2) for j, (al, be) in enumerate(((a, b), (c, d))))
@@ -391,9 +392,8 @@ def normalized_basis(curve: HyperellipticCurve, tol=1e-10) -> NormalizedBasis:
 def period_matrix(curve: HyperellipticCurve, tol=1e-10):
     """tau[i][j] = integral over B_i of v_j, A-normalized."""
     nb = normalized_basis(curve, tol)
-    cells = [[segment_period(curve, name, (lambda A, B: lambda z, y: (A + B * z) / y)(al, be), tol,
-                             ((0, al), (1, be))) for al, be in ((nb.a, nb.b), (nb.c, nb.d))]
-             for name in ("B1", "B2")]
+    cells = [[segment_period(curve, name, ((0, al), (1, be)), tol)
+              for al, be in ((nb.a, nb.b), (nb.c, nb.d))] for name in ("B1", "B2")]
     return [[v for v, _ in row] for row in cells], max(e for row in cells for _, e in row)
 
 
@@ -406,10 +406,10 @@ def period_matrix(curve: HyperellipticCurve, tol=1e-10):
 SEGMENT_ROOTS = {"A1": ((0, 1),), "A2": ((2, 3),), "B1": ((1, 2), (3, 4)), "B2": ((3, 4),)}
 
 
-def segment_period(curve, name, fn, tol=1e-10, laurent=None):
-    """Clockwise period of an odd integrand over cycle ``name``: twice the sum
-    of its segment integrals (``laurent`` as there), in table order."""
-    r = curve.roots
+def segment_period(curve, name, laurent, tol=1e-10):
+    """Clockwise period of sum c_p z^p dz / Y, (p, c_p) in ``laurent``, over
+    cycle ``name``: twice the sum of its segment integrals, in table order."""
+    fn, r = laurent_integrand(laurent), curve.roots
     vals, errs = zip(*(segment_integrate(fn, curve, r[a], r[b], tol, laurent)
                        for a, b in SEGMENT_ROOTS[name]))
     return 2 * sum(vals[1:], vals[0]), 2 * sum(errs[1:], errs[0])
@@ -462,28 +462,23 @@ def cauchy_kernel_coeffs(
     """Solve the A-normalization of the kernel order by order in the second
     argument around 0.  Memoized per (curve, tol, eps).
 
-    The kernel is (y1 + y) dz / (2 (z - z1) y) + h(z1) dz/y + k(z1) z dz/y;
-    the pure 1/(2 (z - z1)) part has zero A-periods (the A-loops do not
-    enclose the base point), so each order is a 2x2 solve against the
-    A-period matrix with right side from the expanded y1/(2(z-z1)) term.
-    That assumption is checked: the A1 loop, the leftmost contour, must
-    cross the axis at least ``BRANCH_CLEARANCE`` right of 0, or
-    PathClearanceError is raised.
+    The kernel is (y1 + y) dz / (2 (z - z1) y) + h(z1) dz/y + k(z1) z dz/y.
+    Its pure 1/(2 (z - z1)) part has zero A-periods, as an A-cycle is its cut
+    (a cut or branch point within clearance of 0 raises PathClearanceError),
+    so each order is (h, k) = M^-1 rhs: M the A-period matrix, inverted by
+    the normalized basis, and rhs from the expanded y1/(2(z-z1)) term.
     """
-    left = standard_contours(curve)["A1"].left
-    if not left >= BRANCH_CLEARANCE:
-        raise PathClearanceError(
-            f"A1 loop crosses the axis at {left}, not {BRANCH_CLEARANCE} right of the base point")
-    alpha = (
-        y_taylor_by_circle(curve, eps) if eps is not None else curve.y_taylor0()
-    )
+    if any(abs(r) < BRANCH_CLEARANCE for r in curve.roots):
+        raise PathClearanceError("base point within clearance of a branch point")
+    nb = normalized_basis(curve, tol)
     M = _a_periods(curve, tol, (0, 1))
     # inverse power A-periods: P[i][k - 1] = integral over A_i of z^-k dz/Y
     P = _a_periods(curve, tol, (-1, -2, -3))
+    alpha = y_taylor_by_circle(curve, eps) if eps is not None else curve.y_taylor0()
     hs, ks, residual = [], [], 0.0
     for order in range(3):
         rhs = [-sum(alpha[j] * P[i][order - j] for j in range(order + 1)) / 2 for i in range(2)]
-        h, k = _solve2(M, rhs)
+        h, k = nb.a * rhs[0] + nb.c * rhs[1], nb.b * rhs[0] + nb.d * rhs[1]
         hs.append(h)
         ks.append(k)
         for i in range(2):
@@ -491,21 +486,11 @@ def cauchy_kernel_coeffs(
     return KernelCoefficients(tuple(hs), tuple(ks), alpha, residual)
 
 
-def g_integrand(kc: KernelCoefficients):
-    """Outer integrand of the double integral after the inner residue: the
-    z1^2 coefficient of the kernel, odd part (the even 1/(2 z^3) dz piece
-    integrates to zero over cycles that do not enclose the base point)."""
-    a0, a1, a2 = kc.alpha
-    h2, k2 = kc.h[2], kc.k[2]
-
-    def fn(z, y):
-        return (a2 / z + a1 / z**2 + a0 / z**3) / (2 * y) + (h2 + k2 * z) / y
-
-    return fn
-
-
-def _g_laurent(kc: KernelCoefficients):
-    """The pairs (p, c_p) with g_integrand(kc) = sum c_p z^p / Y."""
+def g_laurent(kc: KernelCoefficients):
+    """Outer integrand of the double integral after the inner residue, the
+    kernel's z1^2 coefficient (a2/z + a1/z^2 + a0/z^3) / (2 Y) + (h2 + k2 z) / Y
+    as pairs (p, c_p) of sum c_p z^p dz / Y, odd part (the even 1/(2 z^3) dz
+    piece integrates to zero over cycles that do not enclose the base point)."""
     return (*((p, a / 2) for p, a in zip((-3, -2, -1), kc.alpha)), (0, kc.h[2]), (1, kc.k[2]))
 
 
@@ -526,8 +511,8 @@ def compute_G(curve: HyperellipticCurve, i: int, eps: float | None = 0.05,
 def _G(curve, i, eps, tol, rule):
     """compute_G on validated arguments, memoized on all five of them."""
     kc = cauchy_kernel_coeffs(curve, tol, eps)
-    at = (curve, f"B{i}", g_integrand(kc), tol)
-    val, err = _cycle_integral(*at) if rule == "contour" else segment_period(*at, _g_laurent(kc))
+    route = _cycle_integral if rule == "contour" else segment_period
+    val, err = route(curve, f"B{i}", g_laurent(kc), tol)
     tau_factor = 2j * math.pi
     return tau_factor * val, abs(tau_factor) * err
 

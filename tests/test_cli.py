@@ -123,6 +123,27 @@ class TestChern:
         assert "unsupported operation" in err and "compact type" in err
         assert "usage:" not in err
 
+    def test_degree_beyond_the_dimension(self):
+        # no fixed degree cap: on the 1-dimensional M^ct_{1,1}, c_4 is 0
+        code, out = run_cli("--machine", "chern", "--space", "mct", "--g", "1", "--n", "1",
+                            "--deg", "4", "--what", "c")
+        assert code == 0 and out == "c4(T)\t0\t-\n"
+
+    @pytest.mark.parametrize("space, g, n, limit", [
+        ("mct", "2", "0", "one factor must be a divisor-span class"),
+        ("mct", "2", "1", "gluing pullback for one-edge graphs only"),
+        ("mct", "3", "0", "gluing pullback for one-edge graphs only"),
+        ("mbar", "0", "6", "gluing pullback for one-edge graphs only"),
+    ], ids=["mct-2-0", "mct-2-1", "mct-3-0", "mbar-0-6"])
+    def test_degree_four_names_the_real_limit(self, capsys, space, g, n, limit):
+        # the products decide: exit 3 with the calculus limit they hit, not
+        # a degree cap
+        code, out = run_cli("chern", "--space", space, "--g", g, "--n", n, "--deg", "4",
+                            "--what", "c")
+        err = capsys.readouterr().err
+        assert code == 3 and out == ""
+        assert err == f"torcycle chern: unsupported operation: {limit}\n"
+
     @pytest.mark.parametrize("deg", ["0", "-1"])
     def test_degree_below_one(self, capsys, deg):
         # the Chern classes of degree < 1 used to raise IndexError
@@ -351,6 +372,26 @@ class TestConstants:
         assert "248064/691*lambda6" in out
         assert "31/30*kappa3" in out
         assert "display-only" in out
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("argv", [["constants"], ["excess", "m", "--da", "1", "--db", "1"],
+                                      ["--machine", "period", "rho4", "--report"]],
+                             ids=["constants", "excess", "rho4"])
+    def test_short_output_buffered(self, argv):
+        # `torcycle constants | head -0`: stdout buffered, as in a shell
+        # without PYTHONUNBUFFERED, so a short output is written only when
+        # flushed.  The reader is gone before that: exit 1 and nothing on
+        # stderr, not the interpreter's exit-time BrokenPipeError (120)
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        env.pop("PYTHONUNBUFFERED", None)
+        proc = subprocess.Popen([sys.executable, "-m", "torcycle.cli", *argv],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 1 and err == b""
 
 
 class TestTaut:

@@ -42,6 +42,9 @@ dependency).
 * Every function of the package is reached by a command, a report script
   or a benchmark job: ``scripts/reach_scan.py`` lists none outside its
   allow-list of value-protocol dunders.
+* Each period integrand is written once, as Laurent pairs: in
+  ``period.py`` no ``lambda z, y`` and no ``def`` taking ``(z, y)`` stands
+  outside ``laurent_integrand``, the one evaluator of the pairs.
 * Every memo has a finite ``maxsize``, so none keyed by an unbounded
   genus grows for the life of the process.  An ``lru_cache(maxsize=None)``
   or a ``functools.cache`` is allowed only where the keys are closed (the
@@ -280,6 +283,38 @@ def test_scan_catches_a_kappa1_call():
         "def k(c):\n    return kappa1(c)\n"
     )
     assert kappa1_sites(tree) == ["f", "C", "<module>"]
+
+
+def integrand_sites(tree: ast.Module) -> list[str]:
+    """The top-level function or class around each lambda or ``def`` whose
+    parameters are exactly ``(z, y)``: a node evaluator written by hand;
+    ``<module>`` outside them."""
+    sites = []
+    for top in tree.body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for node in ast.walk(top):
+            if (isinstance(node, (ast.Lambda, ast.FunctionDef))
+                    and [a.arg for a in node.args.args] == ["z", "y"]):
+                sites.append(owner)
+    return sites
+
+
+def test_integrands_only_as_laurent_pairs():
+    found = integrand_sites(ast.parse((SRC / "period.py").read_text()))
+    assert set(found) <= {"laurent_integrand"}, (
+        f"period integrand written outside laurent_integrand: "
+        f"{sorted(set(found) - {'laurent_integrand'})}")
+
+
+def test_scan_catches_an_integrand_closure():
+    tree = ast.parse(
+        "def laurent_integrand(laurent):\n    def fn(z, y):\n        return 0\n    return fn\n"
+        "def period_matrix(nb):\n    return [(lambda A: lambda z, y: A / y)(a) for a in nb]\n"
+        "def g_integrand(kc):\n    def fn(z, y):\n        return kc / y\n    return fn\n"
+        "class C:\n    def f(self, z, y):\n        return z\n"
+        "h = lambda x, y: x / y\n"
+    )
+    assert integrand_sites(tree) == ["laurent_integrand", "period_matrix", "g_integrand"]
 
 
 #: (module, function) pairs allowed an unbounded memo

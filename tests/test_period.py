@@ -244,7 +244,7 @@ class TestQuadrature:
         segments = sorted({seg for segs in P.SEGMENT_ROOTS.values() for seg in segs})
         for a, b in segments:
             for p in (0, 1, -1, -3):
-                fn = P._power_integrand(p)
+                fn = P.laurent_integrand(((p, 1.0),))
                 got = gauss_segment(fn, curve, r[a], r[b], 48)
                 want = legendre_segment(fn, curve, a, b, 48)
                 assert type(got) is complex
@@ -265,31 +265,41 @@ class TestQuadrature:
         assert abs(val) < 1e-12
 
     def test_cross_rule_agreement(self):
-        fn = lambda z, y: 1.0 / y
+        laurent = ((0, 1.0),)
         for name in ("A1", "A2", "B1", "B2"):
-            v1, _ = P._cycle_integral(BASE_CURVE_1, name, fn, 1e-10)
-            v2, _ = P.segment_period(BASE_CURVE_1, name, fn)
+            v1, _ = P._cycle_integral(BASE_CURVE_1, name, laurent, 1e-10)
+            v2, _ = P.segment_period(BASE_CURVE_1, name, laurent)
             assert abs(v1 - v2) <= 1e-8 * max(1.0, abs(v1)), name
+
+
+def g_reference(kc, z, y):
+    """The z1^2 coefficient of the kernel, odd part, as the kernel's
+    expansion states it."""
+    a0, a1, a2 = kc.alpha
+    return (a2 / z + a1 / z**2 + a0 / z**3) / (2 * y) + (kc.h[2] + kc.k[2] * z) / y
 
 
 def bound_cases(curve):
     """(fn, laurent) pairs to check the segment bound on: z^p for p = -3 ..
     1, the tau basis differentials and, where the kernel exists, the G
-    integrand, whose Laurent pairs are checked against it on the way."""
-    cases = [(P._power_integrand(p), ((p, 1.0),)) for p in range(-3, 2)]
+    integrand, whose Laurent pairs are checked against ``g_reference`` on
+    the way.  Each fn is the production evaluator of its pairs."""
+    cases = [((p, 1.0),) for p in range(-3, 2)]
     nb = normalized_basis(curve)
-    cases += [((lambda A, B: lambda z, y: (A + B * z) / y)(A, B), ((0, A), (1, B)))
-              for A, B in ((nb.a, nb.b), (nb.c, nb.d))]
+    cases += [((0, A), (1, B)) for A, B in ((nb.a, nb.b), (nb.c, nb.d))]
     try:
         kc = cauchy_kernel_coeffs(curve)
     except PathClearanceError:
-        return cases
-    fn, laurent = P.g_integrand(kc), P._g_laurent(kc)
-    for z in (0.7 + 0.2j, -1.3 + 0.5j, 2.9 - 1.1j):
-        y = curve.y_upper(z)
-        want = sum(c * z**p for p, c in laurent) / y
-        assert abs(fn(z, y) - want) <= 1e-13 * sum(abs(c * z**p / y) for p, c in laurent)
-    return cases + [(fn, laurent)]
+        pass
+    else:
+        laurent = P.g_laurent(kc)
+        fn = P.laurent_integrand(laurent)
+        for z in (0.7 + 0.2j, -1.3 + 0.5j, 2.9 - 1.1j):
+            y = curve.y_upper(z)
+            err = abs(fn(z, y) - g_reference(kc, z, y))
+            assert err <= 1e-13 * sum(abs(c * z**p / y) for p, c in laurent)
+        cases.append(laurent)
+    return [(P.laurent_integrand(laurent), laurent) for laurent in cases]
 
 
 def reference_segment(fn, curve, a, b, n):
@@ -360,9 +370,10 @@ class ContourReached(Exception):
 
 class TestProductionRoute:
     def test_contours_only_behind_the_contour_rule(self, monkeypatch):
-        # with contour quadrature refused and every memo empty, the period
-        # matrix, the normalized basis, D and the default certificate still
-        # compute; only the contour rule of G reaches the contours
+        # with the contours and contour quadrature refused and every memo
+        # empty, the period matrix, the normalized basis, the kernel, D and
+        # the default certificate still compute; only the contour rule of G
+        # reaches the contours
         def refuse(*args, **kwargs):
             raise ContourReached
 
@@ -370,8 +381,10 @@ class TestProductionRoute:
                      P._level_rows, P._segment_bounds):
             memo.cache_clear()
         monkeypatch.setattr(P, "contour_integrate", refuse)
+        monkeypatch.setattr(P, "standard_contours", refuse)
         period_matrix(BASE_CURVE_1)
         normalized_basis(BASE_CURVE_2)
+        cauchy_kernel_coeffs(BASE_CURVE_1, eps=0.05)
         compute_D(BASE_CURVE_2)
         assert rho4().passed
         assert compute_G(BASE_CURVE_1, 1) == compute_G(BASE_CURVE_1, 1, rule="segments")
@@ -379,26 +392,30 @@ class TestProductionRoute:
             compute_G(BASE_CURVE_1, 1, rule="contour")
 
     @pytest.mark.parametrize("r0", [-1.0, 0.0, 5e-4])
-    def test_base_point_on_segment(self, r0):
+    def test_base_point_on_segment(self, r0, monkeypatch):
         # a negative power on a segment that contains, touches or comes
         # within clearance of the base point: refused at the boundary
-        # before any evaluation, every time (nothing cached)
+        # before any node is built, every time (nothing cached)
         curve = HyperellipticCurve((r0, 1, 2, 3, 4, 5))
-        calls = []
+        built, rows = [], P._level_rows
 
-        def fn(x, y):
-            calls.append(x)
-            return 1.0 / (x * y)
+        def recorded(*args):
+            built.append(args)
+            return rows(*args)
 
+        monkeypatch.setattr(P, "_level_rows", recorded)
+        laurent = ((-1, 1.0), (0, 0.5))
         for _ in range(2):
             with pytest.raises(PathClearanceError, match="base point"):
-                P.segment_integrate(fn, curve, r0, 1.0, 1e-10, ((-1, 1.0), (0, 0.5)))
+                P.segment_integrate(P.laurent_integrand(laurent), curve, r0, 1.0, 1e-10, laurent)
             with pytest.raises(PathClearanceError, match="base point"):
-                P.segment_period(curve, "A1", fn, 1e-10, ((-1, 1.0),))
-        assert calls == []
+                P.segment_period(curve, "A1", ((-1, 1.0),), 1e-10)
+        assert built == []
         # without a pole at 0 the same segment integrates
-        value, err = P.segment_integrate(lambda x, y: 1.0 / y, curve, r0, 1.0, 1e-10, ((0, 1.0),))
-        assert err <= 1e-10 * max(abs(value), 1.0)
+        laurent = ((0, 1.0),)
+        value, err = P.segment_integrate(P.laurent_integrand(laurent), curve, r0, 1.0, 1e-10,
+                                         laurent)
+        assert built and err <= 1e-10 * max(abs(value), 1.0)
 
 
 class TestPeriodMatrix:
@@ -444,15 +461,13 @@ class TestNormalizedBasis:
 
     def test_contour_stability(self):
         nb1 = normalized_basis(BASE_CURVE_1)
-        # independent route: A-periods via segment quadrature
-        fn0 = lambda z, y: 1.0 / y
-        fn1 = lambda z, y: z / y
-        M = [[0j, 0j], [0j, 0j]]
-        for i, name in enumerate(("A1", "A2")):
-            M[i][0], _ = P.segment_period(BASE_CURVE_1, name, fn0)
-            M[i][1], _ = P.segment_period(BASE_CURVE_1, name, fn1)
-        a, b = P._solve2(M, (1.0, 0.0))
-        c, d = P._solve2(M, (0.0, 1.0))
+        # independent route: A-periods of 1 and z on the A ellipses (the
+        # cycles run clockwise, the ellipses counterclockwise), inverted by
+        # numpy; (a, b) and (c, d) are the columns of the inverse
+        contours = standard_contours(BASE_CURVE_1)
+        M = [[-contour_integrate(fn, BASE_CURVE_1, contours[name], 1e-10)[0]
+              for fn in (lambda z, y: 1.0 / y, lambda z, y: z / y)] for name in ("A1", "A2")]
+        (a, c), (b, d) = np.linalg.inv(np.array(M)).tolist()
         for x, y in ((a, nb1.a), (b, nb1.b), (c, nb1.c), (d, nb1.d)):
             assert abs(x - y) < 1e-6 * max(1.0, abs(y))
 
@@ -491,29 +506,50 @@ class TestKernel:
             P.y_taylor_by_circle(BASE_CURVE_1, eps)
 
     def test_base_point_enclosed(self):
-        # this A1 loop crosses the axis at -1.0665, around the pole of
-        # z^-1 / Y at the base point: its contour period differs from the
-        # segment period by the clockwise residue -2 pi i / Y_up(0), so the
-        # kernel coefficients refuse the curve
+        # this curve's standard A1 ellipse crosses the axis at -1.0665,
+        # around the pole of z^-1 / Y at the base point: its contour period
+        # differs from the segment period by the clockwise residue
+        # -2 pi i / Y_up(0).  The A1 cycle is the cut [0.5, 3.633], which
+        # does not enclose 0: the segment A-periods of z^p / Y match an
+        # ellipse that hugs the cut, crossing at 0.25 right of the base
+        # point, and the kernel, both G rules and the certificate compute
         curve = HyperellipticCurve((0.5, 3.633, 7.355, 11.341, 16.057, 19.769))
-        assert standard_contours(curve)["A1"].left < 0
-        fn = P._power_integrand(-1)
-        # the cycle runs clockwise, the ellipse counterclockwise
-        contour = -contour_integrate(fn, curve, standard_contours(curve)["A1"], 1e-10)[0]
-        segments, _ = P.segment_period(curve, "A1", fn)
+        enclosing = standard_contours(curve)["A1"]
+        assert enclosing.left < 0
+        # the cycle runs clockwise, the ellipses counterclockwise
+        laurent = ((-1, 1.0),)
+        contour = -contour_integrate(P.laurent_integrand(laurent), curve, enclosing, 1e-10)[0]
+        segments, _ = P.segment_period(curve, "A1", laurent)
         assert abs(contour - segments + 2j * math.pi / curve.y_upper(0.0)) < 1e-15
-        with pytest.raises(PathClearanceError, match="A1 loop"):
-            cauchy_kernel_coeffs(curve)
+        hugging = EllipseContour(0.25, enclosing.right, enclosing.height, "A1 hugging")
+        hugging.check(curve)
+        for p in range(-3, 2):
+            fn = lambda z, y, p=p: z**p / y
+            contour = -contour_integrate(fn, curve, hugging, 1e-13)[0]
+            segments, _ = P.segment_period(curve, "A1", ((p, 1.0),))
+            assert abs(contour - segments) <= 1e-14 * abs(segments), p
+        assert cauchy_kernel_coeffs(curve).residual < 1e-13
+        for i in (1, 2):
+            gc, _ = compute_G(curve, i, rule="contour")
+            gs, _ = compute_G(curve, i, rule="segments")
+            assert abs(gc - gs) <= 1e-13 * abs(gs)
+        assert rho4(PeriodConfig(curve1=curve)).passed
 
     @pytest.mark.parametrize("r1, clear", [(2.999, False), (2.996, True)])
     def test_base_point_clearance(self, r1, clear):
-        # A1 crosses at 1.5 r0 - r1 / 2: 5e-4 and 2e-3 right of the base point
+        # the standard A1 ellipse crosses at 1.5 r0 - r1 / 2, 5e-4 and 2e-3
+        # right of the base point, within and outside the clearance; the A1
+        # cycle is the cut [1, r1], so the kernel computes either way
         curve = HyperellipticCurve((1, r1, 4, 5, 6, 7))
-        if clear:
-            assert cauchy_kernel_coeffs(curve).residual < 1e-8
-        else:
-            with pytest.raises(PathClearanceError, match="A1 loop"):
-                cauchy_kernel_coeffs(curve)
+        assert (standard_contours(curve)["A1"].left >= BRANCH_CLEARANCE) == clear
+        assert cauchy_kernel_coeffs(curve).residual < 1e-8
+
+    @pytest.mark.parametrize("roots", [(-5, -4, -3, -2, -1, 0), (-5, -4, -3, -2, 5e-4, 1)])
+    def test_branch_point_at_base_point(self, roots):
+        # a branch point on or near 0 in the third cut, which no A-cycle
+        # uses: Y(0) is 0 or nearly, and the kernel refuses the curve
+        with pytest.raises(PathClearanceError, match="base point"):
+            cauchy_kernel_coeffs(HyperellipticCurve(roots))
 
     def test_radius_independence(self):
         c1 = cauchy_kernel_coeffs(BASE_CURVE_1, eps=0.05)
@@ -532,7 +568,7 @@ class TestG:
 
         curve = BASE_CURVE_1
         kc = cauchy_kernel_coeffs(curve)
-        fn = P.g_integrand(kc)
+        fn = P.laurent_integrand(P.g_laurent(kc))
         eps = 0.05
         n = 600
         contour = standard_contours(curve)["B1"]
@@ -640,7 +676,7 @@ class TestMemo:
         # one), 3 x 2 inverse-power A-periods, and 2 + 1 for G_1 and G_2,
         # shared by rho4 and compute_G; two contour integrals, for the
         # contour-rule G_i, on the contours of the first curve, built and
-        # checked once for the kernel's A1-loop check
+        # checked once by the first of them
         assert counts == {"segments": 23, "contours": 2, "checks": 4}
 
     def test_immutable(self):
@@ -654,14 +690,16 @@ class TestMemo:
 
     def test_clearance_failure_not_cached(self):
         # the cut-1/cut-2 gap is 1.5e-3, so the A-contour crossing in it
-        # lies within clearance of both branch points; the kernel
-        # coefficients build the contours for their A1-loop check
+        # lies within clearance of both branch points: the contours and the
+        # contour rule of G refuse the curve every time, while the kernel
+        # coefficients, on the segments, compute
         curve = HyperellipticCurve((1, 2, 2.0015, 3, 4, 5))
         for _ in range(2):
             with pytest.raises(PathClearanceError):
                 standard_contours(curve)
-        with pytest.raises(PathClearanceError):
-            cauchy_kernel_coeffs(curve)
+            with pytest.raises(PathClearanceError):
+                compute_G(curve, 1, rule="contour")
+        assert cauchy_kernel_coeffs(curve).residual < 1e-8
 
     def test_levels_built_once(self, monkeypatch):
         # two curves whose segment levels and contour-rule G levels
@@ -720,7 +758,7 @@ class TestMemo:
         assert calls["y_upper"] == N
         levels.clear()
         calls.update(y_upper=0, fn=0)
-        P.segment_integrate(fn, curve, curve.roots[1], curve.roots[2], 1e-12)
+        P.segment_integrate(fn, curve, curve.roots[1], curve.roots[2], 1e-12, ((0, 1.0),))
         assert calls == {"y_upper": 0, "fn": max(levels) + 1}
 
     def test_invalid_G_arguments(self):
