@@ -30,8 +30,8 @@ for an integrand bounded by M on the strip |Im theta| < log(rho)
 (Trefethen-Weideman, SIAM Rev. 56, 2014, Thm 3.2), the image of the
 Bernstein ellipse of parameter rho around the segment.  Clockwise cycles
 are twice their segment integrals: an A-cycle over its cut, B1 over the f
-> 0 gaps between its crossings, so no loop has to keep clear of the base
-point; a negative power on a segment within clearance of it is refused.
+> 0 gaps between its crossings, so no loop keeps clear of the base point;
+a negative power on a segment near it, or a base point on a cut, is refused.
 Closed contours at t = 2^-18 + k/n (no node of a level up to 65536 nodes
 on a real-axis crossing), doubled until two levels agree, are the second
 route; only ``compute_G(rule="contour")`` takes it, as the independent
@@ -280,13 +280,17 @@ def segment_integrate(fn, curve, a, b, tol, laurent):
 
 
 def laurent_integrand(laurent):
-    """The node evaluator fn(z, Y) = g(z) / Y of g = sum c_p z^p, for the
-    pairs (p, c_p): the one description of every period integrand."""
+    """fn(z, Y) = g(z) / Y, g = sum c_p z^p over pairs (p, c_p) of distinct
+    powers (Horner's rule, times z^low): every period integrand's evaluator."""
+    coef = dict(laurent)
+    low = min(coef)
+    top, *rest = [coef.get(q, 0) for q in range(max(coef), low - 1, -1)]
+
     def fn(z, y):
-        g = 0
-        for p, c in laurent:
-            g += c * z**p
-        return g / y
+        g = top
+        for c in rest:
+            g = g * z + c
+        return g * z**low / y
 
     return fn
 
@@ -464,12 +468,12 @@ def cauchy_kernel_coeffs(
 
     The kernel is (y1 + y) dz / (2 (z - z1) y) + h(z1) dz/y + k(z1) z dz/y.
     Its pure 1/(2 (z - z1)) part has zero A-periods, as an A-cycle is its cut
-    (a cut or branch point within clearance of 0 raises PathClearanceError),
-    so each order is (h, k) = M^-1 rhs: M the A-period matrix, inverted by
-    the normalized basis, and rhs from the expanded y1/(2(z-z1)) term.
+    (0 on a cut or near a branch point raises PathClearanceError), so each
+    order is (h, k) = M^-1 rhs: M the A-period matrix, inverted by the
+    normalized basis, and rhs from the expanded y1/(2(z-z1)) term.
     """
-    if any(abs(r) < BRANCH_CLEARANCE for r in curve.roots):
-        raise PathClearanceError("base point within clearance of a branch point")
+    if curve.axis_flip(0.0):
+        raise PathClearanceError("base point on a cut")
     nb = normalized_basis(curve, tol)
     M = _a_periods(curve, tol, (0, 1))
     # inverse power A-periods: P[i][k - 1] = integral over A_i of z^-k dz/Y
@@ -513,8 +517,7 @@ def _G(curve, i, eps, tol, rule):
     kc = cauchy_kernel_coeffs(curve, tol, eps)
     route = _cycle_integral if rule == "contour" else segment_period
     val, err = route(curve, f"B{i}", g_laurent(kc), tol)
-    tau_factor = 2j * math.pi
-    return tau_factor * val, abs(tau_factor) * err
+    return 2j * math.pi * val, 2 * math.pi * err
 
 
 def compute_D(curve2: HyperellipticCurve, tol=1e-10):
@@ -525,9 +528,7 @@ def compute_D(curve2: HyperellipticCurve, tol=1e-10):
     y0, y1, _ = curve2.y_taylor0()
     if abs(y0) < 1e-12:
         raise ZeroDivisionError("Y(0) below the numerical floor")
-    d1 = (nb.a * y1 - nb.b) / y0
-    d2 = (nb.c * y1 - nb.d) / y0
-    return (d1, d2), nb
+    return ((nb.a * y1 - nb.b) / y0, (nb.c * y1 - nb.d) / y0), nb
 
 
 # --------------------------------------------------------------------------
@@ -560,8 +561,7 @@ def rho4(config: PeriodConfig = PeriodConfig()) -> Rho4Certificate:
     nonvanishing certifies the nonreduced structure: a..d from the first
     curve normalize the kernel side, the primed constants from the second
     curve feed the D quotients."""
-    c1curve, c2curve = config.curve1, config.curve2
-    tol = config.tol
+    c1curve, c2curve, tol = config.curve1, config.curve2, config.tol
 
     nb1 = normalized_basis(c1curve, tol)
     kc = cauchy_kernel_coeffs(c1curve, tol, config.eps)

@@ -544,11 +544,19 @@ class TestKernel:
         assert (standard_contours(curve)["A1"].left >= BRANCH_CLEARANCE) == clear
         assert cauchy_kernel_coeffs(curve).residual < 1e-8
 
-    @pytest.mark.parametrize("roots", [(-5, -4, -3, -2, -1, 0), (-5, -4, -3, -2, 5e-4, 1)])
-    def test_branch_point_at_base_point(self, roots):
-        # a branch point on or near 0 in the third cut, which no A-cycle
-        # uses: Y(0) is 0 or nearly, and the kernel refuses the curve
-        with pytest.raises(PathClearanceError, match="base point"):
+    @pytest.mark.parametrize(
+        "roots, message",
+        [
+            ((-5, -4, -3, -2, -1, 0), "too close to a branch point"),
+            ((-5, -4, -3, -2, 5e-4, 1), "too close to a branch point"),
+            ((-6, -5, -4, -3, -2, 1), "base point on a cut"),
+        ],
+    )
+    def test_branch_point_at_base_point(self, roots, message):
+        # 0 on or near a branch point of the third cut, which no A-cycle
+        # uses, or inside that cut: Y(0) is 0 or nearly, or the eps-circle
+        # crosses the axis where Y changes sheet, and the kernel refuses
+        with pytest.raises(PathClearanceError, match=message):
             cauchy_kernel_coeffs(HyperellipticCurve(roots))
 
     def test_radius_independence(self):
