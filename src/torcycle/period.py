@@ -357,9 +357,10 @@ def _cycle_integral(curve, name, laurent, tol):
 
 @functools.lru_cache(maxsize=64)
 def _a_periods(curve, tol, powers):
-    """M[i][j] = integral over A_i of z^p dz/Y for p = powers[j], as tuples."""
+    """M[i][j] = (value, error) of the integral over A_i of z^p dz/Y for p =
+    powers[j], as tuples."""
     return tuple(
-        tuple(segment_period(curve, name, ((p, 1.0),), tol)[0] for p in powers)
+        tuple(segment_period(curve, name, ((p, 1.0),), tol) for p in powers)
         for name in ("A1", "A2")
     )
 
@@ -379,7 +380,7 @@ class NormalizedBasis(NamedTuple):
 
 def normalized_basis(curve: HyperellipticCurve, tol=1e-10) -> NormalizedBasis:
     """(a, b) and (c, d) are the columns of M^-1, M the A-periods of 1 and z."""
-    (m00, m01), (m10, m11) = M = _a_periods(curve, tol, (0, 1))
+    (m00, m01), (m10, m11) = M = [[v for v, _ in row] for row in _a_periods(curve, tol, (0, 1))]
     det = m00 * m11 - m01 * m10
     if abs(det) < 1e-14:
         raise ZeroDivisionError("singular A-period matrix")
@@ -394,11 +395,19 @@ def normalized_basis(curve: HyperellipticCurve, tol=1e-10) -> NormalizedBasis:
 
 
 def period_matrix(curve: HyperellipticCurve, tol=1e-10):
-    """tau[i][j] = integral over B_i of v_j, A-normalized."""
+    """tau[i][j] = integral over B_i of v_j, A-normalized, and an error
+    bound on every entry: the B quadrature error of the entry plus the
+    A-period errors E carried through N = M^-1 to first order.  As dN = -N
+    dM N, tau = B N moves by -tau dM N, at most (|tau| E |N|)[i][j]."""
     nb = normalized_basis(curve, tol)
     cells = [[segment_period(curve, name, ((0, al), (1, be)), tol)
               for al, be in ((nb.a, nb.b), (nb.c, nb.d))] for name in ("B1", "B2")]
-    return [[v for v, _ in row] for row in cells], max(e for row in cells for _, e in row)
+    tau = [[v for v, _ in row] for row in cells]
+    E = [[e for _, e in row] for row in _a_periods(curve, tol, (0, 1))]
+    N = ((nb.a, nb.c), (nb.b, nb.d))
+    err = max(e + sum(abs(tau[i][k]) * E[k][m] * abs(N[m][j]) for k in (0, 1) for m in (0, 1))
+              for i, row in enumerate(cells) for j, (_, e) in enumerate(row))
+    return tau, err
 
 
 # segment decompositions (the production quadrature route) -----------------
@@ -475,9 +484,9 @@ def cauchy_kernel_coeffs(
     if curve.axis_flip(0.0):
         raise PathClearanceError("base point on a cut")
     nb = normalized_basis(curve, tol)
-    M = _a_periods(curve, tol, (0, 1))
+    M, P = ([[v for v, _ in row] for row in _a_periods(curve, tol, powers)]
+            for powers in ((0, 1), (-1, -2, -3)))
     # inverse power A-periods: P[i][k - 1] = integral over A_i of z^-k dz/Y
-    P = _a_periods(curve, tol, (-1, -2, -3))
     alpha = y_taylor_by_circle(curve, eps) if eps is not None else curve.y_taylor0()
     hs, ks, residual = [], [], 0.0
     for order in range(3):

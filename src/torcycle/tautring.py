@@ -81,12 +81,16 @@ Canonical form
 --------------
 ``_least_relabelings`` gives the canonical form of a generator (its least
 relabeling, a ``Gen`` being a ``NamedTuple`` ordered as its fields) and
-every vertex map onto it, searching the one generator of class-respecting
-bijections, ``_class_bijections``, that ``ctp`` pairs trees with too.  The
-vertex classes are read in one pass over legs and edges (genus, half-edge
-psi exponents, legs, kappa, lambda, and the same of the neighbours); the
-class order fixes genera, kappa and lambda, so candidates compare as
-(sorted edges, sorted legs) and only the winner is built as a ``Gen``.
+every vertex map onto it.  A lone vertex is written down in closed form.
+Otherwise the vertex classes are read in one pass over legs and edges
+(genus, half-edge psi exponents, legs, kappa, lambda, and the same of the
+neighbours), and the search runs only where they leave a choice, as in
+partition refinement (McKay--Piperno, J. Symb. Comput. 60, 2014): classes
+of one vertex each force the map, and only a class of two or more enters
+``_class_bijections``, the one generator of class-respecting bijections,
+which ``ctp`` pairs trees with too.  The class order fixes genera, kappa
+and lambda, so candidates compare as (sorted edges, sorted legs) and only
+the winner is built as a ``Gen``.
 ``canonicalize`` returns the form and |Aut| (the number of maps times the
 edge-level symmetries of ``_halfedge_factor``); ``ctp`` takes tree
 isomorphisms and automorphisms from the same search.
@@ -208,17 +212,6 @@ class Gen(NamedTuple):
         ends = sum((e[0] == v) + (e[1] == v) for e in self.edges)
         return ends + sum(1 for (_, lv, _) in self.legs if lv == v)
 
-    def vertex_decoration_degree(self, v: int) -> int:
-        d = sum(i * e for (i, e) in self.kappa[v])
-        d += sum(i * e for (i, e) in self.lam[v])
-        d += sum(e for (_, lv, e) in self.legs if lv == v)
-        for (a, b, av, aw) in self.edges:
-            if a == v:
-                d += av
-            if b == v:
-                d += aw
-        return d
-
     def is_trivial_graph(self) -> bool:
         return len(self.genera) == 1 and not self.edges
 
@@ -280,12 +273,18 @@ def make_gen(
 def check_stability(gen: Gen, policy: str) -> None:
     """Stability of every vertex; compact type additionally demands a tree
     with no self edges.  Raises ``UnstableGraphError`` naming a violator."""
+    valence = [0] * gen.n_vertices()
+    for (v, w, _, _) in gen.edges:
+        valence[v] += 1
+        valence[w] += 1
+    for (_, v, _) in gen.legs:
+        valence[v] += 1
     for v, g in enumerate(gen.genera):
         if g < 0:
             raise UnstableGraphError(f"vertex {v} has negative genus")
-        if 2 * g - 2 + gen.valence(v) <= 0:
+        if 2 * g - 2 + valence[v] <= 0:
             raise UnstableGraphError(
-                f"vertex {v} (genus {g}, valence {gen.valence(v)}) is unstable"
+                f"vertex {v} (genus {g}, valence {valence[v]}) is unstable"
             )
     if policy == "ct":
         if any(v == w for (v, w, _, _) in gen.edges):
@@ -369,15 +368,21 @@ def _class_bijections(classes: Sequence[tuple[Sequence[int], Sequence[int]]]):
 def _least_relabelings(gen: Gen) -> tuple[Gen, list[tuple[int, ...]]]:
     """The least relabeling of gen and every vertex map reaching it.
 
-    Vertices are grouped by (genus, half-edge decorations, leg data, vertex
-    decorations, neighbor data), read in one pass over legs and edges; the
-    least encoding over the permutations within groups wins.  The group
+    A lone vertex is its own least relabeling, its self edges written
+    ``(0, 0, min, max)`` and its legs sorted.  Otherwise vertices are
+    grouped by (genus, half-edge decorations, leg data, vertex decorations,
+    neighbor data), read in one pass over legs and edges; when every group
+    is one vertex the map is forced, and only otherwise are the
+    permutations within groups searched for the least encoding.  The group
     order fixes genera, kappa and lambda, so candidates compare as (sorted
     edges, sorted legs), and the winning ``Gen`` is built once.  An
     isomorphism onto the winner keeps the groups, so the search visits
     every map onto it.
     """
     nv = gen.n_vertices()
+    if nv == 1:
+        edges = sorted((0, 0, min(av, aw), max(av, aw)) for (_, _, av, aw) in gen.edges)
+        return Gen(gen.genera, tuple(edges), tuple(sorted(gen.legs)), gen.kappa, gen.lam), [(0,)]
     ends: list[list[int]] = [[] for _ in range(nv)]
     legs: list[list[tuple[str, int]]] = [[] for _ in range(nv)]
     adj: list[list[int]] = [[] for _ in range(nv)]
@@ -398,10 +403,14 @@ def _least_relabelings(gen: Gen) -> tuple[Gen, list[tuple[int, ...]]]:
     for _, vs in sorted(groups.items()):  # keys differ, so lists never compare
         classes.append((vs, range(next_index, next_index + len(vs))))
         next_index += len(vs)
+    if len(classes) == nv:  # every class a single vertex: the one map is forced
+        perms = [tuple(ts.start for _, ts in sorted(classes))]  # sources differ
+    else:
+        perms = _class_bijections(classes)
 
     best: tuple[list, list] | None = None
     maps: list[tuple[int, ...]] = []
-    for perm in _class_bijections(classes):
+    for perm in perms:
         edges = []
         for (v, w, av, aw) in gen.edges:
             p, q = perm[v], perm[w]
@@ -434,13 +443,16 @@ def canonicalize(gen: Gen) -> tuple[Gen, int]:
 
 def _prunable(gen: Gen) -> bool:
     """A vertex decoration above the vertex moduli dimension, or a lambda_i
-    with i above the vertex genus, vanishes."""
-    for v, g in enumerate(gen.genera):
-        if gen.vertex_decoration_degree(v) > 3 * g - 3 + gen.valence(v):
-            return True
-        if any(i > g for (i, _) in gen.lam[v]):
-            return True
-    return False
+    with i above the vertex genus, vanishes.  Each vertex's room, 3g - 3 +
+    valence - decoration degree, is counted in one pass."""
+    room = [3 * g - 3 - sum(i * e for (i, e) in kv + lv)
+            for g, kv, lv in zip(gen.genera, gen.kappa, gen.lam)]
+    for (a, b, av, aw) in gen.edges:
+        room[a] += 1 - av
+        room[b] += 1 - aw
+    for (_, v, e) in gen.legs:
+        room[v] += 1 - e
+    return min(room) < 0 or any(i > g for g, lv in zip(gen.genera, gen.lam) for (i, _) in lv)
 
 
 @lru_cache(maxsize=65536)
@@ -465,10 +477,11 @@ class TautClass(_LinearCombination):
 
     def __init__(self, space: ModuliSpec, terms: Mapping[Gen, Rational] | None = None):
         self.space = space
-        self.terms = _accumulate(
-            (1, {cgen: _rational(coeff)}) for gen, coeff in (terms or {}).items()
-            if coeff and (cgen := _admit(space, gen)) is not None
-        )
+        admitted: dict = {}
+        for gen, coeff in (terms or {}).items():
+            if coeff and (cgen := _admit(space, gen)) is not None:
+                admitted[cgen] = admitted.get(cgen, 0) + _rational(coeff)
+        self.terms = _accumulate(((1, admitted),))
 
     @classmethod
     def _carry(cls, space: ModuliSpec, terms: dict[Gen, Rational]) -> "TautClass":
@@ -958,10 +971,11 @@ class ProductClass(_LinearCombination):
         self.spaces = tuple(spaces)
         if any(len(gens) != len(self.spaces) for gens, coeff in (terms or {}).items() if coeff):
             raise ValueError("a term needs one generator per factor")
-        self.terms = _accumulate(
-            (1, {canon: _rational(coeff)}) for gens, coeff in (terms or {}).items()
-            if coeff and None not in (canon := tuple(map(_admit, self.spaces, gens)))
-        )
+        admitted: dict = {}
+        for gens, coeff in (terms or {}).items():
+            if coeff and None not in (canon := tuple(map(_admit, self.spaces, gens))):
+                admitted[canon] = admitted.get(canon, 0) + _rational(coeff)
+        self.terms = _accumulate(((1, admitted),))
 
     @classmethod
     def _carry(cls, spaces: Sequence[ModuliSpec], terms: dict) -> "ProductClass":

@@ -1,5 +1,12 @@
+import ast
+import functools
 import itertools
+import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
 from unittest import mock
@@ -39,6 +46,7 @@ from torcycle.tautring import (
 )
 
 F = Fraction
+SRC = pathlib.Path(__file__).parent.parent / "src"
 
 
 def aut_order(gen):
@@ -188,6 +196,50 @@ def _least_relabelings_by_whole_gens(gen):
     return best, maps
 
 
+#: Run in a fresh interpreter, so that no memo is warm: the three headline
+#: pipelines, cold, recording every generator they admit and counting the
+#: permutation searches that ``_least_relabelings`` enters.
+HEADLINE_ADMISSIONS = """
+import json
+from torcycle import pipeline, tautring as tr
+admitted, entered = set(), []
+admit, bijections = tr._admit, tr._class_bijections
+def recorded_admit(space, gen):
+    admitted.add(repr(tuple(gen)))
+    return admit(space, gen)
+def counted_bijections(classes):
+    entered.append(len(classes))
+    return bijections(classes)
+tr._admit, tr._class_bijections = recorded_admit, counted_bijections
+pipeline.t_pullback_g4()
+pipeline.t_pushforward_Abar4()
+pipeline.t_pullback_g5()
+print(json.dumps({"entered": len(entered), "admitted": sorted(admitted)}))
+"""
+
+
+@functools.lru_cache(maxsize=1)
+def headline_admissions() -> tuple[int, tuple[tr.Gen, ...]]:
+    """(searches entered, generators admitted) of the cold headline pipelines."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", HEADLINE_ADMISSIONS], capture_output=True,
+                          text=True, check=True, env=dict(os.environ, PYTHONPATH=path))
+    out = json.loads(proc.stdout)
+    return out["entered"], tuple(tr.Gen(*ast.literal_eval(g)) for g in out["admitted"])
+
+
+def _random_decorated_graph(rng, nv, genera):
+    """A generator built field by field, not through ``make_gen``: edges
+    (self edges among them) with their ends in either order, legs unsorted,
+    psi exponents on both, and a kappa or lambda monomial at some vertices."""
+    edges = tuple((rng.randrange(nv), rng.randrange(nv), rng.randint(0, 2), rng.randint(0, 2))
+                  for _ in range(rng.randint(0, 4)))
+    legs = tuple((lab, rng.randrange(nv), rng.randint(0, 2))
+                 for lab in rng.sample("pqrs", rng.randint(0, 4)))
+    decor = [[((1, 1),), ((2, 1),), ((1, 2),), ()][rng.randrange(4)] for _ in range(2 * nv)]
+    return tr.Gen(tuple(genera), edges, legs, tuple(decor[:nv]), tuple(decor[nv:]))
+
+
 def _random_decorated_tree(rng):
     nv = rng.randint(1, 6)
     genera = [rng.choice((1, 1, 2)) for _ in range(nv)]
@@ -254,6 +306,53 @@ class TestOneSearch:
                     if tr._apply_perm(a, list(p)) == b]
             assert _isomorphisms_by_scan(a, b) == full
 
+    def test_one_vertex_closed_form(self):
+        # self edges unnormalized, (0, 0, 1, 0) among them, and legs unsorted
+        rng = random.Random(20261022)
+        gens = [tr.Gen((3,), ((0, 0, 1, 0), (0, 0, 0, 0), (0, 0, 2, 1)),
+                       (("q", 0, 1), ("p", 0, 0)), (((1, 1),),), ((),))]
+        gens += [_random_decorated_graph(rng, 1, (rng.randint(0, 3),)) for _ in range(200)]
+        with mock.patch.object(tr, "_class_bijections", side_effect=AssertionError):
+            assert all(tr._least_relabelings(a)[1] == [(0,)] for a in gens)
+        for a in gens:
+            # the scan oracle compares with written-out generators
+            b = tr._apply_perm(a._replace(edges=a.edges[::-1], legs=a.legs[::-1]), [0])
+            self.check(a, b)
+            self.check(a, tr._apply_perm(gens[0], [0]))
+
+    def test_forced_labelings(self):
+        # distinct genera, or legs on one of two equal vertices, leave every
+        # class a single vertex: the one map is written down, not searched
+        rng = random.Random(20261023)
+        gens = [make_gen((1, 1), [(0, 1)], [("p", 0)]), make_gen((1, 2, 3), [(0, 1), (1, 2)]),
+                make_gen((2, 1), [(0, 1, 1, 0), (1, 1)], [("q", 1, 2)])]
+        for _ in range(200):
+            nv = rng.randint(2, 4)
+            gens.append(_random_decorated_graph(rng, nv, rng.sample(range(5), nv)))
+        with mock.patch.object(tr, "_class_bijections", side_effect=AssertionError):
+            assert all(len(tr._least_relabelings(a)[1]) == 1 for a in gens)
+        for a in gens:
+            perm = rng.sample(range(a.n_vertices()), a.n_vertices())
+            self.check(a, tr._apply_perm(a, perm))
+            other = gens[rng.randrange(len(gens))]
+            self.check(a, tr._apply_perm(other, range(other.n_vertices())))
+
+    def test_headline_generators(self):
+        # every generator the three headline pipelines admit, relabeled
+        rng = random.Random(20261024)
+        _, gens = headline_admissions()
+        assert len(gens) > 90 and any(g.n_vertices() > 1 for g in gens)
+        for a in gens:
+            perm = rng.sample(range(a.n_vertices()), a.n_vertices())
+            self.check(a, tr._apply_perm(a, perm))
+
+    def test_headline_searches_bounded(self):
+        # of the canonical searches of the cold headline pipelines, only
+        # the symmetric (2, 2) graphs of genus 4 leave a class of two
+        # vertices; every other one is a lone vertex or a forced labeling
+        entered, _ = headline_admissions()
+        assert entered <= 2
+
     @pytest.mark.parametrize("positive_only", [True, False])
     def test_census_trees(self, positive_only):
         # every tree of the census layers g <= 6 (up to 10 vertices),
@@ -268,7 +367,63 @@ class TestOneSearch:
                 self.check(a, t)
 
 
+def _stability_by_vertex(gen, policy):
+    """check_stability's message (None when stable), each valence counted
+    vertex by vertex from its definition."""
+    for v, g in enumerate(gen.genera):
+        valence = sum((a == v) + (b == v) for (a, b, _, _) in gen.edges)
+        valence += sum(lv == v for (_, lv, _) in gen.legs)
+        if g < 0:
+            return f"vertex {v} has negative genus"
+        if 2 * g - 2 + valence <= 0:
+            return f"vertex {v} (genus {g}, valence {valence}) is unstable"
+    if policy == "ct":
+        if any(a == b for (a, b, _, _) in gen.edges):
+            return "self edge not allowed on compact type"
+        if len(gen.edges) != gen.n_vertices() - 1 or not tr._is_connected(gen):
+            return "compact type dual graph must be a tree"
+    elif not tr._is_connected(gen):
+        return "graph must be connected"
+    return None
+
+
+def _prunable_by_vertex(gen):
+    """_prunable from its definition: some vertex's decoration degree
+    exceeds 3g - 3 + valence, or it carries a lambda_i with i > g."""
+    for v, g in enumerate(gen.genera):
+        degree = sum(i * e for (i, e) in gen.kappa[v] + gen.lam[v])
+        degree += sum(e for (_, lv, e) in gen.legs if lv == v)
+        degree += sum(av for (a, _, av, _) in gen.edges if a == v)
+        degree += sum(aw for (_, b, _, aw) in gen.edges if b == v)
+        valence = sum((a == v) + (b == v) for (a, b, _, _) in gen.edges)
+        valence += sum(lv == v for (_, lv, _) in gen.legs)
+        if degree > 3 * g - 3 + valence or any(i > g for (i, _) in gen.lam[v]):
+            return True
+    return False
+
+
 class TestStability:
+    def test_one_pass_checks_match_definitions(self):
+        rng = random.Random(20261025)
+        messages, pruned = set(), 0
+        for _ in range(2000):
+            nv = rng.randint(1, 4)
+            gen = _random_decorated_graph(rng, nv, [rng.randint(-1, 3) for _ in range(nv)])
+            for policy in ("ct", "stable"):
+                try:
+                    tr.check_stability(gen, policy)
+                    message = None
+                except UnstableGraphError as err:
+                    message = str(err)
+                assert message == _stability_by_vertex(gen, policy), (gen, policy)
+                messages.add(message and message.split(" (")[0].split()[0])
+            if min(gen.genera) >= 0:
+                assert tr._prunable(gen) == _prunable_by_vertex(gen), gen
+                pruned += tr._prunable(gen)
+        # every verdict is met: stable, each kind of message, pruned or not
+        assert messages == {None, "vertex", "self", "compact", "graph"}
+        assert 200 < pruned < 1800
+
     def test_unstable_named(self):
         g = make_gen((0, 4), [(0, 1)])
         with pytest.raises(UnstableGraphError, match="vertex 0"):
